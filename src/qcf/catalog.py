@@ -109,7 +109,6 @@ class ModelSpace:
     euler_char: int | None = None
     tt: TTData | None = None
     lambda1: Fraction | None = field(default=None)
-    torus_side_is_2pi: bool = True
 
     @property
     def display_name(self) -> str:
@@ -351,39 +350,27 @@ def function_spectrum(model: ModelSpace, count: int) -> list[Fraction]:
         sums = sorted({a + b for a in base for b in base})
         return [Fraction(x) for x in sums[:count]]
     if v == "torus":
-        if not model.torus_side_is_2pi:
-            raise CatalogError("non-default torus side not supported in spectra")
-        vals = _sums_of_squares(model.n, count)
-        return [Fraction(x) for x in vals]
+        return [Fraction(x) for x in _sums_of_squares(model.n, count)]
     raise CatalogError(f"no closed-form function spectrum for {model.display_name}")
 
 
 def _sums_of_squares(n: int, count: int) -> list[int]:
-    limit = max(4 * count, 16)
-    hits = set()
-    bound = int(math.isqrt(limit)) + 1
-    # distinct values of k1^2 + ... + kn^2; n >= 3 so every value up to
-    # `limit` is realized or not independent of sign/order
-    def rec(rem_dims: int, acc: int):
-        if acc > limit:
-            return
-        if rem_dims == 0:
-            hits.add(acc)
-            return
-        for k in range(0, bound + 1):
-            v = acc + k * k
-            if v > limit:
-                break
-            rec(rem_dims - 1, v)
-    rec(n, 0)
-    vals = sorted(hits)
+    """First ``count`` values of k_1^2 + ... + k_n^2 over k in Z^n.
+
+    Every k >= 0 is a sum of four squares (Lagrange), hence of n >= 4
+    squares; it is a sum of three squares exactly when it is not of the
+    form 4^a (8b + 7) (Legendre).
+    """
+    vals = []
+    k = 0
     while len(vals) < count:
-        limit *= 2
-        bound = int(math.isqrt(limit)) + 1
-        hits.clear()
-        rec(n, 0)
-        vals = sorted(hits)
-    return vals[:count]
+        m = k
+        while m and m % 4 == 0:
+            m //= 4
+        if n >= 4 or m % 8 != 7:
+            vals.append(k)
+        k += 1
+    return vals
 
 
 def one_form_spectrum(model: ModelSpace, count: int, kind: str) -> list[Fraction]:
@@ -403,12 +390,6 @@ def one_form_spectrum(model: ModelSpace, count: int, kind: str) -> list[Fraction
     if kind == "coclosed":
         return [Fraction((l + 1) * (l + nn - 2)) for l in range(1, count + 1)]
     return [Fraction(l * (l + nn - 1)) for l in range(1, count + 1)]
-
-
-def tt_data(model: ModelSpace) -> TTData:
-    if model.tt is None:
-        raise CatalogError(f"no TT data recorded for {model.display_name}")
-    return model.tt
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -47,27 +48,41 @@ def _emit_json(obj: dict) -> None:
 class RatioType(click.ParamType):
     """Accepts exact 'p/q' syntax, integers, and decimal literals.
 
-    Everything parseable as an exact ratio is kept exact so thresholds
-    like 1/3 survive; scientific notation falls back to float.
+    Every finite literal parses to an exact ratio, so thresholds like 1/3
+    survive; inf and nan are rejected.
     """
 
     name = "ratio"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, (Fraction, float)):
+        if isinstance(value, Fraction):
             return value
-        s = str(value).strip()
         try:
-            return parse_ratio(s)
+            return parse_ratio(str(value))
         except (ValueError, ZeroDivisionError):
-            pass
-        try:
-            return float(s)
-        except ValueError:
-            self.fail(f"{value!r} is not 'p/q' or a decimal", param, ctx)
+            self.fail(f"{value!r} is not a finite 'p/q' or decimal", param, ctx)
 
 
 RATIO = RatioType()
+
+
+class FiniteFloat(click.types.FloatParamType):
+    """A float that must be finite, and positive when ``positive`` is set."""
+
+    def __init__(self, positive: bool = False):
+        self.positive = positive
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not finite", param, ctx)
+        if self.positive and x <= 0:
+            self.fail(f"{value!r} is not positive", param, ctx)
+        return x
+
+
+FINITE = FiniteFloat()
+POSITIVE = FiniteFloat(positive=True)
 
 
 def _tau_json(tau):
@@ -84,7 +99,8 @@ def guarded(fn):
         except InsufficientSpectralData as exc:
             click.echo(f"insufficient data: {exc}", err=True)
             sys.exit(3)
-        except (CatalogError, IllConditionedDerivativeError, ValueError) as exc:
+        except (CatalogError, IllConditionedDerivativeError, ValueError,
+                OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -228,7 +244,7 @@ def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
 
 @main.command()
 @click.option("--tau", type=RATIO, required=True)
-@click.option("--at", "at_", type=float, default=1.0,
+@click.option("--at", "at_", type=FINITE, default=1.0,
               help="Berger parameter s at which to evaluate.")
 @click.option("--derivatives", type=click.IntRange(0, 3), default=3,
               help="Highest derivative order to estimate (0 = value only).")
@@ -290,9 +306,9 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
 @click.option("--family", type=click.Choice(["berger", "product"]),
               default="berger")
 @click.option("--tau", type=RATIO, required=True)
-@click.option("--start", type=float, default=None,
+@click.option("--start", type=FINITE, default=None,
               help="Sweep start (default 0.2 for berger, -1 for product).")
-@click.option("--stop", type=float, default=None,
+@click.option("--stop", type=FINITE, default=None,
               help="Sweep end (default 2 for berger, 1 for product).")
 @click.option("--points", type=click.IntRange(2, 100000), default=21)
 @click.option("--derivatives", type=click.IntRange(0, 3), default=0)
@@ -347,7 +363,7 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
 @click.option("--diag", required=True,
               help="Comma-separated diagonal metric entries, e.g. 1,1,4.")
 @click.option("--tau", type=RATIO, required=True)
-@click.option("--vol-ref", type=float, default=None,
+@click.option("--vol-ref", type=POSITIVE, default=None,
               help="Reference frame volume (default 2*pi^2 for su2, 1 otherwise).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
@@ -361,8 +377,8 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
         raise ValueError(f"--diag must be comma-separated numbers, got {diag!r}")
     if len(entries) != sc.n:
         raise ValueError(f"--diag needs {sc.n} entries for {group}, got {len(entries)}")
-    if any(e <= 0 for e in entries):
-        raise ValueError("--diag entries must be positive")
+    if not all(math.isfinite(e) and e > 0 for e in entries):
+        raise ValueError("--diag entries must be finite and positive")
     if vol_ref is None:
         vol_ref = homogeneous.SU2_REFERENCE_VOLUME if group == "su2" else 1.0
     g = np.diag(entries)
@@ -403,8 +419,12 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
 @click.option("--dim", "n", type=click.IntRange(2, 12), required=True)
 @click.option("--tau", type=RATIO, default=None,
               help="Required unless --conformal-killing is given.")
-@click.option("--trials", type=click.IntRange(1, 100000), default=100)
-@click.option("--seed", type=int, default=0)
+@click.option("--trials", type=click.IntRange(1, 100000), default=100,
+              help="Accepted for compatibility; no effect, since rotation "
+                   "invariance decides the symbol at one covector.")
+@click.option("--seed", type=int, default=0,
+              help="Accepted for compatibility; no effect, since rotation "
+                   "invariance decides the symbol at one covector.")
 @click.option("--trace-free", is_flag=True, default=False,
               help="Restrict the symbol to the trace-free block.")
 @click.option("--conformal-killing", "ck", is_flag=True, default=False,
@@ -470,12 +490,12 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
 
 
 @main.command()
-@click.option("--vol-g", type=float, required=True,
+@click.option("--vol-g", type=POSITIVE, required=True,
               help="Volume of the stable Einstein reference metric.")
-@click.option("--vol-gt", type=float, required=True,
+@click.option("--vol-gt", type=POSITIVE, required=True,
               help="Volume of the comparison metric.")
 @click.option("--dim", "n", type=click.IntRange(3, 8), required=True)
-@click.option("--ftilde0", type=float, required=True,
+@click.option("--ftilde0", type=FINITE, required=True,
               help="Normalized F_0 value of the comparison metric.")
 @click.option("--ric-upper-ok/--no-ric-upper-ok", default=False,
               help="Caller asserts the pointwise upper Ricci comparison.")

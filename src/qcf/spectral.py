@@ -228,13 +228,6 @@ class SymbolOperator:
         m = self.matrix.astype(float)
         return float(np.linalg.svd(m, compute_uv=False)[-1])
 
-    def exact_kernel(self) -> list[np.ndarray]:
-        """Nullspace basis as symmetric matrices (exact inputs only)."""
-        if not self.is_exact():
-            raise ValueError("exact kernel needs rational tau and xi")
-        _, null = exact_rank_nullspace(self.matrix)
-        return [_vec_to_sym(v, self.basis, self.n, object) for v in null]
-
     def trace_free_block(self) -> np.ndarray:
         """Matrix restricted and projected to trace-free symmetric arrays.
 
@@ -339,65 +332,37 @@ class InjectivityVerdict:
         return "injective" if self.injective else "degenerate"
 
 
-def _random_unit_xi(n: int, rng) -> np.ndarray:
-    while True:
-        v = rng.normal(size=n)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-3:
-            return v / norm
-
-
-def _random_rational_xi(n: int, rng) -> np.ndarray:
-    while True:
-        ints = rng.integers(-5, 6, size=n)
-        if any(int(k) != 0 for k in ints):
-            out = np.empty(n, dtype=object)
-            out[:] = [Fraction(int(k)) for k in ints]
-            return out
-
-
 def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
                        restrict_trace_free: bool = False) -> InjectivityVerdict:
-    """Injectivity of the gauged symbol over random covector directions.
+    """Injectivity of the gauged symbol, decided at the covector e_1.
 
-    Floats: smallest singular value over `trials` random unit xi,
-    injective iff it exceeds 1e-10. Rational tau: exact rank checks at
-    random integer xi (the symbol is homogeneous in xi, so rank is
-    direction-independent of scaling); any rank drop returns the exact
-    kernel basis. Per-trial randomness is seeded by seed + trial index.
+    The symbol is built from |xi|^2, xi xi and g alone, so it is
+    O(n)-equivariant and homogeneous of degree 4 in xi: its rank, its
+    kernel dimension and whether g lies in its kernel are the same at
+    every nonzero xi. Floats: injective iff the smallest singular value
+    exceeds 1e-10. Rational tau: exact rank; a rank drop returns the
+    exact kernel basis. ``trials`` and ``seed`` are accepted for
+    compatibility and change nothing.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     exact = isinstance(tau, (int, Fraction))
-    min_sv = math.inf
-    kernel: list = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        xi_f = _random_unit_xi(n, rng)
-        op = gauged_symbol(n, float(tau), xi_f)
-        m = op.matrix
-        if restrict_trace_free:
-            m = op.trace_free_block().astype(float)
-        sv = float(np.linalg.svd(m, compute_uv=False)[-1])
-        min_sv = min(min_sv, sv)
-        if exact:
-            xi_q = _random_rational_xi(n, rng)
-            opq = gauged_symbol(n, Fraction(tau), xi_q)
-            mq = opq.matrix if not restrict_trace_free else opq.trace_free_block()
-            rank, null = exact_rank_nullspace(mq)
-            if null and not kernel:
-                if restrict_trace_free:
-                    kernel = [np.array(v, dtype=object) for v in null]
-                else:
-                    kernel = [_vec_to_sym(v, opq.basis, n, object) for v in null]
-    if exact:
-        if kernel:
-            return InjectivityVerdict(False, min_sv, kernel,
-                                      note="exact rank deficiency")
+    xi = np.zeros(n, dtype=int)
+    xi[0] = 1
+    op = gauged_symbol(n, tau, xi)
+    m = op.trace_free_block() if restrict_trace_free else op.matrix
+    min_sv = float(np.linalg.svd(m.astype(float), compute_uv=False)[-1])
+    if not exact:
+        return InjectivityVerdict(min_sv > 1e-10, min_sv)
+    _, null = exact_rank_nullspace(m)
+    if not null:
         return InjectivityVerdict(True, min_sv, [],
                                   note="exact full rank at every sampled direction")
-    injective = min_sv > 1e-10
-    return InjectivityVerdict(injective, min_sv)
+    if restrict_trace_free:
+        kernel = [np.array(v, dtype=object) for v in null]
+    else:
+        kernel = [_vec_to_sym(v, op.basis, n, object) for v in null]
+    return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency")
 
 
 def kernel_contains_metric(verdict: InjectivityVerdict, n: int) -> bool:

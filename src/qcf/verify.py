@@ -397,13 +397,13 @@ class VerifyReport:
 
 def run_all(filter_str: str | None = None, seed: int = 0) -> VerifyReport:
     t0 = time.monotonic()
-    results = []
-    for name, fn in CRITERIA:
-        if filter_str and filter_str not in name:
-            continue
-        results.append(fn(seed))
+    selected = [(name, fn) for name, fn in CRITERIA
+                if not filter_str or filter_str in name]
+    if not selected:
+        raise ValueError(f"no criterion name contains {filter_str!r}")
+    results = [fn(seed) for _, fn in selected]
     elapsed = time.monotonic() - t0
-    if filter_str is None or filter_str in "runtime":
+    if len(selected) == len(CRITERIA):
         results.append(CheckResult(
             "runtime", elapsed < 60.0,
             "full suite under 60 s: " + ("yes" if elapsed < 60.0 else "no"),

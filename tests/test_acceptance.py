@@ -40,3 +40,9 @@ def test_report_json_round_trip(report):
 def test_filtered_run_skips_runtime_line():
     rep = verify.run_all(filter_str="gauss")
     assert [r.name for r in rep.results] == ["09-gauss-bonnet"]
+
+
+def test_filter_matching_no_criterion_is_an_error():
+    # "time" is part of "runtime", which is not a criterion of its own
+    with pytest.raises(ValueError, match="no criterion"):
+        verify.run_all(filter_str="time")

@@ -1,5 +1,6 @@
 """Catalog data: serialization round-trips, cross-identity validation, spectra."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from qcf.catalog import (
     CatalogError,
+    _sums_of_squares,
     builtin_catalog,
     catalog_to_json,
     function_spectrum,
@@ -144,6 +146,13 @@ def test_function_spectrum_closed_forms(cat):
     assert function_spectrum(cat["torus:3"], 8) == [0, 1, 2, 3, 4, 5, 6, 8]
     with pytest.raises(CatalogError):
         function_spectrum(cat["hyperbolic:4"], 3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sums_of_squares_match_brute_force(n):
+    # the first 60 values stay below 81, so |k_i| <= 8 reaches all of them
+    sums = {sum(k * k for k in ks) for ks in itertools.product(range(9), repeat=n)}
+    assert _sums_of_squares(n, 60) == sorted(v for v in sums if v <= 80)[:60]
 
 
 def test_one_form_spectrum(cat):

@@ -249,6 +249,27 @@ def test_verify_filter_and_exit(runner, schema):
     assert obj["all_passed"] is True
 
 
+@pytest.mark.parametrize("args", [
+    ["intervals", "--model", "sphere:4", "--tau=inf"],
+    ["berger", "--tau=nan"],
+    ["berger", "--tau", "0", "--at", "1e300"],
+    ["grad", "--diag", "nan,1,1", "--tau", "0"],
+    ["grad", "--diag", "1,1,1", "--tau", "0", "--vol-ref", "inf"],
+    ["bishop", "--vol-g", "-1", "--vol-gt", "1", "--dim", "4", "--ftilde0", "1",
+     "--ric-upper-ok", "--ric-lower-ok"],
+    ["bishop", "--vol-g", "1", "--vol-gt", "1", "--dim", "4", "--ftilde0", "nan"],
+    ["curve", "--tau", "0", "--start", "-inf"],
+    ["symbol", "--dim", "4", "--tau=nan"],
+    ["verify", "--filter", "time"],
+])
+def test_bad_input_exits_2_without_traceback(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert res.stdout == ""
+
+
 def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
     from qcf.catalog import builtin_catalog
 

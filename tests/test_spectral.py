@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcf._exact import exact_det, exact_rank_nullspace
 from qcf.spectral import (
     SpectralPolynomial,
     conformal_jacobi,
@@ -159,6 +160,47 @@ def test_trace_free_block_survives_threshold():
     for n in (3, 4):
         v = symbol_injectivity(n, tau2(n), trials=2, restrict_trace_free=True)
         assert v.injective
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("trace_free", [False, True])
+def test_e1_decision_matches_rank_at_random_covectors(n, trace_free):
+    """Rotation invariance: the decision at e_1 is the decision at every xi."""
+    rng = np.random.default_rng(n)
+    for tau in (Fraction(1, 3), Fraction(-1, 2), tau2(n)):
+        v = symbol_injectivity(n, tau, restrict_trace_free=trace_free)
+        for _ in range(2):
+            xi = np.zeros(n, dtype=int)
+            while not xi.any():
+                xi = rng.integers(-5, 6, size=n)
+            op = gauged_symbol(n, tau, xi)
+            m = op.trace_free_block() if trace_free else op.matrix
+            rank, null = exact_rank_nullspace(m)
+            assert v.injective == (not null)
+            assert len(v.kernel) == len(null) == m.shape[1] - rank
+            metric_in_kernel = (not trace_free
+                                and not any(op.apply(np.eye(n, dtype=int)).ravel()))
+            assert kernel_contains_metric(v, n) == metric_in_kernel
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_symbol_determinant_at_e1_closed_form(n):
+    """det = 2^-(N-2) (n-1)^3 (n + 4(n-1)tau) / n^3, zero exactly at tau2."""
+    N = n * (n + 1) // 2
+    xi = np.zeros(n, dtype=int)
+    xi[0] = 1
+    for tau in (Fraction(1, 3), Fraction(-1, 2), Fraction(2, 7), tau2(n)):
+        want = (Fraction(1, 2 ** (N - 2)) * (n - 1) ** 3
+                * (n + 4 * (n - 1) * tau) / n ** 3)
+        assert exact_det(gauged_symbol(n, tau, xi).matrix) == want
+
+
+def test_symbol_trials_and_seed_change_nothing():
+    base = symbol_injectivity(5, Fraction(1, 3))
+    for trials, seed in ((1, 0), (7, 3), (100, 11)):
+        v = symbol_injectivity(5, Fraction(1, 3), trials=trials, seed=seed)
+        assert (v.injective, v.min_singular_value, v.note) == (
+            base.injective, base.min_singular_value, base.note)
 
 
 def test_kernel_contains_metric_edge_cases():

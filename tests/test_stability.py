@@ -129,6 +129,15 @@ def test_conformal_scalar_flat_branches(cat):
     assert conformal_gap_check(t4, Fraction(-1)).variant == "FailsConformal"
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_torus_verdict_decided_in_every_dimension(cat, n):
+    torus = cat[f"torus:{n}"]
+    v = combined_verdict(torus, Fraction(-3, 2))
+    assert (v.variant, v.witness) == ("FailsTT", 0)
+    cf = conformal_gap_check(torus, Fraction(-3, 2))
+    assert (cf.variant, cf.witness) == ("FailsConformal", 1)
+
+
 def test_combined_verdicts_match_expected(cat):
     cases = [
         ("sphere:4", Fraction(1, 100), "StrictlyStable"),
