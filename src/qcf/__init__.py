@@ -10,7 +10,7 @@ Ftilde_tau = Vol^(4/n - 1) * F_tau, on Einstein model spaces and
 left-invariant homogeneous metrics.
 """
 
-from qcf.tensor_core import CurvatureData, MetricFrame
+from qcf.tensor_core import CurvatureData
 from qcf.catalog import ModelSpace, builtin_catalog, load_catalog
 from qcf.stability import TauInterval, StabilityVerdict, stability_interval
 
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CurvatureData",
-    "MetricFrame",
     "ModelSpace",
     "builtin_catalog",
     "load_catalog",

@@ -223,10 +223,6 @@ _SPHERE_VOLUME = {
 }
 
 
-def _factorial(k: int) -> int:
-    return math.factorial(k)
-
-
 def make_sphere(n: int) -> ModelSpace:
     mu1 = Fraction(4 * n)
     return ModelSpace(
@@ -274,7 +270,7 @@ def make_cp(m: int) -> ModelSpace:
     return ModelSpace(
         key=f"cp:{m}", variant="cp", n=n, m=m,
         einstein_constant=Fraction(2 * (m + 1)), scal=Fraction(4 * m * (m + 1)),
-        volume=ExactVolume(Fraction(1, _factorial(m)), m),
+        volume=ExactVolume(Fraction(1, math.factorial(m)), m),
         euler_char=3 if m == 2 else None,
         tt=TTData(known=(TTEigenvalue(mu1, "primitive (1,1) eigentensors"),),
                   tail_bound=mu1),

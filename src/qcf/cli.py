@@ -42,7 +42,17 @@ def _emit_json(obj: dict) -> None:
     import jsonschema
 
     jsonschema.validate(obj, _report_schema())
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+    click.echo(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
+
+
+def _require_finite(values) -> None:
+    """Refuse to print a float result that overflowed to inf or nan.
+
+    Huge or tiny finite inputs can overflow the float evaluation; that
+    is reported as bad input (exit 2), never printed with exit 0.
+    """
+    if not all(math.isfinite(float(v)) for v in values):
+        raise ValueError("result is not finite at this input (float overflow)")
 
 
 class RatioType(click.ParamType):
@@ -95,7 +105,9 @@ def guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            # overflow shows up as a non-finite result (_require_finite)
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
         except InsufficientSpectralData as exc:
             click.echo(f"insufficient data: {exc}", err=True)
             sys.exit(3)
@@ -262,6 +274,8 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
             lambda s: functionals.berger_curve(tau, s), at_,
             max_order=derivatives)
     pts = functionals.berger_critical_points(tau) if critical else None
+    _require_finite([value] + [x for e in ests for x in (e.value, e.error)]
+                    + [p.s for p in pts or []])
     if fmt == "json":
         obj = {
             "kind": "berger",
@@ -339,6 +353,8 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
             rows = list(pool.map(sample, params))
     else:
         rows = [sample(p) for p in params]
+    _require_finite(x for p, value, ests in rows
+                    for x in [p, value] + [y for e in ests for y in (e.value, e.error)])
     if fmt == "json":
         json_rows = []
         for p, value, ests in rows:
@@ -389,6 +405,7 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
     div_norm = float(np.einsum("ij,i,j->", g_inv, div, div)) ** 0.5
     vol = homogeneous.volume(sc, g, vol_ref)
     fval = homogeneous.functional_value(sc, g, tau, vol_ref)
+    _require_finite([vol, fval, div_norm, *gradm.ravel(), *div])
     if fmt == "json":
         _emit_json({
             "kind": "grad",

@@ -206,8 +206,9 @@ class SymbolOperator:
     Acts on h by
       (1/2)|xi|^4 h - A |xi|^2 (tr h) xi xi + B h(xi,xi) xi xi
       + C |xi|^4 (tr h) g - A |xi|^2 h(xi,xi) g
-    in an orthonormal frame (g the identity). Exact entries when tau and
-    xi are rational.
+    in an orthonormal frame (g the identity). Only tr h and h(xi,xi)
+    enter besides h itself, so the matrix is (1/2)|xi|^4 I plus two
+    rank-one terms. Exact entries when tau and xi are rational.
     """
 
     n: int
@@ -221,9 +222,6 @@ class SymbolOperator:
         out = self.matrix @ v
         return _vec_to_sym(out, self.basis, self.n, self.matrix.dtype)
 
-    def is_exact(self) -> bool:
-        return self.matrix.dtype == object
-
     def min_singular_value(self) -> float:
         m = self.matrix.astype(float)
         return float(np.linalg.svd(m, compute_uv=False)[-1])
@@ -231,49 +229,25 @@ class SymbolOperator:
     def trace_free_block(self) -> np.ndarray:
         """Matrix restricted and projected to trace-free symmetric arrays.
 
-        Basis: off-diagonal E_ij plus diagonal differences E_ii - E_nn.
+        Basis: off-diagonal E_ij plus diagonal differences E_ii - E_nn;
+        coordinates: the off-diagonal entries, then the diagonal entries
+        ii for i < n.
         """
-        n = self.n
-        dtype = self.matrix.dtype
-        one = Fraction(1) if dtype == object else 1.0
-
-        def blank():
-            h = np.zeros((n, n), dtype=dtype)
-            if dtype == object:
-                h[:] = Fraction(0)
-            return h
-
-        vecs = []
-        for i, j in self.basis:
-            if i != j:
-                h = blank()
-                h[i, j] = one
-                h[j, i] = one
-                vecs.append(h)
-        for i in range(n - 1):
-            h = blank()
-            h[i, i] = one
-            h[n - 1, n - 1] = -one
-            vecs.append(h)
-        coords = _trace_free_coords(n)
-        cols = []
-        for h in vecs:
-            out = self.apply(h)
-            tr = sum(out[k, k] for k in range(n))
-            for k in range(n):
-                out[k, k] = out[k, k] - tr / n
-            cols.append([out[i, j] for (i, j) in coords])
-        return np.array(cols, dtype=dtype).T
-
-
-def _trace_free_coords(n: int) -> list[tuple[int, int]]:
-    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    coords += [(i, i) for i in range(n - 1)]
-    return coords
+        m = self.matrix
+        off = [k for k, (i, j) in enumerate(self.basis) if i != j]
+        diag = [k for k, (i, j) in enumerate(self.basis) if i == j]
+        cols = np.concatenate([m[:, off], m[:, diag[:-1]] - m[:, diag[-1:]]], axis=1)
+        cols[diag] -= cols[diag].sum(axis=0) / self.n
+        return cols[off + diag[:-1]]
 
 
 def gauged_symbol(n: int, tau, xi) -> SymbolOperator:
-    """Symbol matrix at covector xi in the E_ij basis (i <= j)."""
+    """Symbol matrix at covector xi in the E_ij basis (i <= j).
+
+    With u = vec(xi xi), g = vec(g) (also the trace functional) and w
+    the functional h -> h(xi,xi), the matrix is
+    (1/2)|xi|^4 I + (C|xi|^4 g - A|xi|^2 u) g^T + (B u - A|xi|^2 g) w^T.
+    """
     xi = np.asarray(xi)
     if n < 3:
         raise ValueError("dimension must be at least 3")
@@ -292,31 +266,16 @@ def gauged_symbol(n: int, tau, xi) -> SymbolOperator:
     A, B, C = symbol_coefficients(n, tau if exact else float(tau))
     if not exact:
         A, B, C = float(A), float(B), float(C)
-    xi2 = sum(x * x for x in xi.tolist())
+    x = xi.tolist()
+    xi2 = sum(v * v for v in x)
     basis = _sym_basis(n)
-    N = len(basis)
+    u = np.array([x[i] * x[j] for i, j in basis], dtype=dtype)
+    g = np.array([int(i == j) for i, j in basis], dtype=dtype)
+    w = np.array([x[i] * x[j] * (1 if i == j else 2) for i, j in basis], dtype=dtype)
     half = Fraction(1, 2) if exact else 0.5
-    cols = []
-    for (i, j) in basis:
-        h = _vec_to_sym([Fraction(0) if exact else 0.0] * N, basis, n, dtype)
-        h[i, j] = Fraction(1) if exact else 1.0
-        h[j, i] = h[i, j]
-        tr = sum(h[k, k] for k in range(n))
-        hxx = sum(h[p, q] * xi[p] * xi[q] for p in range(n) for q in range(n))
-        out = np.zeros((n, n), dtype=dtype)
-        if exact:
-            out[:] = Fraction(0)
-        for p in range(n):
-            for q in range(n):
-                val = half * xi2 * xi2 * h[p, q]
-                val = val - A * xi2 * tr * xi[p] * xi[q]
-                val = val + B * hxx * xi[p] * xi[q]
-                if p == q:
-                    val = val + C * xi2 * xi2 * tr
-                    val = val - A * xi2 * hxx
-                out[p, q] = val
-        cols.append(_sym_to_vec(out, basis))
-    matrix = np.array(cols, dtype=dtype).T
+    matrix = (half * xi2 * xi2 * np.eye(len(basis), dtype=dtype)
+              + np.outer(C * xi2 * xi2 * g - A * xi2 * u, g)
+              + np.outer(B * u - A * xi2 * g, w))
     return SymbolOperator(n=n, tau=tau, xi=xi, matrix=matrix, basis=tuple(basis))
 
 

@@ -40,10 +40,6 @@ def is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
 
 
-def _one(exact: bool):
-    return Fraction(1) if exact else 1.0
-
-
 def as_sym2(rows, exact: bool = False) -> np.ndarray:
     """Build a symmetric 2-tensor array; exact=True keeps Fractions."""
     if exact:
@@ -67,28 +63,6 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 def metric_det(g: np.ndarray):
     return exact_det(g) if is_exact(g) else float(np.linalg.det(g))
-
-
-@dataclass
-class MetricFrame:
-    """A metric given by its constant matrix in some invariant frame."""
-
-    n: int
-    g: np.ndarray
-    g_inv: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        validate_dim(self.n)
-        if self.g.shape != (self.n, self.n):
-            raise ValueError("metric shape does not match dimension")
-        evals = np.linalg.eigvalsh(np.asarray(self.g, dtype=float))
-        if evals[0] <= 0:
-            raise ValueError("metric matrix is not positive definite")
-        self.g_inv = inverse_metric(self.g)
-
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.g)
 
 
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,8 +220,7 @@ class CurvatureData:
 
         Exact data is tested exactly; float data to 1e-12 relative.
         """
-        n = self.n
-        kappa = self.scal / n if self.exact else self.scal / n
+        kappa = self.scal / self.n
         defect = self.ric - kappa * self.g
         if self.exact:
             return kappa if all(v == 0 for v in defect.ravel()) else None

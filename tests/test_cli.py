@@ -270,6 +270,27 @@ def test_bad_input_exits_2_without_traceback(runner, args):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["grad", "--diag", "1e300,1,1", "--tau", "0"],
+    ["grad", "--diag", "1e-300,1,1", "--tau", "0"],
+    ["grad", "--diag", "1,1,1", "--tau", "0", "--vol-ref", "1e308"],
+    ["berger", "--tau", "0", "--at", "1e80", "--derivatives", "0"],
+    ["curve", "--tau", "0", "--start", "1e100", "--stop", "2e100", "--points", "3"],
+    ["curve", "--tau", "0", "--start", "1e100", "--stop", "2e100", "--points", "3",
+     "--format", "json"],
+    ["curve", "--family", "product", "--tau", "0", "--start", "300", "--stop", "400",
+     "--points", "3", "--derivatives", "1"],
+])
+def test_non_finite_result_exits_2(runner, args):
+    """Finite input whose float evaluation overflows is bad input, not nan or inf."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+
+
 def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
     from qcf.catalog import builtin_catalog
 

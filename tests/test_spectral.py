@@ -235,3 +235,78 @@ def test_conformal_killing_symbol_eigenvalues():
     assert "dimension two" in v2.note
     with pytest.raises(ValueError, match="nonzero"):
         conformal_killing_symbol(3, np.zeros(3))
+
+
+def _rational(rng, shape):
+    out = np.empty(shape, dtype=object)
+    out.ravel()[:] = [Fraction(int(p), int(q)) for p, q in
+                      zip(rng.integers(-6, 7, size=out.size), rng.integers(1, 5, size=out.size))]
+    return out
+
+
+def _symbol_formula(n, tau, xi, h):
+    """The SymbolOperator docstring, written out with numpy products."""
+    A, B, C = symbol_coefficients(n, tau)
+    xi2 = xi @ xi
+    xx = np.outer(xi, xi)
+    tr = np.trace(h)
+    hxx = xi @ h @ xi
+    g = np.eye(n, dtype=int)
+    return (Fraction(1, 2) * xi2 * xi2 * h - A * xi2 * tr * xx + B * hxx * xx
+            + C * xi2 * xi2 * tr * g - A * xi2 * hxx * g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_symbol_apply_equals_docstring_formula(n):
+    rng = np.random.default_rng(10 + n)
+    for tau in (Fraction(1, 3), Fraction(-2, 7), tau2(n)):
+        for _ in range(3):
+            xi = _rational(rng, n)
+            while not xi.any():
+                xi = _rational(rng, n)
+            h = _rational(rng, (n, n))
+            h = h + h.T
+            op = gauged_symbol(n, tau, xi)
+            assert op.matrix.dtype == object
+            want = _symbol_formula(n, tau, xi, h)
+            assert (op.apply(h) == want).all()
+            fxi, fh = xi.astype(float), h.astype(float)
+            got = gauged_symbol(n, float(tau), fxi).apply(fh)
+            want_f = _symbol_formula(n, float(tau), fxi, fh)
+            scale = float(np.max(np.abs(want.astype(float))))
+            np.testing.assert_allclose(got, want_f, rtol=0, atol=1e-12 * scale)
+
+
+def _trace_free_by_projection(op):
+    """Apply op to each trace-free basis tensor, remove the trace, read coordinates."""
+    n = op.n
+    off = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    inputs = []
+    for i, j in off:
+        h = np.zeros((n, n), dtype=int)
+        h[i, j] = h[j, i] = 1
+        inputs.append(h)
+    for i in range(n - 1):
+        h = np.zeros((n, n), dtype=int)
+        h[i, i], h[n - 1, n - 1] = 1, -1
+        inputs.append(h)
+    cols = []
+    for h in inputs:
+        out = op.apply(h)
+        out = out - np.trace(out) / n * np.eye(n, dtype=int)
+        cols.append([out[i, j] for i, j in off] + [out[i, i] for i in range(n - 1)])
+    return np.array(cols, dtype=op.matrix.dtype).T
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_trace_free_block_equals_projection(n):
+    rng = np.random.default_rng(20 + n)
+    xi = _rational(rng, n)
+    for tau in (Fraction(1, 3), tau2(n), Fraction(-3, 5)):
+        op = gauged_symbol(n, tau, xi)
+        block = op.trace_free_block()
+        assert block.shape == (n * (n + 1) // 2 - 1,) * 2
+        assert (block == _trace_free_by_projection(op)).all()
+    op = gauged_symbol(n, 0.3, xi.astype(float))
+    np.testing.assert_allclose(op.trace_free_block(), _trace_free_by_projection(op),
+                               rtol=0, atol=1e-12 * float(np.max(np.abs(op.matrix))))
