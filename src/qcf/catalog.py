@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable
 
 import numpy as np
 

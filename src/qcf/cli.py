@@ -111,8 +111,11 @@ def guarded(fn):
         except InsufficientSpectralData as exc:
             click.echo(f"insufficient data: {exc}", err=True)
             sys.exit(3)
-        except (CatalogError, IllConditionedDerivativeError, ValueError,
-                OverflowError) as exc:
+        except OverflowError:
+            # from math.exp and **, whose own text does not say what overflowed
+            click.echo("error: float overflow at this input", err=True)
+            sys.exit(2)
+        except (CatalogError, IllConditionedDerivativeError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -344,9 +347,11 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
     params = [float(p) for p in np.linspace(start, stop, points)]
 
     def sample(p: float) -> tuple:
-        ests = (functionals.curve_derivatives(fn, p, max_order=derivatives)
-                if derivatives else [])
-        return (p, fn(p), ests)
+        # np.errstate is context-local; pool threads start in a fresh context
+        with np.errstate(all="ignore"):
+            ests = (functionals.curve_derivatives(fn, p, max_order=derivatives)
+                    if derivatives else [])
+            return (p, fn(p), ests)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -18,11 +18,9 @@ import numpy as np
 
 from qcf.tensor_core import (
     CurvatureData,
-    contract_ricci,
     inverse_metric,
     is_exact,
     metric_det,
-    scalar_curvature,
     tensor_norm2,
 )
 

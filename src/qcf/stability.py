@@ -16,13 +16,12 @@ returning Indeterminate instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from qcf._exact import format_ratio
 from qcf.catalog import CatalogError, ModelSpace, function_spectrum
-from qcf.spectral import (conformal_polynomial, q_factor, tau1, tau2,
-                          tt_polynomial)
+from qcf.spectral import conformal_polynomial, q_factor, tau1, tau2
 
 
 class InsufficientSpectralData(ValueError):
@@ -646,10 +645,11 @@ def combined_verdict(model: ModelSpace, tau,
                      lambda1_override: Fraction | None = None) -> StabilityVerdict:
     """Intersection of the TT and conformal gap checks at one tau."""
     tt_v = tt_gap_check(model, tau)
+    if tt_v.variant == "FailsTT":
+        return tt_v
     cf_v = conformal_gap_check(model, tau, lambda1_override)
-    for v in (tt_v, cf_v):
-        if v.variant in ("FailsTT", "FailsConformal"):
-            return v
+    if cf_v.variant == "FailsConformal":
+        return cf_v
     for v in (tt_v, cf_v):
         if v.variant == "Indeterminate":
             return StabilityVerdict("Indeterminate", witness=v.witness,

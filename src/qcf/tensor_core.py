@@ -71,11 +71,9 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The result satisfies all algebraic curvature symmetries including
     the first Bianchi identity whenever a and b are symmetric.
     """
-    t1 = np.einsum("ik,jl->ijkl", a, b)
-    t2 = np.einsum("il,jk->ijkl", a, b)
-    t3 = np.einsum("ik,jl->ijkl", b, a)
-    t4 = np.einsum("il,jk->ijkl", b, a)
-    return t1 - t2 + t3 - t4
+    u = np.einsum("ik,jl->ijkl", a, b) - np.einsum("il,jk->ijkl", a, b)
+    # the last two terms are the first two with both index pairs swapped
+    return u + u.transpose(1, 0, 3, 2)
 
 
 def constant_curvature_rm(g: np.ndarray, kappa) -> np.ndarray:
@@ -140,16 +138,13 @@ def decompose(g: np.ndarray, rm: np.ndarray):
     tensor with curvature symmetries vanishes identically.
     """
     n = g.shape[0]
-    exact = is_exact(g) and is_exact(rm)
-    g_inv = inverse_metric(g)
-    ric = contract_ricci(g_inv, rm)
-    scal = scalar_curvature(g_inv, ric)
-    cn = Fraction(1, n) if exact else 1.0 / n
-    c2 = Fraction(1, n - 2) if exact else 1.0 / (n - 2)
-    cs = Fraction(1, 2 * n * (n - 1)) if exact else 1.0 / (2 * n * (n - 1))
-    tracefree_ric = ric - (scal * cn) * g
+    cd = CurvatureData(n, g, rm)
+    cn = Fraction(1, n) if cd.exact else 1.0 / n
+    c2 = Fraction(1, n - 2) if cd.exact else 1.0 / (n - 2)
+    cs = Fraction(1, 2 * n * (n - 1)) if cd.exact else 1.0 / (2 * n * (n - 1))
+    tracefree_ric = cd.ric - (cd.scal * cn) * g
     ricci_part = c2 * kulkarni_nomizu(tracefree_ric, g)
-    scalar_part = (scal * cs) * kulkarni_nomizu(g, g)
+    scalar_part = (cd.scal * cs) * kulkarni_nomizu(g, g)
     weyl = rm - ricci_part - scalar_part
     return weyl, ricci_part, scalar_part
 
@@ -162,22 +157,7 @@ def quadratic_invariants(g: np.ndarray, rm: np.ndarray) -> dict[str, Any]:
     convention is the plain full contraction (no pair-reordering
     factors), pinned by |W|^2(S^2 x S^2) = 16/3.
     """
-    n = g.shape[0]
-    validate_dim(n)
-    g_inv = inverse_metric(g)
-    ric = contract_ricci(g_inv, rm)
-    scal = scalar_curvature(g_inv, ric)
-    weyl, ricci_part, scalar_part = decompose(g, rm)
-    return {
-        "n": n,
-        "rm2": tensor_norm2(g_inv, rm),
-        "ric2": tensor_norm2(g_inv, ric),
-        "scal": scal,
-        "scal2": scal * scal,
-        "weyl2": tensor_norm2(g_inv, weyl),
-        "ricci_part2": tensor_norm2(g_inv, ricci_part),
-        "scalar_part2": tensor_norm2(g_inv, scalar_part),
-    }
+    return CurvatureData(g.shape[0], g, rm).invariants()
 
 
 def gauss_bonnet_integrand(g: np.ndarray, rm: np.ndarray):
@@ -230,4 +210,18 @@ class CurvatureData:
         return None
 
     def invariants(self) -> dict[str, Any]:
-        return quadratic_invariants(self.g, self.rm)
+        """The quadratic invariants from the two contractions |Rm|^2, |Ric|^2.
+
+        The Weyl, traceless-Ricci and scalar parts of decompose() are
+        orthogonal, with norms |W|^2, 4(|Ric|^2 - R^2/n)/(n-2) and
+        2R^2/(n(n-1)) that sum to |Rm|^2 (Besse, Einstein Manifolds, 1.116).
+        """
+        n, scal = self.n, self.scal
+        rm2 = tensor_norm2(self.g_inv, self.rm)
+        ric2 = tensor_norm2(self.g_inv, self.ric)
+        scal2 = scal * scal
+        ricci_part2 = 4 * (ric2 - scal2 / n) / (n - 2)
+        scalar_part2 = 2 * scal2 / (n * (n - 1))
+        return {"n": n, "rm2": rm2, "ric2": ric2, "scal": scal, "scal2": scal2,
+                "weyl2": rm2 - ricci_part2 - scalar_part2,
+                "ricci_part2": ricci_part2, "scalar_part2": scalar_part2}

@@ -18,7 +18,7 @@ import numpy as np
 from qcf import functionals, homogeneous, spectral, stability
 from qcf.catalog import (CatalogError, builtin_catalog, load_catalog)
 from qcf.spectral import tau1, tau2
-from qcf.tensor_core import (check_curvature_symmetries, gauss_bonnet_integrand,
+from qcf.tensor_core import (check_curvature_symmetries, decompose, gauss_bonnet_integrand,
                              quadratic_invariants, tensor_norm2)
 
 
@@ -311,7 +311,9 @@ def check_property_suites(seed: int = 0) -> CheckResult:
             issues.append(f"curvature symmetry: {exc}")
             break
         inv = quadratic_invariants(g, cd.rm)
-        lhs = (n - 2) / 4.0 * (inv["rm2"] - inv["weyl2"])
+        # |W|^2 by the tensor route, so the identity checks the decomposition
+        weyl2 = tensor_norm2(cd.g_inv, decompose(g, cd.rm)[0])
+        lhs = (n - 2) / 4.0 * (inv["rm2"] - weyl2)
         rhs = inv["ric2"] - inv["scal"] ** 2 / (2.0 * (n - 1))
         scale = max(abs(rhs), 1.0)
         worst_rmf = max(worst_rmf, abs(lhs - rhs) / scale)

@@ -46,3 +46,17 @@ def test_filter_matching_no_criterion_is_an_error():
     # "time" is part of "runtime", which is not a criterion of its own
     with pytest.raises(ValueError, match="no criterion"):
         verify.run_all(filter_str="time")
+
+
+def test_property_suite_checks_the_decomposition(monkeypatch):
+    """Criterion 10 takes |W|^2 from decompose, so a broken split fails it."""
+    real = verify.decompose
+
+    def without_ricci_part(g, rm):
+        weyl, ricci_part, scalar_part = real(g, rm)
+        return weyl + ricci_part, 0 * ricci_part, scalar_part
+
+    monkeypatch.setattr(verify, "decompose", without_ricci_part)
+    result = verify.check_property_suites()
+    assert not result.passed
+    assert "pointwise quadratic identity defect" in result.measured

@@ -1,12 +1,13 @@
 """Every exact-sweep decision still matches the benchmark's recorded reference.
 
 The exact-sweep workload (perfbench/) compares verdicts, intervals,
-rigidity tables, Bach flags and symbol decisions with the references in
-perfbench/refs/exact-sweep.json and rejects a run that changes one.
-This test replays the same queries through the same query runner
-(exact_calls.py) and comparison (refcheck.py), both loaded by path, so a
-changed decision fails here first. The exact invariants and the verify
-query are left to their own tests, which cover them more cheaply.
+rigidity tables, Bach flags, symbol decisions and exact quadratic
+invariants with the references in perfbench/refs/exact-sweep.json and
+rejects a run that changes one. This test replays the same queries
+through the same query runner (exact_calls.py) and comparison
+(refcheck.py), both loaded by path, so a changed result fails here
+first. The verify query is left to tests/test_acceptance.py, which runs
+the same suite.
 """
 
 import importlib.util
@@ -20,7 +21,7 @@ from qcf.catalog import load_catalog
 from qcf.stability import InsufficientSpectralData
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SKIPPED_KINDS = ("invariants", "verify")
+SKIPPED_KINDS = ("verify",)
 
 
 def _load(name):
@@ -59,7 +60,7 @@ def _decision(query, cat) -> dict:
 
 
 def test_every_replayed_kind_has_references():
-    assert set(REFERENCES) == {"bach", "interval", "rigidity", "symbol", "verdict"}
+    assert set(REFERENCES) == {"bach", "interval", "invariants", "rigidity", "symbol", "verdict"}
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCES))

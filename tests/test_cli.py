@@ -1,6 +1,7 @@
 """CLI behavior: formats, determinism, exit codes, schema-valid JSON."""
 
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -280,15 +281,28 @@ def test_bad_input_exits_2_without_traceback(runner, args):
      "--format", "json"],
     ["curve", "--family", "product", "--tau", "0", "--start", "300", "--stop", "400",
      "--points", "3", "--derivatives", "1"],
+    ["curve", "--family", "product", "--tau", "0", "--start", "300", "--stop", "400",
+     "--points", "3", "--derivatives", "1", "--jobs", "2"],
+    ["curve", "--family", "product", "--tau", "0", "--start", "1000", "--stop", "1001",
+     "--points", "2"],
+    ["curve", "--tau", "0", "--start", "1e200", "--stop", "2e200", "--points", "2"],
 ])
 def test_non_finite_result_exits_2(runner, args):
-    """Finite input whose float evaluation overflows is bad input, not nan or inf."""
-    res = runner.invoke(main, args)
+    """Finite input whose float evaluation overflows is bad input, not nan or inf.
+
+    The one error line names the overflow, and numpy warnings stay silent,
+    in the --jobs workers too.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, args)
+    assert [str(w.message) for w in caught] == []
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert "float overflow" in res.stderr
 
 
 def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):

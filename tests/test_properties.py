@@ -19,7 +19,8 @@ from qcf.spectral import (
     tt_jacobi,
 )
 from qcf.stability import InsufficientSpectralData, combined_verdict, stability_interval
-from qcf.tensor_core import check_curvature_symmetries, quadratic_invariants, sym2_inner
+from qcf.tensor_core import (check_curvature_symmetries, decompose, quadratic_invariants,
+                             sym2_inner, tensor_norm2)
 
 diag_entries = st.floats(min_value=0.5, max_value=2.0,
                          allow_nan=False, allow_infinity=False)
@@ -40,8 +41,10 @@ def test_curvature_symmetries_and_quadratic_identity(entries, four_dim):
     cd = homogeneous.curvature(sc, g)
     check_curvature_symmetries(cd.rm, tol=1e-10)
     inv = quadratic_invariants(g, cd.rm)
+    # |W|^2 by the tensor route: the closed-form weyl2 makes the identity hold by construction
+    weyl2 = tensor_norm2(cd.g_inv, decompose(g, cd.rm)[0])
     n = sc.n
-    lhs = (n - 2) / 4.0 * (inv["rm2"] - inv["weyl2"])
+    lhs = (n - 2) / 4.0 * (inv["rm2"] - weyl2)
     rhs = inv["ric2"] - inv["scal"] ** 2 / (2.0 * (n - 1))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 

@@ -138,6 +138,15 @@ def test_torus_verdict_decided_in_every_dimension(cat, n):
     assert (cf.variant, cf.witness) == ("FailsConformal", 1)
 
 
+def test_combined_verdict_skips_conformal_side_after_tt_failure(cat, monkeypatch):
+    def no_scan(model, count):
+        raise AssertionError("conformal witness scan ran after a TT failure")
+
+    monkeypatch.setattr("qcf.stability.function_spectrum", no_scan)
+    v = combined_verdict(cat["torus:4"], Fraction(-1))
+    assert (v.variant, v.witness) == ("FailsTT", 0)
+
+
 def test_combined_verdicts_match_expected(cat):
     cases = [
         ("sphere:4", Fraction(1, 100), "StrictlyStable"),

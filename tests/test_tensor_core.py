@@ -184,3 +184,60 @@ def test_tensor_norm2_matches_hand_contraction():
         for i in range(3) for j in range(3) for p in range(3) for q in range(3)
     )
     assert abs(tensor_norm2(g_inv, h) - want) < 1e-13
+
+
+def _tensor_route(g, rm):
+    """The norms of the decompose() parts, contracted in full."""
+    g_inv = inverse_metric(g)
+    weyl, ricci_part, scalar_part = decompose(g, rm)
+    return {"weyl2": tensor_norm2(g_inv, weyl),
+            "ricci_part2": tensor_norm2(g_inv, ricci_part),
+            "scalar_part2": tensor_norm2(g_inv, scalar_part)}
+
+
+def test_closed_form_norms_equal_the_decomposition_on_every_model():
+    cat = builtin_catalog()
+    keys = [key for key in sorted(cat) if cat[key].n <= 6]
+    assert len(keys) > 10
+    for key in keys:
+        cd = cat[key].curvature_data(exact=True)
+        inv = quadratic_invariants(cd.g, cd.rm)
+        for name, want in _tensor_route(cd.g, cd.rm).items():
+            assert isinstance(inv[name], Fraction), (key, name)
+            assert inv[name] == want, (key, name)
+
+
+def test_closed_form_norms_match_the_decomposition_on_homogeneous_metrics():
+    from qcf import homogeneous
+
+    rng = np.random.default_rng(2)
+    for k in range(20):
+        sc = homogeneous.su2(exact=False) if k % 2 == 0 else homogeneous.su2_plus_r(exact=False)
+        g = np.diag(rng.uniform(0.5, 2.0, size=sc.n))
+        cd = homogeneous.curvature(sc, g)
+        inv = cd.invariants()
+        for name, want in _tensor_route(g, cd.rm).items():
+            assert abs(inv[name] - want) <= 1e-12 * inv["rm2"], (k, name)
+
+
+def _kn_four_terms(a, b):
+    t1 = np.einsum("ik,jl->ijkl", a, b)
+    t2 = np.einsum("il,jk->ijkl", a, b)
+    t3 = np.einsum("ik,jl->ijkl", b, a)
+    t4 = np.einsum("il,jk->ijkl", b, a)
+    return t1 - t2 + t3 - t4
+
+
+def test_kulkarni_nomizu_equals_the_four_term_formula():
+    rng = np.random.default_rng(13)
+    for n in (3, 4, 6):
+        a = _random_exact_sym(n, rng) / 3
+        b = _random_exact_sym(n, rng) / 5
+        got = kulkarni_nomizu(a, b)
+        assert got.dtype == object
+        assert all(isinstance(v, Fraction) for v in got.ravel())
+        assert np.array_equal(got, _kn_four_terms(a, b))
+    for n in (3, 4, 8):
+        a = np.diag(rng.uniform(-2.0, 2.0, size=n))
+        b = np.diag(rng.uniform(-2.0, 2.0, size=n))
+        assert kulkarni_nomizu(a, b).tobytes() == _kn_four_terms(a, b).tobytes()
