@@ -27,7 +27,8 @@ from importlib import resources
 import numpy as np
 
 from qcf._exact import format_ratio, parse_ratio
-from qcf.tensor_core import CurvatureData, constant_curvature_rm, kulkarni_nomizu
+from qcf.tensor_core import (CurvatureData, constant_curvature_rm, identity,
+                             kulkarni_nomizu, zeros)
 
 CATALOG_SCHEMA_VERSION = 1
 
@@ -125,28 +126,26 @@ class ModelSpace:
         return self.variant == "quotient"
 
     def curvature_data(self, exact: bool = True) -> CurvatureData:
-        """Exact curvature tensor of the model in an orthonormal frame."""
+        """Curvature tensor of the model in an orthonormal frame.
+
+        The tensor is built exactly; exact=False returns it as floats.
+        """
         n = self.n
-        if exact:
-            g = np.empty((n, n), dtype=object)
-            g[:] = Fraction(0)
-            for i in range(n):
-                g[i, i] = Fraction(1)
-        else:
-            g = np.eye(n)
-        one = Fraction(1) if exact else 1.0
+        g = identity(n, True)
         if self.variant in ("sphere", "quotient"):
-            rm = constant_curvature_rm(g, one)
+            rm = constant_curvature_rm(g, Fraction(1))
         elif self.variant == "hyperbolic":
-            rm = constant_curvature_rm(g, -one)
+            rm = constant_curvature_rm(g, Fraction(-1))
         elif self.variant == "torus":
-            rm = constant_curvature_rm(g, 0 * one)
+            rm = constant_curvature_rm(g, Fraction(0))
         elif self.variant == "cp":
-            rm = _fubini_study_rm(self.m, exact)
+            rm = _fubini_study_rm(self.m)
         elif self.variant == "product":
-            rm = _product_spheres_rm(self.m, exact)
+            rm = _product_spheres_rm(self.m)
         else:
             raise CatalogError(f"unknown variant {self.variant}")
+        if not exact:
+            g, rm = g.astype(float), rm.astype(float)
         return CurvatureData(n, g, rm)
 
     def to_json(self) -> dict:
@@ -165,7 +164,7 @@ class ModelSpace:
         }
 
 
-def _fubini_study_rm(m: int, exact: bool) -> np.ndarray:
+def _fubini_study_rm(m: int) -> np.ndarray:
     """Fubini-Study curvature, holomorphic sectional curvature 4.
 
     Complex-space-form tensor
@@ -173,18 +172,11 @@ def _fubini_study_rm(m: int, exact: bool) -> np.ndarray:
     with J the standard complex structure; gives Ric = 2(m+1) g.
     """
     n = 2 * m
-    dtype = object if exact else float
-    one = Fraction(1) if exact else 1.0
-    g = np.zeros((n, n), dtype=dtype)
-    jj = np.zeros((n, n), dtype=dtype)
-    if exact:
-        g[:] = Fraction(0)
-        jj[:] = Fraction(0)
-    for i in range(n):
-        g[i, i] = one
+    g = identity(n, True)
+    jj = zeros((n, n), True)
     for b in range(m):
-        jj[2 * b, 2 * b + 1] = one
-        jj[2 * b + 1, 2 * b] = -one
+        jj[2 * b, 2 * b + 1] = Fraction(1)
+        jj[2 * b + 1, 2 * b] = Fraction(-1)
     rm = (
         np.einsum("ik,jl->ijkl", g, g)
         - np.einsum("il,jk->ijkl", g, g)
@@ -195,21 +187,12 @@ def _fubini_study_rm(m: int, exact: bool) -> np.ndarray:
     return rm
 
 
-def _product_spheres_rm(m: int, exact: bool) -> np.ndarray:
+def _product_spheres_rm(m: int) -> np.ndarray:
     """Curvature of S^m x S^m, both factors unit round."""
     n = 2 * m
-    dtype = object if exact else float
-    one = Fraction(1) if exact else 1.0
-    half = Fraction(1, 2) if exact else 0.5
-    g1 = np.zeros((n, n), dtype=dtype)
-    g2 = np.zeros((n, n), dtype=dtype)
-    if exact:
-        g1[:] = Fraction(0)
-        g2[:] = Fraction(0)
-    for i in range(m):
-        g1[i, i] = one
-        g2[m + i, m + i] = one
-    return half * (kulkarni_nomizu(g1, g1) + kulkarni_nomizu(g2, g2))
+    g1, g2 = zeros((n, n), True), zeros((n, n), True)
+    g1[:m, :m] = g2[m:, m:] = identity(m, True)
+    return Fraction(1, 2) * (kulkarni_nomizu(g1, g1) + kulkarni_nomizu(g2, g2))
 
 
 _SPHERE_VOLUME = {

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from qcf.catalog import ModelSpace
 from qcf.tensor_core import CurvatureData
 
 
@@ -315,18 +314,3 @@ def sweep_csv(rows: Sequence[tuple]) -> str:
         lines.append(",".join([format_float(param), format_float(value)] + ds + errs))
     return "\n".join(lines) + "\n"
 
-
-def functional_rmf_residual(model: ModelSpace) -> float:
-    """n=4 check: (4/(n-2)) F_{-1/6} vs (full-curvature - Weyl) functionals.
-
-    Returns the relative defect of 2*F_{-1/6} = R-functional - W-functional
-    on the model (pointwise curvature identity integrated).
-    """
-    cd = model.curvature_data(exact=True)
-    if cd.n != 4:
-        raise ValueError("this identity check is for dimension four")
-    vol = 1  # common factor cancels in the relative defect
-    lhs = 2 * evaluate(FunctionalSelector.ftau(Fraction(-1, 6)), cd, vol)
-    rhs = evaluate(R_FUNCTIONAL, cd, vol) - evaluate(W_FUNCTIONAL, cd, vol)
-    scale = max(abs(float(lhs)), abs(float(rhs)), 1.0)
-    return abs(float(lhs - rhs)) / scale

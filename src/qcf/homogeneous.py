@@ -18,10 +18,13 @@ import numpy as np
 
 from qcf.tensor_core import (
     CurvatureData,
+    identity,
     inverse_metric,
     is_exact,
     metric_det,
     tensor_norm2,
+    vanishes,
+    zeros,
 )
 
 # Volume of the unit round 3-sphere, the reference frame volume for SU(2)
@@ -50,10 +53,7 @@ class StructureConstants:
             + np.einsum("kim,mjl->ijkl", self.c, self.c)
         )
         for name, defect in [("antisymmetry", anti), ("Jacobi identity", jac)]:
-            if is_exact(self.c):
-                if any(v != 0 for v in defect.ravel()):
-                    raise ValueError(f"structure constants violate {name}")
-            elif float(np.max(np.abs(defect))) > 1e-12:
+            if not vanishes(defect, 1e-12):
                 raise ValueError(f"structure constants violate {name}")
 
     @property
@@ -67,9 +67,7 @@ def su2(exact: bool = False) -> StructureConstants:
     diag(1,1,1) in this frame is the unit round 3-sphere metric and
     diag(1,1,s^2) is the Berger family.
     """
-    c = np.zeros((3, 3, 3), dtype=object if exact else float)
-    if exact:
-        c[:] = Fraction(0)
+    c = zeros((3, 3, 3), exact)
     two = Fraction(2) if exact else 2.0
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         c[i, j, k] = two
@@ -83,26 +81,16 @@ def su2_plus_r(exact: bool = False) -> StructureConstants:
     Diagonal metrics here are generically non-Einstein, which is what
     the Bach-tensor trace/divergence checks need.
     """
-    c = np.zeros((4, 4, 4), dtype=object if exact else float)
-    if exact:
-        c[:] = Fraction(0)
-    two = Fraction(2) if exact else 2.0
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        c[i, j, k] = two
-        c[j, i, k] = -two
+    c = zeros((4, 4, 4), exact)
+    c[:3, :3, :3] = su2(exact).c
     return StructureConstants(4, c)
 
 
 def berger_metric(s, exact: bool = False) -> np.ndarray:
     """diag(1, 1, s^2): the Hopf-fiber-scaled family on SU(2)."""
-    if exact:
-        s = Fraction(s)
-        g = np.empty((3, 3), dtype=object)
-        g[:] = Fraction(0)
-        g[0, 0] = g[1, 1] = Fraction(1)
-        g[2, 2] = s * s
-        return g
-    return np.diag([1.0, 1.0, float(s) ** 2])
+    g = identity(3, exact)
+    g[2, 2] = Fraction(s) ** 2 if exact else float(s) ** 2
+    return g
 
 
 def levi_civita(sc: StructureConstants, g: np.ndarray) -> np.ndarray:
@@ -160,19 +148,13 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     n = gam.shape[0]
     if t.ndim == 0:
         # scalars are constant on a homogeneous space
-        return np.zeros((n,), dtype=t.dtype) if t.dtype != object else _zeros_obj((n,))
+        return zeros((n,), is_exact(t))
     out = None
     for p in range(t.ndim):
         tmp = np.tensordot(gam, t, axes=([2], [p]))  # axes (a, i_p, rest)
         contrib = np.moveaxis(tmp, 1, p + 1)
         out = -contrib if out is None else out - contrib
     return out
-
-
-def _zeros_obj(shape) -> np.ndarray:
-    z = np.empty(shape, dtype=object)
-    z[:] = Fraction(0)
-    return z
 
 
 def laplacian(sc: StructureConstants, g: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -196,9 +178,8 @@ def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
                - (1/2)(Delta R) g_pq + (1/2)|Ric|^2 g_pq
     grad S   = 2 Hess(R)_pq - 2 (Delta R) g_pq - 2 R Ric_pq + (1/2) R^2 g_pq
 
-    The scalar-curvature derivative terms are computed through the same
-    covariant-derivative machinery (they vanish identically on a
-    homogeneous space, since R is an invariant scalar); Delta Ric is
+    R is an invariant scalar, so Hess(R) and Delta R vanish identically
+    on a homogeneous space and those terms are left out; Delta Ric is
     genuinely nonzero away from the Einstein locus.
     """
     exact = sc.exact and is_exact(g)
@@ -212,24 +193,12 @@ def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
     ric_up = np.einsum("ka,lb,ab->kl", g_inv, g_inv, cd.ric)
     ric2 = np.einsum("kl,kl->", ric_up, cd.ric)
 
-    scal_t = np.asarray(cd.scal) if not exact else np.array(cd.scal, dtype=object)
-    d_scal = _cov1(gam, scal_t.reshape(()))  # identically zero, kept for shape honesty
-    hess_scal = _cov1(gam, d_scal)
-    lap_scal = np.einsum("ab,ab->", g_inv, hess_scal)
-
     grad0 = (
         -lap_ric
         - 2 * np.einsum("pkql,kl->pq", cd.rm, ric_up)
-        + hess_scal
-        - half * lap_scal * g
         + half * ric2 * g
     )
-    grad_s = (
-        2 * hess_scal
-        - 2 * lap_scal * g
-        - 2 * cd.scal * cd.ric
-        + half * cd.scal * cd.scal * g
-    )
+    grad_s = -2 * cd.scal * cd.ric + half * cd.scal * cd.scal * g
     return grad0 + tau * grad_s
 
 

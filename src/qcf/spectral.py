@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from qcf._exact import exact_rank_nullspace
+from qcf.tensor_core import identity, is_exact, zeros
 
 
 def tau1(n: int) -> Fraction:
@@ -180,10 +181,8 @@ def _sym_to_vec(h: np.ndarray, basis) -> np.ndarray:
     return np.array([h[i, j] for i, j in basis], dtype=h.dtype)
 
 
-def _vec_to_sym(v, basis, n: int, dtype) -> np.ndarray:
-    h = np.zeros((n, n), dtype=dtype)
-    if dtype == object:
-        h[:] = Fraction(0)
+def _vec_to_sym(v, basis, n: int, exact: bool) -> np.ndarray:
+    h = zeros((n, n), exact)
     for c, (i, j) in zip(v, basis):
         h[i, j] = c
         h[j, i] = c
@@ -220,7 +219,7 @@ class SymbolOperator:
     def apply(self, h: np.ndarray) -> np.ndarray:
         v = _sym_to_vec(np.asarray(h), self.basis)
         out = self.matrix @ v
-        return _vec_to_sym(out, self.basis, self.n, self.matrix.dtype)
+        return _vec_to_sym(out, self.basis, self.n, is_exact(self.matrix))
 
     def min_singular_value(self) -> float:
         m = self.matrix.astype(float)
@@ -320,7 +319,7 @@ def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
     if restrict_trace_free:
         kernel = [np.array(v, dtype=object) for v in null]
     else:
-        kernel = [_vec_to_sym(v, op.basis, n, object) for v in null]
+        kernel = [_vec_to_sym(v, op.basis, n, True) for v in null]
     return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency")
 
 
@@ -328,14 +327,14 @@ def kernel_contains_metric(verdict: InjectivityVerdict, n: int) -> bool:
     """Whether the identity matrix direction lies in the reported kernel span."""
     if not verdict.kernel:
         return False
+    basis = _sym_basis(n)
     cols = []
     for k in verdict.kernel:
         arr = np.asarray(k)
         if arr.ndim != 2:
             return False
-        cols.append([arr[i, j] for i in range(n) for j in range(i, n)])
-    g_vec = [Fraction(1) if i == j else Fraction(0)
-             for i in range(n) for j in range(i, n)]
+        cols.append(_sym_to_vec(arr, basis))
+    g_vec = _sym_to_vec(identity(n, True), basis)
     m = np.array(cols + [g_vec], dtype=object).T
     rank_with, _ = exact_rank_nullspace(m)
     m0 = np.array(cols, dtype=object).T

@@ -116,6 +116,11 @@ def _exact_tau(tau) -> Fraction:
 # gap checks
 
 
+def _known_in(tt, lo: Fraction, hi: Fraction):
+    """The first known TT eigenvalue in [lo, hi], or None."""
+    return next((eig for eig in tt.known if lo <= eig.mu <= hi), None)
+
+
 def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
     """Positivity of the TT Jacobi polynomial over the model's TT spectrum.
 
@@ -136,19 +141,19 @@ def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
     a = 2 * R / n
     b = (Fraction(4, n) + 2 * t) * R
     lo, hi = (a, b) if a <= b else (b, a)
-    for eig in tt.known:
-        if lo <= eig.mu <= hi:
-            note = f"eigenvalue {eig.mu} in the forbidden interval [{lo}, {hi}]"
-            if eig.witness:
-                note += f"; witness: {eig.witness}"
-            if tt.is_subset:
-                return StabilityVerdict(
-                    "Indeterminate", witness=eig.mu,
-                    notes=(note, "spectrum is a quotient subset: the witness "
-                                 "may not descend"),
-                    provenance=("tt-gap",))
-            return StabilityVerdict("FailsTT", witness=eig.mu, notes=(note,),
-                                    provenance=("tt-gap",))
+    eig = _known_in(tt, lo, hi)
+    if eig is not None:
+        note = f"eigenvalue {eig.mu} in the forbidden interval [{lo}, {hi}]"
+        if eig.witness:
+            note += f"; witness: {eig.witness}"
+        if tt.is_subset:
+            return StabilityVerdict(
+                "Indeterminate", witness=eig.mu,
+                notes=(note, "spectrum is a quotient subset: the witness "
+                             "may not descend"),
+                provenance=("tt-gap",))
+        return StabilityVerdict("FailsTT", witness=eig.mu, notes=(note,),
+                                provenance=("tt-gap",))
     if hi < tt.tail_bound:
         prov = "tt-gap"
         if tt.is_bound:
@@ -530,21 +535,10 @@ class BachVerdict:
         }
 
 
-def _membership(tt, value: Fraction) -> bool | None:
-    """Is `value` in the TT spectrum? True/False when certain, None if unknown."""
-    for eig in tt.known:
-        if eig.mu == value:
-            return None if tt.is_subset else True
-    if value < tt.tail_bound:
-        return False
-    return None
-
-
 def _interval_empty(tt, lo: Fraction, hi: Fraction) -> bool | None:
     """Is spec_TT disjoint from [lo, hi]? True/False when certain, else None."""
-    for eig in tt.known:
-        if lo <= eig.mu <= hi:
-            return None if tt.is_subset else False
+    if _known_in(tt, lo, hi) is not None:
+        return None if tt.is_subset else False
     if hi < tt.tail_bound:
         return True
     return None
@@ -565,11 +559,12 @@ def bach_verdict(model: ModelSpace) -> BachVerdict:
     R = model.scal
     t1, t2_ = R / 3, R / 2
     lo, hi = (t1, t2_) if t1 <= t2_ else (t2_, t1)
-    m1 = _membership(model.tt, t1)
-    m2 = _membership(model.tt, t2_)
-    if m1 is True or m2 is True:
+    # a value lies in the spectrum exactly when [value, value] is not empty
+    e1 = _interval_empty(model.tt, t1, t1)
+    e2 = _interval_empty(model.tt, t2_, t2_)
+    if e1 is False or e2 is False:
         rigid = False
-    elif m1 is False and m2 is False:
+    elif e1 and e2:
         rigid = True
     else:
         rigid = None

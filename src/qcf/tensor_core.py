@@ -5,6 +5,8 @@ Ricci contractions, the Weyl/traceless-Ricci/scalar decomposition and
 the quadratic invariants |Rm|^2, |Ric|^2, R^2, |W|^2. Two backends share
 one code path: float64 arrays, or object arrays of fractions.Fraction
 for exact arithmetic (dimensions are capped at 8, so dense is cheap).
+zeros, identity and vanishes are the only code that builds exact arrays
+or decides that one is zero; other modules call them.
 
 Index conventions, fixed once and used everywhere:
   Rm[i,j,k,l] is fully covariant with Rm = (1/2) kn(g, g) for the unit
@@ -38,6 +40,29 @@ def validate_dim(n: int) -> int:
 
 def is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
+
+
+def zeros(shape, exact: bool) -> np.ndarray:
+    """All-zero array: Fraction(0) entries when exact, float64 otherwise."""
+    if not exact:
+        return np.zeros(shape)
+    z = np.empty(shape, dtype=object)
+    z[...] = Fraction(0)
+    return z
+
+
+def identity(n: int, exact: bool) -> np.ndarray:
+    """n x n identity matrix, with Fraction entries when exact."""
+    eye = zeros((n, n), exact)
+    np.fill_diagonal(eye, Fraction(1) if exact else 1.0)
+    return eye
+
+
+def vanishes(arr: np.ndarray, tol: float) -> bool:
+    """Whether every entry is zero: exactly for exact arrays, else max |entry| <= tol."""
+    if is_exact(arr):
+        return all(v == 0 for v in arr.ravel())
+    return float(np.max(np.abs(arr))) <= tol
 
 
 def as_sym2(rows, exact: bool = False) -> np.ndarray:
@@ -121,12 +146,9 @@ def check_curvature_symmetries(rm: np.ndarray, tol: float = 1e-12) -> None:
         ("first Bianchi", rm + np.transpose(rm, (0, 2, 3, 1)) + np.transpose(rm, (0, 3, 1, 2))),
     ]
     for name, defect in pairs:
-        if is_exact(rm):
-            if any(v != 0 for v in defect.ravel()):
-                raise ValueError(f"curvature symmetry violated: {name}")
-        elif float(np.max(np.abs(defect))) > tol:
-            raise ValueError(f"curvature symmetry violated: {name} "
-                             f"(defect {float(np.max(np.abs(defect))):.3e})")
+        if not vanishes(defect, tol):
+            size = "" if is_exact(defect) else f" (defect {float(np.max(np.abs(defect))):.3e})"
+            raise ValueError(f"curvature symmetry violated: {name}{size}")
 
 
 def decompose(g: np.ndarray, rm: np.ndarray):
@@ -202,12 +224,12 @@ class CurvatureData:
         """
         kappa = self.scal / self.n
         defect = self.ric - kappa * self.g
-        if self.exact:
-            return kappa if all(v == 0 for v in defect.ravel()) else None
-        scale = max(1.0, float(np.max(np.abs(np.asarray(self.g, dtype=float)))))
-        if float(np.max(np.abs(np.asarray(defect, dtype=float)))) <= 1e-12 * abs(float(kappa)) + 1e-12 * scale:
-            return kappa
-        return None
+        tol = 0.0
+        if not self.exact:
+            defect = np.asarray(defect, dtype=float)
+            scale = max(1.0, float(np.max(np.abs(np.asarray(self.g, dtype=float)))))
+            tol = 1e-12 * abs(float(kappa)) + 1e-12 * scale
+        return kappa if vanishes(defect, tol) else None
 
     def invariants(self) -> dict[str, Any]:
         """The quadratic invariants from the two contractions |Rm|^2, |Ric|^2.

@@ -22,7 +22,6 @@ from qcf.functionals import (
     curve_derivatives,
     evaluate,
     format_float,
-    functional_rmf_residual,
     product_sphere_curve,
     sweep_csv,
 )
@@ -180,12 +179,3 @@ def test_sweep_csv_shape():
     assert lines[1] == "0.5,1.25,2,,,1.0000000000000001e-09,,"
     assert lines[2] == "1,2.5,,,,,,"
     assert text.endswith("\n")
-
-
-def test_functional_rmf_identity_on_four_manifolds():
-    """2 F_{-1/6} equals the full-curvature minus Weyl functional at n = 4."""
-    cat = builtin_catalog()
-    for key in ("sphere:4", "cp:2", "product:2", "hyperbolic:4", "quotient:4:2"):
-        assert functional_rmf_residual(cat[key]) == 0.0
-    with pytest.raises(ValueError, match="dimension four"):
-        functional_rmf_residual(cat["sphere:5"])

@@ -1,0 +1,72 @@
+"""Source hygiene of src/qcf: no unused import, no unreferenced private helper.
+
+A standard-library `ast` scan, so it needs no linter. An imported name
+is used when the module reads it anywhere or lists it in `__all__`. A
+module-level function or class whose name starts with an underscore is
+used when its module reads the name anywhere; names that only other
+modules read belong in the public interface.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcf"
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def findings(tree: ast.Module) -> list[str]:
+    read = _read_names(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        else:
+            continue
+        out += [f"unused import {name}" for name in bound if name not in read]
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and node.name not in read):
+            out.append(f"unreferenced private {node.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_unused_import_or_private_helper(path):
+    assert findings(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_scan_flags_each_kind():
+    source = """
+import os
+import numpy as np
+from fractions import Fraction
+
+def _zeros_obj(shape):
+    return np.empty(shape, dtype=object)
+
+def _used():
+    return np.zeros(3)
+
+class _Gone:
+    pass
+
+def public():
+    return _used()
+"""
+    assert findings(ast.parse(source)) == [
+        "unused import os", "unused import Fraction",
+        "unreferenced private _zeros_obj", "unreferenced private _Gone"]

@@ -14,21 +14,16 @@ from qcf.tensor_core import (
     contract_ricci,
     decompose,
     gauss_bonnet_integrand,
+    identity,
     inverse_metric,
     kulkarni_nomizu,
     quadratic_invariants,
     raise_all,
     tensor_norm2,
     validate_dim,
+    vanishes,
+    zeros,
 )
-
-
-def _exact_eye(n):
-    g = np.empty((n, n), dtype=object)
-    g[:] = Fraction(0)
-    for i in range(n):
-        g[i, i] = Fraction(1)
-    return g
 
 
 def _random_exact_sym(n, rng):
@@ -65,6 +60,17 @@ def test_as_sym2_exact_keeps_fractions():
     assert isinstance(a[1, 1], Fraction)
 
 
+def test_exact_constructors_and_zero_test():
+    z, eye = zeros((2, 3), True), identity(3, True)
+    assert all(type(v) is Fraction for v in [*z.ravel(), *eye.ravel()])
+    assert np.array_equal(eye.astype(float), np.eye(3))
+    assert np.array_equal(identity(3, False), np.eye(3)) and identity(3, False).dtype == float
+    assert vanishes(z, 0.0) and vanishes(zeros(4, False), 0.0)
+    z[1, 2] = Fraction(1, 10**30)
+    assert not vanishes(z, 1.0)  # exact arrays are compared exactly, whatever tol
+    assert vanishes(z.astype(float), 1e-12) and not vanishes(z.astype(float), 0.0)
+
+
 def test_kulkarni_nomizu_has_curvature_symmetries():
     rng = np.random.default_rng(11)
     for n in (3, 4, 5):
@@ -83,7 +89,7 @@ def test_check_curvature_symmetries_rejects_garbage():
 def test_constant_curvature_round_sphere():
     """kappa = 1 gives Ric = (n-1) g and R = n(n-1)."""
     for n in (3, 5, 8):
-        g = _exact_eye(n)
+        g = identity(n, True)
         rm = constant_curvature_rm(g, Fraction(1))
         cd = CurvatureData(n, g, rm)
         assert cd.scal == n * (n - 1)
@@ -94,7 +100,7 @@ def test_constant_curvature_round_sphere():
 def test_decompose_reassembles_and_is_orthogonal():
     rng = np.random.default_rng(7)
     for n in (4, 5):
-        g = _exact_eye(n)
+        g = identity(n, True)
         a = _random_exact_sym(n, rng)
         rm = kulkarni_nomizu(a, a)
         weyl, ricci_part, scalar_part = decompose(g, rm)
@@ -115,7 +121,7 @@ def test_decompose_reassembles_and_is_orthogonal():
 
 def test_weyl_vanishes_in_dimension_three():
     rng = np.random.default_rng(3)
-    g = _exact_eye(3)
+    g = identity(3, True)
     a = _random_exact_sym(3, rng)
     weyl, _, _ = decompose(g, kulkarni_nomizu(a, a))
     assert all(v == 0 for v in weyl.ravel())
@@ -153,8 +159,8 @@ def test_parts_sum_to_full_norm():
 
 
 def test_einstein_constant_none_off_locus():
-    g = _exact_eye(4)
-    a = _exact_eye(4)
+    g = identity(4, True)
+    a = identity(4, True)
     a[0, 0] = Fraction(3)
     rm = kulkarni_nomizu(a, g)
     cd = CurvatureData(4, g, rm)
