@@ -27,8 +27,8 @@ from importlib import resources
 import numpy as np
 
 from qcf._exact import format_ratio, parse_ratio
-from qcf.tensor_core import (CurvatureData, constant_curvature_rm, identity,
-                             kulkarni_nomizu, zeros)
+from qcf.tensor_core import (CurvatureData, constant_curvature_rm, contract, exact_tensor,
+                             kulkarni_nomizu)
 
 CATALOG_SCHEMA_VERSION = 1
 
@@ -131,7 +131,7 @@ class ModelSpace:
         The tensor is built exactly; exact=False returns it as floats.
         """
         n = self.n
-        g = identity(n, True)
+        g = exact_tensor(np.eye(n, dtype=int))
         if self.variant in ("sphere", "quotient"):
             rm = constant_curvature_rm(g, Fraction(1))
         elif self.variant == "hyperbolic":
@@ -144,9 +144,8 @@ class ModelSpace:
             rm = _product_spheres_rm(self.m)
         else:
             raise CatalogError(f"unknown variant {self.variant}")
-        if not exact:
-            g, rm = g.astype(float), rm.astype(float)
-        return CurvatureData(n, g, rm)
+        cd = CurvatureData(n, g, rm)
+        return cd if exact else CurvatureData(n, cd.g.astype(float), cd.rm.astype(float))
 
     def to_json(self) -> dict:
         return {
@@ -164,34 +163,34 @@ class ModelSpace:
         }
 
 
-def _fubini_study_rm(m: int) -> np.ndarray:
+def _fubini_study_rm(m: int):
     """Fubini-Study curvature, holomorphic sectional curvature 4.
 
     Complex-space-form tensor
       Rm_ijkl = g_ik g_jl - g_il g_jk + J_ik J_jl - J_il J_jk + 2 J_ij J_kl
-    with J the standard complex structure; gives Ric = 2(m+1) g.
+    with J the standard complex structure; gives Ric = 2(m+1) g. Returns
+    an exact tensor.
     """
     n = 2 * m
-    g = identity(n, True)
-    jj = zeros((n, n), True)
+    g = exact_tensor(np.eye(n, dtype=int))
+    jj = np.zeros((n, n), dtype=int)
     for b in range(m):
-        jj[2 * b, 2 * b + 1] = Fraction(1)
-        jj[2 * b + 1, 2 * b] = Fraction(-1)
-    rm = (
-        np.einsum("ik,jl->ijkl", g, g)
-        - np.einsum("il,jk->ijkl", g, g)
-        + np.einsum("ik,jl->ijkl", jj, jj)
-        - np.einsum("il,jk->ijkl", jj, jj)
-        + 2 * np.einsum("ij,kl->ijkl", jj, jj)
+        jj[2 * b, 2 * b + 1] = 1
+        jj[2 * b + 1, 2 * b] = -1
+    jj = exact_tensor(jj)
+    return (
+        contract("ik,jl->ijkl", g, g)
+        - contract("il,jk->ijkl", g, g)
+        + contract("ik,jl->ijkl", jj, jj)
+        - contract("il,jk->ijkl", jj, jj)
+        + 2 * contract("ij,kl->ijkl", jj, jj)
     )
-    return rm
 
 
-def _product_spheres_rm(m: int) -> np.ndarray:
-    """Curvature of S^m x S^m, both factors unit round."""
-    n = 2 * m
-    g1, g2 = zeros((n, n), True), zeros((n, n), True)
-    g1[:m, :m] = g2[m:, m:] = identity(m, True)
+def _product_spheres_rm(m: int):
+    """Curvature of S^m x S^m, both factors unit round, as an exact tensor."""
+    g1 = exact_tensor(np.diag([1] * m + [0] * m))
+    g2 = exact_tensor(np.diag([0] * m + [1] * m))
     return Fraction(1, 2) * (kulkarni_nomizu(g1, g1) + kulkarni_nomizu(g2, g2))
 
 

@@ -93,14 +93,17 @@ def berger_metric(s, exact: bool = False) -> np.ndarray:
     return g
 
 
-def levi_civita(sc: StructureConstants, g: np.ndarray) -> np.ndarray:
+def levi_civita(sc: StructureConstants, g: np.ndarray,
+                g_inv: np.ndarray | None = None) -> np.ndarray:
     """Connection coefficients G[i, j, k] = Gamma^k_ij in the frame.
 
     Koszul with constant inner products:
     2 <nab_i e_j, e_k> = c_ij,k - c_jk,i + c_ki,j, indices lowered by g.
-    The torsion defect Gamma^k_ij - Gamma^k_ji equals c^k_ij.
+    The torsion defect Gamma^k_ij - Gamma^k_ji equals c^k_ij. g_inv,
+    when given, is taken as the inverse of g.
     """
-    g_inv = inverse_metric(g)
+    if g_inv is None:
+        g_inv = inverse_metric(g)
     clow = np.einsum("kl,ijl->ijk", g, sc.c)  # c_ij,k
     # transpose(clow, (2, 0, 1))[i, j, k] = clow[j, k, i] and
     # transpose(clow, (1, 2, 0))[i, j, k] = clow[k, i, j]
@@ -116,7 +119,13 @@ def curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureData:
     and Rm[i,j,k,l] = g(e_k, R(e_i,e_j) e_l), which makes the unit round
     metric come out with Rm = (1/2) g kn g and Ric = (n-1) g.
     """
-    gam = levi_civita(sc, g)
+    g_inv = inverse_metric(g)
+    return _curvature(sc, g, g_inv, levi_civita(sc, g, g_inv))
+
+
+def _curvature(sc: StructureConstants, g: np.ndarray, g_inv: np.ndarray,
+               gam: np.ndarray) -> CurvatureData:
+    """curvature() from the inverse metric and the connection already built."""
     # f[i,j,k,l]: coefficient of e_l in R(e_i,e_j) e_k
     f = (
         np.einsum("jkm,iml->ijkl", gam, gam)
@@ -124,7 +133,7 @@ def curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureData:
         - np.einsum("ijm,mkl->ijkl", sc.c, gam)
     )
     rm = np.einsum("km,ijlm->ijkl", g, f)
-    return CurvatureData(sc.n, g, rm)
+    return CurvatureData(sc.n, g, rm, g_inv=g_inv)
 
 
 def invariant_cov_deriv(sc: StructureConstants, g: np.ndarray, t: np.ndarray,
@@ -180,13 +189,14 @@ def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
 
     R is an invariant scalar, so Hess(R) and Delta R vanish identically
     on a homogeneous space and those terms are left out; Delta Ric is
-    genuinely nonzero away from the Einstein locus.
+    genuinely nonzero away from the Einstein locus. g is inverted and
+    the connection built once, for the curvature and for Delta Ric.
     """
     exact = sc.exact and is_exact(g)
     half = Fraction(1, 2) if exact else 0.5
-    cd = curvature(sc, g)
-    g_inv = cd.g_inv
-    gam = levi_civita(sc, g)
+    g_inv = inverse_metric(g)
+    gam = levi_civita(sc, g, g_inv)
+    cd = _curvature(sc, g, g_inv, gam)
 
     lap_ric = np.einsum("ab,ab...->...", g_inv,
                         _cov1(gam, _cov1(gam, cd.ric)))
@@ -213,12 +223,7 @@ def gradient_from_einstein(cd: CurvatureData, tau) -> np.ndarray:
     if cd.einstein_constant() is None:
         raise ValueError("curvature data is not Einstein; derivative terms "
                          "would not vanish")
-    half = Fraction(1, 2) if cd.exact else 0.5
-    ric_up = np.einsum("ka,lb,ab->kl", cd.g_inv, cd.g_inv, cd.ric)
-    ric2 = np.einsum("kl,kl->", ric_up, cd.ric)
-    grad0 = -2 * np.einsum("pkql,kl->pq", cd.rm, ric_up) + half * ric2 * cd.g
-    grad_s = -2 * cd.scal * cd.ric + half * cd.scal * cd.scal * cd.g
-    return grad0 + tau * grad_s
+    return cd.algebraic_gradient(tau)
 
 
 def bach_tensor(sc_or_cd, g: np.ndarray | None = None) -> np.ndarray:

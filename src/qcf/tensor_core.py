@@ -3,10 +3,23 @@
 Everything here is pointwise linear algebra: Kulkarni-Nomizu products,
 Ricci contractions, the Weyl/traceless-Ricci/scalar decomposition and
 the quadratic invariants |Rm|^2, |Ric|^2, R^2, |W|^2. Two backends share
-one code path: float64 arrays, or object arrays of fractions.Fraction
-for exact arithmetic (dimensions are capped at 8, so dense is cheap).
-zeros, identity and vanishes are the only code that builds exact arrays
-or decides that one is zero; other modules call them.
+one code path: float64 arrays, or exact rational tensors (dimensions
+are capped at 8, so dense is cheap).
+
+An exact tensor is held in one private form, ``_Exact``: an object
+array of Python int numerators over one positive int denominator. A
+contraction is then an integer einsum and a product of denominators,
+with no Fraction arithmetic per entry, and Python ints are exact at any
+size. ``exact_tensor`` builds the form from integers or Fractions;
+``contract``, ``kulkarni_nomizu``, ``constant_curvature_rm``,
+``tensor_norm2``, ``inverse_metric`` (fraction-free, via ``_exact``) and
+``CurvatureData`` accept it alongside arrays, and the catalog's
+curvature builders pass it among themselves. A Fraction array is built
+only where a public function or attribute returns one; CurvatureData
+builds each of g, g_inv, rm and ric once, on first read. zeros and
+identity are the only code that builds a Fraction array from scratch,
+and vanishes the only code that decides that a tensor is zero; other
+modules call them.
 
 Index conventions, fixed once and used everywhere:
   Rm[i,j,k,l] is fully covariant with Rm = (1/2) kn(g, g) for the unit
@@ -16,16 +29,91 @@ Index conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from qcf._exact import exact_det, exact_inv
+from qcf._exact import common_denominator, exact_det, exact_inv, integer_inverse
 
 DIM_MIN = 3
 DIM_MAX = 8
+
+
+class _Exact:
+    """An exact tensor num / den: an object array of Python ints over an int den > 0.
+
+    Supports what the contractions and the catalog builders need:
+    +, -, negation, multiplication by an int or Fraction scalar and
+    transpose; einsum goes through ``contract``.
+    """
+
+    __slots__ = ("num", "den")
+    dtype = np.dtype(object)  # so that is_exact() holds
+    __array_ufunc__ = None  # numpy operators defer to the methods below
+
+    def __init__(self, num: np.ndarray, den: int = 1):
+        self.num, self.den = num, den
+
+    @property
+    def shape(self) -> tuple:
+        return self.num.shape
+
+    def fractions(self) -> np.ndarray:
+        """The entries as a Fraction array; equal entries share one Fraction."""
+        vals = self.num.ravel().tolist()
+        made = {v: Fraction(v, self.den) for v in set(vals)}
+        out = np.empty(len(vals), dtype=object)
+        out[:] = [made[v] for v in vals]
+        return out.reshape(self.num.shape)
+
+    def transpose(self, *axes) -> _Exact:
+        return _Exact(self.num.transpose(*axes), self.den)
+
+    def __neg__(self) -> _Exact:
+        return _Exact(-self.num, self.den)
+
+    def __add__(self, other: _Exact) -> _Exact:
+        den = math.lcm(self.den, other.den)
+        return _Exact(_times(self.num, den // self.den) + _times(other.num, den // other.den),
+                      den)
+
+    def __sub__(self, other: _Exact) -> _Exact:
+        return self + -other
+
+    def __mul__(self, c) -> _Exact:
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        c = Fraction(c)
+        return _Exact(_times(self.num, c.numerator), self.den * c.denominator)
+
+    __rmul__ = __mul__
+
+
+def _times(num: np.ndarray, k: int) -> np.ndarray:
+    return num if k == 1 else num * k
+
+
+def exact_tensor(values) -> _Exact:
+    """Integers or Fractions of any shape in the exact form (exact tensors pass through)."""
+    if isinstance(values, _Exact):
+        return values
+    arr = np.asarray(values)
+    nums, den = common_denominator(arr.ravel().tolist())
+    return _Exact(np.array(nums, dtype=object).reshape(arr.shape), den)
+
+
+def contract(spec: str, *operands):
+    """np.einsum on arrays; on exact tensors, an integer einsum over the product
+    of the denominators (a full contraction returns a Fraction)."""
+    if not isinstance(operands[0], _Exact):
+        return np.einsum(spec, *operands)
+    num = np.einsum(spec, *(op.num for op in operands))
+    den = math.prod(op.den for op in operands)
+    if np.ndim(num) == 0:
+        return Fraction(int(num), den)
+    return _Exact(num, den)
 
 
 def validate_dim(n: int) -> int:
@@ -60,6 +148,8 @@ def identity(n: int, exact: bool) -> np.ndarray:
 
 def vanishes(arr: np.ndarray, tol: float) -> bool:
     """Whether every entry is zero: exactly for exact arrays, else max |entry| <= tol."""
+    if isinstance(arr, _Exact):
+        arr = arr.num
     if is_exact(arr):
         return all(v == 0 for v in arr.ravel())
     return float(np.max(np.abs(arr))) <= tol
@@ -83,6 +173,13 @@ def as_sym2(rows, exact: bool = False) -> np.ndarray:
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
+    """g^-1 of the same kind as g: float, Fraction array or exact tensor.
+
+    An exact tensor G / d is inverted fraction-free as d * G^-1 = d adj(G) / det G.
+    """
+    if isinstance(g, _Exact):
+        num, den = integer_inverse(g.num.tolist(), g.den)
+        return _Exact(np.array(num, dtype=object), den)
     return exact_inv(g) if is_exact(g) else np.linalg.inv(g)
 
 
@@ -94,26 +191,27 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a kn b)_ijkl = a_ik b_jl - a_il b_jk + b_ik a_jl - b_il a_jk.
 
     The result satisfies all algebraic curvature symmetries including
-    the first Bianchi identity whenever a and b are symmetric.
+    the first Bianchi identity whenever a and b are symmetric. Arrays
+    give an array, exact tensors an exact tensor.
     """
-    u = np.einsum("ik,jl->ijkl", a, b) - np.einsum("il,jk->ijkl", a, b)
+    u = contract("ik,jl->ijkl", a, b) - contract("il,jk->ijkl", a, b)
     # the last two terms are the first two with both index pairs swapped
     return u + u.transpose(1, 0, 3, 2)
 
 
 def constant_curvature_rm(g: np.ndarray, kappa) -> np.ndarray:
-    """Curvature tensor of a space form: kappa * (1/2) g kn g."""
+    """Curvature tensor of a space form: kappa * (1/2) g kn g (of the kind of g)."""
     half = Fraction(1, 2) if is_exact(g) else 0.5
     return (kappa * half) * kulkarni_nomizu(g, g)
 
 
 def contract_ricci(g_inv: np.ndarray, rm: np.ndarray) -> np.ndarray:
     """Ric_jl = g^ik Rm_ijkl."""
-    return np.einsum("ik,ijkl->jl", g_inv, rm)
+    return contract("ik,ijkl->jl", g_inv, rm)
 
 
 def scalar_curvature(g_inv: np.ndarray, ric: np.ndarray):
-    return np.einsum("jl,jl->", g_inv, ric)
+    return contract("jl,jl->", g_inv, ric)
 
 
 def raise_all(g_inv: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -126,6 +224,9 @@ def raise_all(g_inv: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def tensor_norm2(g_inv: np.ndarray, t: np.ndarray):
     """Full contraction |T|^2 with every index raised by g_inv."""
+    if isinstance(t, _Exact):
+        return Fraction(int(np.sum(raise_all(g_inv.num, t.num) * t.num)),
+                        g_inv.den ** t.num.ndim * t.den ** 2)
     return np.sum(raise_all(g_inv, t) * t)
 
 
@@ -194,28 +295,46 @@ def gauss_bonnet_integrand(g: np.ndarray, rm: np.ndarray):
     return inv["weyl2"] - 2 * inv["ric2"] + two_thirds * inv["scal2"]
 
 
-@dataclass
 class CurvatureData:
-    """A metric frame together with its curvature tensor and traces."""
+    """A metric frame together with its curvature tensor and traces.
 
-    n: int
-    g: np.ndarray
-    rm: np.ndarray
-    g_inv: np.ndarray = field(init=False)
-    ric: np.ndarray = field(init=False)
-    scal: Any = field(init=False)
+    g and rm are float arrays, Fraction arrays or exact tensors
+    (exact_tensor); g_inv, when given, is taken as the inverse of g and
+    saves inverting it again. Exact data is held and contracted in the
+    exact form. The attributes g, g_inv, rm and ric are float arrays or,
+    for exact data, Fraction arrays, each built once on first read (an
+    array passed in is returned as it is); scal is a float or a Fraction.
+    """
 
-    def __post_init__(self) -> None:
-        validate_dim(self.n)
-        if self.rm.shape != (self.n,) * 4:
+    def __init__(self, n: int, g, rm, g_inv=None):
+        validate_dim(n)
+        if rm.shape != (n,) * 4:
             raise ValueError("curvature tensor shape mismatch")
-        self.g_inv = inverse_metric(self.g)
-        self.ric = contract_ricci(self.g_inv, self.rm)
-        self.scal = scalar_curvature(self.g_inv, self.ric)
+        self.n = n
+        self.exact = is_exact(g) and is_exact(rm)
+        self._arrays = {name: v for name, v in (("g", g), ("rm", rm), ("g_inv", g_inv))
+                        if isinstance(v, np.ndarray)}
+        if self.exact:
+            g, rm = exact_tensor(g), exact_tensor(rm)
+            if g_inv is not None:
+                g_inv = exact_tensor(g_inv)
+        if g_inv is None:
+            g_inv = inverse_metric(g)
+        ric = contract_ricci(g_inv, rm)
+        self._t = {"g": g, "rm": rm, "g_inv": g_inv, "ric": ric}
+        self.scal = scalar_curvature(g_inv, ric)
 
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.g) and is_exact(self.rm)
+    def _array(self, name: str) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None:
+            t = self._t[name]
+            arr = self._arrays[name] = t.fractions() if isinstance(t, _Exact) else t
+        return arr
+
+    g = property(lambda self: self._array("g"))
+    g_inv = property(lambda self: self._array("g_inv"))
+    rm = property(lambda self: self._array("rm"))
+    ric = property(lambda self: self._array("ric"))
 
     def einstein_constant(self):
         """Return kappa with Ric = kappa g, or None if not Einstein.
@@ -223,7 +342,7 @@ class CurvatureData:
         Exact data is tested exactly; float data to 1e-12 relative.
         """
         kappa = self.scal / self.n
-        defect = self.ric - kappa * self.g
+        defect = self._t["ric"] - kappa * self._t["g"]
         tol = 0.0
         if not self.exact:
             defect = np.asarray(defect, dtype=float)
@@ -238,12 +357,34 @@ class CurvatureData:
         orthogonal, with norms |W|^2, 4(|Ric|^2 - R^2/n)/(n-2) and
         2R^2/(n(n-1)) that sum to |Rm|^2 (Besse, Einstein Manifolds, 1.116).
         """
-        n, scal = self.n, self.scal
-        rm2 = tensor_norm2(self.g_inv, self.rm)
-        ric2 = tensor_norm2(self.g_inv, self.ric)
+        n, scal, t = self.n, self.scal, self._t
+        rm2 = tensor_norm2(t["g_inv"], t["rm"])
+        ric2 = tensor_norm2(t["g_inv"], t["ric"])
         scal2 = scal * scal
         ricci_part2 = 4 * (ric2 - scal2 / n) / (n - 2)
         scalar_part2 = 2 * scal2 / (n * (n - 1))
         return {"n": n, "rm2": rm2, "ric2": ric2, "scal": scal, "scal2": scal2,
                 "weyl2": rm2 - ricci_part2 - scalar_part2,
                 "ricci_part2": ricci_part2, "scalar_part2": scalar_part2}
+
+    def algebraic_gradient(self, tau) -> np.ndarray:
+        """The algebraic terms of grad F_tau, F_tau = int |Ric|^2 + tau int R^2:
+
+          -2 Rm_pkql Ric^kl + (1/2)|Ric|^2 g_pq + tau (-2 R Ric_pq + (1/2) R^2 g_pq).
+
+        The other terms of the gradient are derivatives of Ric and R, so
+        on data with parallel Ricci tensor (Einstein data) this is the
+        whole gradient. Exact data gives a Fraction array.
+        """
+        t, scal = self._t, self.scal
+        g, g_inv, ric = t["g"], t["g_inv"], t["ric"]
+        half = Fraction(1, 2) if self.exact else 0.5
+        ric_up = contract("ka,lb,ab->kl", g_inv, g_inv, ric)
+        ric2 = contract("kl,kl->", ric_up, ric)
+        grad0 = -2 * contract("pkql,kl->pq", t["rm"], ric_up) + half * ric2 * g
+        grad_s = -2 * scal * ric + half * scal * scal * g
+        if not self.exact:
+            return grad0 + tau * grad_s
+        if isinstance(tau, (int, Fraction)):
+            return (grad0 + tau * grad_s).fractions()
+        return grad0.fractions() + tau * grad_s.fractions()

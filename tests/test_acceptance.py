@@ -60,3 +60,16 @@ def test_property_suite_checks_the_decomposition(monkeypatch):
     result = verify.check_property_suites()
     assert not result.passed
     assert "pointwise quadratic identity defect" in result.measured
+
+
+def test_full_run_leaves_numpy_random_unimported():
+    """The random criteria sample with the standard library, so a verify
+    process does not load numpy.random's extension modules (about 6 MB)."""
+    import subprocess
+    import sys
+
+    code = ("import sys; from qcf import verify; assert verify.run_all(seed=3).all_passed; "
+            "print('numpy.random' in sys.modules)")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"

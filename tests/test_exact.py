@@ -88,3 +88,46 @@ def test_nullspace_vectors_are_annihilated():
             assert np.linalg.matrix_rank(np.array(null, dtype=float)) == len(null)
         deficient += rank < min(nrows, ncols)
     assert deficient >= 1
+
+
+def _leibniz_det(m):
+    """Determinant as the signed sum over permutations (no elimination)."""
+    from itertools import permutations
+
+    n = m.shape[0]
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i, j]
+        total += term
+    return total
+
+
+def test_elimination_is_exact_at_any_width():
+    """Entries near 10^30 and denominators beyond 64 bits: no fixed-width
+    assumption, and floats could not tell these matrices apart."""
+    rng = np.random.default_rng(4)
+    big = 10**30
+    for k in range(12):
+        n = int(rng.integers(2, 6))
+        m = np.empty((n, n), dtype=object)
+        m.ravel()[:] = [Fraction(int(p) * big + int(q), int(d) * big + 1) for p, q, d in
+                        zip(rng.integers(-9, 10, size=n * n), rng.integers(-5, 6, size=n * n),
+                            rng.integers(1, 4, size=n * n))]
+        if k % 3 == 0:
+            m[-1] = m[0] * Fraction(big + 7, 3) - m[1]  # rank-deficient
+        det = exact_det(m)
+        assert isinstance(det, Fraction) and det == _leibniz_det(m)
+        rank, null = exact_rank_nullspace(m)
+        assert len(null) == n - rank and (rank < n) == (det == 0)
+        for v in null:
+            assert all(x == 0 for x in m @ v)
+        if det != 0:
+            inv = exact_inv(m)
+            assert ((inv @ m) == _identity(n)).all() and ((m @ inv) == _identity(n)).all()
+    # 1 + 10^-30 is 1.0 in float, so numpy calls this matrix singular; it is not
+    m = np.array([[Fraction(1), Fraction(1)], [Fraction(1), 1 + Fraction(1, big)]], dtype=object)
+    assert exact_det(m) == Fraction(1, big)
+    assert np.array_equal(exact_inv(m), np.array([[big + 1, -big], [-big, big]], dtype=object))

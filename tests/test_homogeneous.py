@@ -206,3 +206,23 @@ def test_criticality_of_secondary_berger_point():
     g_inv = np.linalg.inv(g)
     rel = math.sqrt(abs(tensor_norm2(g_inv, resid))) / math.sqrt(abs(tensor_norm2(g_inv, g)))
     assert rel < 1e-12
+
+
+def test_gradient_builds_the_connection_and_inverse_once(monkeypatch):
+    from qcf import tensor_core
+
+    calls = {"levi_civita": 0, "inverse_metric": 0, "np.linalg.inv": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(homogeneous, "levi_civita", counted(levi_civita, "levi_civita"))
+    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, "np.linalg.inv"))
+    for mod in (homogeneous, tensor_core):
+        monkeypatch.setattr(mod, "inverse_metric", counted(mod.inverse_metric, "inverse_metric"))
+    grad = gradient_F(su2(), np.diag([1.0, 2.0, 3.0]), 0.5)
+    assert calls == {"levi_civita": 1, "inverse_metric": 1, "np.linalg.inv": 1}
+    assert grad.shape == (3, 3)

@@ -247,3 +247,112 @@ def test_kulkarni_nomizu_equals_the_four_term_formula():
         a = np.diag(rng.uniform(-2.0, 2.0, size=n))
         b = np.diag(rng.uniform(-2.0, 2.0, size=n))
         assert kulkarni_nomizu(a, b).tobytes() == _kn_four_terms(a, b).tobytes()
+
+
+# A pure-Fraction oracle for the integer exact core: the same contractions
+# written as np.einsum over Fraction object arrays, with g^-1 checked by
+# g g^-1 = I rather than taken from the code under test.
+
+def _fraction_array(arr):
+    out = np.empty(np.shape(arr), dtype=object)
+    out.ravel()[:] = [Fraction(v) for v in np.asarray(arr).ravel().tolist()]
+    return out
+
+
+def _oracle(g, g_inv, rm, tau):
+    n = g.shape[0]
+    assert ((g @ g_inv) == identity(n, True)).all()
+    ric = np.einsum("ik,ijkl->jl", g_inv, rm)
+    scal = np.einsum("jl,jl->", g_inv, ric)
+    rm_up = rm
+    if not (g_inv == identity(n, True)).all():  # raising by the identity changes nothing
+        for axis in range(4):
+            rm_up = np.moveaxis(np.tensordot(g_inv, rm_up, axes=([1], [axis])), 0, axis)
+    ric_up = np.einsum("ka,lb,ab->kl", g_inv, g_inv, ric)
+    rm2, ric2 = np.sum(rm_up * rm), np.sum(ric_up * ric)
+    half = Fraction(1, 2)
+    grad0 = -2 * np.einsum("pkql,kl->pq", rm, ric_up) + half * ric2 * g
+    grad_s = -2 * scal * ric + half * scal * scal * g
+    return {"ric": ric, "scal": scal, "rm2": rm2, "ric2": ric2,
+            "grad": grad0 + tau * grad_s, "grad0": grad0, "grad_s": grad_s}
+
+
+def _assert_matches_oracle(cd, g_inv, tau, einstein):
+    from qcf.homogeneous import gradient_from_einstein
+
+    want = _oracle(cd.g, g_inv, cd.rm, tau)
+    inv = cd.invariants()
+    assert all(type(v) is Fraction for v in cd.ric.ravel())
+    assert np.array_equal(cd.ric, want["ric"])
+    assert np.array_equal(cd.g_inv, g_inv)
+    for name, got in (("scal", cd.scal), ("rm2", inv["rm2"]), ("ric2", inv["ric2"])):
+        assert type(got) is Fraction and got == want[name], name
+    grad = cd.algebraic_gradient(tau)
+    assert all(type(v) is Fraction for v in grad.ravel())
+    assert np.array_equal(grad, want["grad"])
+    if einstein:
+        grad0 = gradient_from_einstein(cd, Fraction(0))
+        grad_s = gradient_from_einstein(cd, Fraction(1)) - grad0
+        assert np.array_equal(grad0, want["grad0"])
+        assert np.array_equal(grad_s, want["grad_s"])
+
+
+def test_integer_core_matches_fraction_oracle_on_every_model():
+    cat = builtin_catalog()
+    assert len(cat) == 25
+    for key in sorted(cat):
+        cd = cat[key].curvature_data(exact=True)
+        n = cat[key].n
+        assert cd.g is cd.g and cd.rm is cd.rm  # built once per object
+        _assert_matches_oracle(cd, identity(n, True), Fraction(-3, 7), einstein=True)
+
+
+def test_integer_core_matches_fraction_oracle_off_the_identity():
+    """Rational g != I: non-trivial denominators, g^-1 and non-Einstein data."""
+    from qcf import homogeneous
+
+    def diag(entries):
+        return _fraction_array(np.diag([Fraction(e) for e in entries]))
+
+    def diag_inv(entries):
+        return diag([1 / Fraction(e) for e in entries])
+
+    cases = [
+        (homogeneous.su2(exact=True), ["2/3", "5/7", "2/3"], False),
+        (homogeneous.su2(exact=True), ["2/3", "2/3", "2/3"], True),
+        (homogeneous.su2(exact=True), ["5/7", "5/7", "5/7"], True),
+        (homogeneous.su2_plus_r(exact=True), ["2/3", "5/7", "1", "5/7"], False),
+        (homogeneous.su2(exact=True), ["1", "1", "1/9"], False),  # berger_metric(1/3)
+    ]
+    for sc, entries, einstein in cases:
+        g = diag(entries)
+        cd = homogeneous.curvature(sc, g)
+        assert (cd.einstein_constant() is not None) == einstein, entries
+        _assert_matches_oracle(cd, diag_inv(entries), Fraction(5, 11), einstein)
+    g = homogeneous.berger_metric(Fraction(1, 3), exact=True)
+    assert np.array_equal(g, diag(["1", "1", "1/9"]))
+    # a non-diagonal rational metric and a Kulkarni-Nomizu curvature tensor
+    g = _fraction_array([[2, Fraction(1, 3), 0, 0], [Fraction(1, 3), Fraction(5, 7), 0, 1],
+                         [0, 0, 3, Fraction(-1, 2)], [0, 1, Fraction(-1, 2), 4]])
+    rng = np.random.default_rng(17)
+    rm = kulkarni_nomizu(_random_exact_sym(4, rng) / 3, _random_exact_sym(4, rng) / 5)
+    _assert_matches_oracle(CurvatureData(4, g, rm), inverse_metric(g), Fraction(-2, 9),
+                           einstein=False)
+
+
+def test_exact_tensor_round_trip_and_arithmetic():
+    from qcf.tensor_core import contract, exact_tensor
+
+    a = _fraction_array([[Fraction(1, 3), -2], [Fraction(10**30, 7), 0]])
+    b = _fraction_array([[Fraction(-5, 6), 1], [4, Fraction(1, 10**30)]])
+    ea, eb = exact_tensor(a), exact_tensor(b)
+    assert exact_tensor(ea) is ea
+    assert np.array_equal(ea.fractions(), a)
+    assert np.array_equal((ea + eb).fractions(), a + b)
+    assert np.array_equal((ea - eb).fractions(), a - b)
+    assert np.array_equal((Fraction(-3, 4) * ea).fractions(), Fraction(-3, 4) * a)
+    assert np.array_equal(ea.transpose(1, 0).fractions(), a.T)
+    assert np.array_equal(contract("ij,jk->ik", ea, eb).fractions(), a @ b)
+    assert contract("ij,ij->", ea, eb) == np.sum(a * b)
+    assert vanishes(ea - ea, 0.0) and not vanishes(ea, 1e300)
+    assert np.array_equal(kulkarni_nomizu(ea, eb).fractions(), kulkarni_nomizu(a, b))
