@@ -26,6 +26,7 @@ from qcf._exact import format_ratio, parse_ratio
 from qcf.catalog import CatalogError, load_catalog, resolve_model
 from qcf.functionals import IllConditionedDerivativeError
 from qcf.stability import InsufficientSpectralData
+from qcf.tensor_core import inverse_metric, tensor_norm2
 
 _REPORT_SCHEMA: dict | None = None
 
@@ -406,8 +407,7 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
     gradm = homogeneous.gradient_F(sc, g, tau)
     gradm = np.asarray(gradm, dtype=float)
     div = np.asarray(homogeneous.divergence(sc, g, gradm), dtype=float)
-    g_inv = np.linalg.inv(g)
-    div_norm = float(np.einsum("ij,i,j->", g_inv, div, div)) ** 0.5
+    div_norm = float(tensor_norm2(inverse_metric(g), div)) ** 0.5
     vol = homogeneous.volume(sc, g, vol_ref)
     fval = homogeneous.functional_value(sc, g, tau, vol_ref)
     _require_finite([vol, fval, div_norm, *gradm.ravel(), *div])

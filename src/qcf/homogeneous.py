@@ -16,13 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from qcf.functionals import FunctionalSelector, evaluate
 from qcf.tensor_core import (
     CurvatureData,
     identity,
     inverse_metric,
     is_exact,
     metric_det,
-    tensor_norm2,
     vanishes,
     zeros,
 )
@@ -136,24 +136,13 @@ def _curvature(sc: StructureConstants, g: np.ndarray, g_inv: np.ndarray,
     return CurvatureData(sc.n, g, rm, g_inv=g_inv)
 
 
-def invariant_cov_deriv(sc: StructureConstants, g: np.ndarray, t: np.ndarray,
-                        order: int = 1, _gam: np.ndarray | None = None) -> np.ndarray:
+def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Covariant derivative of an invariant covariant tensor.
 
     Frame components of invariant tensors are constant, so
-    (nab T)_{a, i1..ir} = -sum_p Gamma^m_{a i_p} T_{..m..}. The derivative
-    index is prepended; order=2 gives nab_a nab_b T with axes (a, b, ...).
+    (nab T)_{a, i1..ir} = -sum_p Gamma^m_{a i_p} T_{..m..}; the
+    derivative index is prepended.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    gam = levi_civita(sc, g) if _gam is None else _gam
-    out = _cov1(gam, t)
-    if order == 2:
-        out = _cov1(gam, out)
-    return out
-
-
-def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     n = gam.shape[0]
     if t.ndim == 0:
         # scalars are constant on a homogeneous space
@@ -168,16 +157,17 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def laplacian(sc: StructureConstants, g: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rough Laplacian Delta T = g^ab nab_a nab_b T of an invariant tensor."""
-    second = invariant_cov_deriv(sc, g, t, order=2)
-    return np.einsum("ab,ab...->...", inverse_metric(g), second)
+    g_inv = inverse_metric(g)
+    gam = levi_civita(sc, g, g_inv)
+    return np.einsum("ab,ab...->...", g_inv, _cov1(gam, _cov1(gam, t)))
 
 
 def divergence(sc: StructureConstants, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(delta h)_j = nab^i h_ij for a symmetric 2-tensor."""
     if h.ndim != 2:
         raise ValueError("divergence here takes a 2-tensor")
-    d1 = invariant_cov_deriv(sc, g, h, order=1)
-    return np.einsum("ia,aij->j", inverse_metric(g), d1)
+    g_inv = inverse_metric(g)
+    return np.einsum("ia,aij->j", g_inv, _cov1(levi_civita(sc, g, g_inv), h))
 
 
 def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
@@ -189,27 +179,15 @@ def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
 
     R is an invariant scalar, so Hess(R) and Delta R vanish identically
     on a homogeneous space and those terms are left out; Delta Ric is
-    genuinely nonzero away from the Einstein locus. g is inverted and
+    genuinely nonzero away from the Einstein locus. What remains is
+    CurvatureData.algebraic_gradient minus Delta Ric. g is inverted and
     the connection built once, for the curvature and for Delta Ric.
     """
-    exact = sc.exact and is_exact(g)
-    half = Fraction(1, 2) if exact else 0.5
     g_inv = inverse_metric(g)
     gam = levi_civita(sc, g, g_inv)
     cd = _curvature(sc, g, g_inv, gam)
-
-    lap_ric = np.einsum("ab,ab...->...", g_inv,
-                        _cov1(gam, _cov1(gam, cd.ric)))
-    ric_up = np.einsum("ka,lb,ab->kl", g_inv, g_inv, cd.ric)
-    ric2 = np.einsum("kl,kl->", ric_up, cd.ric)
-
-    grad0 = (
-        -lap_ric
-        - 2 * np.einsum("pkql,kl->pq", cd.rm, ric_up)
-        + half * ric2 * g
-    )
-    grad_s = -2 * cd.scal * cd.ric + half * cd.scal * cd.scal * g
-    return grad0 + tau * grad_s
+    lap_ric = np.einsum("ab,ab...->...", g_inv, _cov1(gam, _cov1(gam, cd.ric)))
+    return cd.algebraic_gradient(tau) - lap_ric
 
 
 def gradient_from_einstein(cd: CurvatureData, tau) -> np.ndarray:
@@ -262,14 +240,8 @@ def functional_value(sc: StructureConstants, g: np.ndarray, tau,
     """F_tau (or the volume-normalized Ftilde_tau) of an invariant metric.
 
     The integrand is constant, so F_tau = Vol * (|Ric|^2 + tau R^2);
-    the normalized version multiplies by Vol^(4/n - 1).
+    the normalized version multiplies by Vol^(4/n - 1). The value is
+    functionals.evaluate's, as a float.
     """
-    cd = curvature(sc, g)
-    g_inv = cd.g_inv
-    ric2 = float(tensor_norm2(g_inv, cd.ric))
-    scal = float(cd.scal)
-    vol = volume(sc, g, vol_ref)
-    value = vol * (ric2 + float(tau) * scal * scal)
-    if normalized:
-        value *= vol ** (4.0 / sc.n - 1.0)
-    return value
+    return float(evaluate(FunctionalSelector.ftau(tau), curvature(sc, g),
+                          volume(sc, g, vol_ref), normalized))

@@ -49,7 +49,7 @@ def _as_exact(x):
 class SpectralPolynomial:
     """Degree <= 2 polynomial c2 x^2 + c1 x + c0 in the eigenvalue variable.
 
-    var is 'mu' (TT, eigenvalue of -Delta_L) or 'lambda' (conformal,
+    The variable is mu (TT, eigenvalue of -Delta_L) or lambda (conformal,
     eigenvalue of -Delta). Coefficients are exact ratios when the
     defining data (n, R, tau) are.
     """
@@ -57,10 +57,6 @@ class SpectralPolynomial:
     c0: Fraction
     c1: Fraction
     c2: Fraction
-    var: str
-    n: int
-    scal: Fraction
-    tau: Fraction | None = None
 
     def __call__(self, x):
         return (self.c2 * x + self.c1) * x + self.c0
@@ -104,15 +100,13 @@ def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynom
     c0 = (Fraction(4, n * n) + 2 * t / n) * R * R
     if not normalized:
         c0 = c0 + Fraction(n - 4, 2 * n * n) * (1 + n * t) * R * R
-    tau_field = t if isinstance(t, Fraction) else None
-    return SpectralPolynomial(c0, c1, c2, "mu", n, R if isinstance(R, Fraction) else Fraction(0), tau_field)
+    return SpectralPolynomial(c0, c1, c2)
 
 
 def tt_s_polynomial(n: int, scal) -> SpectralPolynomial:
     """TT action for the scalar-curvature functional: R(2R/n - mu)."""
     R = _as_exact(scal)
-    return SpectralPolynomial(2 * R * R / n, -R, Fraction(0), "mu", n,
-                              R if isinstance(R, Fraction) else Fraction(0))
+    return SpectralPolynomial(2 * R * R / n, -R, Fraction(0))
 
 def tt_jacobi(n: int, scal, tau, mu, normalized: bool = True):
     """Evaluate the TT Jacobi polynomial; tau=None selects the S-functional."""
@@ -135,9 +129,7 @@ def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:
     c2 = inv2n * (n - 1) * a
     c1 = inv2n * ((n - 1) * b - R * a)
     c0 = -inv2n * R * b
-    tau_field = t if isinstance(t, Fraction) else None
-    return SpectralPolynomial(c0, c1, c2, "lambda", n,
-                              R if isinstance(R, Fraction) else Fraction(0), tau_field)
+    return SpectralPolynomial(c0, c1, c2)
 
 
 def conformal_s_polynomial(n: int, scal) -> SpectralPolynomial:
@@ -145,8 +137,7 @@ def conformal_s_polynomial(n: int, scal) -> SpectralPolynomial:
     2(n-1)^2 lambda^2 + (n-6)(n-1) R lambda - (n-4) R^2."""
     R = _as_exact(scal)
     return SpectralPolynomial(-(n - 4) * R * R, (n - 6) * (n - 1) * R,
-                              Fraction(2 * (n - 1) ** 2), "lambda", n,
-                              R if isinstance(R, Fraction) else Fraction(0))
+                              Fraction(2 * (n - 1) ** 2))
 
 
 def conformal_jacobi(n: int, scal, tau, lam):

@@ -16,6 +16,7 @@ returning Indeterminate instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -469,6 +470,8 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
     ones; supplying more eigenvalues can only extend it. Bound-only
     models (hyperbolic) have no catalog eigenvalues and require mu_list.
     """
+    if count < 1:
+        raise ValueError("count must be positive")
     tt = model.tt
     R = model.scal
     n = model.n
@@ -599,8 +602,14 @@ def reverse_bishop(vol_g: float, n: int, vol_gt: float,
     side) and <= n(n-1)^2 Vol(g~)^(4/n) (Ricci bound side) forces
     Vol(g~) >= Vol(g), with the equality case flagged for isometry
     rigidity. Flags are the caller's responsibility: this function only
-    performs the deduction.
+    performs the deduction. Volumes must be finite and positive and the
+    functional value finite; anything else raises ValueError.
     """
+    for name, vol in (("vol_g", vol_g), ("vol_gt", vol_gt)):
+        if not (math.isfinite(vol) and vol > 0):
+            raise ValueError(f"{name} must be finite and positive, got {vol!r}")
+    if not math.isfinite(ftilde0_gt):
+        raise ValueError(f"ftilde0_gt must be finite, got {ftilde0_gt!r}")
     if not (ric_upper_ok and ric_lower_ok):
         return BishopDeduction(
             "Inconclusive",

@@ -20,7 +20,7 @@ from qcf import functionals, homogeneous, spectral, stability
 from qcf.catalog import (CatalogError, builtin_catalog, load_catalog)
 from qcf.spectral import tau1, tau2
 from qcf.tensor_core import (check_curvature_symmetries, decompose, gauss_bonnet_integrand,
-                             quadratic_invariants, tensor_norm2)
+                             inverse_metric, quadratic_invariants, tensor_norm2)
 
 
 @dataclass
@@ -202,8 +202,7 @@ def check_divergence_free(seed: int = 0) -> CheckResult:
         g = np.diag(diag)
         grad = homogeneous.gradient_F(sc, g, tau)
         div = homogeneous.divergence(sc, g, grad)
-        g_inv = np.linalg.inv(g)
-        norm = math.sqrt(abs(float(np.einsum("ij,i,j->", g_inv, div, div))))
+        norm = math.sqrt(abs(float(tensor_norm2(inverse_metric(g), div))))
         worst = max(worst, norm)
     return CheckResult("06-divergence-free", worst < 1e-9,
                        f"max |delta grad F_tau| = {worst:.2e} over 100 metrics",

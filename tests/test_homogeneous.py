@@ -208,7 +208,8 @@ def test_criticality_of_secondary_berger_point():
     assert rel < 1e-12
 
 
-def test_gradient_builds_the_connection_and_inverse_once(monkeypatch):
+def _count_connection_and_inverse(monkeypatch):
+    """Count levi_civita, inverse_metric and np.linalg.inv calls from here on."""
     from qcf import tensor_core
 
     calls = {"levi_civita": 0, "inverse_metric": 0, "np.linalg.inv": 0}
@@ -223,6 +224,21 @@ def test_gradient_builds_the_connection_and_inverse_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, "np.linalg.inv"))
     for mod in (homogeneous, tensor_core):
         monkeypatch.setattr(mod, "inverse_metric", counted(mod.inverse_metric, "inverse_metric"))
+    return calls
+
+
+def test_gradient_builds_the_connection_and_inverse_once(monkeypatch):
+    calls = _count_connection_and_inverse(monkeypatch)
     grad = gradient_F(su2(), np.diag([1.0, 2.0, 3.0]), 0.5)
     assert calls == {"levi_civita": 1, "inverse_metric": 1, "np.linalg.inv": 1}
     assert grad.shape == (3, 3)
+
+
+@pytest.mark.parametrize("op", [divergence, laplacian])
+def test_divergence_and_laplacian_build_the_connection_and_inverse_once(monkeypatch, op):
+    sc, g = su2(), np.diag([1.0, 2.0, 3.0])
+    grad = gradient_F(sc, g, 0.5)
+    calls = _count_connection_and_inverse(monkeypatch)
+    out = op(sc, g, grad)
+    assert calls == {"levi_civita": 1, "inverse_metric": 1, "np.linalg.inv": 1}
+    assert out.shape == ((3,) if op is divergence else (3, 3))

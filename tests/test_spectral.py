@@ -101,14 +101,14 @@ def test_q_factor_at_minus_one_over_n():
 
 
 def test_roots_rational_and_irrational():
-    p = SpectralPolynomial(Fraction(-2), Fraction(0), Fraction(1), "mu", 3, Fraction(0))
+    p = SpectralPolynomial(Fraction(-2), Fraction(0), Fraction(1))
     with pytest.raises(ValueError, match="irrational"):
         p.roots()
-    lin = SpectralPolynomial(Fraction(6), Fraction(-2), Fraction(0), "mu", 3, Fraction(0))
+    lin = SpectralPolynomial(Fraction(6), Fraction(-2), Fraction(0))
     assert lin.roots() == [3]
-    const = SpectralPolynomial(Fraction(1), Fraction(0), Fraction(0), "mu", 3, Fraction(0))
+    const = SpectralPolynomial(Fraction(1), Fraction(0), Fraction(0))
     assert const.roots() == []
-    no_real = SpectralPolynomial(Fraction(1), Fraction(0), Fraction(1), "mu", 3, Fraction(0))
+    no_real = SpectralPolynomial(Fraction(1), Fraction(0), Fraction(1))
     assert no_real.roots() == []
 
 

@@ -237,6 +237,13 @@ def test_rigidity_marks_always_kernel_eigenvalue(cat):
     assert "kernel direction at every tau" in by_mu[Fraction(4)].kernel_note
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_rigidity_rejects_non_positive_count(cat, count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        rigidity_exceptional_taus(cat["sphere:3"], count=count)
+    assert len(rigidity_exceptional_taus(cat["sphere:3"], count=1).exceptional) == 1
+
+
 def test_bach_verdicts(cat):
     for key in ("sphere:4", "quotient:4:2", "cp:2", "product:2"):
         bv = bach_verdict(cat[key])
@@ -284,6 +291,20 @@ def test_reverse_bishop_inconclusive_paths():
     d = reverse_bishop(vol_g, 3, 1.1 * vol_g, True, True, 10000.0)
     assert d.conclusion == "Inconclusive"
     assert any("ceiling" in note for note in d.notes)
+
+
+@pytest.mark.parametrize("vol_g, vol_gt, ftilde0", [
+    (0.0, 0.0, 0.0),               # used to conclude EqualityRigidity
+    (math.nan, 20.0, 700.0),       # used to conclude VolumeAtLeast
+    (-1.0, 2.0, 10.0),             # used to raise TypeError from (-1.0) ** (4/3)
+    (20.0, math.inf, 700.0),
+    (20.0, 22.0, math.nan),
+    (20.0, 22.0, -math.inf),
+])
+def test_reverse_bishop_rejects_impossible_input(vol_g, vol_gt, ftilde0):
+    for flags in ((True, True), (False, True)):
+        with pytest.raises(ValueError, match="finite"):
+            reverse_bishop(vol_g, 3, vol_gt, *flags, ftilde0)
 
 
 def test_berger_squash_breaks_ricci_hypothesis():
