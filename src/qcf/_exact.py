@@ -132,17 +132,3 @@ def exact_rank_nullspace(mat: np.ndarray) -> tuple[int, list[np.ndarray]]:
             v[pc] = Fraction(-rows[r][fc], d)
         basis.append(v)
     return len(pivots), basis
-
-
-def parse_ratio(text: str) -> Fraction:
-    """Parse 'p/q' or a decimal literal into an exact Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
-
-
-def format_ratio(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)

@@ -23,12 +23,12 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
+from qcf.rational import format_ratio, parse_ratio
 
-from qcf._exact import format_ratio, parse_ratio
-from qcf.tensor_core import (CurvatureData, constant_curvature_rm, contract, exact_tensor,
-                             kulkarni_nomizu)
+if TYPE_CHECKING:
+    from qcf.tensor_core import CurvatureData
 
 CATALOG_SCHEMA_VERSION = 1
 
@@ -130,6 +130,10 @@ class ModelSpace:
 
         The tensor is built exactly; exact=False returns it as floats.
         """
+        import numpy as np
+
+        from qcf.tensor_core import CurvatureData, constant_curvature_rm, exact_tensor
+
         n = self.n
         g = exact_tensor(np.eye(n, dtype=int))
         if self.variant in ("sphere", "quotient"):
@@ -163,6 +167,16 @@ class ModelSpace:
         }
 
 
+def __getattr__(name: str):
+    # kulkarni_nomizu is served from tensor_core on first lookup, so that
+    # importing the catalog does not import numpy
+    if name == "kulkarni_nomizu":
+        from qcf.tensor_core import kulkarni_nomizu
+
+        return kulkarni_nomizu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _fubini_study_rm(m: int):
     """Fubini-Study curvature, holomorphic sectional curvature 4.
 
@@ -171,6 +185,10 @@ def _fubini_study_rm(m: int):
     with J the standard complex structure; gives Ric = 2(m+1) g. Returns
     an exact tensor.
     """
+    import numpy as np
+
+    from qcf.tensor_core import contract, exact_tensor
+
     n = 2 * m
     g = exact_tensor(np.eye(n, dtype=int))
     jj = np.zeros((n, n), dtype=int)
@@ -189,6 +207,10 @@ def _fubini_study_rm(m: int):
 
 def _product_spheres_rm(m: int):
     """Curvature of S^m x S^m, both factors unit round, as an exact tensor."""
+    import numpy as np
+
+    from qcf.tensor_core import exact_tensor, kulkarni_nomizu
+
     g1 = exact_tensor(np.diag([1] * m + [0] * m))
     g2 = exact_tensor(np.diag([0] * m + [1] * m))
     return Fraction(1, 2) * (kulkarni_nomizu(g1, g1) + kulkarni_nomizu(g2, g2))

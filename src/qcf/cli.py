@@ -5,6 +5,11 @@ Exact thresholds travel as ratio strings ("p/q"); JSON reports carry a
 "kind" field and validate against qcf/schemas/report.schema.json before
 being printed. Exit codes: 0 success, 1 verification failure, 2 invalid
 input, 3 insufficient spectral data.
+
+Only the numpy-free modules are imported here. The commands that need
+numpy (curve, grad, symbol without --conformal-killing, verify) import
+it, and the modules built on it, when they run, and jsonschema is
+imported only to validate a JSON report.
 """
 
 from __future__ import annotations
@@ -18,15 +23,12 @@ from fractions import Fraction
 from importlib import resources
 
 import click
-import numpy as np
 
-from qcf import functionals, homogeneous, spectral, stability
-from qcf import verify as verify_mod
-from qcf._exact import format_ratio, parse_ratio
+from qcf import functionals, rational, stability
 from qcf.catalog import CatalogError, load_catalog, resolve_model
 from qcf.functionals import IllConditionedDerivativeError
+from qcf.rational import format_ratio, parse_ratio
 from qcf.stability import InsufficientSpectralData
-from qcf.tensor_core import inverse_metric, tensor_norm2
 
 _REPORT_SCHEMA: dict | None = None
 
@@ -106,9 +108,7 @@ def guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            # overflow shows up as a non-finite result (_require_finite)
-            with np.errstate(all="ignore"):
-                return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         except InsufficientSpectralData as exc:
             click.echo(f"insufficient data: {exc}", err=True)
             sys.exit(3)
@@ -337,6 +337,8 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
 @guarded
 def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
     """Plot-ready sweep of a variation curve (CSV by default)."""
+    import numpy as np
+
     if family == "berger":
         fn = lambda s: functionals.berger_curve(tau, s)
         start = 0.2 if start is None else start
@@ -345,7 +347,6 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
         fn = lambda t: functionals.product_sphere_curve(tau, t)
         start = -1.0 if start is None else start
         stop = 1.0 if stop is None else stop
-    params = [float(p) for p in np.linspace(start, stop, points)]
 
     def sample(p: float) -> tuple:
         # np.errstate is context-local; pool threads start in a fresh context
@@ -354,6 +355,9 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
                     if derivatives else [])
             return (p, fn(p), ests)
 
+    # overflow shows up as a non-finite result (_require_finite), not a warning
+    with np.errstate(all="ignore"):
+        params = [float(p) for p in np.linspace(start, stop, points)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(sample, params))
@@ -392,6 +396,11 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
 @guarded
 def grad(group, diag, tau, vol_ref, fmt) -> None:
     """Full gradient of F_tau at a diagonal left-invariant metric."""
+    import numpy as np
+
+    from qcf import homogeneous
+    from qcf.tensor_core import inverse_metric, tensor_norm2
+
     sc = homogeneous.su2() if group == "su2" else homogeneous.su2_plus_r()
     try:
         entries = [float(x) for x in diag.split(",")]
@@ -404,12 +413,13 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
     if vol_ref is None:
         vol_ref = homogeneous.SU2_REFERENCE_VOLUME if group == "su2" else 1.0
     g = np.diag(entries)
-    gradm = homogeneous.gradient_F(sc, g, tau)
-    gradm = np.asarray(gradm, dtype=float)
-    div = np.asarray(homogeneous.divergence(sc, g, gradm), dtype=float)
-    div_norm = float(tensor_norm2(inverse_metric(g), div)) ** 0.5
-    vol = homogeneous.volume(sc, g, vol_ref)
-    fval = homogeneous.functional_value(sc, g, tau, vol_ref)
+    # overflow shows up as a non-finite result (_require_finite), not a warning
+    with np.errstate(all="ignore"):
+        gradm = np.asarray(homogeneous.gradient_F(sc, g, tau), dtype=float)
+        div = np.asarray(homogeneous.divergence(sc, g, gradm), dtype=float)
+        div_norm = float(tensor_norm2(inverse_metric(g), div)) ** 0.5
+        vol = homogeneous.volume(sc, g, vol_ref)
+        fval = homogeneous.functional_value(sc, g, tau, vol_ref)
     _require_finite([vol, fval, div_norm, *gradm.ravel(), *div])
     if fmt == "json":
         _emit_json({
@@ -457,9 +467,7 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
 def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
     """Principal-symbol injectivity of the gauged linearization."""
     if ck:
-        xi = np.zeros(n)
-        xi[0] = 1.0
-        v = spectral.conformal_killing_symbol(n, xi)
+        v = rational.conformal_killing_symbol(n, [1.0] + [0.0] * (n - 1))
         if fmt == "json":
             _emit_json({
                 "kind": "conformal_killing",
@@ -479,9 +487,15 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
         return
     if tau is None:
         raise ValueError("--tau is required (or pass --conformal-killing)")
-    v = spectral.symbol_injectivity(n, tau, trials=trials, seed=seed,
-                                    restrict_trace_free=trace_free)
-    contains_g = spectral.kernel_contains_metric(v, n)
+    import numpy as np
+
+    from qcf import spectral
+
+    # float warnings stay off stderr, as in the other numpy commands
+    with np.errstate(all="ignore"):
+        v = spectral.symbol_injectivity(n, tau, trials=trials, seed=seed,
+                                        restrict_trace_free=trace_free)
+        contains_g = spectral.kernel_contains_metric(v, n)
     if fmt == "json":
         _emit_json({
             "kind": "symbol",
@@ -551,7 +565,13 @@ def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
 @guarded
 def verify(filter_, seed, fmt) -> None:
     """Run the acceptance suite; nonzero exit on any failure."""
-    report = verify_mod.run_all(filter_str=filter_, seed=seed)
+    import numpy as np
+
+    from qcf import verify as verify_mod
+
+    # float warnings stay off stderr, as in the other numpy commands
+    with np.errstate(all="ignore"):
+        report = verify_mod.run_all(filter_str=filter_, seed=seed)
     if fmt == "json":
         _emit_json(report.to_json())
     else:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from qcf.tensor_core import CurvatureData
+if TYPE_CHECKING:
+    from qcf.tensor_core import CurvatureData
 
 
 class IllConditionedDerivativeError(ArithmeticError):
@@ -58,12 +59,16 @@ R_FUNCTIONAL = FunctionalSelector("r")
 
 
 def integrand(sel: FunctionalSelector, cd: CurvatureData):
-    """Pointwise density of the selected functional (homogeneous, so constant)."""
-    inv = cd.invariants()
+    """Pointwise density of the selected functional (homogeneous, so constant).
+
+    F_tau and S need only |Ric|^2 and R^2; the rank-four contraction
+    |Rm|^2 is made only for the Weyl and full curvature functionals.
+    """
     if sel.variant == "ftau":
-        return inv["ric2"] + sel.tau * inv["scal2"]
+        return cd.ric_norm2() + sel.tau * (cd.scal * cd.scal)
     if sel.variant == "s":
-        return inv["scal2"]
+        return cd.scal * cd.scal
+    inv = cd.invariants()
     if sel.variant == "w":
         # identically zero in dimension three
         return inv["weyl2"]
@@ -183,7 +188,7 @@ def product_sphere_curve(tau, t) -> float:
     """
     import numpy as np
 
-    from qcf.tensor_core import kulkarni_nomizu
+    from qcf.tensor_core import CurvatureData, kulkarni_nomizu
 
     a2 = math.exp(float(t))
     b2 = math.exp(-float(t))

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qcf._exact import format_ratio
 from qcf.catalog import CatalogError, ModelSpace, function_spectrum
-from qcf.spectral import conformal_polynomial, q_factor, tau1, tau2
+from qcf.rational import conformal_polynomial, format_ratio, q_factor, tau1, tau2
 
 
 class InsufficientSpectralData(ValueError):

@@ -350,6 +350,10 @@ class CurvatureData:
             tol = 1e-12 * abs(float(kappa)) + 1e-12 * scale
         return kappa if vanishes(defect, tol) else None
 
+    def ric_norm2(self):
+        """|Ric|^2, the one contraction F_tau needs besides R."""
+        return tensor_norm2(self._t["g_inv"], self._t["ric"])
+
     def invariants(self) -> dict[str, Any]:
         """The quadratic invariants from the two contractions |Rm|^2, |Ric|^2.
 
@@ -359,7 +363,7 @@ class CurvatureData:
         """
         n, scal, t = self.n, self.scal, self._t
         rm2 = tensor_norm2(t["g_inv"], t["rm"])
-        ric2 = tensor_norm2(t["g_inv"], t["ric"])
+        ric2 = self.ric_norm2()
         scal2 = scal * scal
         ricci_part2 = 4 * (ric2 - scal2 / n) / (n - 2)
         scalar_part2 = 2 * scal2 / (n * (n - 1))

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcf import functionals, homogeneous, spectral, stability
+from qcf import functionals, homogeneous, rational, spectral, stability
 from qcf.catalog import (CatalogError, builtin_catalog, load_catalog)
-from qcf.spectral import tau1, tau2
+from qcf.rational import tau1, tau2
 from qcf.tensor_core import (check_curvature_symmetries, decompose, gauss_bonnet_integrand,
                              inverse_metric, quadratic_invariants, tensor_norm2)
 
@@ -233,9 +233,7 @@ def check_symbol(seed: int = 0) -> CheckResult:
             issues.append(f"metric direction missing from kernel at n={n}")
     ck_flags = []
     for n in range(2, 9):
-        xi = np.zeros(n)
-        xi[0] = 1.0
-        ck = spectral.conformal_killing_symbol(n, xi)
+        ck = rational.conformal_killing_symbol(n, [1.0] + [0.0] * (n - 1))
         ck_flags.append(ck.degenerate)
         if ck.degenerate != (n == 2):
             issues.append(f"conformal-Killing degeneracy wrong at n={n}")
@@ -265,7 +263,7 @@ def check_rigidity() -> CheckResult:
     for rep, key in ((rep3, "sphere:3"), (repc, "cp:2"), (repp, "product:2")):
         model = cat[key]
         for e in rep.exceptional:
-            val = spectral.tt_jacobi(model.n, model.scal, e.tau, e.mu)
+            val = rational.tt_jacobi(model.n, model.scal, e.tau, e.mu)
             if val != 0:
                 issues.append(f"{key}: tt polynomial {val} != 0 at "
                               f"(tau={e.tau}, mu={e.mu})")
@@ -336,13 +334,13 @@ def check_property_suites(seed: int = 0) -> CheckResult:
         R = Fraction(rng.randrange(-60, 61), rng.randrange(1, 13))
         t = Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
         mu = Fraction(rng.randrange(-60, 61), rng.randrange(1, 13))
-        lhs = spectral.tt_jacobi(n, R, t, mu)
+        lhs = rational.tt_jacobi(n, R, t, mu)
         rhs = Fraction(1, 2) * (2 * R / n - mu) * ((Fraction(4, n) + 2 * t) * R - mu)
         if lhs != rhs:
             issues.append(f"tt factorization fails at n={n}, R={R}, tau={t}, mu={mu}")
             break
         lam = mu
-        pc = spectral.conformal_polynomial(n, R, t)
+        pc = rational.conformal_polynomial(n, R, t)
         rhs2 = Fraction(1, 2 * n) * ((n - 1) * lam - R) * (
             n * (n - 4 * t + 4 * n * t) * lam + 2 * (n - 4) * (1 + n * t) * R)
         if pc(lam) != rhs2:
@@ -352,10 +350,10 @@ def check_property_suites(seed: int = 0) -> CheckResult:
     for n in range(3, 9):
         for Rnum in (-12, -1, 0, 5, 24):
             R = Fraction(Rnum)
-            p0 = spectral.conformal_polynomial(n, R, Fraction(0))
-            p1 = spectral.conformal_polynomial(n, R, Fraction(1))
+            p0 = rational.conformal_polynomial(n, R, Fraction(0))
+            p1 = rational.conformal_polynomial(n, R, Fraction(1))
             slope = (p1.c0 - p0.c0, p1.c1 - p0.c1, p1.c2 - p0.c2)
-            ps = spectral.conformal_s_polynomial(n, R)
+            ps = rational.conformal_s_polynomial(n, R)
             if slope != (ps.c0, ps.c1, ps.c2):
                 issues.append(f"tau-slope vs S-polynomial mismatch at n={n}, R={R}")
     measured = (f"symmetries + pointwise identity (max defect {worst_rmf:.1e}) "

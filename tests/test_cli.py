@@ -323,3 +323,53 @@ def test_verify_stdout_byte_identical(runner):
     a = invoke(runner, ["verify", "--filter", "intervals"])
     b = invoke(runner, ["verify", "--filter", "intervals"])
     assert a.stdout == b.stdout
+
+
+# The commands whose decisions are Fraction arithmetic on catalog data, with
+# their exit codes. None of them may import numpy, and jsonschema only to
+# validate a JSON report.
+NUMPY_FREE = [
+    (["intervals", "--model", "sphere:4"], 0),
+    (["intervals", "--model", "cp:2", "--tau", "1/5"], 0),
+    (["intervals", "--model", "torus:6", "--tau", "-3/2"], 0),
+    (["intervals", "--model", "hyperbolic:6", "--tau", "0"], 3),
+    (["intervals", "--model", "klein:4"], 2),
+    (["rigidity", "--model", "cp:2"], 0),
+    (["rigidity", "--model", "hyperbolic:4", "--mu", "3", "--mu", "7/2"], 0),
+    (["bishop", "--vol-g", "10", "--vol-gt", "11", "--dim", "4", "--ftilde0", "3000"], 0),
+    (["berger", "--tau", "1/3", "--critical"], 0),
+    (["symbol", "--dim", "4", "--conformal-killing"], 0),
+]
+_HAS_CSV = {"intervals", "rigidity"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
+    """The commands run in order in one fresh process per format; after each
+    one the process reports its exit code and which of numpy and jsonschema
+    it has imported. Modules only accumulate, so the first command that
+    pulls either in is named by the failure."""
+    import subprocess
+    import sys
+
+    argvs = [argv + ["--format", fmt] for argv, _ in NUMPY_FREE
+             if fmt != "csv" or argv[0] in _HAS_CSV]
+    code = ("import json, sys\n"
+            "from qcf.cli import main\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        main.main(args=argv, prog_name='qcf')\n"
+            "    except SystemExit as exc:\n"
+            "        out.append([argv, exc.code, 'numpy' in sys.modules,\n"
+            "                    'jsonschema' in sys.modules])\n"
+            "print(json.dumps(out))\n")
+    p = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    rows = json.loads(p.stdout.strip().splitlines()[-1])
+    codes = {tuple(argv): c for argv, c in NUMPY_FREE}
+    assert [r[1] for r in rows] == [codes[tuple(r[0][:-2])] for r in rows]
+    assert [r[0] for r in rows if r[2]] == []
+    if fmt != "json":
+        assert [r[0] for r in rows if r[3]] == []

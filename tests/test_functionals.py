@@ -49,6 +49,39 @@ def test_evaluate_against_hand_values():
         evaluate(S_FUNCTIONAL, cd, 0)
 
 
+def _ftau_data(exact: bool):
+    if exact:
+        return builtin_catalog()["product:2"].curvature_data(), Fraction(3), Fraction(-1, 3)
+    sc, g = homogeneous.su2_plus_r(), np.diag([1.0, 2.0, 1.0, 3.0])
+    return homogeneous.curvature(sc, g), homogeneous.volume(sc, g, 1.0), -1 / 3
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_ftau_contracts_only_the_ricci_tensor(monkeypatch, exact):
+    """F_tau reads |Ric|^2 and R^2 alone: one evaluation makes one
+    tensor_norm2 call (no rank-four |Rm|^2) and returns, bit for bit, the
+    value built from the full invariants."""
+    from qcf import tensor_core
+
+    cd, vol, tau = _ftau_data(exact)
+    inv = cd.invariants()
+    expected = vol * (inv["ric2"] + tau * inv["scal2"])
+    calls = []
+    norm2 = tensor_core.tensor_norm2
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return norm2(*args)
+
+    monkeypatch.setattr(tensor_core, "tensor_norm2", counted)
+    got = evaluate(FunctionalSelector.ftau(tau), cd, vol)
+    assert calls == [(4, 4)]
+    assert repr(got) == repr(expected)
+    calls.clear()
+    assert repr(evaluate(S_FUNCTIONAL, cd, vol)) == repr(vol * inv["scal2"])
+    assert calls == []
+
+
 def test_normalized_evaluate_is_scale_invariant():
     sc = homogeneous.su2()
     sel = FunctionalSelector.ftau(0.3)

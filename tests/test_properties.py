@@ -9,15 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcf import homogeneous
-from qcf._exact import format_ratio, parse_ratio
 from qcf.catalog import builtin_catalog
 from qcf.functionals import curve_derivatives
-from qcf.spectral import (
+from qcf.rational import (
     conformal_polynomial,
     conformal_s_polynomial,
-    gauged_symbol,
+    format_ratio,
+    parse_ratio,
     tt_jacobi,
 )
+from qcf.spectral import gauged_symbol
 from qcf.stability import InsufficientSpectralData, combined_verdict, stability_interval
 from qcf.tensor_core import (check_curvature_symmetries, decompose, quadratic_invariants,
                              sym2_inner, tensor_norm2)

@@ -1,4 +1,4 @@
-"""Spectral polynomials of the second variation and principal symbols."""
+"""Spectral polynomials of the second variation (rational) and principal symbols (spectral)."""
 
 from fractions import Fraction
 
@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 
 from qcf._exact import exact_det, exact_rank_nullspace
-from qcf.spectral import (
+from qcf.rational import (
     SpectralPolynomial,
     conformal_jacobi,
     conformal_killing_symbol,
     conformal_polynomial,
     conformal_s_polynomial,
-    gauged_symbol,
-    kernel_contains_metric,
     q_factor,
-    symbol_coefficients,
-    symbol_injectivity,
     tau1,
     tau2,
     tt_jacobi,
     tt_polynomial,
     tt_s_polynomial,
+)
+from qcf.spectral import (
+    gauged_symbol,
+    kernel_contains_metric,
+    symbol_coefficients,
+    symbol_injectivity,
 )
 
 

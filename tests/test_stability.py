@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcf.catalog import builtin_catalog
-from qcf.spectral import tau1, tau2
+from qcf.rational import tau1, tau2
 from qcf.stability import (
     InsufficientSpectralData,
     StabilityVerdict,
