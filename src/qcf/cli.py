@@ -258,6 +258,19 @@ def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
 # berger
 
 
+def _derivatives(fn, params: list[float], order: int) -> list[list]:
+    """curve_derivatives; a stencil crossing s = 0 from s > 0 gets an error naming its reach."""
+    try:
+        return functionals.curve_derivatives(fn, params, max_order=order)
+    except ValueError:  # from berger_curve, at the first s whose stencil reaches s <= 0
+        reach = 2 * functionals.BASE_STEP
+        s = next((p for p in params if not p - reach > 0), 0.0)
+        if s > 0:
+            raise ValueError(f"the derivative stencil reaches {reach:g} below s = {s!r}, "
+                             f"past s = 0; use s > {reach:g} or --derivatives 0") from None
+        raise
+
+
 @main.command()
 @click.option("--tau", type=RATIO, required=True)
 @click.option("--at", "at_", type=FINITE, default=1.0,
@@ -271,12 +284,9 @@ def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
 @guarded
 def berger(tau, at_, derivatives, critical, fmt) -> None:
     """Berger-family functional value and finite-difference derivatives."""
-    value = functionals.berger_curve(tau, at_)
-    ests = []
-    if derivatives:
-        ests = functionals.curve_derivatives(
-            lambda s: functionals.berger_curve(tau, s), at_,
-            max_order=derivatives)
+    fn = lambda s: functionals.berger_curve(tau, s)
+    value = fn([at_])[0]
+    ests = _derivatives(fn, [at_], derivatives)[0] if derivatives else []
     pts = functionals.berger_critical_points(tau) if critical else None
     _require_finite([value] + [x for e in ests for x in (e.value, e.error)]
                     + [p.s for p in pts or []])
@@ -331,7 +341,8 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
 @click.option("--points", type=click.IntRange(2, 100000), default=21)
 @click.option("--derivatives", type=click.IntRange(0, 3), default=0)
 @click.option("--jobs", type=click.IntRange(1, 64), default=1,
-              help="Worker pool size for the sweep; output is identical for any value.")
+              help="Split the sweep into this many contiguous chunks on a thread "
+                   "pool; output is identical for any value.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv")
 @guarded
@@ -348,21 +359,23 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
         start = -1.0 if start is None else start
         stop = 1.0 if stop is None else stop
 
-    def sample(p: float) -> tuple:
+    def sweep(chunk: list[float]) -> list[tuple]:
         # np.errstate is context-local; pool threads start in a fresh context
         with np.errstate(all="ignore"):
-            ests = (functionals.curve_derivatives(fn, p, max_order=derivatives)
-                    if derivatives else [])
-            return (p, fn(p), ests)
+            ests = _derivatives(fn, chunk, derivatives) if derivatives else [[]] * len(chunk)
+            return list(zip(chunk, fn(chunk), ests))
 
     # overflow shows up as a non-finite result (_require_finite), not a warning
     with np.errstate(all="ignore"):
         params = [float(p) for p in np.linspace(start, stop, points)]
     if jobs > 1:
+        size = -(-len(params) // jobs)  # at most `jobs` contiguous chunks
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(sample, params))
+            parts = list(pool.map(sweep, [params[i:i + size]
+                                          for i in range(0, len(params), size)]))
     else:
-        rows = [sample(p) for p in params]
+        parts = [sweep(params)]
+    rows = [row for part in parts for row in part]
     _require_finite(x for p, value, ests in rows
                     for x in [p, value] + [y for e in ests for y in (e.value, e.error)])
     if fmt == "json":

@@ -99,27 +99,25 @@ def evaluate(sel: FunctionalSelector, cd: CurvatureData, vol, normalized: bool =
 # Berger family
 
 
-def berger_density_poly(tau, x):
-    """|Ric|^2 + tau R^2 on the Berger sphere, as a polynomial in x = s^2.
-
-    Equals 32(1+2 tau) - 32(1+tau) x + 4(3+tau) x^2; exact when the
-    inputs are.
-    """
-    return 32 * (1 + 2 * tau) - 32 * (1 + tau) * x + 4 * (3 + tau) * x * x
-
-
-def berger_curve(tau, s) -> float:
-    """Normalized functional along the Berger family, f_tau(s).
+def berger_curve(tau, s: Sequence[float]) -> list[float]:
+    """Normalized functional along the Berger family, f_tau(s), at each s.
 
     f_tau(s) = s^(4/3) * (32(1+2 tau) - 32(1+tau) s^2 + 4(3+tau) s^4),
     normalized so that f_tau(1) = |Ric|^2 + tau R^2 = 12 + 36 tau at the
     round point. This equals the volume-normalized functional divided
-    by the fixed constant Vol(S^3)^(4/3).
+    by the fixed constant Vol(S^3)^(4/3). The coefficients are converted
+    to float once, as mixed Fraction-float arithmetic would convert them.
     """
-    if not s > 0:
-        raise ValueError("Berger parameter s must be positive")
-    x = float(s) ** 2
-    return float(s) ** (4.0 / 3.0) * float(berger_density_poly(tau, x))
+    out = []
+    for si in s:
+        if not si > 0:
+            raise ValueError("Berger parameter s must be positive")
+        si = float(si)
+        x = si ** 2
+        if not out:  # converted after the first checks: s <= 0 is reported before a huge tau
+            c0, c1, c2 = (float(c) for c in (32 * (1 + 2 * tau), 32 * (1 + tau), 4 * (3 + tau)))
+        out.append(si ** (4.0 / 3.0) * (c0 - c1 * x + c2 * x * x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,8 @@ def berger_curve_from_geometry(tau, s, normalized: bool = True) -> float:
 # product-sphere path
 
 
-def product_sphere_curve(tau, t) -> float:
-    """Normalized F_tau along e^t g1 + e^{-t} g2 on S^2 x S^2.
+def product_sphere_curve(tau, t: Sequence[float]) -> list[float]:
+    """Normalized F_tau along e^t g1 + e^{-t} g2 on S^2 x S^2, at each t.
 
     Built from the closed-form curvature of a product of round
     two-spheres of radii e^{t/2} and e^{-t/2}; in dimension four the
@@ -190,15 +188,18 @@ def product_sphere_curve(tau, t) -> float:
 
     from qcf.tensor_core import CurvatureData, kulkarni_nomizu
 
-    a2 = math.exp(float(t))
-    b2 = math.exp(-float(t))
-    g = np.diag([a2, a2, b2, b2])
-    ga = np.diag([a2, a2, 0.0, 0.0])
-    gb = np.diag([0.0, 0.0, b2, b2])
-    rm = kulkarni_nomizu(ga, ga) / (2.0 * a2) + kulkarni_nomizu(gb, gb) / (2.0 * b2)
-    cd = CurvatureData(4, g, rm)
-    vol = 16.0 * math.pi**2 * a2 * b2
-    return float(evaluate(FunctionalSelector.ftau(tau), cd, vol, normalized=True))
+    sel = FunctionalSelector.ftau(tau)
+    out = []
+    for ti in t:
+        a2 = math.exp(float(ti))
+        b2 = math.exp(-float(ti))
+        g = np.diag([a2, a2, b2, b2])
+        ga = np.diag([a2, a2, 0.0, 0.0])
+        gb = np.diag([0.0, 0.0, b2, b2])
+        rm = kulkarni_nomizu(ga, ga) / (2.0 * a2) + kulkarni_nomizu(gb, gb) / (2.0 * b2)
+        vol = 16.0 * math.pi**2 * a2 * b2
+        out.append(float(evaluate(sel, CurvatureData(4, g, rm), vol, normalized=True)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,84 +214,84 @@ class DerivativeEstimate:
 
 
 _STENCILS = {
-    # order -> (offsets, weights, h-power, leading error power)
-    1: ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0), 1, 4),
-    2: ((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0), 2, 4),
-    3: ((-2, -1, 1, 2), (-1.0, 2.0, -2.0, 1.0), 3, 2),
+    # order -> (offsets, weights, denominator, h-power, leading error power)
+    1: ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0), 12.0, 1, 4),
+    2: ((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0, 2, 4),
+    3: ((-2, -1, 1, 2), (-1.0, 2.0, -2.0, 1.0), 2.0, 3, 2),
 }
-_STENCIL_DENOM = {1: 12.0, 2: 12.0, 3: 2.0}
+BASE_STEP = 1e-2  # the largest step; stencils reach 2 * BASE_STEP either side
 
 
-def _richardson(samples: Sequence[float], p0: int) -> tuple[float, float]:
-    """Extrapolate a sequence of stencil values at h, h/2, h/4, ...
+def _richardson(samples: list[list[float]], p0: int) -> tuple[list[float], list[float]]:
+    """Extrapolate stencil values at h, h/2, h/4, ... (one list over the
+    points per step) to values and error estimates over the points.
 
     The error series has even powers starting at h^p0. Deep table
     entries amplify roundoff (the smallest steps divide cancellation
     noise by high powers of h), so instead of returning the deepest
-    diagonal this scans the whole table and keeps the entry whose
+    diagonal this keeps, per point, the first table entry whose
     two-sided defect against its parents is smallest.
     """
-    table = [list(samples)]
-    k = len(samples)
-    for j in range(1, k):
-        p = p0 + 2 * (j - 1)
-        fac = 2.0**p
+    table = [samples]
+    for j in range(1, len(samples)):
+        fac = 2.0 ** (p0 + 2 * (j - 1))
         prev = table[-1]
-        table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
+        table.append([[(fac * b - a) / (fac - 1.0) for a, b in zip(prev[i], prev[i + 1])]
                       for i in range(len(prev) - 1)])
-    best = table[0][-1]
-    best_err = math.inf
-    for j in range(1, k):
-        row, prev = table[j], table[j - 1]
-        for i in range(len(row)):
-            err = max(abs(row[i] - prev[i + 1]), abs(row[i] - prev[i]))
-            if err < best_err:
-                best_err = err
-                best = row[i]
-    if not math.isfinite(best_err):
-        best_err = abs(best)
-    return best, best_err + 1e-15 * (1.0 + abs(best))
+    best, best_err = samples[-1], [math.inf] * len(samples[-1])
+    for j in range(1, len(samples)):
+        for row, lo, hi in zip(table[j], table[j - 1], table[j - 1][1:]):
+            err = [max(abs(r - b), abs(r - a)) for r, a, b in zip(row, lo, hi)]
+            best = [r if e < be else x for r, e, be, x in zip(row, err, best_err, best)]
+            best_err = [e if e < be else be for e, be in zip(err, best_err)]
+    best_err = [e if math.isfinite(e) else abs(x) for e, x in zip(best_err, best)]
+    return best, [e + 1e-15 * (1.0 + abs(x)) for e, x in zip(best_err, best)]
 
 
-def curve_derivatives(curve: Callable[[float], float], s0: float,
-                      max_order: int = 3,
-                      base_step: float = 1e-2,
-                      levels: int = 8) -> list[DerivativeEstimate]:
-    """Derivative estimates of a smooth scalar curve at s0, orders 1..max_order.
+def curve_derivatives(curve: Callable[[list[float]], list[float]], points: Sequence[float],
+                      max_order: int = 3, base_step: float = BASE_STEP,
+                      levels: int = 8) -> list[list[DerivativeEstimate]]:
+    """Derivative estimates of a smooth scalar curve, orders 1..max_order, at each point.
 
-    5-point central stencils evaluated along the halving step sequence
-    base_step, base_step/2, ... (default 1e-2 down past 1e-4), then
-    Richardson-extrapolated. Error estimates come from the extrapolation
-    table and are never dropped.
+    5-point central stencils at the halving steps base_step, base_step/2,
+    ... (default 1e-2 down past 1e-4), Richardson-extrapolated, with error
+    estimates from the extrapolation table that are never dropped. `curve`
+    maps a list of parameters to their values; it gets one call, on the
+    stencils of the points in order, so errors name the first failing point.
     """
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be 1, 2 or 3")
     if levels < 2:
         raise ValueError("need at least two step levels to extrapolate")
-    s0 = float(s0)
+    pts = [float(s) for s in points]
+    if not pts:
+        return []
     h_min = base_step / 2.0 ** (levels - 1)
-    if s0 + 2 * h_min == s0 or h_min <= 1e-13 * max(1.0, abs(s0)):
-        raise IllConditionedDerivativeError(
-            f"step {h_min} underflows at s0 = {s0}")
+    # the first point the smallest step cannot resolve; the points before it run first
+    stop = next((i for i, s0 in enumerate(pts)
+                 if s0 + 2 * h_min == s0 or h_min <= 1e-13 * max(1.0, abs(s0))), len(pts))
     steps = [base_step / 2.0**k for k in range(levels)]
-    cache: dict[float, float] = {}
-
-    def f(x: float) -> float:
-        if x not in cache:
-            cache[x] = float(curve(x))
-        return cache[x]
-
-    out = []
-    for order in range(1, max_order + 1):
-        offsets, weights, hpow, p0 = _STENCILS[order]
+    orders = range(1, max_order + 1)
+    index: dict[float, int] = {}
+    where = [[index.setdefault(s0 + o * h, len(index))
+              for order in orders for h in steps for o in _STENCILS[order][0]]
+             for s0 in pts[:stop]]
+    fx = [float(v) for v in curve(list(index))]
+    if stop < len(pts):
+        raise IllConditionedDerivativeError(f"step {h_min} underflows at s0 = {pts[stop]}")
+    out: list[list[DerivativeEstimate]] = [[] for _ in pts]
+    columns = iter(zip(*where))  # one per (order, step, offset), over the points
+    for order in orders:
+        _, weights, denom, hpow, p0 = _STENCILS[order]
         samples = []
         for h in steps:
-            acc = 0.0
-            for o, w in zip(offsets, weights):
-                acc += w * f(s0 + o * h)
-            samples.append(acc / (_STENCIL_DENOM[order] * h**hpow))
-        val, err = _richardson(samples, p0)
-        out.append(DerivativeEstimate(order, val, err))
+            acc = [0.0] * len(pts)
+            for w in weights:
+                acc = [a + w * fx[i] for a, i in zip(acc, next(columns))]
+            d = denom * h**hpow
+            samples.append([a / d for a in acc])
+        for ests, val, err in zip(out, *_richardson(samples, p0)):
+            ests.append(DerivativeEstimate(order, val, err))
     return out
 
 

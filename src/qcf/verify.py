@@ -82,7 +82,7 @@ def check_intervals() -> CheckResult:
 def check_berger_derivatives() -> CheckResult:
     issues = []
     curve = lambda tau: (lambda s: functionals.berger_curve(tau, s))
-    ests = functionals.curve_derivatives(curve(Fraction(1, 3)), 1.0)
+    ests = functionals.curve_derivatives(curve(Fraction(1, 3)), [1.0])[0]
     d1, d2, d3 = (e.value for e in ests)
     target3 = 5120.0 / 9.0
     if abs(d1) >= 1e-8:
@@ -95,7 +95,7 @@ def check_berger_derivatives() -> CheckResult:
     worst_d2_rel = 0.0
     taus = [Fraction(k, 10) - 1 for k in range(20)]
     for t in taus:
-        ests = functionals.curve_derivatives(curve(t), 1.0, max_order=2)
+        ests = functionals.curve_derivatives(curve(t), [1.0], max_order=2)[0]
         d1t, d2t = ests[0].value, ests[1].value
         worst_d1 = max(worst_d1, abs(d1t))
         want = 128.0 * (1.0 / 3.0 - float(t))
@@ -146,8 +146,7 @@ def check_berger_secondary() -> CheckResult:
 
 def check_kaehler_path() -> CheckResult:
     target = -64.0 * math.pi**2
-    vals = [functionals.product_sphere_curve(Fraction(-1, 2), t)
-            for t in np.linspace(-1.0, 1.0, 21)]
+    vals = functionals.product_sphere_curve(Fraction(-1, 2), np.linspace(-1.0, 1.0, 21))
     value_err = max(abs(v - target) for v in vals) / abs(target)
     spread = (max(vals) - min(vals)) / abs(target)
     ok = spread < 1e-10 and value_err < 1e-8

@@ -160,6 +160,42 @@ def test_curve_jobs_do_not_change_output(runner):
     assert seq == par
 
 
+def test_curve_jobs_split_the_sweep_without_changing_output(runner):
+    base = ["curve", "--tau", "1/7", "--points", "100", "--derivatives", "3"]
+    seq = invoke(runner, base + ["--jobs", "1"]).stdout
+    assert seq.count("\n") == 101
+    assert invoke(runner, base + ["--jobs", "3"]).stdout == seq
+
+
+@pytest.mark.parametrize("args", [
+    ["berger", "--tau", "0", "--at", "0.01"],
+    ["curve", "--tau", "0", "--start", "0.01", "--stop", "1", "--points", "3",
+     "--derivatives", "1"],
+    ["curve", "--tau", "0", "--start", "1", "--stop", "0.01", "--points", "3",
+     "--derivatives", "1", "--jobs", "2"],
+])
+def test_stencil_past_zero_names_its_reach(runner, args):
+    """A positive s whose derivative stencil reaches s <= 0 is not called
+    non-positive; the error names the reach and the way out."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == ("error: the derivative stencil reaches 0.02 below s = 0.01, "
+                          "past s = 0; use s > 0.02 or --derivatives 0\n")
+    assert runner.invoke(main, args + ["--derivatives", "0"]).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["berger", "--tau", "0", "--at", "0"],
+    ["berger", "--tau", "0", "--at", "-1", "--derivatives", "0"],
+    ["curve", "--tau", "0", "--start", "-1", "--stop", "1", "--points", "3",
+     "--derivatives", "1"],
+])
+def test_non_positive_berger_parameter_keeps_its_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "error: Berger parameter s must be positive\n"
+
+
 def test_curve_json_schema(runner, schema):
     res = invoke(runner, ["curve", "--family", "product", "--tau", "0",
                           "--points", "3", "--format", "json"])

@@ -98,7 +98,8 @@ def test_gradient_matches_directional_derivative(entries, direction, tau):
     def f(t: float) -> float:
         return homogeneous.functional_value(sc, g + t * h, tau, vol_ref)
 
-    d1 = curve_derivatives(f, 0.0, max_order=1, base_step=1e-3, levels=6)[0]
+    [[d1]] = curve_derivatives(lambda ts: [f(t) for t in ts], [0.0], max_order=1,
+                               base_step=1e-3, levels=6)
     grad = homogeneous.gradient_F(sc, g, tau)
     vol = homogeneous.volume(sc, g, vol_ref)
     g_inv = np.linalg.inv(g)
@@ -178,6 +179,6 @@ def test_berger_routes_agree(s):
     from qcf.functionals import berger_curve, berger_curve_from_geometry
 
     tau = Fraction(1, 7)
-    closed = berger_curve(tau, s)
+    [closed] = berger_curve(tau, [s])
     geom = berger_curve_from_geometry(tau, s)
     assert geom == pytest.approx(closed, rel=1e-9, abs=1e-9)
