@@ -7,9 +7,9 @@ being printed. Exit codes: 0 success, 1 verification failure, 2 invalid
 input, 3 insufficient spectral data.
 
 Only the numpy-free modules are imported here. The commands that need
-numpy (curve, grad, symbol without --conformal-killing, verify) import
-it, and the modules built on it, when they run, and jsonschema is
-imported only to validate a JSON report.
+numpy (grad, symbol without --conformal-killing, verify) import it, and
+the modules built on it, when they run, and jsonschema is imported only
+to validate a JSON report.
 """
 
 from __future__ import annotations
@@ -330,6 +330,13 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
 # curve sweeps
 
 
+def _linspace(start: float, stop: float, points: int) -> list[float]:
+    """np.linspace(start, stop, points), points >= 2, by the same float operations."""
+    div, step = points - 1, (stop - start) / (points - 1)
+    return [i / div * (stop - start) + start if step == 0 else i * step + start
+            for i in range(div)] + [stop]
+
+
 @main.command()
 @click.option("--family", type=click.Choice(["berger", "product"]),
               default="berger")
@@ -348,8 +355,6 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
 @guarded
 def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
     """Plot-ready sweep of a variation curve (CSV by default)."""
-    import numpy as np
-
     if family == "berger":
         fn = lambda s: functionals.berger_curve(tau, s)
         start = 0.2 if start is None else start
@@ -360,14 +365,12 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
         stop = 1.0 if stop is None else stop
 
     def sweep(chunk: list[float]) -> list[tuple]:
-        # np.errstate is context-local; pool threads start in a fresh context
-        with np.errstate(all="ignore"):
-            ests = _derivatives(fn, chunk, derivatives) if derivatives else [[]] * len(chunk)
-            return list(zip(chunk, fn(chunk), ests))
+        ests = _derivatives(fn, chunk, derivatives) if derivatives else [[]] * len(chunk)
+        return list(zip(chunk, fn(chunk), ests))
 
-    # overflow shows up as a non-finite result (_require_finite), not a warning
-    with np.errstate(all="ignore"):
-        params = [float(p) for p in np.linspace(start, stop, points)]
+    params = _linspace(start, stop, points)
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"the sweep grid from {start!r} to {stop!r} overflows a float")
     if jobs > 1:
         size = -(-len(params) // jobs)  # at most `jobs` contiguous chunks
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -376,8 +379,8 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
     else:
         parts = [sweep(params)]
     rows = [row for part in parts for row in part]
-    _require_finite(x for p, value, ests in rows
-                    for x in [p, value] + [y for e in ests for y in (e.value, e.error)])
+    _require_finite(x for _, value, ests in rows
+                    for x in [value] + [y for e in ests for y in (e.value, e.error)])
     if fmt == "json":
         json_rows = []
         for p, value, ests in rows:

@@ -179,26 +179,31 @@ def berger_curve_from_geometry(tau, s, normalized: bool = True) -> float:
 def product_sphere_curve(tau, t: Sequence[float]) -> list[float]:
     """Normalized F_tau along e^t g1 + e^{-t} g2 on S^2 x S^2, at each t.
 
-    Built from the closed-form curvature of a product of round
-    two-spheres of radii e^{t/2} and e^{-t/2}; in dimension four the
-    normalization exponent is zero, so this is Vol * density with
-    Vol = 16 pi^2 (the factor volumes scale reciprocally).
+    The metric is diag(a2, a2, b2, b2) with a2 = e^t, b2 = e^{-t}: round
+    two-spheres of radii e^{t/2} and e^{-t/2}. In dimension four the
+    normalization exponent is zero, so this is Vol * (|Ric|^2 + tau R^2)
+    with Vol = 16 pi^2. The loop replays in scalar floats, in their order,
+    the operations of the dense route (kulkarni_nomizu, CurvatureData,
+    evaluate) on these diagonal tensors; tests pin it bit for bit.
     """
-    import numpy as np
-
-    from qcf.tensor_core import CurvatureData, kulkarni_nomizu
-
-    sel = FunctionalSelector.ftau(tau)
     out = []
     for ti in t:
         a2 = math.exp(float(ti))
         b2 = math.exp(-float(ti))
-        g = np.diag([a2, a2, b2, b2])
-        ga = np.diag([a2, a2, 0.0, 0.0])
-        gb = np.diag([0.0, 0.0, b2, b2])
-        rm = kulkarni_nomizu(ga, ga) / (2.0 * a2) + kulkarni_nomizu(gb, gb) / (2.0 * b2)
         vol = 16.0 * math.pi**2 * a2 * b2
-        out.append(float(evaluate(sel, CurvatureData(4, g, rm), vol, normalized=True)))
+        if not vol > 0:  # before the divisions: NaN and infinite t end here
+            raise ValueError("volume must be positive")
+        if not out:  # converted after the first checks, as in berger_curve
+            ftau = float(tau)
+        # per factor: the non-zero curvature entry r, the Ricci entry, the R and |Ric|^2 terms
+        r_a, r_b = (a2 * a2 + a2 * a2) / (2.0 * a2), (b2 * b2 + b2 * b2) / (2.0 * b2)
+        ric_a, ric_b = 1.0 / a2 * r_a, 1.0 / b2 * r_b
+        s_a, s_b = 1.0 / a2 * ric_a, 1.0 / b2 * ric_b
+        q_a, q_b = 1.0 / a2 * (1.0 / a2 * ric_a) * ric_a, 1.0 / b2 * (1.0 / b2 * ric_b) * ric_b
+        # numpy's pairwise sums; 0.0 * r is the dense product of r with a zero
+        # of g^-1, NaN once r has overflowed
+        scal = (s_a + s_b) + (s_a + s_b) + 0.0 * (r_a + r_b)
+        out.append(vol * ((q_a + q_b) + (q_a + q_b) + ftau * (scal * scal)))
     return out
 
 

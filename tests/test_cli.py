@@ -326,8 +326,9 @@ def test_bad_input_exits_2_without_traceback(runner, args):
 def test_non_finite_result_exits_2(runner, args):
     """Finite input whose float evaluation overflows is bad input, not nan or inf.
 
-    The one error line names the overflow, and numpy warnings stay silent,
-    in the --jobs workers too.
+    The one error line names the overflow, and no warning is raised: grad
+    silences numpy's float warnings, and curve, --jobs included, runs no
+    numpy code.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -339,6 +340,63 @@ def test_non_finite_result_exits_2(runner, args):
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
     assert "float overflow" in res.stderr
+
+
+GRID_OVERFLOW = "error: the sweep grid from {} to {} overflows a float\n"
+
+
+@pytest.mark.parametrize("argv,stderr", [
+    # stop - start overflows: refused before any point, and before a huge tau
+    (["curve", "--family", "product", "--tau", "1e400", "--start", "-1e308", "--stop", "1e308",
+      "--points", "3"], GRID_OVERFLOW.format("-1e+308", "1e+308")),
+    (["curve", "--tau", "1e400", "--start", "-1e308", "--stop", "1e308", "--points", "3"],
+     GRID_OVERFLOW.format("-1e+308", "1e+308")),
+    (["curve", "--family", "product", "--tau", "0", "--start", "1e308", "--stop", "-1e308",
+      "--points", "2", "--derivatives", "3", "--jobs", "2"],
+     GRID_OVERFLOW.format("1e+308", "-1e+308")),
+    (["curve", "--tau", "0", "--start", "-1.7e308", "--stop", "1e308", "--derivatives", "1",
+      "--format", "json"], GRID_OVERFLOW.format("-1.7e+308", "1e+308")),
+    # on a finite grid a huge tau overflows at the first point
+    (["curve", "--family", "product", "--tau", "1e400"], "error: float overflow at this input\n"),
+    (["curve", "--tau", "1e400", "--derivatives", "3"], "error: float overflow at this input\n"),
+    # exp(t) overflows at the first point
+    (["curve", "--family", "product", "--tau", "0", "--start", "1000", "--stop", "1001",
+      "--points", "2"], "error: float overflow at this input\n"),
+])
+def test_curve_exit_2_precedence(runner, argv, stderr):
+    """Which one-line error a failing sweep prints: the grid is checked first,
+    then the points in order, the first point's checks before tau is
+    converted to a float."""
+    res = runner.invoke(main, argv)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", stderr)
+
+
+def test_sweep_grid_matches_np_linspace_bitwise():
+    """The curve grid is np.linspace, bit for bit: 2..3000 points on both
+    default ranges, seeded ranges from 1e-300 to 1e300 in size, a zero step,
+    denormal endpoints and signed zeros, and ranges whose stop - start
+    overflows (NaN and inf entries, which curve then refuses)."""
+    import numpy as np
+
+    from qcf.cli import _linspace
+
+    cases = [(a, b, n) for a, b in ((0.2, 2.0), (-1.0, 1.0)) for n in range(2, 3001)]
+    rng = np.random.default_rng(10)
+    for _ in range(2000):
+        a, b = (rng.standard_normal(2) * 10.0 ** rng.integers(-300, 300, size=2)).tolist()
+        cases.append((a, b, int(rng.integers(2, 300))))
+    cases += [(1.5, 1.5, 7), (-0.0, 0.0, 5), (0.0, -0.0, 3), (-0.0, -0.0, 2),
+              (5e-324, 1e-323, 9), (0.0, 5e-324, 4), (-5e-324, 5e-324, 1000),
+              (1e-310, 1.00001e-310, 50), (2.0, 2.0 + 2.0 ** -51, 100),
+              (-1e308, 1e308, 3), (1e308, -1e308, 5), (-1.7e308, 1e308, 2),
+              (-8e307, 8e307, 11), (-1.7976931348623157e308, 1.7976931348623157e308, 4)]
+
+    def bits(xs):
+        return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
+    with np.errstate(all="ignore"):
+        bad = [c for c in cases if bits(_linspace(*c)) != bits(np.linspace(*c))]
+    assert bad == []
 
 
 def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
@@ -375,8 +433,15 @@ NUMPY_FREE = [
     (["bishop", "--vol-g", "10", "--vol-gt", "11", "--dim", "4", "--ftilde0", "3000"], 0),
     (["berger", "--tau", "1/3", "--critical"], 0),
     (["symbol", "--dim", "4", "--conformal-killing"], 0),
+    (["curve", "--tau", "1/3", "--derivatives", "3"], 0),
+    (["curve", "--family", "product", "--tau", "-1/2", "--points", "30", "--derivatives", "3"], 0),
+    (["curve", "--tau", "1/7", "--points", "100", "--derivatives", "3", "--jobs", "2"], 0),
+    (["curve", "--family", "product", "--tau", "0", "--derivatives", "3", "--jobs", "2"], 0),
+    (["curve", "--family", "product", "--tau", "0", "--start", "1000", "--stop", "1001"], 2),
+    (["curve", "--tau", "0", "--start", "-1e308", "--stop", "1e308"], 2),
 ]
-_HAS_CSV = {"intervals", "rigidity"}
+_FORMATS = {"intervals": ("text", "csv", "json"), "rigidity": ("text", "csv", "json"),
+            "curve": ("csv", "json")}
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -389,7 +454,7 @@ def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
     import sys
 
     argvs = [argv + ["--format", fmt] for argv, _ in NUMPY_FREE
-             if fmt != "csv" or argv[0] in _HAS_CSV]
+             if fmt in _FORMATS.get(argv[0], ("text", "json"))]
     code = ("import json, sys\n"
             "from qcf.cli import main\n"
             "out = []\n"

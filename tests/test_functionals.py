@@ -238,8 +238,9 @@ def test_sweep_csv_shape():
 
 # ---------------------------------------------------------------------------
 # bitwise oracle: the per-point evaluation and differentiation that the
-# batched sweep replaced, kept here verbatim as the reference it must
-# reproduce bit for bit
+# batched sweep replaced, and the dense product-sphere route that the
+# scalar loop replaced, kept here as the reference they must reproduce
+# bit for bit
 
 BERGER_TAUS = ("-1/2", "-1/5", "0", "1/7", "1/3", "1/2", "3/4", "1")
 PRODUCT_TAUS = ("-1", "-1/2", "-1/3", "0", "1/6", "1/3", "1/2", "1")
@@ -261,6 +262,12 @@ def _oracle_berger(tau, s):
 
 
 def _oracle_product(tau, t):
+    return _oracle_product_taus([tau], t)[0]
+
+
+def _oracle_product_taus(taus, t):
+    """The dense route at t: Kulkarni-Nomizu curvature and CurvatureData,
+    built once and evaluated at each tau in turn."""
     from qcf.tensor_core import CurvatureData, kulkarni_nomizu
 
     a2 = math.exp(float(t))
@@ -271,7 +278,8 @@ def _oracle_product(tau, t):
     rm = kulkarni_nomizu(ga, ga) / (2.0 * a2) + kulkarni_nomizu(gb, gb) / (2.0 * b2)
     cd = CurvatureData(4, g, rm)
     vol = 16.0 * math.pi**2 * a2 * b2
-    return float(evaluate(FunctionalSelector.ftau(tau), cd, vol, normalized=True))
+    return [float(evaluate(FunctionalSelector.ftau(tau), cd, vol, normalized=True))
+            for tau in taus]
 
 
 def _oracle_richardson(samples, p0):
@@ -382,3 +390,82 @@ def test_sweep_edges_match_per_point_oracle_bitwise(family, points, max_order):
 def test_short_steps_match_per_point_oracle_bitwise(family, points):
     """base_step=1e-3 with six levels, as the gradient property test uses."""
     _assert_bitwise(family, Fraction(1, 3), points, base_step=1e-3, levels=6)
+
+
+# ---------------------------------------------------------------------------
+# the scalar product curve against the dense route, point by point
+
+def _outcome(fn, *args):
+    """A float result's bits, or the type and text of what it raised."""
+    try:
+        return _bits(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _product_outcome(tau, t):
+    return _outcome(lambda: product_sphere_curve(tau, [t])[0])
+
+
+def test_product_curve_matches_dense_oracle_bitwise():
+    """20,000 seeded t on the benchmark's range, with its stencils, and the
+    integer grid out to |t| = 720, where a^2 and b^2 overflow (the dense
+    route turns that into NaN) and exp overflows (OverflowError): every
+    value has the dense route's bits and every error its type and text."""
+    rng = np.random.default_rng(10)
+    ts = rng.uniform(-1.05, 1.05, 20000).tolist() + [float(k) for k in range(-720, 721)]
+    taus = [parse_ratio(tau) for tau in PRODUCT_TAUS]
+    bad = []
+    for t in ts:
+        try:
+            with np.errstate(all="ignore"):
+                want = [_bits(v) for v in _oracle_product_taus(taus, t)]
+        except OverflowError as exc:  # from exp, whatever tau is
+            want = [("OverflowError", str(exc))] * len(taus)
+        bad += [(tau, t) for tau, w in zip(taus, want) if _product_outcome(tau, t) != w]
+    assert bad == [], f"{len(bad)} differ, first {bad[0]}"
+
+
+EDGE_T = (math.nan, 709.78, -709.78, 709.79, -709.79, 1e308, -1e308)
+
+
+@pytest.mark.parametrize("tau", PRODUCT_TAUS + ("1e400",))
+def test_product_curve_edges_match_dense_oracle(tau):
+    """NaN, the last t before exp overflows and the first after, and huge t,
+    with tau = 1e400 too: NaN fails the volume check before tau overflows a
+    float, as in the dense route."""
+    tau = parse_ratio(tau)
+    for t in EDGE_T:
+        with np.errstate(all="ignore"):
+            want = _outcome(_oracle_product, tau, t)
+        assert _product_outcome(tau, t) == want, t
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_infinite_t_fails_the_volume_check(t):
+    """At t = +-inf one factor has scale 0 and Vol = inf * 0 is NaN. The loop
+    stops at the volume check, before it would divide by zero; the dense route
+    stops one step earlier, inverting the singular metric (numpy's
+    LinAlgError, also a ValueError). The CLI reaches neither: its grids are
+    finite."""
+    assert _product_outcome(Fraction(1, 3), t) == ("ValueError", "volume must be positive")
+    with np.errstate(all="ignore"):
+        assert _outcome(_oracle_product, Fraction(1, 3), t)[0] == "LinAlgError"
+
+
+@pytest.mark.parametrize("tau,ts,expected", [
+    # the first point's checks come before tau is converted to float
+    ("1e400", [math.nan, 0.0], ("ValueError", "volume must be positive")),
+    ("1e400", [0.0, math.nan], ("OverflowError",)),
+    ("0", [0.0, 800.0, math.nan], ("OverflowError", "math range error")),
+    ("0", [0.0, math.nan, 800.0], ("ValueError", "volume must be positive")),
+])
+def test_product_curve_fails_at_the_first_failing_point(tau, ts, expected):
+    """A sweep raises what the point-by-point dense route raises first."""
+    tau = parse_ratio(tau)
+    got = _outcome(lambda: product_sphere_curve(tau, ts)[-1])
+    assert got[:len(expected)] == expected
+    with np.errstate(all="ignore"):
+        want = next(o for o in (_outcome(_oracle_product, tau, t) for t in ts)
+                    if isinstance(o, tuple))
+    assert got == want
