@@ -3,10 +3,10 @@
 The catalog holds the closed-form geometry the stability and rigidity
 decisions run on: Einstein constants, scalar curvature, volumes (exact
 rational multiples of powers of pi), Euler characteristics in dimension
-four, Laplace spectra on functions and one-forms where closed forms
-exist, and the known transverse-traceless spectrum of -Delta_L
-(exact leading eigenvalues, or a lower bound where only a bound is
-available, as on hyperbolic manifolds).
+four, Laplace spectra on functions where closed forms exist, the first
+nonzero Laplace eigenvalue, and the known transverse-traceless spectrum
+of -Delta_L (exact leading eigenvalues, or a lower bound where only a
+bound is available, as on hyperbolic manifolds).
 
 Catalog entries serialize to JSON (schema shipped under qcf/schemas/);
 an extension catalog can be merged in through the QCF_CATALOG
@@ -372,25 +372,6 @@ def _sums_of_squares(n: int, count: int) -> list[int]:
     return vals
 
 
-def one_form_spectrum(model: ModelSpace, count: int, kind: str) -> list[Fraction]:
-    """Laplace eigenvalues on one-forms of the round sphere.
-
-    kind='coclosed': (l+1)(l+n-2) for l >= 1 (the first, 2(n-1), comes
-    from Killing forms); kind='closed': l(l+n-1) for l >= 1 (exact
-    one-forms, mirroring the function spectrum without 0).
-    """
-    if kind not in ("closed", "coclosed"):
-        raise ValueError("kind must be 'closed' or 'coclosed'")
-    if model.variant not in ("sphere", "quotient"):
-        raise CatalogError(
-            f"one-form spectrum closed form only available for spheres, "
-            f"not {model.display_name}")
-    nn = model.n
-    if kind == "coclosed":
-        return [Fraction((l + 1) * (l + nn - 2)) for l in range(1, count + 1)]
-    return [Fraction(l * (l + nn - 1)) for l in range(1, count + 1)]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -424,7 +405,11 @@ def model_from_json(obj: dict) -> ModelSpace:
 
 
 def validate_model(model: ModelSpace) -> None:
-    """Cross-identities between stored spectra and curvature data."""
+    """Cross-identities between stored spectra and curvature data.
+
+    A given lambda1 and volume must also be positive: a verdict drawn
+    from an impossible spectrum or volume would be meaningless.
+    """
     n, kappa, scal = model.n, model.einstein_constant, model.scal
     if model.variant not in VARIANTS:
         raise CatalogError(f"{model.key}: unknown variant {model.variant!r}")
@@ -446,6 +431,11 @@ def validate_model(model: ModelSpace) -> None:
         want = Fraction(2 * (model.m + 1)) if model.variant == "cp" else Fraction(model.m - 1)
         if kappa != want:
             raise CatalogError(f"{model.key}: einstein constant {kappa} != {want}")
+    if model.lambda1 is not None and not model.lambda1 > 0:
+        raise CatalogError(f"{model.key}: lambda1 {model.lambda1} is not positive")
+    if model.volume is not None and not model.volume.coeff > 0:
+        raise CatalogError(f"{model.key}: volume coefficient {model.volume.coeff} "
+                           "is not positive")
     tt = model.tt
     if tt is None:
         return

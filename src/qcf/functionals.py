@@ -1,13 +1,11 @@
 """Quadratic curvature functionals and explicit variation curves.
 
-Evaluates F_tau = integral(|Ric|^2 + tau R^2), the scalar-curvature
-functional S = integral(R^2), the Weyl functional W and the full
-curvature functional, plus their volume-power normalizations, on
-homogeneous curvature data. Two explicit one-parameter families get
-closed forms: the Berger spheres (Hopf fiber scaled by s) and the
-product-sphere path e^t g1 + e^{-t} g2 on S^2 x S^2. Derivatives along
-curves come from 5-point central stencils with Richardson extrapolation
-and carry error estimates.
+Evaluates F_tau = integral(|Ric|^2 + tau R^2) and its volume-power
+normalization on homogeneous curvature data. Two explicit
+one-parameter families get closed forms: the Berger spheres (Hopf fiber
+scaled by s) and the product-sphere path e^t g1 + e^{-t} g2 on
+S^2 x S^2. Derivatives along curves come from 5-point central stencils
+with Richardson extrapolation and carry error estimates.
 """
 
 from __future__ import annotations
@@ -25,68 +23,19 @@ class IllConditionedDerivativeError(ArithmeticError):
     """Step sequence underflowed: the stencil cannot resolve the point."""
 
 
-@dataclass(frozen=True)
-class FunctionalSelector:
-    """Which functional to evaluate.
+def evaluate(tau, cd: CurvatureData, vol, normalized: bool = False):
+    """F_tau = Vol * (|Ric|^2 + tau R^2); normalized applies Vol^(4/n - 1).
 
-    variant: 'ftau' (needs tau), 's' (integral of R^2), 'w' (Weyl),
-    'r' (full curvature norm).
-    """
-
-    variant: str
-    tau: Fraction | float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("ftau", "s", "w", "r"):
-            raise ValueError(f"unknown functional variant {self.variant!r}")
-        if self.variant == "ftau" and self.tau is None:
-            raise ValueError("ftau selector needs tau")
-
-    @staticmethod
-    def ftau(tau) -> "FunctionalSelector":
-        return FunctionalSelector("ftau", tau)
-
-    def has_degenerate_symbol(self, n: int) -> bool:
-        """True when tau sits at -n/(4(n-1)), where the gauged symbol drops rank."""
-        if self.variant != "ftau":
-            return False
-        return self.tau == Fraction(-n, 4 * (n - 1))
-
-
-S_FUNCTIONAL = FunctionalSelector("s")
-W_FUNCTIONAL = FunctionalSelector("w")
-R_FUNCTIONAL = FunctionalSelector("r")
-
-
-def integrand(sel: FunctionalSelector, cd: CurvatureData):
-    """Pointwise density of the selected functional (homogeneous, so constant).
-
-    F_tau and S need only |Ric|^2 and R^2; the rank-four contraction
-    |Rm|^2 is made only for the Weyl and full curvature functionals.
-    """
-    if sel.variant == "ftau":
-        return cd.ric_norm2() + sel.tau * (cd.scal * cd.scal)
-    if sel.variant == "s":
-        return cd.scal * cd.scal
-    inv = cd.invariants()
-    if sel.variant == "w":
-        # identically zero in dimension three
-        return inv["weyl2"]
-    return inv["rm2"]
-
-
-def evaluate(sel: FunctionalSelector, cd: CurvatureData, vol, normalized: bool = False):
-    """Total functional Vol * density; normalized applies Vol^(4/n - 1).
-
-    The normalized value is the scale-invariant one (the functional of
-    the unit-volume rescaling). In dimension four the exponent vanishes
-    and both agree. Exact inputs stay exact whenever the exponent is an
-    integer; otherwise the result is a float.
+    The density is constant on homogeneous data and needs only |Ric|^2
+    and R, so no rank-four contraction is made. The normalized value is
+    the scale-invariant one (the functional of the unit-volume
+    rescaling). In dimension four the exponent vanishes and both agree.
+    Exact inputs stay exact whenever the exponent is an integer;
+    otherwise the result is a float.
     """
     if not vol > 0:
         raise ValueError("volume must be positive")
-    dens = integrand(sel, cd)
-    total = vol * dens
+    total = vol * (cd.ric_norm2() + tau * (cd.scal * cd.scal))
     if not normalized:
         return total
     p = Fraction(4, cd.n) - 1
@@ -166,7 +115,7 @@ def berger_curve_from_geometry(tau, s, normalized: bool = True) -> float:
     g = homogeneous.berger_metric(s, exact=False)
     cd = homogeneous.curvature(sc, g)
     vol = homogeneous.volume(sc, g, homogeneous.SU2_REFERENCE_VOLUME)
-    val = evaluate(FunctionalSelector.ftau(tau), cd, vol, normalized=normalized)
+    val = evaluate(tau, cd, vol, normalized=normalized)
     if normalized:
         return float(val) / homogeneous.SU2_REFERENCE_VOLUME ** (4.0 / 3.0)
     return float(val)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcf.functionals import FunctionalSelector, evaluate
+from qcf.functionals import evaluate
 from qcf.tensor_core import (
     CurvatureData,
     identity,
@@ -78,8 +78,9 @@ def su2(exact: bool = False) -> StructureConstants:
 def su2_plus_r(exact: bool = False) -> StructureConstants:
     """su(2) + R: a 4-dimensional algebra with a central direction.
 
-    Diagonal metrics here are generically non-Einstein, which is what
-    the Bach-tensor trace/divergence checks need.
+    Diagonal metrics here are generically non-Einstein, so the
+    derivative term Delta Ric of the gradient is nonzero, which is what
+    the trace and divergence checks of the F_{-1/3} gradient need.
     """
     c = zeros((4, 4, 4), exact)
     c[:3, :3, :3] = su2(exact).c
@@ -158,7 +159,11 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
 def laplacian(sc: StructureConstants, g: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rough Laplacian Delta T = g^ab nab_a nab_b T of an invariant tensor."""
     g_inv = inverse_metric(g)
-    gam = levi_civita(sc, g, g_inv)
+    return _laplacian(g_inv, levi_civita(sc, g, g_inv), t)
+
+
+def _laplacian(g_inv: np.ndarray, gam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """laplacian() from the inverse metric and the connection already built."""
     return np.einsum("ab,ab...->...", g_inv, _cov1(gam, _cov1(gam, t)))
 
 
@@ -186,8 +191,7 @@ def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
     g_inv = inverse_metric(g)
     gam = levi_civita(sc, g, g_inv)
     cd = _curvature(sc, g, g_inv, gam)
-    lap_ric = np.einsum("ab,ab...->...", g_inv, _cov1(gam, _cov1(gam, cd.ric)))
-    return cd.algebraic_gradient(tau) - lap_ric
+    return cd.algebraic_gradient(tau) - _laplacian(g_inv, gam, cd.ric)
 
 
 def gradient_from_einstein(cd: CurvatureData, tau) -> np.ndarray:
@@ -204,28 +208,6 @@ def gradient_from_einstein(cd: CurvatureData, tau) -> np.ndarray:
     return cd.algebraic_gradient(tau)
 
 
-def bach_tensor(sc_or_cd, g: np.ndarray | None = None) -> np.ndarray:
-    """Bach tensor in dimension 4, normalized as 2 * grad F_{-1/3}.
-
-    By Gauss-Bonnet the Weyl functional differs from 2 F_{-1/3} by a
-    topological constant, so this is the gradient of int |W|^2. It is
-    trace-free and divergence-free, and vanishes on Einstein data.
-    Accepts (StructureConstants, g) or a single Einstein CurvatureData.
-    """
-    if isinstance(sc_or_cd, CurvatureData):
-        cd = sc_or_cd
-        if cd.n != 4:
-            raise ValueError("Bach tensor is defined in dimension 4")
-        tau = Fraction(-1, 3) if cd.exact else -1.0 / 3.0
-        return 2 * gradient_from_einstein(cd, tau)
-    sc = sc_or_cd
-    if sc.n != 4:
-        raise ValueError("Bach tensor is defined in dimension 4")
-    exact = sc.exact and is_exact(g)
-    tau = Fraction(-1, 3) if exact else -1.0 / 3.0
-    return 2 * gradient_F(sc, g, tau)
-
-
 def volume(sc: StructureConstants, g: np.ndarray, vol_ref: float) -> float:
     """Total volume vol_ref * sqrt(det g).
 
@@ -239,9 +221,8 @@ def functional_value(sc: StructureConstants, g: np.ndarray, tau,
                      vol_ref: float, normalized: bool = False) -> float:
     """F_tau (or the volume-normalized Ftilde_tau) of an invariant metric.
 
-    The integrand is constant, so F_tau = Vol * (|Ric|^2 + tau R^2);
+    The density is constant, so F_tau = Vol * (|Ric|^2 + tau R^2);
     the normalized version multiplies by Vol^(4/n - 1). The value is
     functionals.evaluate's, as a float.
     """
-    return float(evaluate(FunctionalSelector.ftau(tau), curvature(sc, g),
-                          volume(sc, g, vol_ref), normalized))
+    return float(evaluate(tau, curvature(sc, g), volume(sc, g, vol_ref), normalized))

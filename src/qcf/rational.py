@@ -19,7 +19,6 @@ imports no numpy, so the commands built on it (`intervals`, `rigidity`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,27 +70,6 @@ class SpectralPolynomial:
     def __call__(self, x):
         return (self.c2 * x + self.c1) * x + self.c0
 
-    def roots(self) -> list[Fraction]:
-        """Roots with multiplicity; exact (all cases used here are rational)."""
-        if self.c2 == 0:
-            if self.c1 == 0:
-                return []
-            return [-self.c0 / self.c1]
-        disc = self.c1 * self.c1 - 4 * self.c2 * self.c0
-        if disc < 0:
-            return []
-        if isinstance(disc, Fraction):
-            num = math.isqrt(disc.numerator)
-            den = math.isqrt(disc.denominator)
-            if num * num != disc.numerator or den * den != disc.denominator:
-                raise ValueError(f"irrational roots, discriminant {disc}")
-            sq = Fraction(num, den)
-        else:
-            sq = math.sqrt(disc)
-        r1 = (-self.c1 - sq) / (2 * self.c2)
-        r2 = (-self.c1 + sq) / (2 * self.c2)
-        return sorted([r1, r2])
-
 
 def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynomial:
     """Jacobi action on a TT eigenspace of -Delta_L with eigenvalue mu.
@@ -133,9 +111,7 @@ def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:
     + 2(n-4)(1 + n tau)R). At R = 0 this is ((n-1)(n-4tau+4ntau)/2) lambda^2.
     """
     R = as_exact(scal)
-    t = as_exact(tau)
-    a = n * (n - 4 * t + 4 * n * t)
-    b = 2 * (n - 4) * (1 + n * t) * R
+    a, b = _second_factor(n, R, as_exact(tau))
     inv2n = Fraction(1, 2 * n)
     c2 = inv2n * (n - 1) * a
     c1 = inv2n * ((n - 1) * b - R * a)
@@ -151,13 +127,6 @@ def conformal_s_polynomial(n: int, scal) -> SpectralPolynomial:
                               Fraction(2 * (n - 1) ** 2))
 
 
-def conformal_jacobi(n: int, scal, tau, lam):
-    """Evaluate the conformal polynomial; tau=None selects the S-functional."""
-    if tau is None:
-        return conformal_s_polynomial(n, scal)(as_exact(lam))
-    return conformal_polynomial(n, scal, tau)(as_exact(lam))
-
-
 def q_factor(n: int, scal, tau, lam):
     """Second factor n(n-4tau+4ntau)lambda + 2(n-4)(1+n tau)R of p_tau.
 
@@ -166,9 +135,13 @@ def q_factor(n: int, scal, tau, lam):
     tau > -n/(4(n-1)), and at tau = -1/n the R term drops out
     (coefficient (n-2)^2 lambda).
     """
-    R = as_exact(scal)
-    t = as_exact(tau)
-    return n * (n - 4 * t + 4 * n * t) * as_exact(lam) + 2 * (n - 4) * (1 + n * t) * R
+    a, b = _second_factor(n, as_exact(scal), as_exact(tau))
+    return a * as_exact(lam) + b
+
+
+def _second_factor(n: int, R, t) -> tuple:
+    """Slope and constant (a, b) of the second factor a lambda + b of p_tau."""
+    return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
 
 
 @dataclass(frozen=True)

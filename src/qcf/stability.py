@@ -198,8 +198,9 @@ def conformal_gap_check(model: ModelSpace, tau,
     n >= 5 the range tau > -1/n needs the model's first nonzero Laplace
     eigenvalue (pass it as lambda1_override for bound-only models). The
     procedure never extrapolates outside a branch; it returns
-    Indeterminate there.
+    Indeterminate there. A given lambda1_override must be positive.
     """
+    _check_lambda1(lambda1_override)
     t = _exact_tau(tau)
     n = model.n
     R = model.scal
@@ -467,7 +468,8 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
     (4/n + 2 tau)R = mu, i.e. tau(mu) = (mu n - 4R)/(2nR). The list is
     built from the catalog's known eigenvalues plus any user-supplied
     ones; supplying more eigenvalues can only extend it. Bound-only
-    models (hyperbolic) have no catalog eigenvalues and require mu_list.
+    models (hyperbolic) have no catalog eigenvalues and require mu_list,
+    whose entries must respect the bound.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -485,6 +487,9 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
             f"{model.key}: TT spectrum known only as a bound; supply "
             "eigenvalues via mu_list")
     if mu_list:
+        if tt is not None and tt.is_bound and min(mu_list) < tt.tail_bound:
+            raise ValueError(f"{model.key}: mu = {format_ratio(min(mu_list))} lies below "
+                             f"the TT spectral lower bound {format_ratio(tt.tail_bound)}")
         mus.extend(Fraction(m) for m in mu_list)
         notes.append("includes user-supplied eigenvalues")
     first_factor_root = 2 * R / n
@@ -644,9 +649,19 @@ def reverse_bishop(vol_g: float, n: int, vol_gt: float,
 # combined verdict + JSON
 
 
+def _check_lambda1(lam) -> None:
+    if lam is not None and not lam > 0:
+        raise ValueError(f"lambda1 must be a positive eigenvalue, got {format_ratio(lam)}")
+
+
 def combined_verdict(model: ModelSpace, tau,
                      lambda1_override: Fraction | None = None) -> StabilityVerdict:
-    """Intersection of the TT and conformal gap checks at one tau."""
+    """Intersection of the TT and conformal gap checks at one tau.
+
+    An impossible lambda1_override is refused even where the TT check
+    alone decides the verdict.
+    """
+    _check_lambda1(lambda1_override)
     tt_v = tt_gap_check(model, tau)
     if tt_v.variant == "FailsTT":
         return tt_v

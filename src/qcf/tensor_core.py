@@ -155,23 +155,6 @@ def vanishes(arr: np.ndarray, tol: float) -> bool:
     return float(np.max(np.abs(arr))) <= tol
 
 
-def as_sym2(rows, exact: bool = False) -> np.ndarray:
-    """Build a symmetric 2-tensor array; exact=True keeps Fractions."""
-    if exact:
-        a = np.array(rows, dtype=object)
-        flat = a.ravel()
-        for idx, v in enumerate(flat):
-            flat[idx] = Fraction(v)
-        a = flat.reshape(a.shape)
-    else:
-        a = np.array(rows, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("symmetric 2-tensor must be a square matrix")
-    if not np.array_equal(a, a.T):
-        raise ValueError("2-tensor is not symmetric")
-    return a
-
-
 def inverse_metric(g: np.ndarray) -> np.ndarray:
     """g^-1 of the same kind as g: float, Fraction array or exact tensor.
 

@@ -285,9 +285,9 @@ def check_gauss_bonnet() -> CheckResult:
     for key in ("sphere:4", "product:2"):
         model = cat[key]
         cd = model.curvature_data(exact=True)
-        integrand = gauss_bonnet_integrand(cd.g, cd.rm)
+        density = gauss_bonnet_integrand(cd.g, cd.rm)
         vol = float(model.volume)
-        lhs = vol * float(integrand)
+        lhs = vol * float(density)
         rhs = 32.0 * math.pi**2 * model.euler_char
         rel = abs(lhs - rhs) / abs(rhs)
         details.append(f"{key}: rel err {rel:.2e}")

@@ -8,6 +8,7 @@ import pytest
 
 from qcf.catalog import (
     CatalogError,
+    ExactVolume,
     _sums_of_squares,
     builtin_catalog,
     catalog_to_json,
@@ -15,7 +16,6 @@ from qcf.catalog import (
     load_catalog,
     make_sphere,
     model_from_json,
-    one_form_spectrum,
     resolve_model,
     validate_model,
 )
@@ -72,6 +72,17 @@ def test_validate_model_names_sphere_identity():
                           tail_bound=tt.tail_bound)
     broken = model.__class__(**{**model.__dict__, "tt": bad_tt})
     with pytest.raises(CatalogError, match=r"mu1 = 4R/\(n-1\)"):
+        validate_model(broken)
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("lambda1", Fraction(0), "lambda1 0 is not positive"),
+    ("volume", ExactVolume(Fraction(-8, 3), 2), "volume coefficient -8/3 is not positive"),
+])
+def test_validate_model_rejects_impossible_lambda1_and_volume(field, value, named):
+    model = make_sphere(4)
+    broken = model.__class__(**{**model.__dict__, field: value})
+    with pytest.raises(CatalogError, match=f"^sphere:4: {named}$"):
         validate_model(broken)
 
 
@@ -153,20 +164,6 @@ def test_sums_of_squares_match_brute_force(n):
     # the first 60 values stay below 81, so |k_i| <= 8 reaches all of them
     sums = {sum(k * k for k in ks) for ks in itertools.product(range(9), repeat=n)}
     assert _sums_of_squares(n, 60) == sorted(v for v in sums if v <= 80)[:60]
-
-
-def test_one_form_spectrum(cat):
-    sphere = cat["sphere:3"]
-    assert one_form_spectrum(sphere, 3, "coclosed") == [4, 9, 16]
-    assert one_form_spectrum(sphere, 3, "closed") == [3, 8, 15]
-    # the least coclosed eigenvalue 2(n-1) comes from Killing forms
-    for n in range(3, 9):
-        got = one_form_spectrum(cat[f"sphere:{n}"], 1, "coclosed")
-        assert got == [2 * (n - 1)]
-    with pytest.raises(ValueError, match="kind"):
-        one_form_spectrum(sphere, 3, "exactish")
-    with pytest.raises(CatalogError):
-        one_form_spectrum(cat["cp:2"], 3, "coclosed")
 
 
 def test_volumes_and_euler_characteristics(cat):

@@ -286,6 +286,16 @@ def test_verify_filter_and_exit(runner, schema):
     assert obj["all_passed"] is True
 
 
+# impossible spectral input: a first nonzero Laplace eigenvalue <= 0, a TT
+# eigenvalue below the hyperbolic bound mu >= -4
+IMPOSSIBLE_INPUT = [
+    ["intervals", "--model", "hyperbolic:6", "--tau", "0", "--lambda1", "0"],
+    ["intervals", "--model", "hyperbolic:6", "--tau", "0", "--lambda1", "-5"],
+    ["intervals", "--model", "sphere:4", "--tau", "1", "--lambda1", "-5"],
+    ["rigidity", "--model", "hyperbolic:4", "--mu", "-100"],
+]
+
+
 @pytest.mark.parametrize("args", [
     ["intervals", "--model", "sphere:4", "--tau=inf"],
     ["berger", "--tau=nan"],
@@ -298,6 +308,7 @@ def test_verify_filter_and_exit(runner, schema):
     ["curve", "--tau", "0", "--start", "-inf"],
     ["symbol", "--dim", "4", "--tau=nan"],
     ["verify", "--filter", "time"],
+    *IMPOSSIBLE_INPUT,
 ])
 def test_bad_input_exits_2_without_traceback(runner, args):
     res = runner.invoke(main, args)
@@ -305,6 +316,34 @@ def test_bad_input_exits_2_without_traceback(runner, args):
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", IMPOSSIBLE_INPUT)
+def test_impossible_input_prints_one_error_line(runner, args):
+    res = runner.invoke(main, args)
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("key,field,value,named", [
+    ("hyperbolic:6", "lambda1", "-5", "lambda1 -5 is not positive"),
+    ("sphere:4", "volume", {"coeff": "-8/3", "pi_pow": 2},
+     "volume coefficient -8/3 is not positive"),
+])
+def test_impossible_extension_catalog_exits_2(runner, tmp_path, monkeypatch,
+                                              key, field, value, named):
+    """An extension model with lambda1 <= 0 or a volume coefficient <= 0 is
+    refused at load time, with the model named, before any verdict."""
+    from qcf.catalog import builtin_catalog
+
+    obj = builtin_catalog()[key].to_json()
+    obj[field] = value
+    path = tmp_path / "impossible.json"
+    path.write_text(json.dumps({"schema_version": 1, "models": [obj]}))
+    monkeypatch.setenv("QCF_CATALOG", str(path))
+    res = runner.invoke(main, ["intervals", "--model", key, "--tau", "0"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.stderr == f"error: {key}: {named}\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -427,6 +466,7 @@ NUMPY_FREE = [
     (["intervals", "--model", "cp:2", "--tau", "1/5"], 0),
     (["intervals", "--model", "torus:6", "--tau", "-3/2"], 0),
     (["intervals", "--model", "hyperbolic:6", "--tau", "0"], 3),
+    (["intervals", "--model", "hyperbolic:6", "--tau", "0", "--lambda1", "0"], 2),
     (["intervals", "--model", "klein:4"], 2),
     (["rigidity", "--model", "cp:2"], 0),
     (["rigidity", "--model", "hyperbolic:4", "--mu", "3", "--mu", "7/2"], 0),

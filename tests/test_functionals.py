@@ -7,16 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcf import functionals, homogeneous
+from qcf import homogeneous
 from qcf.catalog import builtin_catalog
 from qcf.functionals import (
     CSV_HEADER,
     DerivativeEstimate,
-    FunctionalSelector,
     IllConditionedDerivativeError,
-    R_FUNCTIONAL,
-    S_FUNCTIONAL,
-    W_FUNCTIONAL,
     berger_critical_points,
     berger_curve,
     berger_curve_from_geometry,
@@ -29,26 +25,16 @@ from qcf.functionals import (
 from qcf.rational import parse_ratio
 
 
-def test_selector_validation():
-    with pytest.raises(ValueError, match="needs tau"):
-        FunctionalSelector("ftau")
-    with pytest.raises(ValueError, match="unknown functional"):
-        FunctionalSelector("x")
-    assert FunctionalSelector.ftau(Fraction(-1, 3)).has_degenerate_symbol(4)
-    assert not FunctionalSelector.ftau(Fraction(-1, 3)).has_degenerate_symbol(5)
-    assert not S_FUNCTIONAL.has_degenerate_symbol(4)
-
-
 def test_evaluate_against_hand_values():
-    cat = builtin_catalog()
-    cd = cat["sphere:4"].curvature_data()
+    """Unit round S^4 at volume 1: |Ric|^2 = 36, R^2 = 144, |W|^2 = 0 and
+    |Rm|^2 = 24, the last three read from the curvature invariants."""
+    cd = builtin_catalog()["sphere:4"].curvature_data()
     vol = Fraction(1)
-    assert evaluate(S_FUNCTIONAL, cd, vol) == 144
-    assert evaluate(W_FUNCTIONAL, cd, vol) == 0
-    assert evaluate(R_FUNCTIONAL, cd, vol) == 24
-    assert evaluate(FunctionalSelector.ftau(Fraction(1, 2)), cd, vol) == 36 + 72
+    inv = cd.invariants()
+    assert (vol * inv["scal2"], vol * inv["weyl2"], vol * inv["rm2"]) == (144, 0, 24)
+    assert evaluate(Fraction(1, 2), cd, vol) == 36 + 72
     with pytest.raises(ValueError, match="volume"):
-        evaluate(S_FUNCTIONAL, cd, 0)
+        evaluate(Fraction(1, 2), cd, 0)
 
 
 def _ftau_data(exact: bool):
@@ -76,23 +62,19 @@ def test_ftau_contracts_only_the_ricci_tensor(monkeypatch, exact):
         return norm2(*args)
 
     monkeypatch.setattr(tensor_core, "tensor_norm2", counted)
-    got = evaluate(FunctionalSelector.ftau(tau), cd, vol)
+    got = evaluate(tau, cd, vol)
     assert calls == [(4, 4)]
     assert repr(got) == repr(expected)
-    calls.clear()
-    assert repr(evaluate(S_FUNCTIONAL, cd, vol)) == repr(vol * inv["scal2"])
-    assert calls == []
 
 
 def test_normalized_evaluate_is_scale_invariant():
     sc = homogeneous.su2()
-    sel = FunctionalSelector.ftau(0.3)
     g = np.diag([0.7, 1.1, 1.9])
     vals = []
     for lam in (1.0, 0.25, 7.3):
         cd = homogeneous.curvature(sc, lam * g)
         vol = homogeneous.volume(sc, lam * g, homogeneous.SU2_REFERENCE_VOLUME)
-        vals.append(evaluate(sel, cd, vol, normalized=True))
+        vals.append(evaluate(0.3, cd, vol, normalized=True))
     assert vals[1] == pytest.approx(vals[0], rel=1e-12)
     assert vals[2] == pytest.approx(vals[0], rel=1e-12)
 
@@ -278,7 +260,7 @@ def _oracle_product_taus(taus, t):
     rm = kulkarni_nomizu(ga, ga) / (2.0 * a2) + kulkarni_nomizu(gb, gb) / (2.0 * b2)
     cd = CurvatureData(4, g, rm)
     vol = 16.0 * math.pi**2 * a2 * b2
-    return [float(evaluate(FunctionalSelector.ftau(tau), cd, vol, normalized=True))
+    return [float(evaluate(tau, cd, vol, normalized=True))
             for tau in taus]
 
 

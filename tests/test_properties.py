@@ -1,6 +1,5 @@
 """Property-based suites: invariants that must hold on random inputs."""
 
-import math
 from fractions import Fraction
 
 import numpy as np

@@ -1,10 +1,13 @@
-"""Source hygiene of src/qcf: no unused import, no unreferenced private helper.
+"""Source hygiene: no unused import in src/qcf or tests, no unreferenced
+private helper in src/qcf.
 
 A standard-library `ast` scan, so it needs no linter. An imported name
-is used when the module reads it anywhere or lists it in `__all__`. A
-module-level function or class whose name starts with an underscore is
-used when its module reads the name anywhere; names that only other
-modules read belong in the public interface.
+is used when the module reads it anywhere or lists it in `__all__`; an
+import line marked `# noqa: F401` is deliberate and exempt. A
+module-level function or class of src/qcf whose name starts with an
+underscore is used when its module reads the name anywhere; names that
+only other modules read belong in the public interface. Test modules
+are scanned for imports only: pytest finds their fixtures by name.
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qcf"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qcf"
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -25,8 +29,10 @@ def _read_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def findings(tree: ast.Module) -> list[str]:
+def findings(source: str, privates: bool = True) -> list[str]:
+    tree = ast.parse(source)
     read = _read_names(tree)
+    lines = source.splitlines()
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -35,8 +41,9 @@ def findings(tree: ast.Module) -> list[str]:
             bound = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
         else:
             continue
-        out += [f"unused import {name}" for name in bound if name not in read]
-    for node in tree.body:
+        if "# noqa: F401" not in lines[node.lineno - 1]:
+            out += [f"unused import {name}" for name in bound if name not in read]
+    for node in tree.body if privates else ():
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 and node.name.startswith("_") and not node.name.startswith("__")
                 and node.name not in read):
@@ -46,12 +53,18 @@ def findings(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import_or_private_helper(path):
-    assert findings(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert findings(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_test_module_has_no_unused_import(path):
+    assert findings(path.read_text(encoding="utf-8"), privates=False) == []
 
 
 def test_scan_flags_each_kind():
     source = """
 import os
+import sys  # noqa: F401
 import numpy as np
 from fractions import Fraction
 
@@ -67,6 +80,7 @@ class _Gone:
 def public():
     return _used()
 """
-    assert findings(ast.parse(source)) == [
+    assert findings(source) == [
         "unused import os", "unused import Fraction",
         "unreferenced private _zeros_obj", "unreferenced private _Gone"]
+    assert findings(source, privates=False) == ["unused import os", "unused import Fraction"]

@@ -7,8 +7,6 @@ import pytest
 
 from qcf._exact import exact_det, exact_rank_nullspace
 from qcf.rational import (
-    SpectralPolynomial,
-    conformal_jacobi,
     conformal_killing_symbol,
     conformal_polynomial,
     conformal_s_polynomial,
@@ -39,9 +37,9 @@ def test_thresholds():
 def test_tt_polynomial_spot_values():
     assert tt_jacobi(3, 6, Fraction(1, 3), 12) == 0
     assert tt_jacobi(4, 24, Fraction(0), 32) == 80
-    # the factor roots are 2R/n and (4/n + 2 tau)R
+    # the factor roots are 2R/n and (4/n + 2 tau)R; tests/test_properties.py
+    # checks the factorization on random (n, R, tau)
     p = tt_polynomial(4, Fraction(24), Fraction(0))
-    assert p.roots() == [12, 24]
     assert p(12) == 0 and p(24) == 0
     assert p(0) == Fraction(4, 16) * 576 + Fraction(0)  # c0 = (4/n^2) R^2
 
@@ -71,7 +69,7 @@ def test_tt_s_polynomial():
 
 
 def test_conformal_polynomial_spot_values():
-    assert conformal_jacobi(3, 6, Fraction(0), 8) == 100
+    assert conformal_polynomial(3, 6, Fraction(0))(8) == 100
     # scalar-flat case collapses to a pure quadratic
     for n in (3, 5, 8):
         p = conformal_polynomial(n, Fraction(0), Fraction(1, 7))
@@ -83,7 +81,7 @@ def test_conformal_polynomial_spot_values():
 def test_conformal_s_polynomial_coefficients():
     p = conformal_s_polynomial(4, Fraction(12))
     assert (p.c0, p.c1, p.c2) == (0, -72, 18)
-    assert conformal_jacobi(4, 12, None, 4) == 0
+    assert p(4) == 0
 
 
 def test_conformal_lichnerowicz_root():
@@ -100,18 +98,6 @@ def test_q_factor_at_minus_one_over_n():
         for lam in (Fraction(2), Fraction(-7, 3)):
             got = q_factor(n, Fraction(-n * (n - 1)), Fraction(-1, n), lam)
             assert got == (n - 2) ** 2 * lam
-
-
-def test_roots_rational_and_irrational():
-    p = SpectralPolynomial(Fraction(-2), Fraction(0), Fraction(1))
-    with pytest.raises(ValueError, match="irrational"):
-        p.roots()
-    lin = SpectralPolynomial(Fraction(6), Fraction(-2), Fraction(0))
-    assert lin.roots() == [3]
-    const = SpectralPolynomial(Fraction(1), Fraction(0), Fraction(0))
-    assert const.roots() == []
-    no_real = SpectralPolynomial(Fraction(1), Fraction(0), Fraction(1))
-    assert no_real.roots() == []
 
 
 def test_symbol_coefficients_vanish_appropriately():

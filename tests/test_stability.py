@@ -122,6 +122,16 @@ def test_conformal_negative_curvature_needs_lambda1(cat):
     assert v.witness == Fraction(1, 10)
 
 
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(-5)])
+def test_impossible_lambda1_is_refused(cat, lam):
+    """lambda_1 is a positive eigenvalue of -Delta: no verdict from lambda_1 <= 0,
+    also where the TT side alone would decide."""
+    with pytest.raises(ValueError, match="lambda1 must be a positive"):
+        conformal_gap_check(cat["hyperbolic:6"], Fraction(0), lambda1_override=lam)
+    with pytest.raises(ValueError, match="lambda1 must be a positive"):
+        combined_verdict(cat["torus:4"], Fraction(-1), lambda1_override=lam)
+
+
 def test_conformal_scalar_flat_branches(cat):
     t4 = cat["torus:4"]
     assert conformal_gap_check(t4, Fraction(0)).variant == "StrictlyStable"
@@ -224,6 +234,9 @@ def test_rigidity_hyperbolic_needs_mu_list(cat):
     rep = rigidity_exceptional_taus(cat["hyperbolic:5"], mu_list=[Fraction(-5)])
     # the bound endpoint mu = -n maps exactly to the interval threshold
     assert rep.exceptional[0].tau == tau1(5)
+    # an eigenvalue below the bound mu >= -n is impossible input
+    with pytest.raises(ValueError, match="below the TT spectral lower bound -5"):
+        rigidity_exceptional_taus(cat["hyperbolic:5"], mu_list=[Fraction(1), Fraction(-6)])
 
 
 def test_rigidity_torus_raises(cat):

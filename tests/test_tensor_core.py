@@ -8,7 +8,6 @@ import pytest
 from qcf.catalog import builtin_catalog
 from qcf.tensor_core import (
     CurvatureData,
-    as_sym2,
     check_curvature_symmetries,
     constant_curvature_rm,
     contract_ricci,
@@ -47,17 +46,6 @@ def test_validate_dim_bounds():
         validate_dim(True)
     with pytest.raises(ValueError):
         validate_dim(4.0)
-
-
-def test_as_sym2_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        as_sym2([[1, 2], [3, 4]])
-
-
-def test_as_sym2_exact_keeps_fractions():
-    a = as_sym2([["1/2", 0], [0, 2]], exact=True)
-    assert a[0, 0] == Fraction(1, 2)
-    assert isinstance(a[1, 1], Fraction)
 
 
 def test_exact_constructors_and_zero_test():
