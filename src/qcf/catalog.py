@@ -20,10 +20,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from qcf.rational import format_ratio, parse_ratio
 
@@ -39,8 +38,7 @@ class CatalogError(ValueError):
     """Raised when catalog data is malformed or violates a cross identity."""
 
 
-@dataclass(frozen=True)
-class ExactVolume:
+class ExactVolume(NamedTuple):
     """A volume of the form coeff * pi^pi_pow with rational coeff."""
 
     coeff: Fraction
@@ -57,8 +55,7 @@ class ExactVolume:
         return ExactVolume(parse_ratio(str(obj["coeff"])), int(obj["pi_pow"]))
 
 
-@dataclass(frozen=True)
-class TTEigenvalue:
+class TTEigenvalue(NamedTuple):
     mu: Fraction
     witness: str = ""
 
@@ -69,8 +66,7 @@ class TTEigenvalue:
         return out
 
 
-@dataclass(frozen=True)
-class TTData:
+class TTData(NamedTuple):
     """What is known about spec_TT(-Delta_L) for a model.
 
     ``known`` lists eigenvalues certain to occur (with witnesses where
@@ -96,8 +92,7 @@ class TTData:
         }
 
 
-@dataclass(frozen=True)
-class ModelSpace:
+class ModelSpace(NamedTuple):
     key: str
     variant: str
     n: int
@@ -108,7 +103,7 @@ class ModelSpace:
     volume: ExactVolume | None = None
     euler_char: int | None = None
     tt: TTData | None = None
-    lambda1: Fraction | None = field(default=None)
+    lambda1: Fraction | None = None
 
     @property
     def display_name(self) -> str:
@@ -506,28 +501,47 @@ def load_catalog(path: str | None = None) -> dict[str, ModelSpace]:
     return cat
 
 
+# the options each family takes, with the model field each one names
+_FAMILY_OPTIONS = {
+    "sphere": {"dim": "n"}, "hyperbolic": {"dim": "n"}, "torus": {"dim": "n"},
+    "quotient": {"dim": "n", "order": "quotient_order"},
+    "cp": {"m": "m"}, "product": {"m": "m"},
+}
+
+
 def resolve_model(cat: dict[str, ModelSpace], name: str, dim: int | None = None,
                   m: int | None = None, order: int | None = None) -> ModelSpace:
-    """Find a model by CLI-style name + parameters."""
+    """Find a model by CLI-style name + parameters.
+
+    A given dim, m or order must be one that the model's family takes
+    and must agree with the model found; quotient order defaults to 2.
+    """
     name = name.strip().lower()
-    if name in cat:
-        return cat[name]
-    if name in ("sphere", "hyperbolic", "torus"):
-        if dim is None:
-            raise CatalogError(f"model '{name}' needs --dim")
-        key = f"{name}:{dim}"
-    elif name in ("cp", "product"):
-        if m is None:
-            raise CatalogError(f"model '{name}' needs --m")
-        key = f"{name}:{m}"
-    elif name == "quotient":
-        if dim is None:
-            raise CatalogError("model 'quotient' needs --dim (and optionally --order)")
-        key = f"quotient:{dim}:{order or 2}"
-    else:
+    given = {opt: v for opt, v in (("dim", dim), ("m", m), ("order", order))
+             if v is not None}
+    model = cat.get(name)
+    family = name if model is None else model.variant
+    if family not in _FAMILY_OPTIONS:
         raise CatalogError(
             f"unknown model '{name}'; available: " + ", ".join(sorted(cat)))
-    if key not in cat:
-        raise CatalogError(
-            f"model '{key}' not in catalog; available: " + ", ".join(sorted(cat)))
-    return cat[key]
+    options = _FAMILY_OPTIONS[family]
+    for opt in given:
+        if opt not in options:
+            takes = " and ".join(f"--{o}" for o in options)
+            raise CatalogError(f"model '{name}' takes {takes}, not --{opt}")
+    if model is None:
+        required = next(iter(options))  # dim, or m for cp and product
+        if required not in given:
+            raise CatalogError(f"model '{name}' needs --{required}")
+        key = f"{name}:{given[required]}"
+        if name == "quotient":
+            key += f":{given.get('order', 2)}"
+        if key not in cat:
+            raise CatalogError(
+                f"model '{key}' not in catalog; available: " + ", ".join(sorted(cat)))
+        return cat[key]
+    for opt, v in given.items():
+        have = getattr(model, options[opt])
+        if v != have:
+            raise CatalogError(f"--{opt} {v} does not match model '{name}' ({opt} {have})")
+    return model

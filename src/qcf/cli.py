@@ -9,7 +9,9 @@ input, 3 insufficient spectral data.
 Only the numpy-free modules are imported here. The commands that need
 numpy (grad, symbol without --conformal-killing, verify) import it, and
 the modules built on it, when they run, and jsonschema is imported only
-to validate a JSON report.
+to validate a JSON report. The thread pool (concurrent.futures, which
+imports logging) is imported on the first lookup of this module's
+ThreadPoolExecutor attribute, which only curve --jobs J > 1 makes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
@@ -31,6 +32,17 @@ from qcf.rational import format_ratio, parse_ratio
 from qcf.stability import InsufficientSpectralData
 
 _REPORT_SCHEMA: dict | None = None
+
+
+def __getattr__(name: str):
+    # the thread pool is imported (with logging) on first lookup, which only
+    # curve --jobs > 1 makes; it is then kept as a module attribute
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        globals()[name] = ThreadPoolExecutor
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _report_schema() -> dict:
@@ -177,6 +189,9 @@ def _verdict_text(ms, tau, v) -> str:
 @guarded
 def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
     """Strict-stability tau interval of a catalog model, or a point verdict."""
+    if lambda1_ is not None and tau is None:
+        # the interval does not depend on lambda1 (yet), so it would be dropped
+        raise ValueError("--lambda1 applies only with --tau")
     cat = load_catalog()
     ms = resolve_model(cat, model, dim, m_, order)
     if tau is not None:
@@ -373,7 +388,7 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
         raise ValueError(f"the sweep grid from {start!r} to {stop!r} overflows a float")
     if jobs > 1:
         size = -(-len(params) // jobs)  # at most `jobs` contiguous chunks
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(sweep, [params[i:i + size]
                                           for i in range(0, len(params), size)]))
     else:

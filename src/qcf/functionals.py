@@ -11,9 +11,8 @@ with Richardson extrapolation and carry error estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from qcf.tensor_core import CurvatureData
@@ -69,8 +68,7 @@ def berger_curve(tau, s: Sequence[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     s_squared: Fraction | float
     multiplicity: int = 1
 
@@ -160,8 +158,7 @@ def product_sphere_curve(tau, t: Sequence[float]) -> list[float]:
 # numerical differentiation
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
+class DerivativeEstimate(NamedTuple):
     order: int
     value: float
     error: float

@@ -11,8 +11,8 @@ quadratic functionals are all finite algebra, exact over Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +32,26 @@ from qcf.tensor_core import (
 SU2_REFERENCE_VOLUME = 2.0 * math.pi**2
 
 
-@dataclass
-class StructureConstants:
+class _StructureFields(NamedTuple):
+    n: int
+    c: np.ndarray
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.c)
+
+
+class StructureConstants(_StructureFields):
     """Structure constants c[i, j, k] = c^k_ij of a Lie algebra frame.
 
     Validates antisymmetry in (i, j) and the Jacobi identity on
     construction: exact arrays exactly, float arrays to 1e-12.
     """
 
-    n: int
-    c: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.c.shape != (self.n,) * 3:
             raise ValueError("structure constant array must be n x n x n")
         anti = self.c + np.swapaxes(self.c, 0, 1)
@@ -55,10 +63,11 @@ class StructureConstants:
         for name, defect in [("antisymmetry", anti), ("Jacobi identity", jac)]:
             if not vanishes(defect, 1e-12):
                 raise ValueError(f"structure constants violate {name}")
+        return self
 
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.c)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def su2(exact: bool = False) -> StructureConstants:

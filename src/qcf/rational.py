@@ -19,8 +19,8 @@ imports no numpy, so the commands built on it (`intervals`, `rigidity`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def parse_ratio(text: str) -> Fraction:
@@ -54,8 +54,7 @@ def as_exact(x):
     return float(x)
 
 
-@dataclass(frozen=True)
-class SpectralPolynomial:
+class SpectralPolynomial(NamedTuple):
     """Degree <= 2 polynomial c2 x^2 + c1 x + c0 in the eigenvalue variable.
 
     The variable is mu (TT, eigenvalue of -Delta_L) or lambda (conformal,
@@ -144,8 +143,7 @@ def _second_factor(n: int, R, t) -> tuple:
     return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
 
 
-@dataclass(frozen=True)
-class ConformalKillingVerdict:
+class ConformalKillingVerdict(NamedTuple):
     n: int
     eigenvalues: tuple
     min_singular_value: float

@@ -8,8 +8,8 @@ and the conformal-Killing symbol, are in the numpy-free ``rational``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ def symbol_coefficients(n: int, tau) -> tuple:
     return A, B, C
 
 
-@dataclass(frozen=True)
-class SymbolOperator:
+class SymbolOperator(NamedTuple):
     """Dense matrix of the gauged-linearization symbol on symmetric arrays.
 
     Acts on h by
@@ -58,7 +57,7 @@ class SymbolOperator:
     n: int
     tau: Fraction | float
     xi: np.ndarray
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray
     basis: tuple = ()
 
     def apply(self, h: np.ndarray) -> np.ndarray:
@@ -123,11 +122,10 @@ def gauged_symbol(n: int, tau, xi) -> SymbolOperator:
     return SymbolOperator(n=n, tau=tau, xi=xi, matrix=matrix, basis=tuple(basis))
 
 
-@dataclass(frozen=True)
-class InjectivityVerdict:
+class InjectivityVerdict(NamedTuple):
     injective: bool
     min_singular_value: float
-    kernel: list = field(default_factory=list)
+    kernel: tuple = ()
     note: str = ""
 
     @property
@@ -159,12 +157,12 @@ def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
         return InjectivityVerdict(min_sv > 1e-10, min_sv)
     _, null = exact_rank_nullspace(m)
     if not null:
-        return InjectivityVerdict(True, min_sv, [],
+        return InjectivityVerdict(True, min_sv,
                                   note="exact full rank at every sampled direction")
     if restrict_trace_free:
-        kernel = [np.array(v, dtype=object) for v in null]
+        kernel = tuple(np.array(v, dtype=object) for v in null)
     else:
-        kernel = [_vec_to_sym(v, op.basis, n, True) for v in null]
+        kernel = tuple(_vec_to_sym(v, op.basis, n, True) for v in null)
     return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency")
 
 

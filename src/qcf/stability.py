@@ -17,8 +17,8 @@ returning Indeterminate instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from qcf.catalog import CatalogError, ModelSpace, function_spectrum
 from qcf.rational import conformal_polynomial, format_ratio, q_factor, tau1, tau2
@@ -32,18 +32,14 @@ VERDICT_VARIANTS = ("StrictlyStable", "StableBoundOnly", "Indeterminate",
                     "FailsTT", "FailsConformal")
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+# A record that checks its fields is a NamedTuple of the fields and methods
+# with a thin subclass that checks in __new__ (a NamedTuple class body cannot
+# define __new__); _make is overridden so that _replace checks as well.
+class _VerdictFields(NamedTuple):
     variant: str
     witness: Fraction | None = None
     notes: tuple[str, ...] = ()
     provenance: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.variant not in VERDICT_VARIANTS:
-            raise ValueError(f"unknown verdict variant {self.variant}")
-        if self.variant == "FailsTT" and self.witness is None:
-            raise ValueError("FailsTT requires an eigenvalue witness")
 
     @property
     def passes(self) -> bool:
@@ -58,14 +54,23 @@ class StabilityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class TauInterval:
-    """Open/half-open tau range with exact endpoints and provenance.
+class StabilityVerdict(_VerdictFields):
+    __slots__ = ()
 
-    lo/hi of None mean unbounded on that side. provenance records which
-    branch produced each endpoint, by content.
-    """
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.variant not in VERDICT_VARIANTS:
+            raise ValueError(f"unknown verdict variant {self.variant}")
+        if self.variant == "FailsTT" and self.witness is None:
+            raise ValueError("FailsTT requires an eigenvalue witness")
+        return self
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _IntervalFields(NamedTuple):
     lo: Fraction | None
     hi: Fraction | None
     lo_open: bool = True
@@ -74,10 +79,6 @@ class TauInterval:
     hi_provenance: str = ""
     notes: tuple[str, ...] = ()
     verdict_inside: str = "StrictlyStable"
-
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
-            raise ValueError(f"empty interval: lo {self.lo} >= hi {self.hi}")
 
     def contains(self, tau) -> bool:
         t = Fraction(tau) if isinstance(tau, int) else tau
@@ -99,6 +100,26 @@ class TauInterval:
             "notes": list(self.notes),
             "verdict_inside": self.verdict_inside,
         }
+
+
+class TauInterval(_IntervalFields):
+    """Open/half-open tau range with exact endpoints and provenance.
+
+    lo/hi of None mean unbounded on that side. provenance records which
+    branch produced each endpoint, by content.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
+            raise ValueError(f"empty interval: lo {self.lo} >= hi {self.hi}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _exact_tau(tau) -> Fraction:
@@ -427,8 +448,7 @@ def stability_interval(model: ModelSpace) -> TauInterval:
 # rigidity
 
 
-@dataclass(frozen=True)
-class ExceptionalTau:
+class ExceptionalTau(NamedTuple):
     tau: Fraction
     mu: Fraction
     kernel_note: str = ""
@@ -438,8 +458,7 @@ class ExceptionalTau:
                 "kernel": self.kernel_note}
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     model_key: str
     exceptional: tuple[ExceptionalTau, ...]
     notes: tuple[str, ...] = ()
@@ -524,8 +543,7 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
 # Bach
 
 
-@dataclass(frozen=True)
-class BachVerdict:
+class BachVerdict(NamedTuple):
     model_key: str
     rigid: bool | None
     strict_weyl_min: bool | None
@@ -587,8 +605,7 @@ def bach_verdict(model: ModelSpace) -> BachVerdict:
 # volume comparison
 
 
-@dataclass(frozen=True)
-class BishopDeduction:
+class BishopDeduction(NamedTuple):
     conclusion: str  # VolumeAtLeast | Inconclusive | EqualityRigidity
     notes: tuple[str, ...] = ()
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from qcf.tensor_core import (check_curvature_symmetries, decompose, gauss_bonnet
                              inverse_metric, quadratic_invariants, tensor_norm2)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: str
@@ -379,8 +378,7 @@ CRITERIA = [
 ]
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     results: list[CheckResult]
     elapsed: float
 

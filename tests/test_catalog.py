@@ -60,7 +60,7 @@ def test_round_trip_through_json_text(cat):
 
 def test_validate_model_rejects_bad_scal():
     model = make_sphere(4)
-    broken = model.__class__(**{**model.__dict__, "scal": Fraction(13)})
+    broken = model._replace(scal=Fraction(13))
     with pytest.raises(CatalogError, match="scal"):
         validate_model(broken)
 
@@ -70,7 +70,7 @@ def test_validate_model_names_sphere_identity():
     tt = model.tt
     bad_tt = tt.__class__(known=(tt.known[0].__class__(Fraction(11)),),
                           tail_bound=tt.tail_bound)
-    broken = model.__class__(**{**model.__dict__, "tt": bad_tt})
+    broken = model._replace(tt=bad_tt)
     with pytest.raises(CatalogError, match=r"mu1 = 4R/\(n-1\)"):
         validate_model(broken)
 
@@ -81,7 +81,7 @@ def test_validate_model_names_sphere_identity():
 ])
 def test_validate_model_rejects_impossible_lambda1_and_volume(field, value, named):
     model = make_sphere(4)
-    broken = model.__class__(**{**model.__dict__, field: value})
+    broken = model._replace(**{field: value})
     with pytest.raises(CatalogError, match=f"^sphere:4: {named}$"):
         validate_model(broken)
 
@@ -147,6 +147,24 @@ def test_resolve_model_paths(cat):
         resolve_model(cat, "banana")
     with pytest.raises(CatalogError, match="not in catalog"):
         resolve_model(cat, "sphere", dim=7777)
+
+
+def test_resolve_model_refuses_options_for_another_model(cat):
+    """A given option must be one the family takes and agree with the key:
+    neither is dropped or defaulted into another model."""
+    assert resolve_model(cat, "sphere:4", dim=4).key == "sphere:4"
+    assert resolve_model(cat, "quotient:4:2", dim=4, order=2).key == "quotient:4:2"
+    assert resolve_model(cat, "product", m=2).key == "product:2"
+    with pytest.raises(CatalogError, match=r"^--dim 5 does not match model 'sphere:4' \(dim 4\)$"):
+        resolve_model(cat, "sphere:4", dim=5)
+    with pytest.raises(CatalogError, match="^model 'quotient:4:0' not in catalog"):
+        resolve_model(cat, "quotient", dim=4, order=0)
+    with pytest.raises(CatalogError, match="^model 'cp' takes --m, not --dim$"):
+        resolve_model(cat, "cp", m=2, dim=9)
+    with pytest.raises(CatalogError, match="^model 'sphere' takes --dim, not --order$"):
+        resolve_model(cat, "sphere", dim=4, order=7)
+    with pytest.raises(CatalogError, match="^model 'product:2' takes --m, not --dim$"):
+        resolve_model(cat, "product:2", dim=4)
 
 
 def test_function_spectrum_closed_forms(cat):

@@ -80,6 +80,32 @@ def test_unknown_model_exit_code(runner):
     assert "sphere:3" in res.stderr  # the listing names what exists
 
 
+@pytest.mark.parametrize("args,stderr", [
+    (["intervals", "--model", "sphere:4", "--dim", "5"],
+     "error: --dim 5 does not match model 'sphere:4' (dim 4)\n"),
+    (["intervals", "--model", "quotient", "--dim", "4", "--m", "2"],
+     "error: model 'quotient' takes --dim and --order, not --m\n"),
+    (["intervals", "--model", "hyperbolic:6", "--lambda1", "100"],
+     "error: --lambda1 applies only with --tau\n"),
+])
+def test_refused_option_names_itself(runner, args, stderr):
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("args,key", [
+    (["--model", "sphere:4", "--dim", "4"], "sphere:4"),
+    (["--model", "quotient", "--dim", "4", "--order", "2"], "quotient:4:2"),
+    (["--model", "quotient:4:2", "--dim", "4", "--order", "2"], "quotient:4:2"),
+    (["--model", "cp:3", "--m", "3"], "cp:3"),
+])
+def test_agreeing_model_options_are_accepted(runner, args, key):
+    for command in ("intervals", "rigidity"):
+        res = invoke(runner, [command] + args)
+        assert res.exit_code == 0
+        assert res.stdout == invoke(runner, [command, "--model", key]).stdout
+
+
 def test_insufficient_data_exit_code(runner):
     res = runner.invoke(main, ["intervals", "--model", "hyperbolic",
                                "--dim", "5", "--tau", "-1/6"])
@@ -294,6 +320,18 @@ IMPOSSIBLE_INPUT = [
     ["intervals", "--model", "sphere:4", "--tau", "1", "--lambda1", "-5"],
     ["rigidity", "--model", "hyperbolic:4", "--mu", "-100"],
 ]
+# a model option that the family does not take or that disagrees with the
+# catalog key, and --lambda1 where the interval would drop it
+REFUSED_OPTIONS = [
+    ["intervals", "--model", "sphere:4", "--dim", "5"],
+    ["intervals", "--model", "quotient", "--dim", "4", "--order", "0"],
+    ["intervals", "--model", "cp", "--m", "2", "--dim", "9"],
+    ["intervals", "--model", "sphere", "--dim", "4", "--order", "7"],
+    ["rigidity", "--model", "cp:2", "--m", "3"],
+    ["rigidity", "--model", "quotient:4:2", "--order", "3"],
+    ["intervals", "--model", "hyperbolic:6", "--lambda1", "-5"],
+    ["intervals", "--model", "hyperbolic:6", "--lambda1", "100"],
+]
 
 
 @pytest.mark.parametrize("args", [
@@ -309,6 +347,7 @@ IMPOSSIBLE_INPUT = [
     ["symbol", "--dim", "4", "--tau=nan"],
     ["verify", "--filter", "time"],
     *IMPOSSIBLE_INPUT,
+    *REFUSED_OPTIONS,
 ])
 def test_bad_input_exits_2_without_traceback(runner, args):
     res = runner.invoke(main, args)
@@ -318,7 +357,7 @@ def test_bad_input_exits_2_without_traceback(runner, args):
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("args", IMPOSSIBLE_INPUT)
+@pytest.mark.parametrize("args", IMPOSSIBLE_INPUT + REFUSED_OPTIONS)
 def test_impossible_input_prints_one_error_line(runner, args):
     res = runner.invoke(main, args)
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
@@ -460,7 +499,8 @@ def test_verify_stdout_byte_identical(runner):
 
 # The commands whose decisions are Fraction arithmetic on catalog data, with
 # their exit codes. None of them may import numpy, and jsonschema only to
-# validate a JSON report.
+# validate a JSON report. Each --jobs 2 sweep is listed beside its --jobs 1
+# twin, whose output it must repeat.
 NUMPY_FREE = [
     (["intervals", "--model", "sphere:4"], 0),
     (["intervals", "--model", "cp:2", "--tau", "1/5"], 0),
@@ -475,42 +515,63 @@ NUMPY_FREE = [
     (["symbol", "--dim", "4", "--conformal-killing"], 0),
     (["curve", "--tau", "1/3", "--derivatives", "3"], 0),
     (["curve", "--family", "product", "--tau", "-1/2", "--points", "30", "--derivatives", "3"], 0),
+    (["curve", "--tau", "1/7", "--points", "100", "--derivatives", "3"], 0),
     (["curve", "--tau", "1/7", "--points", "100", "--derivatives", "3", "--jobs", "2"], 0),
+    (["curve", "--family", "product", "--tau", "0", "--derivatives", "3"], 0),
     (["curve", "--family", "product", "--tau", "0", "--derivatives", "3", "--jobs", "2"], 0),
     (["curve", "--family", "product", "--tau", "0", "--start", "1000", "--stop", "1001"], 2),
     (["curve", "--tau", "0", "--start", "-1e308", "--stop", "1e308"], 2),
 ]
 _FORMATS = {"intervals": ("text", "csv", "json"), "rigidity": ("text", "csv", "json"),
             "curve": ("csv", "json")}
+_WATCHED = ("numpy", "jsonschema", "dataclasses", "concurrent.futures", "logging")
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
     """The commands run in order in one fresh process per format; after each
-    one the process reports its exit code and which of numpy and jsonschema
-    it has imported. Modules only accumulate, so the first command that
-    pulls either in is named by the failure."""
+    one the process reports its exit code, its stdout and which of the
+    watched modules it has imported. Modules only accumulate, so the first
+    command that pulls one in is named by the failure.
+
+    No command loads numpy, the thread pool (concurrent.futures) or logging,
+    and jsonschema only for --format json; dataclasses comes only with
+    jsonschema, which imports it. The --jobs 2 sweeps run last: they must
+    load the thread pool and print the bytes of their --jobs 1 twins."""
     import subprocess
     import sys
 
-    argvs = [argv + ["--format", fmt] for argv, _ in NUMPY_FREE
-             if fmt in _FORMATS.get(argv[0], ("text", "json"))]
-    code = ("import json, sys\n"
+    argvs = sorted((argv + ["--format", fmt] for argv, _ in NUMPY_FREE
+                    if fmt in _FORMATS.get(argv[0], ("text", "json"))),
+                   key=lambda argv: "--jobs" in argv)
+    code = ("import contextlib, io, json, sys\n"
             "from qcf.cli import main\n"
             "out = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
             "    try:\n"
-            "        main.main(args=argv, prog_name='qcf')\n"
+            "        with contextlib.redirect_stdout(buf):\n"
+            "            main.main(args=argv, prog_name='qcf')\n"
             "    except SystemExit as exc:\n"
-            "        out.append([argv, exc.code, 'numpy' in sys.modules,\n"
-            "                    'jsonschema' in sys.modules])\n"
+            "        out.append([argv, exc.code, buf.getvalue(),\n"
+            "                    [m for m in sys.argv[2:] if m in sys.modules]])\n"
             "print(json.dumps(out))\n")
-    p = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+    p = subprocess.run([sys.executable, "-c", code, json.dumps(argvs), *_WATCHED],
                        capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     rows = json.loads(p.stdout.strip().splitlines()[-1])
     codes = {tuple(argv): c for argv, c in NUMPY_FREE}
     assert [r[1] for r in rows] == [codes[tuple(r[0][:-2])] for r in rows]
-    assert [r[0] for r in rows if r[2]] == []
+    assert [r[0] for r in rows if "numpy" in r[3]] == []
     if fmt != "json":
-        assert [r[0] for r in rows if r[3]] == []
+        assert [r[0] for r in rows if "jsonschema" in r[3]] == []
+    assert [r[0] for r in rows if "dataclasses" in r[3] and "jsonschema" not in r[3]] == []
+    for mod in ("concurrent.futures", "logging"):
+        assert [r[0] for r in rows if mod in r[3] and "--jobs" not in r[0]] == []
+    stdout = {tuple(r[0]): r[2] for r in rows}
+    pooled = [r for r in rows if "--jobs" in r[0]]
+    assert len(pooled) == (2 if fmt in _FORMATS["curve"] else 0)
+    assert all("concurrent.futures" in r[3] for r in pooled)
+    for argv, _, out, _ in pooled:
+        i = argv.index("--jobs")
+        assert out and out == stdout[tuple(argv[:i] + argv[i + 2:])], argv
