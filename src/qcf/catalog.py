@@ -495,7 +495,10 @@ def load_catalog(path: str | None = None) -> dict[str, ModelSpace]:
                 f"catalog schema_version {data.get('schema_version')} != "
                 f"{CATALOG_SCHEMA_VERSION}")
         for obj in data["models"]:
-            model = model_from_json(obj)
+            try:
+                model = model_from_json(obj)
+            except ZeroDivisionError:  # the schema's ratio pattern admits "p/0"
+                raise CatalogError(f"{obj['key']}: zero denominator in catalog file {path}") from None
             validate_model(model)
             cat[model.key] = model
     return cat

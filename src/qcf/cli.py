@@ -9,9 +9,8 @@ input, 3 insufficient spectral data.
 Only the numpy-free modules are imported here. The commands that need
 numpy (grad, symbol without --conformal-killing, verify) import it, and
 the modules built on it, when they run, and jsonschema is imported only
-to validate a JSON report. The thread pool (concurrent.futures, which
-imports logging) is imported on the first lookup of this module's
-ThreadPoolExecutor attribute, which only curve --jobs J > 1 makes.
+to validate a JSON report. No command loads concurrent.futures (or the
+logging it imports): every curve sweep runs on one thread.
 """
 
 from __future__ import annotations
@@ -35,12 +34,11 @@ _REPORT_SCHEMA: dict | None = None
 
 
 def __getattr__(name: str):
-    # the thread pool is imported (with logging) on first lookup, which only
-    # curve --jobs > 1 makes; it is then kept as a module attribute
+    # no qcf code looks this name up: the benchmark tracer subclasses
+    # qcf.cli.ThreadPoolExecutor, so the hook stays until that tracer drops it
     if name == "ThreadPoolExecutor":
         from concurrent.futures import ThreadPoolExecutor
 
-        globals()[name] = ThreadPoolExecutor
         return ThreadPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -363,8 +361,8 @@ def _linspace(start: float, stop: float, points: int) -> list[float]:
 @click.option("--points", type=click.IntRange(2, 100000), default=21)
 @click.option("--derivatives", type=click.IntRange(0, 3), default=0)
 @click.option("--jobs", type=click.IntRange(1, 64), default=1,
-              help="Split the sweep into this many contiguous chunks on a thread "
-                   "pool; output is identical for any value.")
+              help="Accepted for compatibility; no effect: the sweep runs on "
+                   "one thread.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv")
 @guarded
@@ -378,22 +376,11 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
         fn = lambda t: functionals.product_sphere_curve(tau, t)
         start = -1.0 if start is None else start
         stop = 1.0 if stop is None else stop
-
-    def sweep(chunk: list[float]) -> list[tuple]:
-        ests = _derivatives(fn, chunk, derivatives) if derivatives else [[]] * len(chunk)
-        return list(zip(chunk, fn(chunk), ests))
-
     params = _linspace(start, stop, points)
     if not all(map(math.isfinite, params)):
         raise ValueError(f"the sweep grid from {start!r} to {stop!r} overflows a float")
-    if jobs > 1:
-        size = -(-len(params) // jobs)  # at most `jobs` contiguous chunks
-        with sys.modules[__name__].ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(sweep, [params[i:i + size]
-                                          for i in range(0, len(params), size)]))
-    else:
-        parts = [sweep(params)]
-    rows = [row for part in parts for row in part]
+    ests = _derivatives(fn, params, derivatives) if derivatives else [[]] * len(params)
+    rows = list(zip(params, fn(params), ests))
     _require_finite(x for _, value, ests in rows
                     for x in [value] + [y for e in ests for y in (e.value, e.error)])
     if fmt == "json":

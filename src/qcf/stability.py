@@ -17,6 +17,7 @@ returning Indeterminate instead.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -625,6 +626,8 @@ def reverse_bishop(vol_g: float, n: int, vol_gt: float,
     rigidity. Flags are the caller's responsibility: this function only
     performs the deduction. Volumes must be finite and positive and the
     functional value finite; anything else raises ValueError.
+    The tolerance is relative, so the unit of volume does not change the
+    conclusion; bounds outside the normal float range decide nothing.
     """
     for name, vol in (("vol_g", vol_g), ("vol_gt", vol_gt)):
         if not (math.isfinite(vol) and vol > 0):
@@ -638,7 +641,10 @@ def reverse_bishop(vol_g: float, n: int, vol_gt: float,
     c = n * (n - 1) ** 2
     lower = c * vol_g ** (4.0 / n)
     upper = c * vol_gt ** (4.0 / n)
-    tol = rel_tol * max(abs(lower), abs(upper), 1.0)
+    if not sys.float_info.min <= min(lower, upper) <= max(lower, upper) < math.inf:
+        return BishopDeduction("Inconclusive", ("the bounds n(n-1)^2 Vol^(4/n) leave the "
+                                                "normal float range; rescale the volumes",))
+    tol = rel_tol * max(lower, upper)
     if ftilde0_gt < lower - tol:
         return BishopDeduction(
             "Inconclusive",
@@ -656,6 +662,9 @@ def reverse_bishop(vol_g: float, n: int, vol_gt: float,
         return BishopDeduction(
             "EqualityRigidity",
             ("volumes and functional values agree: equality forces isometry",))
+    if vol_gt < vol_g:  # the sandwich holds, but only within tol
+        return BishopDeduction("Inconclusive", (f"Vol(g~) = {vol_gt:.12g} < Vol(g) = {vol_g:.12g}: "
+                                                "the sandwich holds only within tolerance",))
     return BishopDeduction(
         "VolumeAtLeast",
         (f"Vol(g~) = {vol_gt:.12g} >= Vol(g) = {vol_g:.12g} by the "

@@ -190,7 +190,8 @@ def test_curve_jobs_split_the_sweep_without_changing_output(runner):
     base = ["curve", "--tau", "1/7", "--points", "100", "--derivatives", "3"]
     seq = invoke(runner, base + ["--jobs", "1"]).stdout
     assert seq.count("\n") == 101
-    assert invoke(runner, base + ["--jobs", "3"]).stdout == seq
+    for jobs in ("2", "3", "64"):
+        assert invoke(runner, base + ["--jobs", jobs]).stdout == seq, jobs
 
 
 @pytest.mark.parametrize("args", [
@@ -363,26 +364,44 @@ def test_impossible_input_prints_one_error_line(runner, args):
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
 
 
+_ZERO_DENOMINATOR = "zero denominator in catalog file {path}"
+
+
+def _extension_catalog(tmp_path, key, field, value):
+    """A one-model extension file: catalog model `key` with the dotted `field` set."""
+    from qcf.catalog import builtin_catalog
+
+    obj = builtin_catalog()[key].to_json()
+    *parents, last = field.split(".")
+    target = obj
+    for name in parents:
+        target = target[name]
+    target[last] = value
+    path = tmp_path / "impossible.json"
+    path.write_text(json.dumps({"schema_version": 1, "models": [obj]}))
+    return path
+
+
 @pytest.mark.parametrize("key,field,value,named", [
     ("hyperbolic:6", "lambda1", "-5", "lambda1 -5 is not positive"),
     ("sphere:4", "volume", {"coeff": "-8/3", "pi_pow": 2},
      "volume coefficient -8/3 is not positive"),
+    ("sphere:4", "scal", "4/0", _ZERO_DENOMINATOR),
+    ("hyperbolic:6", "lambda1", "4/0", _ZERO_DENOMINATOR),
+    ("sphere:4", "tt.tail_bound", "4/0", _ZERO_DENOMINATOR),
+    ("sphere:4", "volume.coeff", "4/0", _ZERO_DENOMINATOR),
 ])
 def test_impossible_extension_catalog_exits_2(runner, tmp_path, monkeypatch,
                                               key, field, value, named):
-    """An extension model with lambda1 <= 0 or a volume coefficient <= 0 is
-    refused at load time, with the model named, before any verdict."""
-    from qcf.catalog import builtin_catalog
-
-    obj = builtin_catalog()[key].to_json()
-    obj[field] = value
-    path = tmp_path / "impossible.json"
-    path.write_text(json.dumps({"schema_version": 1, "models": [obj]}))
+    """An extension model with lambda1 <= 0, a volume coefficient <= 0 or
+    a ratio p/0 is refused at load time, with the model named, before any
+    verdict."""
+    path = _extension_catalog(tmp_path, key, field, value)
     monkeypatch.setenv("QCF_CATALOG", str(path))
     res = runner.invoke(main, ["intervals", "--model", key, "--tau", "0"])
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.exception is None or isinstance(res.exception, SystemExit)
-    assert res.stderr == f"error: {key}: {named}\n"
+    assert res.stderr == f"error: {key}: {named.format(path=path)}\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -491,6 +510,21 @@ def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
     assert "complex-projective identity" in res.output
 
 
+def test_zero_denominator_catalog_fails_every_command_cleanly(runner, tmp_path, monkeypatch):
+    """A ratio p/0 passes the schema's pattern; every command reports it as
+    one error line (exit 2), and verify as a failed catalog criterion."""
+    path = _extension_catalog(tmp_path, "sphere:4", "tt.tail_bound", "4/0")
+    monkeypatch.setenv("QCF_CATALOG", str(path))
+    error = f"error: sphere:4: {_ZERO_DENOMINATOR.format(path=path)}\n"
+    for args in (["intervals", "--model", "sphere:4"],
+                 ["rigidity", "--model", "cp:2", "--format", "json"]):
+        res = runner.invoke(main, args)
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", error)
+    res = runner.invoke(main, ["verify", "--filter", "00"])
+    assert res.exit_code == 1
+    assert res.stdout.startswith("[FAIL] 00-catalog: measured sphere:4: zero denominator")
+
+
 def test_verify_stdout_byte_identical(runner):
     a = invoke(runner, ["verify", "--filter", "intervals"])
     b = invoke(runner, ["verify", "--filter", "intervals"])
@@ -534,16 +568,15 @@ def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
     watched modules it has imported. Modules only accumulate, so the first
     command that pulls one in is named by the failure.
 
-    No command loads numpy, the thread pool (concurrent.futures) or logging,
-    and jsonschema only for --format json; dataclasses comes only with
-    jsonschema, which imports it. The --jobs 2 sweeps run last: they must
-    load the thread pool and print the bytes of their --jobs 1 twins."""
+    No command loads numpy, concurrent.futures or logging, the --jobs 2
+    sweeps included, and jsonschema only for --format json; dataclasses
+    comes only with jsonschema, which imports it. Each --jobs 2 sweep
+    prints the bytes of its --jobs 1 twin."""
     import subprocess
     import sys
 
-    argvs = sorted((argv + ["--format", fmt] for argv, _ in NUMPY_FREE
-                    if fmt in _FORMATS.get(argv[0], ("text", "json"))),
-                   key=lambda argv: "--jobs" in argv)
+    argvs = [argv + ["--format", fmt] for argv, _ in NUMPY_FREE
+             if fmt in _FORMATS.get(argv[0], ("text", "json"))]
     code = ("import contextlib, io, json, sys\n"
             "from qcf.cli import main\n"
             "out = []\n"
@@ -567,11 +600,10 @@ def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
         assert [r[0] for r in rows if "jsonschema" in r[3]] == []
     assert [r[0] for r in rows if "dataclasses" in r[3] and "jsonschema" not in r[3]] == []
     for mod in ("concurrent.futures", "logging"):
-        assert [r[0] for r in rows if mod in r[3] and "--jobs" not in r[0]] == []
+        assert [r[0] for r in rows if mod in r[3]] == []
     stdout = {tuple(r[0]): r[2] for r in rows}
-    pooled = [r for r in rows if "--jobs" in r[0]]
-    assert len(pooled) == (2 if fmt in _FORMATS["curve"] else 0)
-    assert all("concurrent.futures" in r[3] for r in pooled)
-    for argv, _, out, _ in pooled:
+    jobs = [r for r in rows if "--jobs" in r[0]]
+    assert len(jobs) == (2 if fmt in _FORMATS["curve"] else 0)
+    for argv, _, out, _ in jobs:
         i = argv.index("--jobs")
         assert out and out == stdout[tuple(argv[:i] + argv[i + 2:])], argv

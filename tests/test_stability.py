@@ -320,6 +320,48 @@ def test_reverse_bishop_rejects_impossible_input(vol_g, vol_gt, ftilde0):
             reverse_bishop(vol_g, 3, vol_gt, *flags, ftilde0)
 
 
+def _bishop_cases(n):
+    """(vol_g, vol_gt, ftilde0, conclusion) at unit scale, one per branch."""
+    c = n * (n - 1) ** 2
+    bound = lambda vol: c * vol ** (4.0 / n)
+    close = 1 - 1.2e-9  # below vol_g beyond rel_tol, within the bounds' tolerance
+    return [
+        (2.0, 1.0, (bound(2.0) + bound(1.0)) / 2, "Inconclusive"),  # vol_gt < vol_g
+        (1.0, 1.5, (bound(1.0) + bound(1.5)) / 2, "VolumeAtLeast"),
+        (1.0, 1.5, bound(1.0) / 2, "Inconclusive"),
+        (1.0, 1.5, bound(1.5) * 2, "Inconclusive"),
+        (0.75, 0.75, bound(0.75), "EqualityRigidity"),
+        (1.0, close, (bound(1.0) + bound(close)) / 2, "Inconclusive"),
+    ]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_reverse_bishop_conclusion_is_scale_free(n):
+    """Scaling the volumes by lambda = 2^(nk) and the functional value by
+    lambda^(4/n) = 2^(4k) keeps the conclusion, for k in [-20, 20]; the
+    scale 2e-11 used to turn a smaller comparison volume into
+    VolumeAtLeast. No conclusion contradicts the volumes it prints."""
+    for vol_g, vol_gt, f, want in _bishop_cases(n):
+        for k in range(-20, 21):
+            vg, vgt = math.ldexp(vol_g, n * k), math.ldexp(vol_gt, n * k)
+            d = reverse_bishop(vg, n, vgt, True, True, math.ldexp(f, 4 * k))
+            assert d.conclusion == want, (vol_g, vol_gt, f, k)
+            if d.conclusion == "VolumeAtLeast":
+                printed = d.notes[0].removeprefix("Vol(g~) = ").split(" ")
+                assert float(printed[0]) >= float(printed[4]) and vgt >= vg
+
+
+@pytest.mark.parametrize("vol_g, vol_gt, n, ftilde0", [
+    (2e-11, 1e-11, 4, 5e-10),  # used to conclude VolumeAtLeast
+    (2e-300, 1e-300, 3, 0.0),  # the same, from bounds that underflow to 0
+    (1e-300, 1e-300, 3, 0.0),  # used to conclude EqualityRigidity
+    (1e308, 1e308, 4, 0.0),    # the same, from bounds 36 * 1e308 = inf
+])
+def test_reverse_bishop_bounds_out_of_float_range_are_inconclusive(vol_g, vol_gt, n, ftilde0):
+    d = reverse_bishop(vol_g, n, vol_gt, True, True, ftilde0)
+    assert d.conclusion == "Inconclusive"
+
+
 def test_berger_squash_breaks_ricci_hypothesis():
     """diag(1,1,0.81) has a Ricci eigenvalue 4 - 2 s^2 = 2.38 above (n-1) = 2.
 
