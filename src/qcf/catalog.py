@@ -340,9 +340,17 @@ def function_spectrum(model: ModelSpace, count: int) -> list[Fraction]:
     if v == "cp":
         return [Fraction(4 * l * (l + model.m)) for l in range(count)]
     if v == "product":
-        base = [l * (l + model.m - 1) for l in range(2 * count + 2)]
-        sums = sorted({a + b for a in base for b in base})
-        return [Fraction(x) for x in sums[:count]]
+        # base[0] = 0 makes every base[l] a sum, so the first count sums are
+        # all <= base[count - 1]: only pairs within that bound are needed
+        base = [l * (l + model.m - 1) for l in range(count)]
+        top = base[-1]
+        sums = set()
+        for i, a in enumerate(base):
+            for b in base[i:]:
+                if a + b > top:
+                    break
+                sums.add(a + b)
+        return [Fraction(x) for x in sorted(sums)[:count]]
     if v == "torus":
         return [Fraction(x) for x in _sums_of_squares(model.n, count)]
     raise CatalogError(f"no closed-form function spectrum for {model.display_name}")

@@ -108,6 +108,10 @@ def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:
 
     p_tau(lambda) = (1/2n)((n-1)lambda - R)(n(n - 4 tau + 4 n tau)lambda
     + 2(n-4)(1 + n tau)R). At R = 0 this is ((n-1)(n-4tau+4ntau)/2) lambda^2.
+    The witness scan in `stability` reads the sign of p_tau from the two
+    linear factors and never expands it; the exact factorization checks
+    of this expanded form (verify 10, the property tests) are what tie
+    that rule to the polynomial.
     """
     R = as_exact(scal)
     a, b = _second_factor(n, R, as_exact(tau))

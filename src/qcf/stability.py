@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from qcf.catalog import CatalogError, ModelSpace, function_spectrum
-from qcf.rational import conformal_polynomial, format_ratio, q_factor, tau1, tau2
+from qcf.rational import _second_factor, format_ratio, q_factor, tau1, tau2
 
 
 class InsufficientSpectralData(ValueError):
@@ -196,17 +196,24 @@ def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
         provenance=("tt-gap",))
 
 
-def _conformal_witness(model: ModelSpace, t: Fraction, poly) -> Fraction | None:
-    """First spectrum eigenvalue past the gauge modes with negative polynomial."""
+def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
+    """First spectrum eigenvalue past the gauge modes where p_tau is negative.
+
+    p_tau(lambda) = (1/2n)((n-1)lambda - R)(a lambda + b) is negative
+    exactly when its two linear factors are nonzero with opposite signs,
+    and the first factor vanishes at the gauge eigenvalue R/(n-1).
+    """
     try:
         spec = function_spectrum(model, 60)
     except CatalogError:
         return None
     lich = model.scal / (model.n - 1)
+    a, b = _second_factor(model.n, model.scal, t)
     for lam in spec:
         if lam == 0 or lam == lich:
             continue  # scaling / conformal-diffeomorphism gauge directions
-        if poly(lam) < 0:
+        second = a * lam + b
+        if second and (second < 0) == (lam > lich):
             return lam
     return None
 
@@ -226,13 +233,12 @@ def conformal_gap_check(model: ModelSpace, tau,
     t = _exact_tau(tau)
     n = model.n
     R = model.scal
-    poly = conformal_polynomial(n, R, t)
     t2 = tau2(n)
 
     def fails(note: str, witness=None, allow_scan=True) -> StabilityVerdict:
         w = witness
         if w is None and allow_scan:
-            w = _conformal_witness(model, t, poly)
+            w = _conformal_witness(model, t)
         notes = [note]
         if w is None and allow_scan:
             notes.append("no concrete eigenvalue witness available from the catalog")
@@ -639,8 +645,11 @@ def reverse_bishop(vol_g: float, n: int, vol_gt: float,
             "Inconclusive",
             ("Ricci comparison flags not asserted; the chain does not apply",))
     c = n * (n - 1) ** 2
-    lower = c * vol_g ** (4.0 / n)
-    upper = c * vol_gt ** (4.0 / n)
+    try:
+        lower = c * vol_g ** (4.0 / n)
+        upper = c * vol_gt ** (4.0 / n)
+    except OverflowError:  # Vol^(4/n) itself overflows when 4/n > 1
+        lower = upper = math.inf
     if not sys.float_info.min <= min(lower, upper) <= max(lower, upper) < math.inf:
         return BishopDeduction("Inconclusive", ("the bounds n(n-1)^2 Vol^(4/n) leave the "
                                                 "normal float range; rescale the volumes",))

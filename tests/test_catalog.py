@@ -175,6 +175,12 @@ def test_function_spectrum_closed_forms(cat):
     assert function_spectrum(cat["torus:3"], 8) == [0, 1, 2, 3, 4, 5, 6, 8]
     with pytest.raises(CatalogError):
         function_spectrum(cat["hyperbolic:4"], 3)
+    # S^m x S^m: the first c values of the sorted set of all pairwise sums
+    for m in (2, 3, 4):
+        base = [l * (l + m - 1) for l in range(402)]
+        sums = sorted({a + b for a in base for b in base})
+        for c in range(1, 201):
+            assert function_spectrum(cat[f"product:{m}"], c) == sums[:c], (m, c)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -545,6 +545,8 @@ NUMPY_FREE = [
     (["rigidity", "--model", "cp:2"], 0),
     (["rigidity", "--model", "hyperbolic:4", "--mu", "3", "--mu", "7/2"], 0),
     (["bishop", "--vol-g", "10", "--vol-gt", "11", "--dim", "4", "--ftilde0", "3000"], 0),
+    (["bishop", "--vol-g", "1e308", "--vol-gt", "1e308", "--dim", "3", "--ftilde0", "0",
+      "--ric-upper-ok", "--ric-lower-ok"], 0),
     (["berger", "--tau", "1/3", "--critical"], 0),
     (["symbol", "--dim", "4", "--conformal-killing"], 0),
     (["curve", "--tau", "1/3", "--derivatives", "3"], 0),

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from qcf.catalog import builtin_catalog
-from qcf.rational import tau1, tau2
+from qcf.catalog import builtin_catalog, function_spectrum
+from qcf.rational import conformal_polynomial, tau1, tau2
 from qcf.stability import (
     InsufficientSpectralData,
     StabilityVerdict,
     TauInterval,
+    _conformal_witness,
     bach_verdict,
     combined_verdict,
     conformal_gap_check,
@@ -148,13 +149,77 @@ def test_torus_verdict_decided_in_every_dimension(cat, n):
     assert (cf.variant, cf.witness) == ("FailsConformal", 1)
 
 
+def _full_spectrum_models(cat):
+    return [m for m in cat.values()
+            if m.variant in ("sphere", "quotient", "cp", "product", "torus")]
+
+
+def _conformal_thresholds(n):
+    return {tau1(n), tau2(n), Fraction(-1, n), Fraction(-3, 8), Fraction(-5, 12),
+            Fraction(-1, 3)}
+
+
+def _tau_grid(n):
+    """Step 1/240 on [-2, 1] plus every conformal threshold."""
+    return sorted({Fraction(k, 240) for k in range(-480, 241)} | _conformal_thresholds(n))
+
+
 def test_combined_verdict_skips_conformal_side_after_tt_failure(cat, monkeypatch):
+    """The witness scan runs at most once per verdict, and only for a
+    FailsConformal verdict whose witness is not already known."""
     def no_scan(model, count):
         raise AssertionError("conformal witness scan ran after a TT failure")
 
     monkeypatch.setattr("qcf.stability.function_spectrum", no_scan)
     v = combined_verdict(cat["torus:4"], Fraction(-1))
     assert (v.variant, v.witness) == ("FailsTT", 0)
+
+    scans = []
+
+    def counted(model, count):
+        scans.append(model.key)
+        return function_spectrum(model, count)
+
+    monkeypatch.setattr("qcf.stability.function_spectrum", counted)
+    for model in _full_spectrum_models(cat):
+        for t in _tau_grid(model.n):
+            scans.clear()
+            v = combined_verdict(model, t)
+            assert len(scans) <= 1, (model.key, t)
+            assert not scans or v.variant == "FailsConformal", (model.key, t, v.variant)
+    scans.clear()
+    v = combined_verdict(cat["hyperbolic:5"], Fraction(-1, 6),
+                         lambda1_override=Fraction(1, 10))
+    assert (v.variant, v.witness, scans) == ("FailsConformal", Fraction(1, 10), [])
+
+
+def test_conformal_witness_matches_the_expanded_polynomial(cat):
+    """The scan's factor-sign rule finds the first eigenvalue past the gauge
+    modes 0 and R/(n-1) where the expanded conformal polynomial is negative:
+    every scanned FailsConformal verdict carries that witness, or says that
+    there is none. The rule itself is also checked off the failing branch,
+    at every threshold and on the grid's points of step 1/48."""
+    no_witness = "no concrete eigenvalue witness available from the catalog"
+    scanned = 0
+    for model in _full_spectrum_models(cat):
+        spec = function_spectrum(model, 60)
+        lich = model.scal / (model.n - 1)
+        thresholds = _conformal_thresholds(model.n)
+        for t in _tau_grid(model.n):
+            v = conformal_gap_check(model, t)
+            fails = v.variant == "FailsConformal"
+            if not (fails or t in thresholds or (48 * t).denominator == 1):
+                continue
+            poly = conformal_polynomial(model.n, model.scal, t)
+            want = next((lam for lam in spec
+                         if lam != 0 and lam != lich and poly(lam) < 0), None)
+            assert _conformal_witness(model, t) == want, (model.key, t)
+            if not fails:
+                continue
+            assert v.witness == want, (model.key, t)
+            assert (no_witness in v.notes) == (want is None), (model.key, t)
+            scanned += 1
+    assert scanned > 1000
 
 
 def test_combined_verdicts_match_expected(cat):
@@ -356,6 +421,9 @@ def test_reverse_bishop_conclusion_is_scale_free(n):
     (2e-300, 1e-300, 3, 0.0),  # the same, from bounds that underflow to 0
     (1e-300, 1e-300, 3, 0.0),  # used to conclude EqualityRigidity
     (1e308, 1e308, 4, 0.0),    # the same, from bounds 36 * 1e308 = inf
+    (1e308, 1e308, 3, 0.0),    # the same, from 1e308 ** (4/3) raising OverflowError
+    # n >= 5: 1e308 ** (4/n) stays finite and the value 0 lies below it
+    *[(1e308, 1e308, n, 0.0) for n in range(5, 9)],
 ])
 def test_reverse_bishop_bounds_out_of_float_range_are_inconclusive(vol_g, vol_gt, n, ftilde0):
     d = reverse_bishop(vol_g, n, vol_gt, True, True, ftilde0)
