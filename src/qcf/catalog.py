@@ -120,6 +120,11 @@ class ModelSpace(NamedTuple):
     def spectra_are_subsets(self) -> bool:
         return self.variant == "quotient"
 
+    @property
+    def has_function_spectrum(self) -> bool:
+        """Whether function_spectrum has a closed form here (every variant but hyperbolic)."""
+        return self.variant in ("sphere", "quotient", "cp", "product", "torus")
+
     def curvature_data(self, exact: bool = True) -> CurvatureData:
         """Curvature tensor of the model in an orthonormal frame.
 
@@ -333,6 +338,8 @@ def function_spectrum(model: ModelSpace, count: int) -> list[Fraction]:
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if not model.has_function_spectrum:
+        raise CatalogError(f"no closed-form function spectrum for {model.display_name}")
     v = model.variant
     if v in ("sphere", "quotient"):
         nn = model.n
@@ -351,9 +358,7 @@ def function_spectrum(model: ModelSpace, count: int) -> list[Fraction]:
                     break
                 sums.add(a + b)
         return [Fraction(x) for x in sorted(sums)[:count]]
-    if v == "torus":
-        return [Fraction(x) for x in _sums_of_squares(model.n, count)]
-    raise CatalogError(f"no closed-form function spectrum for {model.display_name}")
+    return [Fraction(x) for x in _sums_of_squares(model.n, count)]  # torus
 
 
 def _sums_of_squares(n: int, count: int) -> list[int]:

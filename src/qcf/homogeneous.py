@@ -153,14 +153,19 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     (nab T)_{a, i1..ir} = -sum_p Gamma^m_{a i_p} T_{..m..}; the
     derivative index is prepended.
     """
-    n = gam.shape[0]
-    if t.ndim == 0:
+    n, r = gam.shape[0], t.ndim
+    if r == 0:
         # scalars are constant on a homogeneous space
         return zeros((n,), is_exact(t))
+    gam2 = gam.reshape(n * n, n)
     out = None
-    for p in range(t.ndim):
-        tmp = np.tensordot(gam, t, axes=([2], [p]))  # axes (a, i_p, rest)
-        contrib = np.moveaxis(tmp, 1, p + 1)
+    for p in range(r):
+        # one matmul over i_p, with the other indices in their order as the
+        # columns (np.tensordot's layout, and so its bits); the product has
+        # axes (a, i_p, the other indices), and i_p goes back to its place
+        rest = [q for q in range(r) if q != p]
+        contrib = (gam2 @ t.transpose([p] + rest).reshape(n, -1)).reshape((n,) * (r + 1))
+        contrib = contrib.transpose([0, *range(2, p + 2), 1, *range(p + 2, r + 1)])
         out = -contrib if out is None else out - contrib
     return out
 
@@ -176,15 +181,24 @@ def _laplacian(g_inv: np.ndarray, gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.einsum("ab,ab...->...", g_inv, _cov1(gam, _cov1(gam, t)))
 
 
-def divergence(sc: StructureConstants, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(delta h)_j = nab^i h_ij for a symmetric 2-tensor."""
+def divergence(sc: StructureConstants, g: np.ndarray, h: np.ndarray,
+               g_inv: np.ndarray | None = None, gam: np.ndarray | None = None) -> np.ndarray:
+    """(delta h)_j = nab^i h_ij for a symmetric 2-tensor.
+
+    g_inv and gam, when given, are taken as the inverse of g and its
+    connection (levi_civita), as in gradient_F.
+    """
     if h.ndim != 2:
         raise ValueError("divergence here takes a 2-tensor")
-    g_inv = inverse_metric(g)
-    return np.einsum("ia,aij->j", g_inv, _cov1(levi_civita(sc, g, g_inv), h))
+    if g_inv is None:
+        g_inv = inverse_metric(g)
+    if gam is None:
+        gam = levi_civita(sc, g, g_inv)
+    return np.einsum("ia,aij->j", g_inv, _cov1(gam, h))
 
 
-def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
+def gradient_F(sc: StructureConstants, g: np.ndarray, tau,
+               g_inv: np.ndarray | None = None, gam: np.ndarray | None = None) -> np.ndarray:
     """Gradient of F_tau = int |Ric|^2 + tau int R^2 at an invariant metric.
 
     grad F_0 = -Delta Ric_pq - 2 Rm_pkql Ric^kl + Hess(R)_pq
@@ -195,10 +209,15 @@ def gradient_F(sc: StructureConstants, g: np.ndarray, tau) -> np.ndarray:
     on a homogeneous space and those terms are left out; Delta Ric is
     genuinely nonzero away from the Einstein locus. What remains is
     CurvatureData.algebraic_gradient minus Delta Ric. g is inverted and
-    the connection built once, for the curvature and for Delta Ric.
+    the connection built once, for the curvature and for Delta Ric;
+    g_inv and gam, when given, are taken as the inverse of g and its
+    connection (levi_civita), so that a caller who also takes the
+    divergence builds them once.
     """
-    g_inv = inverse_metric(g)
-    gam = levi_civita(sc, g, g_inv)
+    if g_inv is None:
+        g_inv = inverse_metric(g)
+    if gam is None:
+        gam = levi_civita(sc, g, g_inv)
     cd = _curvature(sc, g, g_inv, gam)
     return cd.algebraic_gradient(tau) - _laplacian(g_inv, gam, cd.ric)
 

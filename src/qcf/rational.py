@@ -54,6 +54,22 @@ def as_exact(x):
     return float(x)
 
 
+def _split(x) -> tuple:
+    """x as (numerator, denominator): ints for int or Fraction x, (float x, 1) otherwise."""
+    x = as_exact(x)
+    return (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+
+
+def _quotient(num, den):
+    """num / den as a Fraction when num is an int (den always is), else a float.
+
+    The polynomials below form each coefficient over one integer
+    denominator and build a single Fraction from it, in place of a chain
+    of Fraction operations that each reduce by a gcd.
+    """
+    return Fraction(num, den) if isinstance(num, int) else num / den
+
+
 class SpectralPolynomial(NamedTuple):
     """Degree <= 2 polynomial c2 x^2 + c1 x + c0 in the eigenvalue variable.
 
@@ -79,15 +95,16 @@ def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynom
     at tau = 0 this reproduces the coefficients
     (1/2) mu^2 - (3/n) R mu + (n+4)/(2n^2) R^2.
     """
-    R = as_exact(scal)
-    t = as_exact(tau)
-    half = Fraction(1, 2)
-    c2 = half
-    c1 = -(Fraction(3, n) + t) * R
-    c0 = (Fraction(4, n * n) + 2 * t / n) * R * R
+    a, b = _split(scal)
+    p, q = _split(tau)
+    # with R = a/b and tau = p/q, each coefficient is one quotient:
+    # c1 = -(3q + np) a / (nqb), c0 = (8q + 4np [+ (n-4)(q + np)]) a^2 / (2n^2 q b^2)
+    k = 8 * q + 4 * n * p
     if not normalized:
-        c0 = c0 + Fraction(n - 4, 2 * n * n) * (1 + n * t) * R * R
-    return SpectralPolynomial(c0, c1, c2)
+        k += (n - 4) * (q + n * p)
+    c1 = _quotient(-(3 * q + n * p) * a, n * q * b)
+    c0 = _quotient(k * a * a, 2 * n * n * q * b * b)
+    return SpectralPolynomial(c0, c1, Fraction(1, 2))
 
 
 def tt_s_polynomial(n: int, scal) -> SpectralPolynomial:
@@ -114,11 +131,12 @@ def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:
     that rule to the polynomial.
     """
     R = as_exact(scal)
-    a, b = _second_factor(n, R, as_exact(tau))
-    inv2n = Fraction(1, 2 * n)
-    c2 = inv2n * (n - 1) * a
-    c1 = inv2n * ((n - 1) * b - R * a)
-    c0 = -inv2n * R * b
+    (an, ad), (bn, bd) = map(_split, _second_factor(n, R, as_exact(tau)))
+    r, s = _split(R)
+    # c2 = (n-1)a/(2n), c1 = ((n-1)b - Ra)/(2n), c0 = -Rb/(2n), each one quotient
+    c2 = _quotient((n - 1) * an, 2 * n * ad)
+    c1 = _quotient((n - 1) * bn * ad * s - r * an * bd, 2 * n * ad * bd * s)
+    c0 = _quotient(-r * bn, 2 * n * bd * s)
     return SpectralPolynomial(c0, c1, c2)
 
 

@@ -203,10 +203,9 @@ def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
     exactly when its two linear factors are nonzero with opposite signs,
     and the first factor vanishes at the gauge eigenvalue R/(n-1).
     """
-    try:
-        spec = function_spectrum(model, 60)
-    except CatalogError:
+    if not model.has_function_spectrum:
         return None
+    spec = function_spectrum(model, 60)
     lich = model.scal / (model.n - 1)
     a, b = _second_factor(model.n, model.scal, t)
     for lam in spec:

@@ -162,13 +162,15 @@ def check_einstein_gradients() -> CheckResult:
         model = cat[key]
         cd = model.curvature_data(exact=True)
         n, R = model.n, model.scal
-        grad0 = homogeneous.gradient_from_einstein(cd, Fraction(0))
-        grad_s = homogeneous.gradient_from_einstein(cd, Fraction(1)) - grad0
+        g = cd.g.ravel().tolist()
+        grad0 = homogeneous.gradient_from_einstein(cd, Fraction(0)).ravel().tolist()
+        grad1 = homogeneous.gradient_from_einstein(cd, Fraction(1)).ravel().tolist()
+        grad_s = [a - b for a, b in zip(grad1, grad0)]
         want0 = Fraction(n - 4, 2 * n * n) * R * R
         want_s = Fraction(n - 4, 2 * n) * R * R
         for name, grad, want in (("F0", grad0, want0), ("S", grad_s, want_s)):
-            defect = grad - want * cd.g
-            if any(x != 0 for x in defect.ravel().tolist()):
+            # grad - want g vanishes entrywise (want g is 0 wherever g is)
+            if any(x != (want * v if v else 0) for x, v in zip(grad, g)):
                 bad.append(f"{key} grad {name}")
     if bad:
         return CheckResult("05-einstein-gradients", False, "; ".join(bad),
@@ -198,9 +200,11 @@ def check_divergence_free(seed: int = 0) -> CheckResult:
         diag = [rng.uniform(0.5, 2.0) for _ in range(3)]
         tau = rng.uniform(-1.0, 1.0)
         g = np.diag(diag)
-        grad = homogeneous.gradient_F(sc, g, tau)
-        div = homogeneous.divergence(sc, g, grad)
-        norm = math.sqrt(abs(float(tensor_norm2(inverse_metric(g), div))))
+        g_inv = inverse_metric(g)
+        gam = homogeneous.levi_civita(sc, g, g_inv)
+        grad = homogeneous.gradient_F(sc, g, tau, g_inv, gam)
+        div = homogeneous.divergence(sc, g, grad, g_inv, gam)
+        norm = math.sqrt(abs(float(tensor_norm2(g_inv, div))))
         worst = max(worst, norm)
     return CheckResult("06-divergence-free", worst < 1e-9,
                        f"max |delta grad F_tau| = {worst:.2e} over 100 metrics",
@@ -307,8 +311,9 @@ def check_property_suites(seed: int = 0) -> CheckResult:
     issues = []
     # curvature symmetries + pointwise quadratic identity, 100 random metrics
     worst_rmf = 0.0
+    algebras = (homogeneous.su2(exact=False), homogeneous.su2_plus_r(exact=False))
     for k in range(100):
-        sc = homogeneous.su2(exact=False) if k % 2 == 0 else homogeneous.su2_plus_r(exact=False)
+        sc = algebras[k % 2]
         n = sc.n
         g = np.diag([rng.uniform(0.5, 2.0) for _ in range(n)])
         cd = homogeneous.curvature(sc, g)

@@ -150,8 +150,7 @@ def test_torus_verdict_decided_in_every_dimension(cat, n):
 
 
 def _full_spectrum_models(cat):
-    return [m for m in cat.values()
-            if m.variant in ("sphere", "quotient", "cp", "product", "torus")]
+    return [m for m in cat.values() if m.has_function_spectrum]
 
 
 def _conformal_thresholds(n):
@@ -191,6 +190,30 @@ def test_combined_verdict_skips_conformal_side_after_tt_failure(cat, monkeypatch
     v = combined_verdict(cat["hyperbolic:5"], Fraction(-1, 6),
                          lambda1_override=Fraction(1, 10))
     assert (v.variant, v.witness, scans) == ("FailsConformal", Fraction(1, 10), [])
+
+
+def test_bound_only_models_fail_conformally_without_a_scan(cat, monkeypatch):
+    """Hyperbolic models have no closed-form function spectrum, so a
+    FailsConformal verdict without lambda_1 says that no witness is
+    available without calling function_spectrum, and reads as it did when
+    the scan ran and caught the CatalogError."""
+    def no_scan(model, count):
+        raise AssertionError(f"function_spectrum called for {model.key}")
+
+    monkeypatch.setattr("qcf.stability.function_spectrum", no_scan)
+    no_witness = "no concrete eigenvalue witness available from the catalog"
+    branch_note = {
+        3: "dimension three, negative scalar curvature: tau below -3/8",
+        4: "dimension four: tau below -1/3",
+        6: ("tau at or below -3/10: negative leading coefficient, the conformal "
+            "Hessian is negative on all sufficiently large eigenvalues"),
+    }
+    for n, note in branch_note.items():
+        assert not cat[f"hyperbolic:{n}"].has_function_spectrum
+        for t in (Fraction(-1, 2), Fraction(-1)):
+            v = combined_verdict(cat[f"hyperbolic:{n}"], t)
+            assert v == StabilityVerdict("FailsConformal", None, (note, no_witness),
+                                         ("conformal-branch",)), (n, t)
 
 
 def test_conformal_witness_matches_the_expanded_polynomial(cat):
