@@ -6,6 +6,12 @@ a constant positive-definite matrix g_ij. The Koszul formula then has
 no derivative terms, so the Levi-Civita connection, curvature tensor,
 covariant derivatives of invariant tensors and the gradients of the
 quadratic functionals are all finite algebra, exact over Fractions.
+
+The float kernels (levi_civita, curvature, the covariant derivative,
+the Laplacian, divergence and gradient_F) take leading batch axes, as
+tensor_core's do: a stack of metrics g of shape (..., n, n) over one
+algebra goes through one call, with tau a number or one value per
+metric. One metric takes exactly the operations it took alone.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from qcf.tensor_core import (
     inverse_metric,
     is_exact,
     metric_det,
+    transpose_last,
     vanishes,
     zeros,
 )
@@ -114,12 +121,12 @@ def levi_civita(sc: StructureConstants, g: np.ndarray,
     """
     if g_inv is None:
         g_inv = inverse_metric(g)
-    clow = np.einsum("kl,ijl->ijk", g, sc.c)  # c_ij,k
+    clow = np.einsum("...kl,ijl->...ijk", g, sc.c)  # c_ij,k
     # transpose(clow, (2, 0, 1))[i, j, k] = clow[j, k, i] and
     # transpose(clow, (1, 2, 0))[i, j, k] = clow[k, i, j]
-    koszul = clow - np.transpose(clow, (2, 0, 1)) + np.transpose(clow, (1, 2, 0))
+    koszul = clow - transpose_last(clow, (2, 0, 1)) + transpose_last(clow, (1, 2, 0))
     half = Fraction(1, 2) if (sc.exact and is_exact(g)) else 0.5
-    return half * np.einsum("kl,ijl->ijk", g_inv, koszul)
+    return half * np.einsum("...kl,...ijl->...ijk", g_inv, koszul)
 
 
 def curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureData:
@@ -138,11 +145,11 @@ def _curvature(sc: StructureConstants, g: np.ndarray, g_inv: np.ndarray,
     """curvature() from the inverse metric and the connection already built."""
     # f[i,j,k,l]: coefficient of e_l in R(e_i,e_j) e_k
     f = (
-        np.einsum("jkm,iml->ijkl", gam, gam)
-        - np.einsum("ikm,jml->ijkl", gam, gam)
-        - np.einsum("ijm,mkl->ijkl", sc.c, gam)
+        np.einsum("...jkm,...iml->...ijkl", gam, gam)
+        - np.einsum("...ikm,...jml->...ijkl", gam, gam)
+        - np.einsum("ijm,...mkl->...ijkl", sc.c, gam)
     )
-    rm = np.einsum("km,ijlm->ijkl", g, f)
+    rm = np.einsum("...km,...ijlm->...ijkl", g, f)
     return CurvatureData(sc.n, g, rm, g_inv=g_inv)
 
 
@@ -151,21 +158,24 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     Frame components of invariant tensors are constant, so
     (nab T)_{a, i1..ir} = -sum_p Gamma^m_{a i_p} T_{..m..}; the
-    derivative index is prepended.
+    derivative index is prepended. A stack of connections (..., n, n, n)
+    takes a stack of tensors with the same leading axes.
     """
-    n, r = gam.shape[0], t.ndim
+    lead, n = gam.shape[:-3], gam.shape[-1]
+    r = t.ndim - len(lead)
     if r == 0:
         # scalars are constant on a homogeneous space
-        return zeros((n,), is_exact(t))
-    gam2 = gam.reshape(n * n, n)
+        return zeros((*lead, n), is_exact(t))
+    gam2 = gam.reshape(*lead, n * n, n)
     out = None
     for p in range(r):
         # one matmul over i_p, with the other indices in their order as the
         # columns (np.tensordot's layout, and so its bits); the product has
         # axes (a, i_p, the other indices), and i_p goes back to its place
         rest = [q for q in range(r) if q != p]
-        contrib = (gam2 @ t.transpose([p] + rest).reshape(n, -1)).reshape((n,) * (r + 1))
-        contrib = contrib.transpose([0, *range(2, p + 2), 1, *range(p + 2, r + 1)])
+        cols = transpose_last(t, [p] + rest).reshape(*lead, n, -1)
+        contrib = (gam2 @ cols).reshape(*lead, *(n,) * (r + 1))
+        contrib = transpose_last(contrib, [0, *range(2, p + 2), 1, *range(p + 2, r + 1)])
         out = -contrib if out is None else out - contrib
     return out
 
@@ -178,7 +188,8 @@ def laplacian(sc: StructureConstants, g: np.ndarray, t: np.ndarray) -> np.ndarra
 
 def _laplacian(g_inv: np.ndarray, gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """laplacian() from the inverse metric and the connection already built."""
-    return np.einsum("ab,ab...->...", g_inv, _cov1(gam, _cov1(gam, t)))
+    idx = "ijklmnop"[:t.ndim - (g_inv.ndim - 2)]
+    return np.einsum(f"...ab,...ab{idx}->...{idx}", g_inv, _cov1(gam, _cov1(gam, t)))
 
 
 def divergence(sc: StructureConstants, g: np.ndarray, h: np.ndarray,
@@ -188,13 +199,13 @@ def divergence(sc: StructureConstants, g: np.ndarray, h: np.ndarray,
     g_inv and gam, when given, are taken as the inverse of g and its
     connection (levi_civita), as in gradient_F.
     """
-    if h.ndim != 2:
+    if h.ndim - (g.ndim - 2) != 2:
         raise ValueError("divergence here takes a 2-tensor")
     if g_inv is None:
         g_inv = inverse_metric(g)
     if gam is None:
         gam = levi_civita(sc, g, g_inv)
-    return np.einsum("ia,aij->j", g_inv, _cov1(gam, h))
+    return np.einsum("...ia,...aij->...j", g_inv, _cov1(gam, h))
 
 
 def gradient_F(sc: StructureConstants, g: np.ndarray, tau,

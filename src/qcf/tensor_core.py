@@ -21,6 +21,14 @@ identity are the only code that builds a Fraction array from scratch,
 and vanishes the only code that decides that a tensor is zero; other
 modules call them.
 
+Float tensors may carry leading batch axes: a stack of metrics g of
+shape (..., n, n) with tensors of shape (..., n, ..., n), one per
+metric, goes through the same calls as one metric, and a full
+contraction returns an array over the batch axes. The depth of the
+batch is read from the metric (g or g_inv), so tensor indices sit at
+negative axes. Unbatched input takes exactly the operations of one
+metric, bit for bit; exact tensors are never batched.
+
 Index conventions, fixed once and used everywhere:
   Rm[i,j,k,l] is fully covariant with Rm = (1/2) kn(g, g) for the unit
   round metric (sectional curvature +1), and Ric[j,l] = g^ik Rm[i,j,k,l]
@@ -93,6 +101,19 @@ class _Exact:
 
 def _times(num: np.ndarray, k: int) -> np.ndarray:
     return num if k == 1 else num * k
+
+
+def transpose_last(t, axes):
+    """t with its last len(axes) axes permuted as np.transpose(t, axes) would
+    permute them; leading batch axes stay in place. Arrays and exact tensors."""
+    lead = len(t.shape) - len(axes)
+    return t.transpose(*range(lead), *(lead + a for a in axes))
+
+
+def _per_metric(s, rank: int):
+    """A per-metric scalar shaped to scale tensors of the given rank: an array
+    over the batch axes gains rank trailing axes, a number stays as it is."""
+    return s[(...,) + (None,) * rank] if isinstance(s, np.ndarray) else s
 
 
 def exact_tensor(values) -> _Exact:
@@ -177,9 +198,9 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the first Bianchi identity whenever a and b are symmetric. Arrays
     give an array, exact tensors an exact tensor.
     """
-    u = contract("ik,jl->ijkl", a, b) - contract("il,jk->ijkl", a, b)
+    u = contract("...ik,...jl->...ijkl", a, b) - contract("...il,...jk->...ijkl", a, b)
     # the last two terms are the first two with both index pairs swapped
-    return u + u.transpose(1, 0, 3, 2)
+    return u + transpose_last(u, (1, 0, 3, 2))
 
 
 def constant_curvature_rm(g: np.ndarray, kappa) -> np.ndarray:
@@ -190,34 +211,36 @@ def constant_curvature_rm(g: np.ndarray, kappa) -> np.ndarray:
 
 def contract_ricci(g_inv: np.ndarray, rm: np.ndarray) -> np.ndarray:
     """Ric_jl = g^ik Rm_ijkl."""
-    return contract("ik,ijkl->jl", g_inv, rm)
+    return contract("...ik,...ijkl->...jl", g_inv, rm)
 
 
 def scalar_curvature(g_inv: np.ndarray, ric: np.ndarray):
-    return contract("jl,jl->", g_inv, ric)
+    return contract("...jl,...jl->...", g_inv, ric)
 
 
 def raise_all(g_inv: np.ndarray, t: np.ndarray) -> np.ndarray:
     """T with every index raised by g_inv, by one matmul per index.
 
-    Each step raises the leading index and moves it last, so after ndim
-    steps the indices are back in their order. Float or object arrays;
-    on floats the bits are those of the np.tensordot loop this replaced,
-    for every rank 1-4 and dimension 3-8 (tests/test_index_kernels.py).
+    Each step raises the first tensor index and moves it last, so after
+    rank steps the indices are back in their order; a stack of metrics
+    g_inv (..., n, n) raises a stack of tensors with one batched matmul
+    per index. Float or object arrays; on one float metric the bits are
+    those of the np.tensordot loop this replaced, for every rank 1-4 and
+    dimension 3-8 (tests/test_index_kernels.py).
     """
-    n = g_inv.shape[0]
+    lead, n = g_inv.shape[:-2], g_inv.shape[-1]
     m = t
-    for _ in range(t.ndim):
-        m = (g_inv @ m.reshape(n, -1)).T
+    for _ in range(t.ndim - len(lead)):
+        m = np.swapaxes(g_inv @ m.reshape(*lead, n, -1), -1, -2)
     return m.reshape(t.shape)
 
 
 def tensor_norm2(g_inv: np.ndarray, t: np.ndarray):
-    """Full contraction |T|^2 with every index raised by g_inv."""
+    """Full contraction |T|^2 with every index raised by g_inv (one per metric)."""
     if isinstance(t, _Exact):
         return Fraction(int(np.sum(raise_all(g_inv.num, t.num) * t.num)),
                         g_inv.den ** t.num.ndim * t.den ** 2)
-    return np.sum(raise_all(g_inv, t) * t)
+    return (raise_all(g_inv, t) * t).reshape(*g_inv.shape[:-2], -1).sum(-1)
 
 
 def sym2_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -228,13 +251,16 @@ def check_curvature_symmetries(rm: np.ndarray, tol: float = 1e-12) -> None:
     """Raise if rm lacks the algebraic curvature symmetries.
 
     Checks antisymmetry in both index pairs, pair-exchange symmetry and
-    the first Bianchi identity. Exact inputs are compared exactly.
+    the first Bianchi identity on the last four axes, so a stack of
+    tensors is checked at once (the defect is the largest in the stack).
+    Exact inputs are compared exactly.
     """
     pairs = [
-        ("antisymmetry (first pair)", rm + np.swapaxes(rm, 0, 1)),
-        ("antisymmetry (second pair)", rm + np.swapaxes(rm, 2, 3)),
-        ("pair exchange", rm - np.transpose(rm, (2, 3, 0, 1))),
-        ("first Bianchi", rm + np.transpose(rm, (0, 2, 3, 1)) + np.transpose(rm, (0, 3, 1, 2))),
+        ("antisymmetry (first pair)", rm + np.swapaxes(rm, -4, -3)),
+        ("antisymmetry (second pair)", rm + np.swapaxes(rm, -2, -1)),
+        ("pair exchange", rm - transpose_last(rm, (2, 3, 0, 1))),
+        ("first Bianchi",
+         rm + transpose_last(rm, (0, 2, 3, 1)) + transpose_last(rm, (0, 3, 1, 2))),
     ]
     for name, defect in pairs:
         if not vanishes(defect, tol):
@@ -250,14 +276,14 @@ def decompose(g: np.ndarray, rm: np.ndarray):
     part is totally trace-free. In dimension 3 the Weyl part of any
     tensor with curvature symmetries vanishes identically.
     """
-    n = g.shape[0]
+    n = g.shape[-1]
     cd = CurvatureData(n, g, rm)
     cn = Fraction(1, n) if cd.exact else 1.0 / n
     c2 = Fraction(1, n - 2) if cd.exact else 1.0 / (n - 2)
     cs = Fraction(1, 2 * n * (n - 1)) if cd.exact else 1.0 / (2 * n * (n - 1))
-    tracefree_ric = cd.ric - (cd.scal * cn) * g
+    tracefree_ric = cd.ric - _per_metric(cd.scal * cn, 2) * g
     ricci_part = c2 * kulkarni_nomizu(tracefree_ric, g)
-    scalar_part = (cd.scal * cs) * kulkarni_nomizu(g, g)
+    scalar_part = _per_metric(cd.scal * cs, 4) * kulkarni_nomizu(g, g)
     weyl = rm - ricci_part - scalar_part
     return weyl, ricci_part, scalar_part
 
@@ -270,7 +296,7 @@ def quadratic_invariants(g: np.ndarray, rm: np.ndarray) -> dict[str, Any]:
     convention is the plain full contraction (no pair-reordering
     factors), pinned by |W|^2(S^2 x S^2) = 16/3.
     """
-    return CurvatureData(g.shape[0], g, rm).invariants()
+    return CurvatureData(g.shape[-1], g, rm).invariants()
 
 
 def gauss_bonnet_integrand(g: np.ndarray, rm: np.ndarray):
@@ -294,11 +320,14 @@ class CurvatureData:
     exact form. The attributes g, g_inv, rm and ric are float arrays or,
     for exact data, Fraction arrays, each built once on first read (an
     array passed in is returned as it is); scal is a float or a Fraction.
+    Float data may be a stack of metrics (module docstring): scal and the
+    invariants are then arrays over the batch axes. einstein_constant
+    takes one metric.
     """
 
     def __init__(self, n: int, g, rm, g_inv=None):
         validate_dim(n)
-        if rm.shape != (n,) * 4:
+        if rm.shape[-4:] != (n,) * 4:
             raise ValueError("curvature tensor shape mismatch")
         self.n = n
         self.exact = is_exact(g) and is_exact(rm)
@@ -368,20 +397,24 @@ class CurvatureData:
 
         The other terms of the gradient are derivatives of Ric and R, so
         on data with parallel Ricci tensor (Einstein data) this is the
-        whole gradient. Exact data gives a Fraction array. The two
-        tau-free parts are contracted on the first call and kept.
+        whole gradient. Exact data gives a Fraction array. On a stack of
+        float metrics tau is a number or an array with one value per
+        metric. The two tau-free parts are contracted on the first call
+        and kept.
         """
         t, scal = self._t, self.scal
         if "grad0" not in t:
             g, g_inv, ric = t["g"], t["g_inv"], t["ric"]
             half = Fraction(1, 2) if self.exact else 0.5
-            ric_up = contract("ka,lb,ab->kl", g_inv, g_inv, ric)
-            ric2 = contract("kl,kl->", ric_up, ric)
-            t["grad0"] = -2 * contract("pkql,kl->pq", t["rm"], ric_up) + half * ric2 * g
+            ric_up = contract("...ka,...lb,...ab->...kl", g_inv, g_inv, ric)
+            ric2 = _per_metric(contract("...kl,...kl->...", ric_up, ric), 2)
+            t["grad0"] = (-2 * contract("...pkql,...kl->...pq", t["rm"], ric_up)
+                          + half * ric2 * g)
+            scal = _per_metric(scal, 2)
             t["grad_s"] = -2 * scal * ric + half * scal * scal * g
         grad0, grad_s = t["grad0"], t["grad_s"]
         if not self.exact:
-            return grad0 + tau * grad_s
+            return grad0 + _per_metric(tau, 2) * grad_s
         if isinstance(tau, (int, Fraction)):
             return (grad0 + tau * grad_s).fractions()
         return grad0.fractions() + tau * grad_s.fractions()

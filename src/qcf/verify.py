@@ -192,22 +192,60 @@ def _sampler(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def _solvable() -> homogeneous.StructureConstants:
+    """The solvable algebra [e1,e2] = e2, [e1,e3] = e3 (hyperbolic 3-space as a group).
+
+    Unlike su(2) and su(2)+R it is not unimodular (tr ad e1 = 2). A
+    connection with its first two indices swapped leaves |delta grad F|
+    at roundoff on those two, and gives values of order 10 here.
+    """
+    c = np.zeros((3, 3, 3))
+    for k in (1, 2):
+        c[0, k, k], c[k, 0, k] = 1.0, -1.0
+    return homogeneous.StructureConstants(3, c)
+
+
+def _diagonal(rows: list) -> np.ndarray:
+    """The diagonal matrices with the given diagonals, as one stack."""
+    d = np.array(rows)
+    return d[..., None] * np.eye(d.shape[-1])
+
+
+def _spd_draws(rng: random.Random, n: int, count: int) -> tuple[np.ndarray, list]:
+    """count full SPD metrics a a^T + diag(d), a in [-1, 1]^(n x n) and d in
+    [0.5, 2]^n, each drawn with a tau in [-1, 1]: the stack and the taus."""
+    a, d, taus = [], [], []
+    for _ in range(count):
+        a.append([rng.uniform(-1.0, 1.0) for _ in range(n * n)])
+        d.append([rng.uniform(0.5, 2.0) for _ in range(n)])
+        taus.append(rng.uniform(-1.0, 1.0))
+    a = np.array(a).reshape(count, n, n)
+    aat = a @ np.swapaxes(a, -1, -2)
+    return 0.5 * (aat + np.swapaxes(aat, -1, -2)) + _diagonal(d), taus
+
+
 def check_divergence_free(seed: int = 0) -> CheckResult:
     rng = _sampler(seed)
-    sc = homogeneous.su2(exact=False)
-    worst = 0.0
+    algebras = (homogeneous.su2(exact=False), homogeneous.su2_plus_r(exact=False), _solvable())
+    # 100 diagonal metrics on su(2), then 50 full SPD metrics on each algebra,
+    # every metric with its tau; one stack per algebra
+    diag, taus = [], []
     for _ in range(100):
-        diag = [rng.uniform(0.5, 2.0) for _ in range(3)]
-        tau = rng.uniform(-1.0, 1.0)
-        g = np.diag(diag)
+        diag.append([rng.uniform(0.5, 2.0) for _ in range(3)])
+        taus.append(rng.uniform(-1.0, 1.0))
+    full, full_taus = _spd_draws(rng, 3, 50)
+    stacks = [(algebras[0], np.concatenate([_diagonal(diag), full]), taus + full_taus)]
+    stacks += [(sc, *_spd_draws(rng, sc.n, 50)) for sc in algebras[1:]]
+    worst, count = 0.0, 0
+    for sc, g, taus in stacks:
         g_inv = inverse_metric(g)
         gam = homogeneous.levi_civita(sc, g, g_inv)
-        grad = homogeneous.gradient_F(sc, g, tau, g_inv, gam)
+        grad = homogeneous.gradient_F(sc, g, np.array(taus), g_inv, gam)
         div = homogeneous.divergence(sc, g, grad, g_inv, gam)
-        norm = math.sqrt(abs(float(tensor_norm2(g_inv, div))))
-        worst = max(worst, norm)
+        worst = max(worst, math.sqrt(float(np.max(np.abs(tensor_norm2(g_inv, div))))))
+        count += len(g)
     return CheckResult("06-divergence-free", worst < 1e-9,
-                       f"max |delta grad F_tau| = {worst:.2e} over 100 metrics",
+                       f"max |delta grad F_tau| = {worst:.2e} over {count} metrics",
                        "< 1e-9")
 
 
@@ -285,9 +323,10 @@ def check_gauss_bonnet() -> CheckResult:
     cat, _ = _catalog()
     issues = []
     details = []
+    cds = {}
     for key in ("sphere:4", "product:2"):
         model = cat[key]
-        cd = model.curvature_data(exact=True)
+        cd = cds[key] = model.curvature_data(exact=True)
         density = gauss_bonnet_integrand(cd.g, cd.rm)
         vol = float(model.volume)
         lhs = vol * float(density)
@@ -296,7 +335,7 @@ def check_gauss_bonnet() -> CheckResult:
         details.append(f"{key}: rel err {rel:.2e}")
         if rel > 1e-10:
             issues.append(f"{key}: {lhs} vs {rhs}")
-    w2 = cat["product:2"].curvature_data(exact=True).invariants()["weyl2"]
+    w2 = cds["product:2"].invariants()["weyl2"]
     if w2 != Fraction(16, 3):
         issues.append(f"|W|^2(S2xS2) = {w2} != 16/3")
     details.append("|W|^2(S2xS2) = 16/3 exactly")
@@ -309,13 +348,15 @@ def check_gauss_bonnet() -> CheckResult:
 def check_property_suites(seed: int = 0) -> CheckResult:
     rng = _sampler(seed)
     issues = []
-    # curvature symmetries + pointwise quadratic identity, 100 random metrics
+    # curvature symmetries + pointwise quadratic identity, 100 random
+    # metrics drawn in turn on su(2) and su(2)+R, checked as one stack each
     worst_rmf = 0.0
     algebras = (homogeneous.su2(exact=False), homogeneous.su2_plus_r(exact=False))
+    diagonals = ([], [])
     for k in range(100):
-        sc = algebras[k % 2]
-        n = sc.n
-        g = np.diag([rng.uniform(0.5, 2.0) for _ in range(n)])
+        diagonals[k % 2].append([rng.uniform(0.5, 2.0) for _ in range(algebras[k % 2].n)])
+    for sc, rows in zip(algebras, diagonals):
+        n, g = sc.n, _diagonal(rows)
         cd = homogeneous.curvature(sc, g)
         try:
             check_curvature_symmetries(cd.rm, tol=1e-10)
@@ -327,8 +368,8 @@ def check_property_suites(seed: int = 0) -> CheckResult:
         weyl2 = tensor_norm2(cd.g_inv, decompose(g, cd.rm)[0])
         lhs = (n - 2) / 4.0 * (inv["rm2"] - weyl2)
         rhs = inv["ric2"] - inv["scal"] ** 2 / (2.0 * (n - 1))
-        scale = max(abs(rhs), 1.0)
-        worst_rmf = max(worst_rmf, abs(lhs - rhs) / scale)
+        scale = np.maximum(np.abs(rhs), 1.0)
+        worst_rmf = max(worst_rmf, float(np.max(np.abs(lhs - rhs) / scale)))
     if worst_rmf >= 1e-9:
         issues.append(f"pointwise quadratic identity defect {worst_rmf:.2e}")
     # factorization identities, 200 random exact inputs

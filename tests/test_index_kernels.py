@@ -3,7 +3,8 @@
 `tensor_core.raise_all` raises every index of a tensor and
 `homogeneous._cov1` differentiates an invariant covariant tensor; both
 contract one index at a time with a matrix product. The oracles below
-are the earlier `np.tensordot` + `np.moveaxis` forms of the same loops.
+are the earlier `np.tensordot` + `np.moveaxis` forms of the same loops,
+applied item by item to a stack with leading batch axes.
 On float input the kernels must agree with them bit for bit (so that
 `qcf grad` and `qcf verify` print the same bytes), and on the object
 arrays of the exact path entry for entry. The mutation tests check that
@@ -23,7 +24,12 @@ CASES = 1200
 
 
 def _raise_all_oracle(g_inv, t, skip=0):
-    """Every index raised by tensordot + moveaxis; `skip` leaves the last indices."""
+    """Every index raised by tensordot + moveaxis; `skip` leaves the last indices.
+
+    A stack of metrics g_inv (..., n, n) raises its stack of tensors item by item.
+    """
+    if g_inv.ndim > 2:
+        return np.stack([_raise_all_oracle(gi, ti, skip) for gi, ti in zip(g_inv, t)])
     out = t
     for axis in range(t.ndim - skip):
         out = np.tensordot(g_inv, out, axes=([1], [axis]))
@@ -33,7 +39,10 @@ def _raise_all_oracle(g_inv, t, skip=0):
 
 def _cov1_oracle(gam, t, sign=-1):
     """-sum_p Gamma^m_{a i_p} T_{..m..} by tensordot + moveaxis; `sign` is
-    that of every contribution after the first."""
+    that of every contribution after the first. A stack of connections
+    (..., n, n, n) takes its stack of tensors item by item."""
+    if gam.ndim > 3:
+        return np.stack([_cov1_oracle(gi, ti, sign) for gi, ti in zip(gam, t)])
     out = None
     for p in range(t.ndim):
         contrib = np.moveaxis(np.tensordot(gam, t, axes=([2], [p])), 1, p + 1)
@@ -133,15 +142,35 @@ def test_verify_03_fails_when_cov1_flips_a_sign(monkeypatch):
     """A sign flipped in one contribution of the covariant derivative breaks
     Delta Ric and so the Berger criticality residual of verify 03.
 
-    Verify 06 cannot see it: on su(2) with diagonal metrics the divergence
-    of a diagonal invariant tensor vanishes term by term, so it measures
-    exactly 0 whatever _cov1 does. The overall sign of _cov1 cancels in
-    Delta Ric; the metric-compatibility test below pins it.
+    On su(2) with diagonal metrics alone verify 06 could not see it: there
+    the divergence of a diagonal invariant tensor vanishes term by term
+    (the next test checks that its other samples do). The overall sign of
+    _cov1 cancels in Delta Ric; the metric-compatibility test below pins it.
     """
     mutant = lambda gam, t: _cov1_oracle(gam, t, sign=+1)  # noqa: E731
     assert verify.check_berger_secondary().passed
     monkeypatch.setattr(homogeneous, "_cov1", mutant)
     assert not verify.check_berger_secondary().passed
+
+
+def test_verify_06_fails_when_cov1_flips_a_sign(monkeypatch):
+    mutant = lambda gam, t: _cov1_oracle(gam, t, sign=+1)  # noqa: E731
+    assert verify.check_divergence_free(0).passed
+    monkeypatch.setattr(homogeneous, "_cov1", mutant)
+    assert not verify.check_divergence_free(0).passed
+
+
+def test_verify_06_fails_when_levi_civita_swaps_its_first_two_indices(monkeypatch):
+    """Gamma^k_ji for Gamma^k_ij is the connection with the opposite torsion.
+    On su(2) and su(2)+R it leaves delta grad F at roundoff, on the solvable
+    algebra [e1,e2] = e2, [e1,e3] = e3 of order 10 (the real code: below 1e-11)."""
+    real = levi_civita
+    mutant = lambda sc, g, g_inv=None: np.swapaxes(real(sc, g, g_inv), -3, -2)  # noqa: E731
+    assert verify.check_divergence_free(0).passed
+    monkeypatch.setattr(homogeneous, "levi_civita", mutant)
+    result = verify.check_divergence_free(0)
+    assert not result.passed
+    assert float(result.measured.split("= ")[1].split()[0]) > 1.0
 
 
 def _cov1_matches_metric_compatibility(cov1) -> bool:
