@@ -468,7 +468,8 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
 @main.command()
 @click.option("--dim", "n", type=click.IntRange(2, 12), required=True)
 @click.option("--tau", type=RATIO, default=None,
-              help="Required unless --conformal-killing is given.")
+              help="The weight tau; required, except with --conformal-killing, "
+                   "which refuses it.")
 @click.option("--trials", type=click.IntRange(1, 100000), default=100,
               help="Accepted for compatibility; no effect, since rotation "
                    "invariance decides the symbol at one covector.")
@@ -478,13 +479,19 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
 @click.option("--trace-free", is_flag=True, default=False,
               help="Restrict the symbol to the trace-free block.")
 @click.option("--conformal-killing", "ck", is_flag=True, default=False,
-              help="Report the conformal-Killing gauge symbol instead.")
+              help="Report the conformal-Killing gauge symbol instead; "
+                   "takes neither --tau nor --trace-free.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
 @guarded
 def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
     """Principal-symbol injectivity of the gauged linearization."""
     if ck:
+        # the conformal-Killing symbol depends on neither, so either would be dropped
+        if tau is not None:
+            raise ValueError("--tau does not apply with --conformal-killing")
+        if trace_free:
+            raise ValueError("--trace-free does not apply with --conformal-killing")
         v = rational.conformal_killing_symbol(n, [1.0] + [0.0] * (n - 1))
         if fmt == "json":
             _emit_json({

@@ -48,8 +48,11 @@ def tau2(n: int) -> Fraction:
 
 
 def as_exact(x):
-    """A Fraction for int or Fraction input, a float otherwise."""
-    if isinstance(x, (int, Fraction)):
+    """A Fraction for int or Fraction input (a Fraction itself, which is
+    immutable, comes back as it is), a float otherwise."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     return float(x)
 
@@ -161,8 +164,17 @@ def q_factor(n: int, scal, tau, lam):
 
 
 def _second_factor(n: int, R, t) -> tuple:
-    """Slope and constant (a, b) of the second factor a lambda + b of p_tau."""
-    return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
+    """Slope and constant (a, b) of the second factor a lambda + b of p_tau.
+
+    With R = r/s and tau = p/q exact, each is one quotient:
+    a = n(nq + 4(n-1)p)/q and b = 2(n-4)(q + np)r/(qs). Float input keeps
+    n(n - 4tau + 4n tau) and 2(n-4)(1 + n tau)R.
+    """
+    (p, q), (r, s) = _split(t), _split(R)
+    if not (isinstance(p, int) and isinstance(r, int)):
+        return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
+    return (Fraction(n * (n * q + 4 * (n - 1) * p), q),
+            Fraction(2 * (n - 4) * (q + n * p) * r, q * s))
 
 
 class ConformalKillingVerdict(NamedTuple):

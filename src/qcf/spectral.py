@@ -15,7 +15,7 @@ import numpy as np
 
 from qcf._exact import exact_rank_nullspace
 from qcf.rational import as_exact
-from qcf.tensor_core import identity, is_exact, zeros
+from qcf.tensor_core import _per_metric, identity, is_exact, zeros
 
 
 def _sym_basis(n: int) -> list[tuple[int, int]]:
@@ -35,12 +35,18 @@ def _vec_to_sym(v, basis, n: int, exact: bool) -> np.ndarray:
 
 
 def symbol_coefficients(n: int, tau) -> tuple:
-    """The three coefficient combinations entering the gauged symbol."""
-    t = as_exact(tau)
-    A = 2 * t + Fraction(n * n + 4 * n - 4, 2 * n * n)
-    B = 2 * (t + Fraction(n - 1, n))
-    C = 2 * t + Fraction(n**3 + 4 * n - 4, 2 * n**3)
-    return A, B, C
+    """The three coefficient combinations entering the gauged symbol.
+
+    Fractions for exact tau; floats for float tau, or arrays for an
+    array of float taus, each 2 tau + c or 2 (tau + c) with c rounded once.
+    """
+    t = tau if isinstance(tau, np.ndarray) else as_exact(tau)
+    a = Fraction(n * n + 4 * n - 4, 2 * n * n)
+    b = Fraction(n - 1, n)
+    c = Fraction(n**3 + 4 * n - 4, 2 * n**3)
+    if not isinstance(t, Fraction):
+        a, b, c = float(a), float(b), float(c)
+    return 2 * t + a, 2 * (t + b), 2 * t + c
 
 
 class SymbolOperator(NamedTuple):
@@ -51,11 +57,13 @@ class SymbolOperator(NamedTuple):
       + C |xi|^4 (tr h) g - A |xi|^2 h(xi,xi) g
     in an orthonormal frame (g the identity). Only tr h and h(xi,xi)
     enter besides h itself, so the matrix is (1/2)|xi|^4 I plus two
-    rank-one terms. Exact entries when tau and xi are rational.
+    rank-one terms. Exact entries when tau and xi are rational. A float
+    operator may hold a stack of matrices (see gauged_symbol); apply and
+    trace_free_block take the matrix of one covector.
     """
 
     n: int
-    tau: Fraction | float
+    tau: Fraction | float | np.ndarray
     xi: np.ndarray
     matrix: np.ndarray
     basis: tuple = ()
@@ -65,9 +73,11 @@ class SymbolOperator(NamedTuple):
         out = self.matrix @ v
         return _vec_to_sym(out, self.basis, self.n, is_exact(self.matrix))
 
-    def min_singular_value(self) -> float:
-        m = self.matrix.astype(float)
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
+    def min_singular_value(self):
+        """The smallest singular value: a float, or an array over the
+        covectors of a stack (one SVD call for the whole stack)."""
+        sv = np.linalg.svd(self.matrix.astype(float), compute_uv=False)[..., -1]
+        return float(sv) if sv.ndim == 0 else sv
 
     def trace_free_block(self) -> np.ndarray:
         """Matrix restricted and projected to trace-free symmetric arrays.
@@ -90,36 +100,53 @@ def gauged_symbol(n: int, tau, xi) -> SymbolOperator:
     With u = vec(xi xi), g = vec(g) (also the trace functional) and w
     the functional h -> h(xi,xi), the matrix is
     (1/2)|xi|^4 I + (C|xi|^4 g - A|xi|^2 u) g^T + (B u - A|xi|^2 g) w^T.
+
+    Float xi may be a stack of covectors (..., n), with tau a number or
+    an array with one value per covector; the matrices are then a stack
+    (..., N, N), each with the bits of its covector built alone. Exact
+    symbols take one covector.
     """
     xi = np.asarray(xi)
     if n < 3:
         raise ValueError("dimension must be at least 3")
-    if xi.shape != (n,):
-        raise ValueError(f"xi must have shape ({n},)")
-    if isinstance(tau, (int, Fraction)) and xi.dtype.kind in "iu":
+    if xi.ndim < 1 or xi.shape[-1] != n:
+        raise ValueError(f"xi must have shape ({n},) or (..., {n})")
+    exact = isinstance(tau, (int, Fraction)) and xi.dtype.kind in "iuO"
+    if exact and xi.ndim != 1:
+        raise ValueError("exact symbols take one covector")
+    if exact and xi.dtype != object:
         promoted = np.empty(n, dtype=object)
         promoted[:] = [Fraction(int(x)) for x in xi.tolist()]
         xi = promoted
-    exact = isinstance(tau, (int, Fraction)) and xi.dtype == object
-    if not any(bool(x != 0) for x in xi.tolist()):
+    if not np.all(np.any(xi != 0, axis=-1)):
         raise ValueError("xi must be nonzero")
-    dtype = object if exact else float
-    if not exact:
+    if exact:
+        A, B, C = symbol_coefficients(n, tau)
+        dtype, half = object, Fraction(1, 2)
+    else:
         xi = xi.astype(float)
-    A, B, C = symbol_coefficients(n, tau if exact else float(tau))
-    if not exact:
-        A, B, C = float(A), float(B), float(C)
-    x = xi.tolist()
-    xi2 = sum(v * v for v in x)
+        t = np.asarray(tau, dtype=float) if np.ndim(tau) else float(tau)
+        # per-covector scalars gain one axis, to scale vectors over the basis
+        A, B, C = (_per_metric(k, 1) for k in symbol_coefficients(n, t))
+        dtype, half = float, 0.5
+    xi2 = xi[..., 0] * xi[..., 0]  # summed left to right, as sum() over xi would
+    for k in range(1, n):
+        xi2 = xi2 + xi[..., k] * xi[..., k]
+    xi2 = _per_metric(xi2, 1)
     basis = _sym_basis(n)
-    u = np.array([x[i] * x[j] for i, j in basis], dtype=dtype)
+    rows, cols = np.array(basis).T
+    u = xi[..., rows] * xi[..., cols]
     g = np.array([int(i == j) for i, j in basis], dtype=dtype)
-    w = np.array([x[i] * x[j] * (1 if i == j else 2) for i, j in basis], dtype=dtype)
-    half = Fraction(1, 2) if exact else 0.5
-    matrix = (half * xi2 * xi2 * np.eye(len(basis), dtype=dtype)
-              + np.outer(C * xi2 * xi2 * g - A * xi2 * u, g)
-              + np.outer(B * u - A * xi2 * g, w))
+    w = u * np.array([1 if i == j else 2 for i, j in basis], dtype=dtype)
+    matrix = (_per_metric(half * xi2 * xi2, 1) * np.eye(len(basis), dtype=dtype)
+              + _outer(C * xi2 * xi2 * g - A * xi2 * u, g)
+              + _outer(B * u - A * xi2 * g, w))
     return SymbolOperator(n=n, tau=tau, xi=xi, matrix=matrix, basis=tuple(basis))
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer over the last axis, with leading batch axes."""
+    return a[..., :, None] * b[..., None, :]
 
 
 class InjectivityVerdict(NamedTuple):

@@ -7,14 +7,19 @@ tolerance: numpy runs a stacked matmul as one product per item, and
 each einsum sums every entry in the same order with or without the
 batch axes.
 
-A guard counts the connection and index-raising calls of the two
-criteria, so that a per-sample loop cannot come back unnoticed.
+`spectral.gauged_symbol` takes a stack of float covectors in the same way,
+and one SVD call reads the singular values of the whole stack; verify 07
+builds one stack per dimension.
+
+A guard counts the connection and index-raising calls of 06 and 10 and
+the symbol builds of 07, so that a per-sample loop cannot come back
+unnoticed.
 """
 
 import numpy as np
 import pytest
 
-from qcf import homogeneous, tensor_core, verify
+from qcf import homogeneous, spectral, tensor_core, verify
 from qcf.homogeneous import _cov1, curvature, divergence, gradient_F, levi_civita
 from qcf.tensor_core import (check_curvature_symmetries, decompose, inverse_metric,
                              quadratic_invariants, raise_all, tensor_norm2)
@@ -118,3 +123,40 @@ def test_random_criteria_build_one_connection_per_algebra(monkeypatch, check, al
     calls = _count(monkeypatch)
     assert check(0).passed
     assert calls == {"levi_civita": algebras, "raise_all": raises_per_algebra * algebras}
+
+
+COVECTORS = 200
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stacked_symbols_equal_the_per_covector_loop(n):
+    """gauged_symbol on a stack of float covectors, with one tau each or one
+    tau for all, and the singular values of the stack from one SVD call."""
+    rng = np.random.default_rng(100 + n)
+    xis = rng.normal(size=(COVECTORS, n))
+    taus = rng.uniform(-2.0, 2.0, COVECTORS)
+    op = spectral.gauged_symbol(n, taus, xis)
+    svs = op.min_singular_value()
+    singles = [spectral.gauged_symbol(n, float(t), xi) for t, xi in zip(taus, xis)]
+    _same(op.matrix, [s.matrix for s in singles])
+    _same(svs, [s.min_singular_value() for s in singles])
+    shared = spectral.gauged_symbol(n, 0.3, xis[:7])
+    _same(shared.matrix, [spectral.gauged_symbol(n, 0.3, xi).matrix for xi in xis[:7]])
+
+
+def test_symbol_criterion_builds_one_float_symbol_per_dimension(monkeypatch):
+    """verify 07 builds its 100 random float symbols as one stack per
+    dimension; the exact threshold decisions build one symbol each."""
+    calls = []
+    real = spectral.gauged_symbol
+
+    def counted(n, tau, xi):
+        calls.append((n, isinstance(tau, np.ndarray), np.shape(xi)))
+        return real(n, tau, xi)
+
+    monkeypatch.setattr(spectral, "gauged_symbol", counted)
+    assert verify.check_symbol(0).passed
+    stacked = [c for c in calls if c[1]]
+    assert len({c[0] for c in stacked}) == len(stacked) <= 6
+    assert sum(c[2][0] for c in stacked) == 100
+    assert [c for c in calls if not c[1]] == [(n, False, (n,)) for n in (3, 4, 5)]

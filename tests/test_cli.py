@@ -87,6 +87,13 @@ def test_unknown_model_exit_code(runner):
      "error: model 'quotient' takes --dim and --order, not --m\n"),
     (["intervals", "--model", "hyperbolic:6", "--lambda1", "100"],
      "error: --lambda1 applies only with --tau\n"),
+    (["symbol", "--dim", "3", "--tau", "-3/8", "--conformal-killing"],
+     "error: --tau does not apply with --conformal-killing\n"),
+    (["symbol", "--dim", "3", "--trace-free", "--conformal-killing"],
+     "error: --trace-free does not apply with --conformal-killing\n"),
+    (["symbol", "--dim", "4", "--tau", "0", "--trace-free", "--conformal-killing",
+      "--format", "json"],
+     "error: --tau does not apply with --conformal-killing\n"),
 ])
 def test_refused_option_names_itself(runner, args, stderr):
     res = runner.invoke(main, args)
@@ -322,7 +329,8 @@ IMPOSSIBLE_INPUT = [
     ["rigidity", "--model", "hyperbolic:4", "--mu", "-100"],
 ]
 # a model option that the family does not take or that disagrees with the
-# catalog key, and --lambda1 where the interval would drop it
+# catalog key, --lambda1 where the interval would drop it, and --tau or
+# --trace-free where the conformal-Killing symbol would drop it
 REFUSED_OPTIONS = [
     ["intervals", "--model", "sphere:4", "--dim", "5"],
     ["intervals", "--model", "quotient", "--dim", "4", "--order", "0"],
@@ -332,6 +340,8 @@ REFUSED_OPTIONS = [
     ["rigidity", "--model", "quotient:4:2", "--order", "3"],
     ["intervals", "--model", "hyperbolic:6", "--lambda1", "-5"],
     ["intervals", "--model", "hyperbolic:6", "--lambda1", "100"],
+    ["symbol", "--dim", "3", "--tau", "-3/8", "--conformal-killing"],
+    ["symbol", "--dim", "5", "--trace-free", "--conformal-killing"],
 ]
 
 
@@ -549,6 +559,7 @@ NUMPY_FREE = [
       "--ric-upper-ok", "--ric-lower-ok"], 0),
     (["berger", "--tau", "1/3", "--critical"], 0),
     (["symbol", "--dim", "4", "--conformal-killing"], 0),
+    (["symbol", "--dim", "3", "--tau", "-3/8", "--conformal-killing"], 2),
     (["curve", "--tau", "1/3", "--derivatives", "3"], 0),
     (["curve", "--family", "product", "--tau", "-1/2", "--points", "30", "--derivatives", "3"], 0),
     (["curve", "--tau", "1/7", "--points", "100", "--derivatives", "3"], 0),

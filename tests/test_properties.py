@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qcf import homogeneous
 from qcf.catalog import builtin_catalog
-from qcf.functionals import curve_derivatives
 from qcf.rational import (
     conformal_polynomial,
     conformal_s_polynomial,
@@ -23,6 +22,8 @@ from qcf.tensor_core import (check_curvature_symmetries, decompose, quadratic_in
                              sym2_inner, tensor_norm2)
 
 diag_entries = st.floats(min_value=0.5, max_value=2.0,
+                         allow_nan=False, allow_infinity=False)
+unit_entries = st.floats(min_value=-1.0, max_value=1.0,
                          allow_nan=False, allow_infinity=False)
 small_fractions = st.fractions(min_value=Fraction(-40), max_value=Fraction(40),
                                max_denominator=12)
@@ -79,32 +80,98 @@ def test_s_polynomial_is_the_tau_slope(n, scal, lam):
         assert diff == conformal_s_polynomial(n, scal)(lam)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(diag_entries, min_size=3, max_size=3),
-       st.lists(st.floats(min_value=-1.0, max_value=1.0,
-                          allow_nan=False, allow_infinity=False),
-                min_size=3, max_size=3),
-       st.floats(min_value=-0.8, max_value=0.8,
-                 allow_nan=False, allow_infinity=False))
-def test_gradient_matches_directional_derivative(entries, direction, tau):
-    """d/dt F_tau(g + t h) = Vol <grad F_tau, h> for diagonal variations."""
-    assume(max(abs(d) for d in direction) > 0.1)
-    sc = homogeneous.su2()
-    g = np.diag(entries)
-    h = np.diag(direction)
+def _first_variation_defect(sc, g, h, tau) -> float:
+    """|F'(g)h - Vol(g) <grad F, h>_g| / max(1, |Vol <grad F, h>|).
+
+    F'(g)h is the 5-point central difference of functional_value at step
+    1e-4, which needs no connection derivative; the pairing goes through
+    gradient_F and so through Delta Ric. Both algebras are compact groups
+    (SU(2), SU(2) x S^1), where the identity holds for every invariant
+    g and h.
+    """
     vol_ref = homogeneous.SU2_REFERENCE_VOLUME
 
     def f(t: float) -> float:
         return homogeneous.functional_value(sc, g + t * h, tau, vol_ref)
 
-    [[d1]] = curve_derivatives(lambda ts: [f(t) for t in ts], [0.0], max_order=1,
-                               base_step=1e-3, levels=6)
+    e = 1e-4
+    d1 = (f(-2 * e) - 8 * f(-e) + 8 * f(e) - f(2 * e)) / (12 * e)
     grad = homogeneous.gradient_F(sc, g, tau)
     vol = homogeneous.volume(sc, g, vol_ref)
-    g_inv = np.linalg.inv(g)
-    pairing = vol * float(sym2_inner(g_inv, grad, h))
-    scale = max(1.0, abs(pairing))
-    assert abs(d1.value - pairing) <= 1e-6 * scale
+    pairing = vol * float(sym2_inner(np.linalg.inv(g), grad, h))
+    return abs(d1 - pairing) / max(1.0, abs(pairing))
+
+
+def _spd(a: list, d: list) -> np.ndarray:
+    """The full SPD metric a a^T + diag(d) from n*n entries a and a diagonal d."""
+    n = len(d)
+    m = np.array(a).reshape(n, n)
+    return m @ m.T + np.diag(d)
+
+
+def _symmetric(b: list, n: int) -> np.ndarray:
+    m = np.array(b).reshape(n, n)
+    return m + m.T
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), st.lists(unit_entries, min_size=16, max_size=16),
+       st.lists(diag_entries, min_size=4, max_size=4),
+       st.lists(unit_entries, min_size=16, max_size=16),
+       st.floats(min_value=-0.8, max_value=0.8, allow_nan=False, allow_infinity=False))
+def test_gradient_matches_directional_derivative(four_dim, a, d, b, tau):
+    """d/dt F_tau(g + t h) = Vol <grad F_tau, h>_g for a full SPD g and a full
+    symmetric h, on su(2) and on su(2)+R."""
+    sc = homogeneous.su2_plus_r() if four_dim else homogeneous.su2()
+    n = sc.n
+    h = _symmetric(b[:n * n], n)
+    assume(np.max(np.abs(h)) > 0.1)
+    assert _first_variation_defect(sc, _spd(a[:n * n], d[:n]), h, tau) <= 1e-8
+
+
+def _first_variation_samples(seed: int = 7, count: int = 20):
+    """count seeded (algebra, g, h, tau) per algebra, drawn as in the test above."""
+    rng = np.random.default_rng(seed)
+    for sc in (homogeneous.su2(), homogeneous.su2_plus_r()):
+        n = sc.n
+        for _ in range(count):
+            g = _spd(rng.uniform(-1.0, 1.0, n * n), rng.uniform(0.5, 2.0, n))
+            yield sc, g, _symmetric(rng.uniform(-1.0, 1.0, n * n), n), rng.uniform(-0.8, 0.8)
+
+
+def _worst_defects() -> dict:
+    worst = {}
+    for sc, g, h, tau in _first_variation_samples():
+        worst[sc.n] = max(worst.get(sc.n, 0.0), _first_variation_defect(sc, g, h, tau))
+    return worst
+
+
+def test_first_variation_fails_for_a_zero_or_swapped_connection_derivative(monkeypatch):
+    """Dropping Delta Ric (a zero _cov1) or using the connection with the
+    opposite torsion (Gamma^k_ji for Gamma^k_ij) breaks the identity on both
+    algebras, by a defect of order 10 or more; the real code stays at roundoff."""
+    real = _worst_defects()
+    assert max(real.values()) <= 1e-8
+    cov1, levi_civita = homogeneous._cov1, homogeneous.levi_civita
+    monkeypatch.setattr(homogeneous, "_cov1", lambda gam, t: 0 * cov1(gam, t))
+    assert min(_worst_defects().values()) > 1.0
+    monkeypatch.setattr(homogeneous, "_cov1", cov1)
+    monkeypatch.setattr(homogeneous, "levi_civita",
+                        lambda sc, g, g_inv=None: np.swapaxes(levi_civita(sc, g, g_inv), -3, -2))
+    assert min(_worst_defects().values()) > 1.0
+
+
+def test_negated_cov1_cancels_in_the_gradient(monkeypatch):
+    """A negated _cov1 cannot fail the first-variation identity: grad F takes
+    the derivative only through Delta Ric = tr nabla nabla Ric, where the sign
+    enters twice, so the gradient keeps its bits. The metric-compatibility
+    test in test_index_kernels pins this sign instead."""
+    samples = list(_first_variation_samples(count=3))
+    want = [homogeneous.gradient_F(sc, g, tau) for sc, g, _, tau in samples]
+    cov1 = homogeneous._cov1
+    monkeypatch.setattr(homogeneous, "_cov1", lambda gam, t: -cov1(gam, t))
+    for (sc, g, _, tau), w in zip(samples, want):
+        assert homogeneous.gradient_F(sc, g, tau).tobytes() == w.tobytes()
 
 
 _INTERVAL_KEYS = [

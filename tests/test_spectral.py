@@ -5,8 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcf import rational, verify
 from qcf._exact import exact_det, exact_rank_nullspace
 from qcf.rational import (
+    _quotient,
+    _second_factor,
+    _split,
+    as_exact,
     conformal_killing_symbol,
     conformal_polynomial,
     conformal_s_polynomial,
@@ -298,3 +303,64 @@ def test_trace_free_block_equals_projection(n):
     op = gauged_symbol(n, 0.3, xi.astype(float))
     np.testing.assert_allclose(op.trace_free_block(), _trace_free_by_projection(op),
                                rtol=0, atol=1e-12 * float(np.max(np.abs(op.matrix))))
+
+
+def _chained_second_factor(n, R, t):
+    """The second factor as a chain of Fraction or float operations, the form
+    it had before each coefficient became one quotient: the oracle."""
+    return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
+
+
+def _chained_conformal_polynomial(n, scal, tau):
+    """conformal_polynomial on the chained second factor (oracle)."""
+    R = as_exact(scal)
+    (an, ad), (bn, bd) = map(_split, _chained_second_factor(n, R, as_exact(tau)))
+    r, s = _split(R)
+    c2 = _quotient((n - 1) * an, 2 * n * ad)
+    c1 = _quotient((n - 1) * bn * ad * s - r * an * bd, 2 * n * ad * bd * s)
+    c0 = _quotient(-r * bn, 2 * n * bd * s)
+    return c0, c1, c2
+
+
+def _second_factor_inputs(count, seed=17):
+    """count seeded (n, R, tau, lambda): R = 0 and tau at -1/n and at
+    -n/(4(n-1)) among them, the rest ratios of small integers."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(3, 9))
+        R = Fraction(0) if k % 7 == 0 else Fraction(int(rng.integers(-60, 61)),
+                                                     int(rng.integers(1, 13)))
+        tau = (Fraction(-1, n), tau2(n), Fraction(int(rng.integers(-40, 41)),
+                                                  int(rng.integers(1, 13))))[k % 3]
+        lam = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 13)))
+        yield n, R, tau, lam
+
+
+def test_second_factor_keeps_the_chained_values_on_exact_input():
+    for n, R, tau, lam in _second_factor_inputs(20000):
+        got, want = _second_factor(n, R, tau), _chained_second_factor(n, R, tau)
+        assert got == want and all(type(x) is Fraction for x in got)
+        assert q_factor(n, R, tau, lam) == want[0] * lam + want[1]
+        assert tuple(conformal_polynomial(n, R, tau)) == _chained_conformal_polynomial(n, R, tau)
+
+
+def test_second_factor_keeps_the_chained_bits_on_float_input():
+    """Float R or tau (or both) take the chained expression itself."""
+    def bits(values):
+        return [float(v).hex() if isinstance(v, float) else v for v in values]
+
+    for k, (n, R, tau, lam) in enumerate(_second_factor_inputs(2000, seed=18)):
+        R, tau = (float(R), tau) if k % 3 == 0 else (R, float(tau)) if k % 3 == 1 else (
+            float(R), float(tau))
+        want = _chained_second_factor(n, R, tau)
+        assert bits(_second_factor(n, R, tau)) == bits(want)
+        assert bits([q_factor(n, R, tau, float(lam))]) == bits([want[0] * float(lam) + want[1]])
+        assert (bits(conformal_polynomial(n, R, tau))
+                == bits(_chained_conformal_polynomial(n, R, tau)))
+
+
+def test_verify_10_fails_when_the_second_factor_drops_its_r_term(monkeypatch):
+    real = rational._second_factor
+    assert verify.check_property_suites(0).passed
+    monkeypatch.setattr(rational, "_second_factor", lambda n, R, t: (real(n, R, t)[0], 0))
+    assert not verify.check_property_suites(0).passed
