@@ -173,8 +173,14 @@ def _second_factor(n: int, R, t) -> tuple:
     (p, q), (r, s) = _split(t), _split(R)
     if not (isinstance(p, int) and isinstance(r, int)):
         return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
-    return (Fraction(n * (n * q + 4 * (n - 1) * p), q),
-            Fraction(2 * (n - 4) * (q + n * p) * r, q * s))
+    a, b = _second_numerators(n, p, q, r)
+    return Fraction(a, q), Fraction(b, q * s)
+
+
+def _second_numerators(n: int, p: int, q: int, r: int) -> tuple[int, int]:
+    """Numerators of the slope and constant of the second factor over the
+    denominators q and qs, for tau = p/q and R = r/s (q, s > 0)."""
+    return n * (n * q + 4 * (n - 1) * p), 2 * (n - 4) * (q + n * p) * r
 
 
 class ConformalKillingVerdict(NamedTuple):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from qcf.catalog import CatalogError, ModelSpace, function_spectrum
-from qcf.rational import _second_factor, format_ratio, q_factor, tau1, tau2
+from qcf.rational import _second_numerators, format_ratio, q_factor, tau1, tau2
 
 
 class InsufficientSpectralData(ValueError):
@@ -138,9 +138,19 @@ def _exact_tau(tau) -> Fraction:
 # gap checks
 
 
-def _known_in(tt, lo: Fraction, hi: Fraction):
-    """The first known TT eigenvalue in [lo, hi], or None."""
-    return next((eig for eig in tt.known if lo <= eig.mu <= hi), None)
+def _ratio_text(num: int, den: int) -> str:
+    """The text of the Fraction num/den (den > 0), without building it."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _tt_meets(tt, lo: int, hi: int, den: int):
+    """Where spec_TT meets [lo/den, hi/den] (den > 0), by cross-multiplication:
+    the first known eigenvalue inside or None, and whether the interval
+    lies below the tail bound."""
+    eig = next((e for e in tt.known if lo * e.mu.denominator <= e.mu.numerator * den
+                <= hi * e.mu.denominator), None)
+    return eig, hi * tt.tail_bound.denominator < tt.tail_bound.numerator * den
 
 
 def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
@@ -158,14 +168,16 @@ def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
     if tt is None:
         raise InsufficientSpectralData(f"{model.key}: no TT spectral data")
     t = _exact_tau(tau)
-    R = model.scal
-    n = model.n
-    a = 2 * R / n
-    b = (Fraction(4, n) + 2 * t) * R
+    n, p, q = model.n, t.numerator, t.denominator
+    r, s = model.scal.numerator, model.scal.denominator
+    # with tau = p/q and R = r/s, the roots over the common denominator nqs
+    den = n * q * s
+    a, b = 2 * q * r, (4 * q + 2 * n * p) * r
     lo, hi = (a, b) if a <= b else (b, a)
-    eig = _known_in(tt, lo, hi)
+    eig, below_tail = _tt_meets(tt, lo, hi, den)
+    span = f"[{_ratio_text(lo, den)}, {_ratio_text(hi, den)}]"
     if eig is not None:
-        note = f"eigenvalue {eig.mu} in the forbidden interval [{lo}, {hi}]"
+        note = f"eigenvalue {eig.mu} in the forbidden interval {span}"
         if eig.witness:
             note += f"; witness: {eig.witness}"
         if tt.is_subset:
@@ -176,22 +188,22 @@ def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
                 provenance=("tt-gap",))
         return StabilityVerdict("FailsTT", witness=eig.mu, notes=(note,),
                                 provenance=("tt-gap",))
-    if hi < tt.tail_bound:
+    if below_tail:
         prov = "tt-gap"
         if tt.is_bound:
             return StabilityVerdict(
                 "StableBoundOnly",
-                notes=(f"forbidden interval [{lo}, {hi}] lies below the "
+                notes=(f"forbidden interval {span} lies below the "
                        f"spectral lower bound {tt.tail_bound}",),
                 provenance=(prov, "tt-lower-bound"))
         return StabilityVerdict(
             "StrictlyStable",
-            notes=(f"forbidden interval [{lo}, {hi}] misses the known "
+            notes=(f"forbidden interval {span} misses the known "
                    f"spectrum and lies below the tail bound {tt.tail_bound}",),
             provenance=(prov,))
     return StabilityVerdict(
         "Indeterminate",
-        notes=(f"forbidden interval [{lo}, {hi}] reaches the region "
+        notes=(f"forbidden interval {span} reaches the region "
                f"mu >= {tt.tail_bound} where the spectrum is not fully known",),
         provenance=("tt-gap",))
 
@@ -206,13 +218,17 @@ def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
     if not model.has_function_spectrum:
         return None
     spec = function_spectrum(model, 60)
-    lich = model.scal / (model.n - 1)
-    a, b = _second_factor(model.n, model.scal, t)
+    n, r, s = model.n, model.scal.numerator, model.scal.denominator
+    a, b = _second_numerators(n, t.numerator, t.denominator, r)
+    # at lambda = l/d the factors have the signs of (n-1)s l - r d and a s l + b d
+    a, gauge = a * s, (n - 1) * s
     for lam in spec:
-        if lam == 0 or lam == lich:
+        l, d = lam.numerator, lam.denominator
+        first = gauge * l - r * d
+        if l == 0 or first == 0:
             continue  # scaling / conformal-diffeomorphism gauge directions
-        second = a * lam + b
-        if second and (second < 0) == (lam > lich):
+        second = a * l + b * d
+        if second and (second < 0) == (first > 0):
             return lam
     return None
 
@@ -230,9 +246,11 @@ def conformal_gap_check(model: ModelSpace, tau,
     """
     _check_lambda1(lambda1_override)
     t = _exact_tau(tau)
-    n = model.n
-    R = model.scal
-    t2 = tau2(n)
+    n, p, q, r = model.n, t.numerator, t.denominator, model.scal.numerator
+    t1, t2 = (4 - 3 * n, 2 * n * (n - 1)), (-n, 4 * (n - 1))  # tau1, tau2 as (num, den)
+
+    def vs(num: int, den: int) -> int:  # an integer with the sign of tau - num/den
+        return den * p - num * q
 
     def fails(note: str, witness=None, allow_scan=True) -> StabilityVerdict:
         w = witness
@@ -247,15 +265,15 @@ def conformal_gap_check(model: ModelSpace, tau,
         return StabilityVerdict("FailsConformal", witness=w, notes=tuple(notes),
                                 provenance=("conformal-branch",))
 
-    if R > 0:
+    if r > 0:
         if n == 3:
-            if t > Fraction(-3, 8):
+            if vs(-3, 8) > 0:
                 return StabilityVerdict(
                     "StrictlyStable",
                     notes=("dimension three, positive scalar curvature: "
                            "tau above -3/8",),
                     provenance=("conformal-branch",))
-            if t < Fraction(-5, 12):
+            if vs(-5, 12) < 0:
                 return fails("dimension three: tau below -5/12 makes the "
                              "conformal Hessian negative past the gauge modes")
             return StabilityVerdict(
@@ -264,12 +282,12 @@ def conformal_gap_check(model: ModelSpace, tau,
                        "branch applies",),
                 provenance=("conformal-branch",))
         if n == 4:
-            if t > Fraction(-1, 3):
+            if vs(-1, 3) > 0:
                 return StabilityVerdict(
                     "StrictlyStable",
                     notes=("dimension four: tau above -1/3",),
                     provenance=("conformal-branch",))
-            if t == Fraction(-1, 3):
+            if vs(-1, 3) == 0:
                 return StabilityVerdict(
                     "Indeterminate",
                     notes=("tau = -1/3 in dimension four: the functional is "
@@ -279,30 +297,30 @@ def conformal_gap_check(model: ModelSpace, tau,
             return fails("dimension four: tau below -1/3 flips the conformal "
                          "Hessian negative")
         # n >= 5
-        if t > tau1(n):
+        if vs(*t1) > 0:
             return StabilityVerdict(
                 "StrictlyStable",
-                notes=(f"tau above the threshold {tau1(n)} = (4-3n)/(2n(n-1))",),
+                notes=(f"tau above the threshold {_ratio_text(*t1)} = (4-3n)/(2n(n-1))",),
                 provenance=("conformal-branch",))
-        if t <= t2:
-            return fails(f"tau at or below -n/(4(n-1)) = {t2}: negative leading "
+        if vs(*t2) <= 0:
+            return fails(f"tau at or below -n/(4(n-1)) = {_ratio_text(*t2)}: negative leading "
                          "coefficient, the conformal Hessian is negative on "
                          "all sufficiently large eigenvalues")
         return StabilityVerdict(
             "Indeterminate",
-            notes=(f"tau in ({t2}, {tau1(n)}]: between the negative and "
+            notes=(f"tau in ({_ratio_text(*t2)}, {_ratio_text(*t1)}]: between the negative and "
                    "positive branches, where the statement is silent",),
             provenance=("conformal-branch",))
 
-    if R < 0:
+    if r < 0:
         if n == 3:
-            if t > Fraction(-1, 3):
+            if vs(-1, 3) > 0:
                 return StabilityVerdict(
                     "StrictlyStable",
                     notes=("dimension three, negative scalar curvature: "
                            "tau above -1/3",),
                     provenance=("conformal-branch",))
-            if t < Fraction(-3, 8):
+            if vs(-3, 8) < 0:
                 return fails("dimension three, negative scalar curvature: "
                              "tau below -3/8")
             return StabilityVerdict(
@@ -310,25 +328,25 @@ def conformal_gap_check(model: ModelSpace, tau,
                 notes=("dimension three: tau in [-3/8, -1/3]",),
                 provenance=("conformal-branch",))
         if n == 4:
-            if t > Fraction(-1, 3):
+            if vs(-1, 3) > 0:
                 return StabilityVerdict(
                     "StrictlyStable",
                     notes=("dimension four: tau above -1/3",),
                     provenance=("conformal-branch",))
-            if t == Fraction(-1, 3):
+            if vs(-1, 3) == 0:
                 return StabilityVerdict(
                     "Indeterminate",
                     notes=("tau = -1/3 in dimension four: conformal invariance",),
                     provenance=("conformal-invariance",))
             return fails("dimension four: tau below -1/3")
         # n >= 5, R < 0
-        if t2 < t <= Fraction(-1, n):
+        if vs(*t2) > 0 and vs(-1, n) <= 0:
             return StabilityVerdict(
                 "StrictlyStable",
-                notes=(f"tau in ({t2}, -1/{n}]: second factor positive on all "
+                notes=(f"tau in ({_ratio_text(*t2)}, -1/{n}]: second factor positive on all "
                        "positive eigenvalues regardless of lambda_1",),
                 provenance=("conformal-branch",))
-        if t > Fraction(-1, n):
+        if vs(-1, n) > 0:
             lam1 = lambda1_override if lambda1_override is not None else model.lambda1
             if lam1 is None:
                 raise InsufficientSpectralData(
@@ -336,7 +354,7 @@ def conformal_gap_check(model: ModelSpace, tau,
                     "needs the first nonzero Laplace eigenvalue (the branch "
                     "requires lambda_1 > (n-4)(-R)/(2(n-1)); pass "
                     "lambda1_override)")
-            qv = q_factor(n, R, t, lam1)
+            qv = q_factor(n, model.scal, t, lam1)
             if qv > 0:
                 return StabilityVerdict(
                     "StrictlyStable",
@@ -352,18 +370,18 @@ def conformal_gap_check(model: ModelSpace, tau,
             return fails(f"second factor negative at lambda_1 = {lam1}",
                          witness=lam1, allow_scan=False)
         # t <= tau2(n)
-        return fails(f"tau at or below {t2}: negative leading coefficient, "
+        return fails(f"tau at or below {_ratio_text(*t2)}: negative leading coefficient, "
                      "the conformal Hessian is negative on all sufficiently "
                      "large eigenvalues")
 
     # R == 0
-    if t > t2:
+    if vs(*t2) > 0:
         return StabilityVerdict(
             "StrictlyStable",
             notes=("scalar-flat: polynomial reduces to a positive multiple "
                    "of lambda^2 for tau above -n/(4(n-1))",),
             provenance=("conformal-branch",))
-    if t == t2:
+    if vs(*t2) == 0:
         return StabilityVerdict(
             "Indeterminate",
             notes=("scalar-flat at tau = -n/(4(n-1)): the conformal "
@@ -566,13 +584,12 @@ class BachVerdict(NamedTuple):
         }
 
 
-def _interval_empty(tt, lo: Fraction, hi: Fraction) -> bool | None:
-    """Is spec_TT disjoint from [lo, hi]? True/False when certain, else None."""
-    if _known_in(tt, lo, hi) is not None:
+def _interval_empty(tt, lo: int, hi: int, den: int) -> bool | None:
+    """Is spec_TT disjoint from [lo/den, hi/den]? True/False when certain, else None."""
+    eig, below_tail = _tt_meets(tt, lo, hi, den)
+    if eig is not None:
         return None if tt.is_subset else False
-    if hi < tt.tail_bound:
-        return True
-    return None
+    return True if below_tail else None
 
 
 def bach_verdict(model: ModelSpace) -> BachVerdict:
@@ -589,17 +606,19 @@ def bach_verdict(model: ModelSpace) -> BachVerdict:
         raise InsufficientSpectralData(f"{model.key}: no TT data")
     R = model.scal
     t1, t2_ = R / 3, R / 2
-    lo, hi = (t1, t2_) if t1 <= t2_ else (t2_, t1)
-    # a value lies in the spectrum exactly when [value, value] is not empty
-    e1 = _interval_empty(model.tt, t1, t1)
-    e2 = _interval_empty(model.tt, t2_, t2_)
+    # R/3 and R/2 over the common denominator 6s; a value lies in the
+    # spectrum exactly when [value, value] is not empty
+    a, b, den = 2 * R.numerator, 3 * R.numerator, 6 * R.denominator
+    lo, hi = (a, b) if a <= b else (b, a)
+    e1 = _interval_empty(model.tt, a, a, den)
+    e2 = _interval_empty(model.tt, b, b, den)
     if e1 is False or e2 is False:
         rigid = False
     elif e1 and e2:
         rigid = True
     else:
         rigid = None
-    empty = _interval_empty(model.tt, lo, hi)
+    empty = _interval_empty(model.tt, lo, hi, den)
     notes = [f"checked values R/3 = {t1} and R/2 = {t2_} against the TT data"]
     if rigid is None or empty is None:
         notes.append("spectral data insufficient to decide (bound or subset "

@@ -1,17 +1,26 @@
 """Gap checks, stability intervals, rigidity lists, Bach and volume verdicts."""
 
+import cProfile
+import functools
+import json
 import math
+import pstats
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qcf import stability
 from qcf.catalog import builtin_catalog, function_spectrum
-from qcf.rational import conformal_polynomial, tau1, tau2
+from qcf.rational import _second_factor, conformal_polynomial, q_factor, tau1, tau2
 from qcf.stability import (
+    BachVerdict,
     InsufficientSpectralData,
     StabilityVerdict,
     TauInterval,
+    _check_lambda1,
     _conformal_witness,
+    _exact_tau,
     bach_verdict,
     combined_verdict,
     conformal_gap_check,
@@ -484,3 +493,388 @@ def test_json_shapes(cat):
     v = combined_verdict(cat["product:2"], Fraction(0))
     obj = verdict_to_json(cat["product:2"], Fraction(0), v)
     assert obj["witness"] == "4"
+
+
+# ---------------------------------------------------------------------------
+# the gap checks against their Fraction-chain form
+#
+# The oracle below is the gap-check code as it read before the checks moved
+# to integer numerators: every threshold, root and factor a Fraction, every
+# decision a Fraction comparison.
+
+
+def _oracle_known_in(tt, lo, hi):
+    return next((eig for eig in tt.known if lo <= eig.mu <= hi), None)
+
+
+def _oracle_tt_gap_check(model, tau):
+    tt = model.tt
+    if tt is None:
+        raise InsufficientSpectralData(f"{model.key}: no TT spectral data")
+    t = _exact_tau(tau)
+    R = model.scal
+    n = model.n
+    a = 2 * R / n
+    b = (Fraction(4, n) + 2 * t) * R
+    lo, hi = (a, b) if a <= b else (b, a)
+    eig = _oracle_known_in(tt, lo, hi)
+    if eig is not None:
+        note = f"eigenvalue {eig.mu} in the forbidden interval [{lo}, {hi}]"
+        if eig.witness:
+            note += f"; witness: {eig.witness}"
+        if tt.is_subset:
+            return StabilityVerdict(
+                "Indeterminate", witness=eig.mu,
+                notes=(note, "spectrum is a quotient subset: the witness "
+                             "may not descend"),
+                provenance=("tt-gap",))
+        return StabilityVerdict("FailsTT", witness=eig.mu, notes=(note,),
+                                provenance=("tt-gap",))
+    if hi < tt.tail_bound:
+        prov = "tt-gap"
+        if tt.is_bound:
+            return StabilityVerdict(
+                "StableBoundOnly",
+                notes=(f"forbidden interval [{lo}, {hi}] lies below the "
+                       f"spectral lower bound {tt.tail_bound}",),
+                provenance=(prov, "tt-lower-bound"))
+        return StabilityVerdict(
+            "StrictlyStable",
+            notes=(f"forbidden interval [{lo}, {hi}] misses the known "
+                   f"spectrum and lies below the tail bound {tt.tail_bound}",),
+            provenance=(prov,))
+    return StabilityVerdict(
+        "Indeterminate",
+        notes=(f"forbidden interval [{lo}, {hi}] reaches the region "
+               f"mu >= {tt.tail_bound} where the spectrum is not fully known",),
+        provenance=("tt-gap",))
+
+
+def _oracle_conformal_witness(model, t):
+    if not model.has_function_spectrum:
+        return None
+    spec = stability.function_spectrum(model, 60)
+    lich = model.scal / (model.n - 1)
+    a, b = _second_factor(model.n, model.scal, t)
+    for lam in spec:
+        if lam == 0 or lam == lich:
+            continue
+        second = a * lam + b
+        if second and (second < 0) == (lam > lich):
+            return lam
+    return None
+
+
+def _oracle_conformal_gap_check(model, tau, lambda1_override=None):
+    _check_lambda1(lambda1_override)
+    t = _exact_tau(tau)
+    n = model.n
+    R = model.scal
+    t2 = tau2(n)
+
+    def fails(note, witness=None, allow_scan=True):
+        w = witness
+        if w is None and allow_scan:
+            w = _oracle_conformal_witness(model, t)
+        notes = [note]
+        if w is None and allow_scan:
+            notes.append("no concrete eigenvalue witness available from the catalog")
+        elif w is not None and model.spectra_are_subsets:
+            notes.append("witness eigenvalue from the covering spectrum; the "
+                         "eigenfunction may not descend to the quotient")
+        return StabilityVerdict("FailsConformal", witness=w, notes=tuple(notes),
+                                provenance=("conformal-branch",))
+
+    if R > 0:
+        if n == 3:
+            if t > Fraction(-3, 8):
+                return StabilityVerdict(
+                    "StrictlyStable",
+                    notes=("dimension three, positive scalar curvature: "
+                           "tau above -3/8",),
+                    provenance=("conformal-branch",))
+            if t < Fraction(-5, 12):
+                return fails("dimension three: tau below -5/12 makes the "
+                             "conformal Hessian negative past the gauge modes")
+            return StabilityVerdict(
+                "Indeterminate",
+                notes=("dimension three: tau in [-5/12, -3/8], where neither "
+                       "branch applies",),
+                provenance=("conformal-branch",))
+        if n == 4:
+            if t > Fraction(-1, 3):
+                return StabilityVerdict(
+                    "StrictlyStable",
+                    notes=("dimension four: tau above -1/3",),
+                    provenance=("conformal-branch",))
+            if t == Fraction(-1, 3):
+                return StabilityVerdict(
+                    "Indeterminate",
+                    notes=("tau = -1/3 in dimension four: the functional is "
+                           "conformally invariant, the conformal Hessian "
+                           "vanishes identically",),
+                    provenance=("conformal-invariance",))
+            return fails("dimension four: tau below -1/3 flips the conformal "
+                         "Hessian negative")
+        if t > tau1(n):
+            return StabilityVerdict(
+                "StrictlyStable",
+                notes=(f"tau above the threshold {tau1(n)} = (4-3n)/(2n(n-1))",),
+                provenance=("conformal-branch",))
+        if t <= t2:
+            return fails(f"tau at or below -n/(4(n-1)) = {t2}: negative leading "
+                         "coefficient, the conformal Hessian is negative on "
+                         "all sufficiently large eigenvalues")
+        return StabilityVerdict(
+            "Indeterminate",
+            notes=(f"tau in ({t2}, {tau1(n)}]: between the negative and "
+                   "positive branches, where the statement is silent",),
+            provenance=("conformal-branch",))
+
+    if R < 0:
+        if n == 3:
+            if t > Fraction(-1, 3):
+                return StabilityVerdict(
+                    "StrictlyStable",
+                    notes=("dimension three, negative scalar curvature: "
+                           "tau above -1/3",),
+                    provenance=("conformal-branch",))
+            if t < Fraction(-3, 8):
+                return fails("dimension three, negative scalar curvature: "
+                             "tau below -3/8")
+            return StabilityVerdict(
+                "Indeterminate",
+                notes=("dimension three: tau in [-3/8, -1/3]",),
+                provenance=("conformal-branch",))
+        if n == 4:
+            if t > Fraction(-1, 3):
+                return StabilityVerdict(
+                    "StrictlyStable",
+                    notes=("dimension four: tau above -1/3",),
+                    provenance=("conformal-branch",))
+            if t == Fraction(-1, 3):
+                return StabilityVerdict(
+                    "Indeterminate",
+                    notes=("tau = -1/3 in dimension four: conformal invariance",),
+                    provenance=("conformal-invariance",))
+            return fails("dimension four: tau below -1/3")
+        if t2 < t <= Fraction(-1, n):
+            return StabilityVerdict(
+                "StrictlyStable",
+                notes=(f"tau in ({t2}, -1/{n}]: second factor positive on all "
+                       "positive eigenvalues regardless of lambda_1",),
+                provenance=("conformal-branch",))
+        if t > Fraction(-1, n):
+            lam1 = lambda1_override if lambda1_override is not None else model.lambda1
+            if lam1 is None:
+                raise InsufficientSpectralData(
+                    f"{model.key}: tau > -1/n with negative scalar curvature "
+                    "needs the first nonzero Laplace eigenvalue (the branch "
+                    "requires lambda_1 > (n-4)(-R)/(2(n-1)); pass "
+                    "lambda1_override)")
+            qv = q_factor(n, R, t, lam1)
+            if qv > 0:
+                return StabilityVerdict(
+                    "StrictlyStable",
+                    notes=(f"second factor positive at lambda_1 = {lam1} and "
+                           "increasing",),
+                    provenance=("conformal-branch", "lambda1-data"))
+            if qv == 0:
+                return StabilityVerdict(
+                    "Indeterminate", witness=lam1,
+                    notes=(f"second factor vanishes at lambda_1 = {lam1}: "
+                           "neutral conformal direction",),
+                    provenance=("conformal-branch", "lambda1-data"))
+            return fails(f"second factor negative at lambda_1 = {lam1}",
+                         witness=lam1, allow_scan=False)
+        return fails(f"tau at or below {t2}: negative leading coefficient, "
+                     "the conformal Hessian is negative on all sufficiently "
+                     "large eigenvalues")
+
+    if t > t2:
+        return StabilityVerdict(
+            "StrictlyStable",
+            notes=("scalar-flat: polynomial reduces to a positive multiple "
+                   "of lambda^2 for tau above -n/(4(n-1))",),
+            provenance=("conformal-branch",))
+    if t == t2:
+        return StabilityVerdict(
+            "Indeterminate",
+            notes=("scalar-flat at tau = -n/(4(n-1)): the conformal "
+                   "polynomial vanishes identically",),
+            provenance=("conformal-branch",))
+    return fails("scalar-flat: negative multiple of lambda^2 below "
+                 "-n/(4(n-1))")
+
+
+def _oracle_bach_verdict(model):
+    def interval_empty(tt, lo, hi):
+        if _oracle_known_in(tt, lo, hi) is not None:
+            return None if tt.is_subset else False
+        return True if hi < tt.tail_bound else None
+
+    R = model.scal
+    t1, t2_ = R / 3, R / 2
+    lo, hi = (t1, t2_) if t1 <= t2_ else (t2_, t1)
+    e1, e2 = interval_empty(model.tt, t1, t1), interval_empty(model.tt, t2_, t2_)
+    rigid = False if False in (e1, e2) else (True if e1 and e2 else None)
+    empty = interval_empty(model.tt, lo, hi)
+    notes = [f"checked values R/3 = {t1} and R/2 = {t2_} against the TT data"]
+    if rigid is None or empty is None:
+        notes.append("spectral data insufficient to decide (bound or subset only)")
+    return BachVerdict(model.key, rigid, empty, (t1, t2_), tuple(notes))
+
+
+def _scaled(model, c):
+    """The model with R, its TT data and lambda_1 multiplied by c, so that
+    every threshold and eigenvalue carries a denominator."""
+    tt = model.tt._replace(
+        known=tuple(e._replace(mu=c * e.mu) for e in model.tt.known),
+        tail_bound=c * model.tt.tail_bound)
+    return model._replace(key=f"{model.key}*{c}", scal=c * model.scal, tt=tt,
+                          einstein_constant=c * model.einstein_constant,
+                          lambda1=None if model.lambda1 is None else c * model.lambda1)
+
+
+_VERDICT_POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "exact-sweep.json")
+    .read_text(encoding="utf-8"))["verdict_pool"].values()
+_BREAKPOINTS = {Fraction(t) for pool in _VERDICT_POOL for t in pool["breakpoints"]}
+_POOL_TAUS = sorted(_BREAKPOINTS | {Fraction(t) for pool in _VERDICT_POOL
+                                    for gap in pool["gaps"] for t in gap})
+_ODD_TAUS = [-1 / 3 + 1e-13, -1 / 3 - 1e-13, -0.45, 0.15, 1e-300,
+             Fraction(1, 10 ** 400), Fraction(-1, 10 ** 400)]
+
+
+def _lambda1_choices(model, t):
+    """None, 9/2 (exact and float), the model's lambda_1 and the root of
+    q_factor when positive, where the conformal check reads lambda_1
+    (R < 0, n >= 5); None elsewhere."""
+    if not (model.scal < 0 and model.n >= 5):
+        return [None]
+    out = [None, Fraction(9, 2), 4.5]
+    if model.lambda1 is not None:
+        out.append(model.lambda1)
+    a, b = _second_factor(model.n, model.scal, _exact_tau(t))
+    if a and -b / a > 0:
+        out.append(-b / a)
+    return out
+
+
+def _gap_check_cases(cat, grid=True):
+    """(model, tau, full) for every catalog model at every benchmark verdict
+    tau, on the 1/240 grid of [-2, 1] and at float taus and 10^-400; and for
+    a rescaled copy of each model at the same taus but the grid. full
+    marks the benchmark's breakpoints and the odd taus, where the combined
+    verdict, the witness scan and the JSON are also compared directly."""
+    extra = sorted({Fraction(k, 240) for k in range(-480, 241)} - set(_POOL_TAUS)) if grid else []
+    models = list(cat.values()) + [_scaled(m, Fraction(7, 5)) for m in cat.values()]
+    out = [(m, t, t in _BREAKPOINTS or t in _ODD_TAUS) for m in models for t in _POOL_TAUS + _ODD_TAUS]
+    out += [(m, t, False) for m in cat.values() for t in extra]
+    out += [(cat["sphere:4"]._replace(tt=None), t, False) for t in _POOL_TAUS[:5]]
+    return out
+
+
+def _outcomes(model, t, full):
+    """The gap-check results at (model, t), with the text of any error."""
+    def run(f, *args):
+        try:
+            v = f(*args)
+        except InsufficientSpectralData as e:
+            return ("raises", str(e))
+        return (v, verdict_to_json(model, t, v)) if full and isinstance(v, StabilityVerdict) else v
+    out = [run(stability.tt_gap_check, model, t)]
+    if model.tt is None:
+        return out
+    for lam in _lambda1_choices(model, t):
+        out.append(run(stability.conformal_gap_check, model, t, lam))
+        if full:
+            out.append(run(stability.combined_verdict, model, t, lam))
+    if full:
+        out.append(run(stability._conformal_witness, model, _exact_tau(t)))
+    return out
+
+
+def _oracle_mismatches(monkeypatch, cases):
+    """The cases where the checks and the oracle differ. Both read the
+    function spectrum through one cache, which only saves time."""
+    monkeypatch.setattr(stability, "function_spectrum", functools.lru_cache(function_spectrum))
+    got = [_outcomes(*case) for case in cases]
+    with monkeypatch.context() as mp:
+        mp.setattr(stability, "tt_gap_check", _oracle_tt_gap_check)
+        mp.setattr(stability, "conformal_gap_check", _oracle_conformal_gap_check)
+        mp.setattr(stability, "_conformal_witness", _oracle_conformal_witness)
+        want = [_outcomes(*case) for case in cases]
+    return [(m.key, t) for (m, t, _), a, b in zip(cases, got, want) if a != b]
+
+
+def test_gap_checks_match_the_fraction_chain_oracle(cat, monkeypatch):
+    """Variant, witness, notes, provenance, JSON and error texts are those
+    of the Fraction-chain checks, for each lambda_1 choice; the combined
+    verdict is a function of the two checks, and is compared directly at
+    the breakpoints. Bach verdicts too, on every dimension-four model and a
+    rescaled copy."""
+    cases = _gap_check_cases(cat)
+    assert len(cases) > 25000
+    assert _oracle_mismatches(monkeypatch, cases) == []
+    for model in cat.values():
+        for m in (model, _scaled(model, Fraction(7, 5))):
+            if m.n == 4:
+                assert bach_verdict(m) == _oracle_bach_verdict(m), m.key
+
+
+@pytest.mark.parametrize("strict", ["lo", "hi"])
+def test_oracle_comparison_sees_a_strict_membership_mutant(cat, monkeypatch, strict):
+    """With < in place of <= at either end of the membership test, an
+    eigenvalue at a root of the TT polynomial is missed, and the oracle
+    comparison reports it."""
+    def mutant(tt, lo, hi, den):
+        def inside(e):
+            x, d = e.mu.numerator * den, e.mu.denominator
+            return lo * d < x <= hi * d if strict == "lo" else lo * d <= x < hi * d
+        eig = next((e for e in tt.known if inside(e)), None)
+        return eig, hi * tt.tail_bound.denominator < tt.tail_bound.numerator * den
+
+    monkeypatch.setattr(stability, "_tt_meets", mutant)
+    cases = [case for case in _gap_check_cases(cat, grid=False) if case[1] in _BREAKPOINTS]
+    assert _oracle_mismatches(monkeypatch, cases)
+
+
+def test_rigidity_taus_are_tt_gap_contacts(cat):
+    """At each exceptional tau a known eigenvalue sits in the forbidden
+    interval, so the TT check does not pass there."""
+    for model in cat.values():
+        if model.scal == 0 or not model.tt.known:
+            continue
+        for e in rigidity_exceptional_taus(model, count=50).exceptional:
+            v = tt_gap_check(model, e.tau)
+            assert v.variant in ("FailsTT", "Indeterminate") and v.witness is not None, \
+                (model.key, e.tau)
+
+
+def _fraction_news(call) -> int:
+    prof = cProfile.Profile()
+    prof.runcall(call)
+    return sum(calls for (path, _, name), (_, calls, *_rest) in pstats.Stats(prof).stats.items()
+               if name == "__new__" and path.endswith("fractions.py"))
+
+
+def test_verdicts_build_fractions_only_for_what_they_return(cat, monkeypatch):
+    """A verdict decides on integer numerators: it builds no Fraction beyond
+    the function spectrum that a witness scan reads (the Fraction-chain
+    checks built 9 and 8 for the first two verdicts), and the scan still
+    looks function_spectrum up on qcf.stability, where the benchmark's
+    tracer wraps it."""
+    for key, tau, variant, most in (("sphere:6", Fraction(-1, 5), "StrictlyStable", 2),
+                                    ("hyperbolic:5", Fraction(-11, 40), "Indeterminate", 2),
+                                    ("sphere:7", Fraction(-1, 3), "FailsConformal", None)):
+        model = cat[key]
+        assert combined_verdict(model, tau).variant == variant
+        if most is None:
+            most = _fraction_news(lambda: function_spectrum(model, 60))
+        assert _fraction_news(lambda: combined_verdict(model, tau)) <= most, key
+    scans = []
+    monkeypatch.setattr(stability, "function_spectrum",
+                        lambda model, count: scans.append(count) or function_spectrum(model, count))
+    combined_verdict(cat["sphere:7"], Fraction(-1, 3))
+    assert scans == [60]
