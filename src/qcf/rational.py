@@ -86,7 +86,14 @@ class SpectralPolynomial(NamedTuple):
     c2: Fraction
 
     def __call__(self, x):
-        return (self.c2 * x + self.c1) * x + self.c0
+        c0, c1, c2 = self
+        if not (type(c0) is type(c1) is type(c2) is Fraction and isinstance(x, (int, Fraction))):
+            return (c2 * x + c1) * x + c0
+        # exact: one quotient over d0 d1 d2 q^2 in place of a chain of Fractions
+        (n0, d0), (n1, d1), (n2, d2) = ((c.numerator, c.denominator) for c in self)
+        p, q = x.numerator, x.denominator
+        return Fraction((n2 * d0 * d1 * p + n1 * d0 * d2 * q) * p + n0 * d1 * d2 * q * q,
+                        d0 * d1 * d2 * q * q)
 
 
 def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynomial:

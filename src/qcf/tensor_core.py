@@ -6,11 +6,15 @@ the quadratic invariants |Rm|^2, |Ric|^2, R^2, |W|^2. Two backends share
 one code path: float64 arrays, or exact rational tensors (dimensions
 are capped at 8, so dense is cheap).
 
-An exact tensor is held in one private form, ``_Exact``: an object
-array of Python int numerators over one positive int denominator. A
-contraction is then an integer einsum and a product of denominators,
-with no Fraction arithmetic per entry, and Python ints are exact at any
-size. ``exact_tensor`` builds the form from integers or Fractions;
+An exact tensor is held in one private form, ``_Exact``: integer
+numerators over one positive int denominator, with a bound on
+|numerator| worked out from the operands. The numerators are int64
+while that bound is below 2**62 and Python ints once it reaches it, so
+one set of numpy calls runs on machine words for the catalog's small
+numerators and stays exact at any size. A contraction is then an
+integer einsum and a product of denominators, with no Fraction
+arithmetic per entry.
+``exact_tensor`` builds the form from integers or Fractions;
 ``contract``, ``kulkarni_nomizu``, ``constant_curvature_rm``,
 ``tensor_norm2``, ``inverse_metric`` (fraction-free, via ``_exact``) and
 ``CurvatureData`` accept it alongside arrays, and the catalog's
@@ -37,6 +41,7 @@ Index conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Any
@@ -49,20 +54,26 @@ DIM_MIN = 3
 DIM_MAX = 8
 
 
-class _Exact:
-    """An exact tensor num / den: an object array of Python ints over an int den > 0.
+_LIMIT = 1 << 62  # numerators are int64 while their bound is below this
 
-    Supports what the contractions and the catalog builders need:
-    +, -, negation, multiplication by an int or Fraction scalar and
-    transpose; einsum goes through ``contract``.
+
+class _Exact:
+    """An exact tensor num / den with den > 0 and |num| <= bound entrywise.
+
+    Each operation works out the bound of its result first and computes
+    in Python ints once it reaches 2**62, so int64 never overflows.
+    Supports +, -, negation, multiplication by an int or Fraction scalar
+    and transpose; einsum goes through ``contract``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "bound")
     dtype = np.dtype(object)  # so that is_exact() holds
     __array_ufunc__ = None  # numpy operators defer to the methods below
 
-    def __init__(self, num: np.ndarray, den: int = 1):
-        self.num, self.den = num, den
+    def __init__(self, num: np.ndarray, den: int, bound: int):
+        dtype = np.int64 if bound < _LIMIT else object
+        self.num = num if num.dtype == dtype else num.astype(dtype)
+        self.den, self.bound = den, bound
 
     @property
     def shape(self) -> tuple:
@@ -77,15 +88,16 @@ class _Exact:
         return out.reshape(self.num.shape)
 
     def transpose(self, *axes) -> _Exact:
-        return _Exact(self.num.transpose(*axes), self.den)
+        return _Exact(self.num.transpose(*axes), self.den, self.bound)
 
     def __neg__(self) -> _Exact:
-        return _Exact(-self.num, self.den)
+        return _Exact(-self.num, self.den, self.bound)
 
     def __add__(self, other: _Exact) -> _Exact:
         den = math.lcm(self.den, other.den)
-        return _Exact(_times(self.num, den // self.den) + _times(other.num, den // other.den),
-                      den)
+        k1, k2 = den // self.den, den // other.den
+        bound = self.bound * k1 + other.bound * k2
+        return _Exact(_times(self.num, k1, bound) + _times(other.num, k2, bound), den, bound)
 
     def __sub__(self, other: _Exact) -> _Exact:
         return self + -other
@@ -94,13 +106,27 @@ class _Exact:
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
         c = Fraction(c)
-        return _Exact(_times(self.num, c.numerator), self.den * c.denominator)
+        bound = self.bound * abs(c.numerator)
+        return _Exact(_times(self.num, c.numerator, bound), self.den * c.denominator, bound)
 
     __rmul__ = __mul__
 
 
-def _times(num: np.ndarray, k: int) -> np.ndarray:
+def _widened(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as Python ints when a result bounded by bound is computed from it."""
+    return num.astype(object) if bound >= _LIMIT and num.dtype != object else num
+
+
+def _times(num: np.ndarray, k: int, bound: int) -> np.ndarray:
+    # a k past int64 is multiplied in Python ints, even into zeros
+    num = _widened(num, max(bound, abs(k)))
     return num if k == 1 else num * k
+
+
+def _from_ints(nums: list, shape: tuple, den: int) -> _Exact:
+    bound = max(map(abs, nums), default=0)
+    return _Exact(np.array(nums, dtype=np.int64 if bound < _LIMIT else object).reshape(shape),
+                  den, bound)
 
 
 def transpose_last(t, axes):
@@ -121,8 +147,18 @@ def exact_tensor(values) -> _Exact:
     if isinstance(values, _Exact):
         return values
     arr = np.asarray(values)
+    if arr.dtype.kind in "iu":  # machine integers are their own numerators (copied)
+        return _Exact(arr.copy(), 1, max(-int(arr.min(initial=0)), int(arr.max(initial=0))))
     nums, den = common_denominator(arr.ravel().tolist())
-    return _Exact(np.array(nums, dtype=object).reshape(arr.shape), den)
+    return _from_ints(nums, arr.shape, den)
+
+
+@functools.cache
+def _summed(spec: str) -> tuple:
+    """(operand, axis from the end) of each index that an einsum spec sums over."""
+    ins, out = spec.replace("...", "").split("->")
+    at = {c: (k, i - len(t)) for k, t in enumerate(ins.split(",")) for i, c in enumerate(t)}
+    return tuple(v for c, v in at.items() if c not in out)
 
 
 def contract(spec: str, *operands):
@@ -130,11 +166,14 @@ def contract(spec: str, *operands):
     of the denominators (a full contraction returns a Fraction)."""
     if not isinstance(operands[0], _Exact):
         return np.einsum(spec, *operands)
-    num = np.einsum(spec, *(op.num for op in operands))
+    # each entry sums one product of entries per value of the summed indices
+    bound = math.prod(op.bound for op in operands)
+    bound *= math.prod(operands[k].shape[i] for k, i in _summed(spec))
+    num = np.einsum(spec, *(_widened(op.num, bound) for op in operands))
     den = math.prod(op.den for op in operands)
     if np.ndim(num) == 0:
         return Fraction(int(num), den)
-    return _Exact(num, den)
+    return _Exact(num, den, bound)
 
 
 def validate_dim(n: int) -> int:
@@ -170,7 +209,7 @@ def identity(n: int, exact: bool) -> np.ndarray:
 def vanishes(arr: np.ndarray, tol: float) -> bool:
     """Whether every entry is zero: exactly for exact arrays, else max |entry| <= tol."""
     if isinstance(arr, _Exact):
-        arr = arr.num
+        return not arr.num.any()
     if is_exact(arr):
         return all(v == 0 for v in arr.ravel())
     return float(np.max(np.abs(arr))) <= tol
@@ -183,7 +222,7 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
     """
     if isinstance(g, _Exact):
         num, den = integer_inverse(g.num.tolist(), g.den)
-        return _Exact(np.array(num, dtype=object), den)
+        return _from_ints([x for row in num for x in row], g.shape, den)
     return exact_inv(g) if is_exact(g) else np.linalg.inv(g)
 
 
@@ -224,9 +263,9 @@ def raise_all(g_inv: np.ndarray, t: np.ndarray) -> np.ndarray:
     Each step raises the first tensor index and moves it last, so after
     rank steps the indices are back in their order; a stack of metrics
     g_inv (..., n, n) raises a stack of tensors with one batched matmul
-    per index. Float or object arrays; on one float metric the bits are
-    those of the np.tensordot loop this replaced, for every rank 1-4 and
-    dimension 3-8 (tests/test_index_kernels.py).
+    per index. Float, integer or object arrays; on one float metric the
+    bits are those of the np.tensordot loop this replaced, for every rank
+    1-4 and dimension 3-8 (tests/test_index_kernels.py).
     """
     lead, n = g_inv.shape[:-2], g_inv.shape[-1]
     m = t
@@ -238,8 +277,10 @@ def raise_all(g_inv: np.ndarray, t: np.ndarray) -> np.ndarray:
 def tensor_norm2(g_inv: np.ndarray, t: np.ndarray):
     """Full contraction |T|^2 with every index raised by g_inv (one per metric)."""
     if isinstance(t, _Exact):
-        return Fraction(int(np.sum(raise_all(g_inv.num, t.num) * t.num)),
-                        g_inv.den ** t.num.ndim * t.den ** 2)
+        rank = t.num.ndim
+        bound = (g_inv.bound * g_inv.shape[-1]) ** rank * t.bound ** 2 * t.num.size
+        gn, tn = _widened(g_inv.num, bound), _widened(t.num, bound)
+        return Fraction(int(np.sum(raise_all(gn, tn) * tn)), g_inv.den ** rank * t.den ** 2)
     return (raise_all(g_inv, t) * t).reshape(*g_inv.shape[:-2], -1).sum(-1)
 
 

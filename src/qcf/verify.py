@@ -8,6 +8,7 @@ stderr in the CLI so that stdout stays byte-identical across runs).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -35,14 +36,15 @@ class CheckResult(NamedTuple):
 
 
 def _catalog():
+    """(catalog, None), or the builtin catalog and the load error."""
     try:
         return load_catalog(), None
     except CatalogError as exc:
         return builtin_catalog(), exc
 
 
-def check_catalog() -> CheckResult:
-    _, err = _catalog()
+def check_catalog(loaded=None) -> CheckResult:
+    _, err = loaded or _catalog()
     if err is None:
         return CheckResult("00-catalog", True,
                            "catalog loaded, all cross-identities hold",
@@ -50,8 +52,8 @@ def check_catalog() -> CheckResult:
     return CheckResult("00-catalog", False, str(err), "cross-validated catalog")
 
 
-def check_intervals() -> CheckResult:
-    cat, _ = _catalog()
+def check_intervals(loaded=None) -> CheckResult:
+    cat, _ = loaded or _catalog()
     expected: dict[str, tuple] = {}
     expected["sphere:3"] = (Fraction(-3, 8), Fraction(1, 3), True, True)
     for n in range(4, 9):
@@ -155,8 +157,8 @@ def check_kaehler_path() -> CheckResult:
         "constant to 1e-10 relative, value -64 pi^2 to 1e-8 relative")
 
 
-def check_einstein_gradients() -> CheckResult:
-    cat, _ = _catalog()
+def check_einstein_gradients(loaded=None) -> CheckResult:
+    cat, _ = loaded or _catalog()
     bad = []
     for key in sorted(cat):
         model = cat[key]
@@ -294,8 +296,8 @@ def check_symbol(seed: int = 0) -> CheckResult:
                        "; ".join(issues) if issues else measured, expected)
 
 
-def check_rigidity() -> CheckResult:
-    cat, _ = _catalog()
+def check_rigidity(loaded=None) -> CheckResult:
+    cat, _ = loaded or _catalog()
     issues = []
     rep3 = stability.rigidity_exceptional_taus(cat["sphere:3"])
     if not rep3.exceptional or rep3.exceptional[0].tau != Fraction(1, 3):
@@ -326,8 +328,8 @@ def check_rigidity() -> CheckResult:
                        "; ".join(issues) if issues else measured, expected)
 
 
-def check_gauss_bonnet() -> CheckResult:
-    cat, _ = _catalog()
+def check_gauss_bonnet(loaded=None) -> CheckResult:
+    cat, _ = loaded or _catalog()
     issues = []
     details = []
     cds = {}
@@ -421,18 +423,20 @@ def check_property_suites(seed: int = 0) -> CheckResult:
                        "; ".join(issues) if issues else measured, expected)
 
 
+# each criterion is called with the seed and a function that returns
+# _catalog()'s pair, loaded on the first call of a run and then shared
 CRITERIA = [
-    ("00-catalog", lambda seed: check_catalog()),
-    ("01-intervals", lambda seed: check_intervals()),
-    ("02-berger-derivatives", lambda seed: check_berger_derivatives()),
-    ("03-berger-secondary-critical", lambda seed: check_berger_secondary()),
-    ("04-product-kaehler-path", lambda seed: check_kaehler_path()),
-    ("05-einstein-gradients", lambda seed: check_einstein_gradients()),
-    ("06-divergence-free", check_divergence_free),
-    ("07-symbol", check_symbol),
-    ("08-rigidity", lambda seed: check_rigidity()),
-    ("09-gauss-bonnet", lambda seed: check_gauss_bonnet()),
-    ("10-property-suites", check_property_suites),
+    ("00-catalog", lambda seed, loaded: check_catalog(loaded())),
+    ("01-intervals", lambda seed, loaded: check_intervals(loaded())),
+    ("02-berger-derivatives", lambda seed, loaded: check_berger_derivatives()),
+    ("03-berger-secondary-critical", lambda seed, loaded: check_berger_secondary()),
+    ("04-product-kaehler-path", lambda seed, loaded: check_kaehler_path()),
+    ("05-einstein-gradients", lambda seed, loaded: check_einstein_gradients(loaded())),
+    ("06-divergence-free", lambda seed, loaded: check_divergence_free(seed)),
+    ("07-symbol", lambda seed, loaded: check_symbol(seed)),
+    ("08-rigidity", lambda seed, loaded: check_rigidity(loaded())),
+    ("09-gauss-bonnet", lambda seed, loaded: check_gauss_bonnet(loaded())),
+    ("10-property-suites", lambda seed, loaded: check_property_suites(seed)),
 ]
 
 
@@ -467,7 +471,8 @@ def run_all(filter_str: str | None = None, seed: int = 0) -> VerifyReport:
                 if not filter_str or filter_str in name]
     if not selected:
         raise ValueError(f"no criterion name contains {filter_str!r}")
-    results = [fn(seed) for _, fn in selected]
+    loaded = functools.cache(_catalog)
+    results = [fn(seed, loaded) for _, fn in selected]
     elapsed = time.monotonic() - t0
     if len(selected) == len(CRITERIA):
         results.append(CheckResult(

@@ -73,3 +73,14 @@ def test_full_run_leaves_numpy_random_unimported():
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "False"
+
+
+def test_a_run_loads_the_catalog_once_and_only_when_a_criterion_needs_it(monkeypatch):
+    calls = []
+    real = verify.load_catalog
+    monkeypatch.setattr(verify, "load_catalog", lambda: calls.append(1) or real())
+    assert verify.run_all().all_passed and len(calls) == 1
+    assert [r.name for r in verify.run_all(filter_str="symbol").results] == ["07-symbol"]
+    assert len(calls) == 1
+    verify.run_all(filter_str="-")
+    assert len(calls) == 2

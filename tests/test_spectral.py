@@ -364,3 +364,64 @@ def test_verify_10_fails_when_the_second_factor_drops_its_r_term(monkeypatch):
     assert verify.check_property_suites(0).passed
     monkeypatch.setattr(rational, "_second_factor", lambda n, R, t: (real(n, R, t)[0], 0))
     assert not verify.check_property_suites(0).passed
+
+
+def _horner(p, x):
+    """SpectralPolynomial evaluated as the Fraction (or float) chain (oracle)."""
+    return (p.c2 * x + p.c1) * x + p.c0
+
+
+def _polynomial_inputs(count, seed=23):
+    """count seeded exact (polynomial, x): zero coefficients, integer x and
+    negative numerators among them."""
+    import random
+
+    rng = random.Random(seed)
+
+    def ratio():
+        if rng.random() < 0.15:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**rng.randint(1, 12), 10**6), rng.randint(1, 10**4))
+
+    for k in range(count):
+        x = ratio()
+        yield rational.SpectralPolynomial(ratio(), ratio(), ratio()), (
+            int(x) if k % 3 == 0 else x)
+
+
+def test_polynomial_call_equals_the_horner_chain_on_exact_input():
+    for p, x in _polynomial_inputs(3000):
+        got, want = p(x), _horner(p, x)
+        assert got == want and type(got) is Fraction
+        assert type(got.numerator) is int and type(got.denominator) is int
+    n, R, tau = 5, Fraction(20), Fraction(-3, 7)
+    for poly in (tt_polynomial(n, R, tau), tt_polynomial(n, R, tau, normalized=False),
+                 tt_s_polynomial(n, R), conformal_polynomial(n, R, tau),
+                 conformal_s_polynomial(n, R)):
+        for x in (0, -7, Fraction(9, 4), Fraction(-20, 3), True):
+            assert poly(x) == _horner(poly, x) and type(poly(x)) is Fraction
+
+
+def test_polynomial_call_keeps_the_horner_bits_on_float_input():
+    """A float x, a float coefficient or int coefficients take the chain itself."""
+    for k, (p, x) in enumerate(_polynomial_inputs(1500, seed=24)):
+        cases = [(p, float(x)), (p._replace(c1=float(p.c1)), x),
+                 (p._replace(c0=float(p.c0)), float(x))]
+        for poly, y in cases:
+            got, want = poly(y), _horner(poly, y)
+            assert type(got) is float and got.hex() == want.hex()
+    p = rational.SpectralPolynomial(3, -2, 1)
+    assert p(4) == 11 and type(p(4)) is int
+
+
+def test_verify_10_fails_when_tt_polynomial_moves_its_constant(monkeypatch):
+    real = rational.tt_polynomial
+
+    def moved(*args, **kwargs):
+        p = real(*args, **kwargs)
+        return p._replace(c0=p.c0 + Fraction(1, 10**9))
+
+    assert verify.check_property_suites(0).passed
+    monkeypatch.setattr(rational, "tt_polynomial", moved)
+    result = verify.check_property_suites(0)
+    assert not result.passed and "tt factorization fails" in result.measured

@@ -344,3 +344,165 @@ def test_exact_tensor_round_trip_and_arithmetic():
     assert contract("ij,ij->", ea, eb) == np.sum(a * b)
     assert vanishes(ea - ea, 0.0) and not vanishes(ea, 1e300)
     assert np.array_equal(kulkarni_nomizu(ea, eb).fractions(), kulkarni_nomizu(a, b))
+
+
+# The int64 numerators: every exact-tensor operation against np.einsum on
+# Fraction object arrays, with entries small, near 2**31 (products fit in
+# int64, sums of n of them do not), near 2**62 and far past int64.
+
+_TOP = {"small": 9, "2^31": 2**31 - 1, "2^62": 2**62 - 1, "huge": 10**30}
+
+
+def _draw(rng, shape, top, dens=(1, 2, 3, 5, 7)):
+    """Fractions m/d with |m| <= top, one in three of them +top, as an object array."""
+    out = np.empty(shape, dtype=object)
+    out.ravel()[:] = [Fraction(top if rng.random() < 1 / 3 else rng.randint(-top, top),
+                               rng.choice(dens)) for _ in range(out.size)]
+    return out
+
+
+def _checked(e, want):
+    """Assert that the exact tensor e holds want, in the form its bound prescribes."""
+    from qcf.tensor_core import _Exact
+
+    assert isinstance(e, _Exact)
+    assert (e.num.dtype == np.int64) == (e.bound < 2**62)
+    assert e.num.dtype in (np.int64, object)
+    assert all(abs(v) <= e.bound for v in e.num.ravel().tolist())
+    got = e.fractions()
+    assert got.shape == want.shape and (got == want).all()
+    assert all(type(v) is Fraction and type(v.numerator) is int and type(v.denominator) is int
+               for v in got.ravel())
+
+
+def _raised_norm2(g_inv, t):
+    """|t|^2 with every index raised by g_inv, on Fraction arrays."""
+    up = t
+    for axis in range(t.ndim):
+        up = np.moveaxis(np.tensordot(g_inv, up, axes=([1], [axis])), 0, axis)
+    return np.sum(up * t)
+
+
+# einsum specs with the operands they take: a and b are 2-tensors, c a 4-tensor
+_SPECS = [("ij,jk->ik", "ab"), ("ik,jl->ijkl", "ab"), ("...il,...jk->...ijkl", "ab"),
+          ("ik,ijkl->jl", "ac"), ("pkql,kl->pq", "ca"), ("jl,jl->", "aa"),
+          ("ijkl,ijkl->", "cc"), ("ka,lb,ab->kl", "aba")]
+
+
+@pytest.mark.parametrize("size", sorted(_TOP))
+def test_exact_operations_match_the_fraction_oracle(size):
+    import random
+
+    from qcf.tensor_core import contract, exact_tensor
+
+    rng, top = random.Random(len(size)), _TOP[size]
+    for n in range(3, 9):
+        a, b = _draw(rng, (n, n), top), _draw(rng, (n, n), top)
+        c = _draw(rng, (n,) * 4, top)
+        ea, eb, ec = exact_tensor(a), exact_tensor(b), exact_tensor(c)
+        for e, want in ((ea, a), (ec, c)):
+            _checked(e, want)
+        _checked(ea + eb, a + b)
+        _checked(ea - eb, a - b)
+        _checked(-ec, -c)
+        _checked(ec.transpose(2, 0, 3, 1), c.transpose(2, 0, 3, 1))
+        for k in (3, -1, Fraction(-5, 7), 2**40, Fraction(7, 2**70)):
+            _checked(k * ea, k * a)
+            _checked(ec * k, c * k)
+        pairs = {"a": (ea, a), "b": (eb, b), "c": (ec, c)}
+        for spec, names in _SPECS:
+            got = contract(spec, *(pairs[x][0] for x in names))
+            want = np.einsum(spec, *(pairs[x][1] for x in names))
+            if np.ndim(want) == 0:
+                assert type(got) is Fraction and got == want and type(got.numerator) is int
+            else:
+                _checked(got, want)
+        got = tensor_norm2(eb, ea)
+        assert type(got) is Fraction and type(got.numerator) is int
+        assert got == _raised_norm2(b, a)
+        if n <= 5:
+            assert tensor_norm2(eb, ec) == _raised_norm2(b, c)
+        assert vanishes(ec - ec, 0.0) and not vanishes(ec, 1e300)
+
+
+def test_sums_of_products_that_fit_int64_are_still_exact():
+    """n products of 2**31 - 1 each fit in int64 and their sum does not, so
+    the bound of a contraction counts its summed indices (and |T|^2 the
+    sizes of the indices it raises and sums)."""
+    from qcf.tensor_core import contract, exact_tensor
+
+    top = 2**31 - 1
+    for n in range(3, 9):
+        a = np.full((n, n), top, dtype=np.int64)
+        ea = exact_tensor(a)
+        assert ea.num.dtype == np.int64
+        got = contract("ij,jk->ik", ea, ea)
+        assert got.num.dtype == object
+        assert got.fractions().tolist() == [[Fraction(n * top * top)] * n] * n
+        assert contract("ij,ij->", ea, ea) == n * n * top * top
+        cube = 2**21 - 1  # top**3 fits in int64, n**2 top**3 does not
+        ec = exact_tensor(np.full((n, n), cube))
+        got = contract("ka,lb,ab->kl", ec, ec, ec)
+        assert set(got.fractions().ravel().tolist()) == {n * n * cube ** 3}
+        assert tensor_norm2(ea, ea) == n ** 4 * top ** 4
+        # |T|^2 sums size * n^rank products, each within int64
+        ones = exact_tensor(np.ones((n, n), dtype=int))
+        for rank, t in ((2, 2**27), (4, 2**20)):
+            got = tensor_norm2(ones, exact_tensor(np.full((n,) * rank, t)))
+            assert got == n ** (2 * rank) * t * t
+
+
+def test_numerators_leave_int64_exactly_at_the_limit():
+    from qcf.tensor_core import exact_tensor
+
+    below, at = exact_tensor([[2**62 - 1]]), exact_tensor(np.array([[-(2**62)]]))
+    assert (below.bound, below.num.dtype) == (2**62 - 1, np.int64)
+    assert (at.bound, at.num.dtype) == (2**62, object)
+    half = exact_tensor(np.array([2**61, -(2**61)]))
+    assert half.num.dtype == np.int64
+    for e in (half + half, 2 * half, half - -half):
+        assert e.bound == 2**62 and e.num.dtype == object
+        assert e.fractions().tolist() == [2**62, -(2**62)]
+    top = exact_tensor([2**62 - 1, 1])
+    assert (top + top).fractions().tolist() == [2**63 - 2, 2]
+    assert (top * 4).fractions().tolist() == [2**64 - 4, 4]
+
+
+def test_huge_scalars_and_denominators_on_zero_and_int64_tensors():
+    from qcf.tensor_core import contract, exact_tensor
+
+    zero = exact_tensor(np.zeros((3, 3), dtype=int))
+    for k in (10**30, -(10**30), Fraction(10**30, 7), Fraction(3, 10**30)):
+        z = zero * k
+        assert vanishes(z, 0.0) and z.fractions().tolist() == [[Fraction(0)] * 3] * 3
+    one = exact_tensor(np.eye(3, dtype=int))
+    tiny = exact_tensor(_fraction_array(np.eye(3, dtype=int)) / 10**30)
+    assert tiny.den == 10**30 and tiny.num.dtype == np.int64
+    _checked(zero + tiny, _fraction_array(np.eye(3, dtype=int)) / 10**30)
+    _checked(one * 10**30, _fraction_array(np.eye(3, dtype=int)) * 10**30)
+    _checked(one + tiny, _fraction_array(np.eye(3, dtype=int)) * (1 + Fraction(1, 10**30)))
+    huge = exact_tensor(_fraction_array([[10**40, -3], [1, Fraction(2, 3)]]))
+    assert huge.num.dtype == object
+    _checked(contract("ij,jk->ik", huge, exact_tensor(np.eye(2, dtype=int))),
+             huge.fractions())
+    assert contract("ij,ij->", huge, huge) == 10**80 + 9 + 1 + Fraction(4, 9)
+
+
+def test_exact_tensor_of_int_fraction_and_python_int_arrays():
+    from qcf.tensor_core import exact_tensor
+
+    cases = [np.arange(-4, 5).reshape(3, 3), np.arange(9, dtype=np.int32).reshape(3, 3),
+             np.array([[0, 255]], dtype=np.uint8), np.array([2**63 + 5, 1], dtype=np.uint64),
+             np.array([-(2**63), 2**63 - 1], dtype=np.int64),
+             _fraction_array([[Fraction(1, 3), -2], [Fraction(10**30, 7), 0]]),
+             np.array([[10**30, -1], [2**62, 0]], dtype=object),
+             np.array([[1, -2], [3, 0]], dtype=object), [[1, 2], [3, 4]], np.zeros((2, 0), int)]
+    for values in cases:
+        e = exact_tensor(values)
+        _checked(e, _fraction_array(values))
+        if np.asarray(values).dtype.kind in "iu":
+            assert e.den == 1
+    a = np.eye(3, dtype=np.int64)
+    e = exact_tensor(a)
+    a[0, 1] = 2**62  # the exact tensor holds its own numerators
+    _checked(e, _fraction_array(np.eye(3, dtype=int)))
