@@ -193,8 +193,7 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
     cat = load_catalog()
     ms = resolve_model(cat, model, dim, m_, order)
     if tau is not None:
-        lam = lambda1_ if lambda1_ is None else Fraction(lambda1_)
-        v = stability.combined_verdict(ms, tau, lambda1_override=lam)
+        v = stability.combined_verdict(ms, tau, lambda1_override=lambda1_)
         obj = {"kind": "verdict", **stability.verdict_to_json(ms, tau, v)}
         if fmt == "json":
             _emit_json(obj)
@@ -551,12 +550,12 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
 
 
 @main.command()
-@click.option("--vol-g", type=POSITIVE, required=True,
+@click.option("--vol-g", type=RATIO, required=True,
               help="Volume of the stable Einstein reference metric.")
-@click.option("--vol-gt", type=POSITIVE, required=True,
+@click.option("--vol-gt", type=RATIO, required=True,
               help="Volume of the comparison metric.")
 @click.option("--dim", "n", type=click.IntRange(3, 8), required=True)
-@click.option("--ftilde0", type=FINITE, required=True,
+@click.option("--ftilde0", type=RATIO, required=True,
               help="Normalized F_0 value of the comparison metric.")
 @click.option("--ric-upper-ok/--no-ric-upper-ok", default=False,
               help="Caller asserts the pointwise upper Ricci comparison.")
@@ -571,10 +570,8 @@ def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
                                  ric_lower_ok, ftilde0)
     if fmt == "json":
         _emit_json({"kind": "bishop", **d.to_json()})
-        return
-    lines = [d.conclusion]
-    lines.extend(f"  {note}" for note in d.notes)
-    click.echo("\n".join(lines))
+    else:
+        click.echo("\n".join([d.conclusion, *(f"  {note}" for note in d.notes)]))
 
 
 # ---------------------------------------------------------------------------

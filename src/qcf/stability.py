@@ -9,15 +9,15 @@ jumps; bach_verdict runs the dimension-four Weyl-functional checks; and
 reverse_bishop performs the volume-comparison deduction near a stable
 positive Einstein metric.
 
-Everything here is exact rational arithmetic; the procedures never
-extrapolate beyond the branch of the statement that covers the input,
-returning Indeterminate instead.
+Every decision here is exact rational arithmetic (floats only print the
+volume comparison's notes); the procedures never extrapolate beyond the
+branch of the statement that covers the input, returning Indeterminate instead.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -638,64 +638,66 @@ class BishopDeduction(NamedTuple):
         return {"conclusion": self.conclusion, "notes": list(self.notes)}
 
 
-def reverse_bishop(vol_g: float, n: int, vol_gt: float,
-                   ric_upper_ok: bool, ric_lower_ok: bool,
-                   ftilde0_gt: float, rel_tol: float = 1e-9) -> BishopDeduction:
+# display: normal floats lie in [_TINY, _HUGE]; beyond, 12 digits at any exponent
+_TINY, _HUGE = 2.0 ** -1022, 1.7976931348623157e308
+_G12, _WIDE = (Context(prec=p, Emax=MAX_EMAX, Emin=MIN_EMIN) for p in (12, 30))
+
+
+def _g12(x: Fraction | Decimal) -> str:
+    """float's .12g of x where x is 0 or a normal float, the same digits beyond."""
+    if x == 0 or _TINY <= abs(x) <= _HUGE:
+        return f"{float(x):.12g}"
+    return f"{_G12.normalize(_G12.divide(*x.as_integer_ratio())):e}"
+
+
+def _bound_text(c: int, vol: Fraction, n: int) -> str:
+    """c Vol^(4/n) as its float evaluation prints where Vol and the bound are
+    normal floats, from a Decimal evaluation beyond."""
+    d = _WIDE.multiply(c, _WIDE.power(_WIDE.divide(*vol.as_integer_ratio()), _WIDE.divide(4, n)))
+    f = c * float(vol) ** (4 / n) if _TINY <= min(vol, d) and max(vol, d) <= _HUGE else 0
+    return f"{f:.12g}" if _TINY <= f <= _HUGE else _g12(d)
+
+
+def reverse_bishop(vol_g: Fraction | float, n: int, vol_gt: Fraction | float, ric_upper_ok: bool,
+                   ric_lower_ok: bool, ftilde0_gt: Fraction | float) -> BishopDeduction:
     """Volume comparison near a stable positive Einstein metric.
 
     With both pointwise Ricci-comparison flags asserted by the caller,
     the chain F_0-normalized(g~) >= n(n-1)^2 Vol(g)^(4/n) (stability
     side) and <= n(n-1)^2 Vol(g~)^(4/n) (Ricci bound side) forces
-    Vol(g~) >= Vol(g), with the equality case flagged for isometry
+    Vol(g~) >= Vol(g); exactly equal volumes are flagged for isometry
     rigidity. Flags are the caller's responsibility: this function only
-    performs the deduction. Volumes must be finite and positive and the
+    performs the deduction, exactly over Q (floats convert exactly and
+    only print the notes). Volumes must be finite and positive and the
     functional value finite; anything else raises ValueError.
-    The tolerance is relative, so the unit of volume does not change the
-    conclusion; bounds outside the normal float range decide nothing.
     """
-    for name, vol in (("vol_g", vol_g), ("vol_gt", vol_gt)):
-        if not (math.isfinite(vol) and vol > 0):
-            raise ValueError(f"{name} must be finite and positive, got {vol!r}")
-    if not math.isfinite(ftilde0_gt):
-        raise ValueError(f"ftilde0_gt must be finite, got {ftilde0_gt!r}")
+    for name, x, low in (("vol_g", vol_g, 0), ("vol_gt", vol_gt, 0),
+                         ("ftilde0_gt", ftilde0_gt, -math.inf)):
+        if not low < x < math.inf:
+            raise ValueError(f"{name} must be {'finite' if low else 'finite and positive'}, got {x}")
     if not (ric_upper_ok and ric_lower_ok):
-        return BishopDeduction(
-            "Inconclusive",
-            ("Ricci comparison flags not asserted; the chain does not apply",))
+        return BishopDeduction("Inconclusive", (
+            "Ricci comparison flags not asserted; the chain does not apply",))
+    vol_g, vol_gt, f = Fraction(vol_g), Fraction(vol_gt), Fraction(ftilde0_gt)
     c = n * (n - 1) ** 2
-    try:
-        lower = c * vol_g ** (4.0 / n)
-        upper = c * vol_gt ** (4.0 / n)
-    except OverflowError:  # Vol^(4/n) itself overflows when 4/n > 1
-        lower = upper = math.inf
-    if not sys.float_info.min <= min(lower, upper) <= max(lower, upper) < math.inf:
-        return BishopDeduction("Inconclusive", ("the bounds n(n-1)^2 Vol^(4/n) leave the "
-                                                "normal float range; rescale the volumes",))
-    tol = rel_tol * max(lower, upper)
-    if ftilde0_gt < lower - tol:
-        return BishopDeduction(
-            "Inconclusive",
-            (f"normalized functional value {ftilde0_gt:.12g} below the "
-             f"stability bound {lower:.12g}; the comparison metric is "
-             "outside the stable neighbourhood",))
-    if ftilde0_gt > upper + tol:
-        return BishopDeduction(
-            "Inconclusive",
-            (f"normalized functional value {ftilde0_gt:.12g} exceeds the "
-             f"Ricci-bound ceiling {upper:.12g}; a comparison hypothesis "
-             "fails",))
-    if abs(vol_gt - vol_g) <= rel_tol * max(vol_g, vol_gt) and \
-            abs(ftilde0_gt - lower) <= tol:
-        return BishopDeduction(
-            "EqualityRigidity",
-            ("volumes and functional values agree: equality forces isometry",))
-    if vol_gt < vol_g:  # the sandwich holds, but only within tol
-        return BishopDeduction("Inconclusive", (f"Vol(g~) = {vol_gt:.12g} < Vol(g) = {vol_g:.12g}: "
-                                                "the sandwich holds only within tolerance",))
-    return BishopDeduction(
-        "VolumeAtLeast",
-        (f"Vol(g~) = {vol_gt:.12g} >= Vol(g) = {vol_g:.12g} by the "
-         "sandwich on the normalized functional",))
+    # for a, V > 0, a <= c V^(4/n) exactly when (a/c)^n <= V^4: no tolerance
+    # and no float range; a value f <= 0 lies below every bound
+    scaled = (f / c) ** n
+    if f <= 0 or scaled < vol_g ** 4:
+        return BishopDeduction("Inconclusive", (
+            f"normalized functional value {_g12(f)} below the stability bound "
+            f"{_bound_text(c, vol_g, n)}; the comparison metric is outside the "
+            "stable neighbourhood",))
+    if scaled > vol_gt ** 4:
+        return BishopDeduction("Inconclusive", (
+            f"normalized functional value {_g12(f)} exceeds the Ricci-bound ceiling "
+            f"{_bound_text(c, vol_gt, n)}; a comparison hypothesis fails",))
+    if vol_gt == vol_g:  # then f equals both bounds
+        return BishopDeduction("EqualityRigidity", (
+            "volumes and functional values agree: equality forces isometry",))
+    return BishopDeduction("VolumeAtLeast", (  # the bounds grow with Vol: Vol(g~) > Vol(g)
+        f"Vol(g~) = {_g12(vol_gt)} >= Vol(g) = {_g12(vol_g)} by the sandwich on "
+        "the normalized functional",))
 
 
 # ---------------------------------------------------------------------------

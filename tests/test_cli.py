@@ -305,6 +305,54 @@ def test_bishop_json_schema(runner, schema):
     assert obj["conclusion"] == "VolumeAtLeast"
 
 
+_FLAGS = ["--ric-upper-ok", "--ric-lower-ok"]
+CEILING_BELOW_ONE = ["bishop", "--vol-g", "1", "--vol-gt", "0.9999999999", "--dim", "4",
+                     "--ftilde0", "36", *_FLAGS]
+HUGE_COMPARISON_VOLUME = ["bishop", "--vol-g", "1", "--vol-gt", "1e300", "--dim", "3",
+                          "--ftilde0", "50", *_FLAGS]
+
+
+@pytest.mark.parametrize("args, stdout", [
+    # F = 36 exceeds the exact ceiling 36 * 0.9999999999; a 1e-9 relative
+    # tolerance used to answer EqualityRigidity
+    (CEILING_BELOW_ONE,
+     "Inconclusive\n  normalized functional value 36 exceeds the Ricci-bound ceiling "
+     "35.9999999964; a comparison hypothesis fails\n"),
+    # 12 <= 50 <= 1.2e401: bounds beyond the float range used to decide nothing
+    (HUGE_COMPARISON_VOLUME,
+     "VolumeAtLeast\n  Vol(g~) = 1e+300 >= Vol(g) = 1 by the sandwich on the normalized "
+     "functional\n"),
+    (["bishop", "--vol-g", "1e300", "--vol-gt", "1e300", "--dim", "3", "--ftilde0", "5",
+      *_FLAGS],
+     "Inconclusive\n  normalized functional value 5 below the stability bound 1.2e+401; "
+     "the comparison metric is outside the stable neighbourhood\n"),
+    (["bishop", "--vol-g", "1/3", "--vol-gt", "1e-400", "--dim", "8", "--ftilde0", "-1e400",
+      *_FLAGS],
+     "Inconclusive\n  normalized functional value -1e+400 below the stability bound "
+     "226.321305522; the comparison metric is outside the stable neighbourhood\n"),
+    (["bishop", "--vol-g", "1e-400", "--vol-gt", "1e-400", "--dim", "4", "--ftilde0",
+      "36e-400", *_FLAGS],
+     "EqualityRigidity\n  volumes and functional values agree: equality forces isometry\n"),
+])
+def test_bishop_decides_exactly(runner, args, stdout):
+    res = invoke(runner, args)
+    assert (res.exit_code, res.stdout) == (0, stdout)
+
+
+@pytest.mark.parametrize("value, error", [
+    ("0", "error: vol_g must be finite and positive, got 0\n"),
+    ("-1", "error: vol_g must be finite and positive, got -1\n"),
+    ("nan", "Error: Invalid value for '--vol-g': 'nan' is not a finite 'p/q' or decimal\n"),
+    ("inf", "Error: Invalid value for '--vol-g': 'inf' is not a finite 'p/q' or decimal\n"),
+])
+def test_bishop_refuses_a_volume_as_typed(runner, value, error):
+    res = runner.invoke(main, ["bishop", "--vol-g", value, "--vol-gt", "1", "--dim", "4",
+                               "--ftilde0", "1", *_FLAGS])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert [line + "\n" for line in res.stderr.splitlines()
+            if line.lower().startswith("error:")] == [error]
+
+
 def test_verify_filter_and_exit(runner, schema):
     res = invoke(runner, ["verify", "--filter", "gauss"])
     assert res.exit_code == 0
@@ -327,6 +375,9 @@ IMPOSSIBLE_INPUT = [
     ["intervals", "--model", "hyperbolic:6", "--tau", "0", "--lambda1", "-5"],
     ["intervals", "--model", "sphere:4", "--tau", "1", "--lambda1", "-5"],
     ["rigidity", "--model", "hyperbolic:4", "--mu", "-100"],
+    ["bishop", "--vol-g", "1", "--vol-gt", "0", "--dim", "4", "--ftilde0", "1"],
+    ["bishop", "--vol-g", "-1/2", "--vol-gt", "1", "--dim", "4", "--ftilde0", "1",
+     "--ric-upper-ok", "--ric-lower-ok"],
 ]
 # a model option that the family does not take or that disagrees with the
 # catalog key, --lambda1 where the interval would drop it, and --tau or
@@ -556,6 +607,9 @@ NUMPY_FREE = [
     (["rigidity", "--model", "hyperbolic:4", "--mu", "3", "--mu", "7/2"], 0),
     (["bishop", "--vol-g", "10", "--vol-gt", "11", "--dim", "4", "--ftilde0", "3000"], 0),
     (["bishop", "--vol-g", "1e308", "--vol-gt", "1e308", "--dim", "3", "--ftilde0", "0",
+      "--ric-upper-ok", "--ric-lower-ok"], 0),
+    (CEILING_BELOW_ONE, 0),
+    (["bishop", "--vol-g", "1", "--vol-gt", "1e400", "--dim", "5", "--ftilde0", "1e100",
       "--ric-upper-ok", "--ric-lower-ok"], 0),
     (["berger", "--tau", "1/3", "--critical"], 0),
     (["symbol", "--dim", "4", "--conformal-killing"], 0),

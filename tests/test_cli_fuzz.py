@@ -10,6 +10,7 @@ the whole run is quick and deterministic.
 
 import json
 import re
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -48,6 +49,20 @@ _NONFINITE = re.compile(r"(?i)(?<![\w.])[-+]?(nan|inf)(?!\w)")
 # documented unbounded interval endpoints: "(-inf, ..." and "..., inf)" in
 # text, ",-inf," and ",inf," in csv
 _ENDPOINT = re.compile(r"(?<=[(,])-inf(?=,)|(?<=, )inf(?=[)\]])|(?<=,)inf(?=,)")
+
+
+# a volume or a bound that a bishop note prints
+_BISHOP_NUMBER = re.compile(r"(?:stability bound|ceiling|Vol\(g~?\) =) ([^\s;]+)")
+
+
+def _check_bishop(argv, notes):
+    """Every printed volume and bound is positive (none reads 0), and
+    VolumeAtLeast never prints Vol(g~) < Vol(g)."""
+    for note in notes:
+        printed = [Fraction(x) for x in _BISHOP_NUMBER.findall(note)]
+        assert all(x > 0 for x in printed), (argv, note)
+        if note.startswith("Vol(g~) = "):
+            assert printed[0] >= printed[1], (argv, note)
 
 
 def _option(name, values):
@@ -123,8 +138,12 @@ def test_cli_fuzz_exit_codes_and_output(argv):
     if "--format=json" in argv:
         obj = json.loads(res.stdout, parse_constant=_reject_constant)
         jsonschema.validate(obj, SCHEMA)
+        if argv[0] == "bishop":
+            _check_bishop(argv, obj["notes"])
         return
     text = res.stdout
     if argv[0] == "intervals" and not any(a.startswith("--tau=") for a in argv):
         text = _ENDPOINT.sub("", text)
     assert not _NONFINITE.search(text), (argv, res.stdout)
+    if argv[0] == "bishop":
+        _check_bishop(argv, [line.strip() for line in text.splitlines()[1:]])

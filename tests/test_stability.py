@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import pstats
+import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -382,9 +384,8 @@ def test_reverse_bishop_volume_conclusion():
 
 
 def test_reverse_bishop_equality_rigidity():
-    vol_g = 2.0 * math.pi**2
-    lower = 12.0 * vol_g ** (4.0 / 3.0)
-    d = reverse_bishop(vol_g, 3, vol_g, True, True, lower)
+    # Vol = (3/4)^3 and F = 12 (3/4)^4 = 12 Vol^(4/3) exactly, in binary too
+    d = reverse_bishop(0.75**3, 3, 0.75**3, True, True, 12 * 0.75**4)
     assert d.conclusion == "EqualityRigidity"
 
 
@@ -421,13 +422,13 @@ def _bishop_cases(n):
     """(vol_g, vol_gt, ftilde0, conclusion) at unit scale, one per branch."""
     c = n * (n - 1) ** 2
     bound = lambda vol: c * vol ** (4.0 / n)
-    close = 1 - 1.2e-9  # below vol_g beyond rel_tol, within the bounds' tolerance
+    close = 1 - 1.2e-9  # just below vol_g, so f lies below the stability bound
     return [
         (2.0, 1.0, (bound(2.0) + bound(1.0)) / 2, "Inconclusive"),  # vol_gt < vol_g
         (1.0, 1.5, (bound(1.0) + bound(1.5)) / 2, "VolumeAtLeast"),
         (1.0, 1.5, bound(1.0) / 2, "Inconclusive"),
         (1.0, 1.5, bound(1.5) * 2, "Inconclusive"),
-        (0.75, 0.75, bound(0.75), "EqualityRigidity"),
+        (0.75**n, 0.75**n, c * 0.75**4, "EqualityRigidity"),  # f = bound, exactly
         (1.0, close, (bound(1.0) + bound(close)) / 2, "Inconclusive"),
     ]
 
@@ -460,6 +461,107 @@ def test_reverse_bishop_conclusion_is_scale_free(n):
 def test_reverse_bishop_bounds_out_of_float_range_are_inconclusive(vol_g, vol_gt, n, ftilde0):
     d = reverse_bishop(vol_g, n, vol_gt, True, True, ftilde0)
     assert d.conclusion == "Inconclusive"
+
+
+def _bishop_oracle(vol_g, vol_gt, n, f):
+    """The sandwich c Vol(g)^(4/n) <= f <= c Vol(g~)^(4/n), c = n(n-1)^2, in
+    n-th powers: for f > 0 each side compares f^n with c^n Vol^4."""
+    c = n * (n - 1) ** 2
+    if f <= 0 or f**n < c**n * vol_g**4:
+        return "stability bound"
+    if f**n > c**n * vol_gt**4:
+        return "ceiling"
+    return "EqualityRigidity" if vol_g == vol_gt else "VolumeAtLeast"
+
+
+def _bishop_inputs(count, seed):
+    """(vol_g, vol_gt, n, f) over n = 3..8 with volumes in [1e-300, 1e300],
+    five kinds in turn: independent values; f near a bound of nearby
+    volumes; equal volumes; volumes u^n, w^n with f = c u^4 or c w^4
+    exactly; and f <= 0."""
+    rng = random.Random(seed)
+
+    def root(n):  # u in [10^j, 10^(j+1)) with u^n in [1e-300, 1e300]
+        j = rng.randint(1 - 300 // n, 300 // n - 1)
+        return Fraction(rng.randint(10**5, 10**6 - 1), 10**5) * Fraction(10) ** j
+
+    def nudge():
+        return 1 + rng.choice([0, 1, -1]) * Fraction(1, 10 ** rng.randint(1, 30))
+
+    for i in range(count):
+        n, kind = 3 + i % 6, i // 6 % 5
+        c = n * (n - 1) ** 2
+        u, w = sorted((root(n), root(n)))
+        if kind == 0:
+            yield u**n, w**n if rng.random() < 0.5 else u**n / 2, n, c * root(n) ** 4
+        elif kind == 1:
+            w = u * nudge()
+            yield u**n * nudge(), w**n * nudge(), n, c * rng.choice([u, w]) ** 4 * nudge()
+        elif kind == 2:
+            yield u**n, u**n, n, c * u**4 * nudge()
+        elif kind == 3:
+            yield u**n, w**n, n, c * rng.choice([u, w]) ** 4
+        else:
+            yield u**n, w**n, n, -root(n) if rng.random() < 0.9 else Fraction(0)
+
+
+# a printed volume or bound: after "stability bound", "ceiling" or "Vol(g~) ="
+_BISHOP_NUMBER = re.compile(r"(?:stability bound|ceiling|Vol\(g~?\) =) ([^\s;]+)")
+
+
+def test_reverse_bishop_matches_the_exact_oracle():
+    """1,200 seeded rational inputs decide as the n-th power oracle does, with
+    the note that names the failing side; every printed volume and bound is
+    a positive finite number, and VolumeAtLeast prints Vol(g~) >= Vol(g).
+    Inputs that are normal floats decide the same as floats."""
+    seen = {}
+    for vol_g, vol_gt, n, f in _bishop_inputs(1200, seed=20):
+        want = _bishop_oracle(vol_g, vol_gt, n, f)
+        seen[want] = seen.get(want, 0) + 1
+        d = reverse_bishop(vol_g, n, vol_gt, True, True, f)
+        if want in ("stability bound", "ceiling"):
+            assert d.conclusion == "Inconclusive" and want in d.notes[0], (vol_g, vol_gt, n, f)
+        else:
+            assert d.conclusion == want, (vol_g, vol_gt, n, f)
+        printed = [Fraction(x) for x in _BISHOP_NUMBER.findall(d.notes[0])]
+        assert all(x > 0 for x in printed), d.notes
+        if d.conclusion == "VolumeAtLeast":
+            assert vol_gt > vol_g and printed[0] >= printed[1], d.notes
+        if all(2.0**-1022 <= abs(x) <= 1e300 for x in (vol_g, vol_gt, f)):
+            floats = [float(x) for x in (vol_g, vol_gt, f)]
+            want = _bishop_oracle(*map(Fraction, floats[:2]), n, Fraction(floats[2]))
+            d = reverse_bishop(floats[0], n, floats[1], True, True, floats[2])
+            assert d.conclusion == want or want in d.notes[0], (floats, n)
+    assert min(seen.values()) >= 50 and len(seen) == 4, seen
+
+
+def test_reverse_bishop_decides_a_ceiling_a_tolerance_used_to_hide():
+    """F = 36 exceeds the exact ceiling 36 * 0.9999999999 at n = 4; a relative
+    tolerance of 1e-9 used to read this as EqualityRigidity."""
+    for vol_gt in (Fraction("0.9999999999"), 0.9999999999):
+        d = reverse_bishop(1, 4, vol_gt, True, True, 36)
+        assert d.conclusion == "Inconclusive"
+        assert "exceeds the Ricci-bound ceiling 35.9999999964;" in d.notes[0]
+
+
+def test_reverse_bishop_decides_beyond_the_float_range():
+    """12 <= 50 <= 12 (10^300)^(4/3) = 1.2e401 concludes; the float bounds used
+    to overflow and answer Inconclusive."""
+    d = reverse_bishop(1, 3, Fraction(10) ** 300, True, True, 50)
+    assert d.conclusion == "VolumeAtLeast"
+    assert d.notes[0].startswith("Vol(g~) = 1e+300 >= Vol(g) = 1 ")
+    d = reverse_bishop(Fraction(10) ** 300, 3, Fraction(10) ** 300, True, True, 5)
+    assert "below the stability bound 1.2e+401;" in d.notes[0]
+
+
+def test_reverse_bishop_lower_bound_holds_whatever_the_ceiling():
+    """F below the stability bound 36 stays below it when Vol(g~) = 1e20 Vol(g);
+    a tolerance relative to the larger bound 3.6e21 used to swallow the lower
+    bound and conclude VolumeAtLeast even from F = 0."""
+    for f in (35, 0, -10**12):
+        d = reverse_bishop(1, 4, 10**20, True, True, f)
+        assert d.conclusion == "Inconclusive", f
+        assert "below the stability bound 36;" in d.notes[0]
 
 
 def test_berger_squash_breaks_ricci_hypothesis():
