@@ -149,7 +149,8 @@ class ModelSpace(NamedTuple):
         else:
             raise CatalogError(f"unknown variant {self.variant}")
         cd = CurvatureData(n, g, rm)
-        return cd if exact else CurvatureData(n, cd.g.astype(float), cd.rm.astype(float))
+        return cd if exact else CurvatureData(n, cd.g.fractions().astype(float),
+                                              cd.rm.fractions().astype(float))
 
     def to_json(self) -> dict:
         return {

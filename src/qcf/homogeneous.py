@@ -5,7 +5,11 @@ constants of an invariant frame, [e_i, e_j] = c^k_ij e_k, together with
 a constant positive-definite matrix g_ij. The Koszul formula then has
 no derivative terms, so the Levi-Civita connection, curvature tensor,
 covariant derivatives of invariant tensors and the gradients of the
-quadratic functionals are all finite algebra, exact over Fractions.
+quadratic functionals are all finite algebra. Each kernel has one code
+path, which runs on float arrays or, for exact structure constants and
+an exact metric (su2(exact=True), berger_metric(s, exact=True)), on
+tensor_core's exact tensors: every contraction goes through
+tensor_core.contract, which on arrays is np.einsum itself.
 
 The float kernels (levi_civita, curvature, the covariant derivative,
 the Laplacian, divergence and gradient_F) take leading batch axes, as
@@ -25,13 +29,12 @@ import numpy as np
 from qcf.functionals import evaluate
 from qcf.tensor_core import (
     CurvatureData,
-    identity,
+    contract,
+    exact_tensor,
     inverse_metric,
     is_exact,
-    metric_det,
     transpose_last,
     vanishes,
-    zeros,
 )
 
 # Volume of the unit round 3-sphere, the reference frame volume for SU(2)
@@ -52,7 +55,7 @@ class StructureConstants(_StructureFields):
     """Structure constants c[i, j, k] = c^k_ij of a Lie algebra frame.
 
     Validates antisymmetry in (i, j) and the Jacobi identity on
-    construction: exact arrays exactly, float arrays to 1e-12.
+    construction: exact tensors exactly, float arrays to 1e-12.
     """
 
     __slots__ = ()
@@ -61,11 +64,11 @@ class StructureConstants(_StructureFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.c.shape != (self.n,) * 3:
             raise ValueError("structure constant array must be n x n x n")
-        anti = self.c + np.swapaxes(self.c, 0, 1)
+        anti = self.c + transpose_last(self.c, (1, 0, 2))
         jac = (
-            np.einsum("ijm,mkl->ijkl", self.c, self.c)
-            + np.einsum("jkm,mil->ijkl", self.c, self.c)
-            + np.einsum("kim,mjl->ijkl", self.c, self.c)
+            contract("ijm,mkl->ijkl", self.c, self.c)
+            + contract("jkm,mil->ijkl", self.c, self.c)
+            + contract("kim,mjl->ijkl", self.c, self.c)
         )
         for name, defect in [("antisymmetry", anti), ("Jacobi identity", jac)]:
             if not vanishes(defect, 1e-12):
@@ -77,18 +80,21 @@ class StructureConstants(_StructureFields):
         return cls(*iterable)
 
 
+def _su2_frame(n: int, exact: bool) -> StructureConstants:
+    """su(2) in the first three frame vectors of an n-dimensional algebra."""
+    c = np.zeros((n, n, n), dtype=int)
+    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        c[i, j, k], c[j, i, k] = 2, -2
+    return StructureConstants(n, exact_tensor(c) if exact else c.astype(float))
+
+
 def su2(exact: bool = False) -> StructureConstants:
     """su(2) in the frame with [e1,e2] = 2 e3 (cyclically).
 
     diag(1,1,1) in this frame is the unit round 3-sphere metric and
     diag(1,1,s^2) is the Berger family.
     """
-    c = zeros((3, 3, 3), exact)
-    two = Fraction(2) if exact else 2.0
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        c[i, j, k] = two
-        c[j, i, k] = -two
-    return StructureConstants(3, c)
+    return _su2_frame(3, exact)
 
 
 def su2_plus_r(exact: bool = False) -> StructureConstants:
@@ -98,15 +104,20 @@ def su2_plus_r(exact: bool = False) -> StructureConstants:
     derivative term Delta Ric of the gradient is nonzero, which is what
     the trace and divergence checks of the F_{-1/3} gradient need.
     """
-    c = zeros((4, 4, 4), exact)
-    c[:3, :3, :3] = su2(exact).c
-    return StructureConstants(4, c)
+    return _su2_frame(4, exact)
 
 
-def berger_metric(s, exact: bool = False) -> np.ndarray:
-    """diag(1, 1, s^2): the Hopf-fiber-scaled family on SU(2)."""
-    g = identity(3, exact)
-    g[2, 2] = Fraction(s) ** 2 if exact else float(s) ** 2
+def berger_metric(s, exact: bool = False):
+    """diag(1, 1, s^2): the Hopf-fiber-scaled family on SU(2).
+
+    An exact tensor when exact, for an int or Fraction s.
+    """
+    if exact:
+        s2 = Fraction(s) ** 2
+        q = s2.denominator
+        return exact_tensor(np.diag([q, q, s2.numerator])) * Fraction(1, q)
+    g = np.eye(3)
+    g[2, 2] = float(s) ** 2
     return g
 
 
@@ -117,16 +128,20 @@ def levi_civita(sc: StructureConstants, g: np.ndarray,
     Koszul with constant inner products:
     2 <nab_i e_j, e_k> = c_ij,k - c_jk,i + c_ki,j, indices lowered by g.
     The torsion defect Gamma^k_ij - Gamma^k_ji equals c^k_ij. g_inv,
-    when given, is taken as the inverse of g.
+    when given, is taken as the inverse of g. Exact structure constants
+    take an exact metric and float ones a float metric.
     """
+    if sc.exact != is_exact(g):
+        raise ValueError("exact structure constants take an exact metric "
+                         "(exact_tensor), float ones a float metric")
     if g_inv is None:
         g_inv = inverse_metric(g)
-    clow = np.einsum("...kl,ijl->...ijk", g, sc.c)  # c_ij,k
+    clow = contract("...kl,ijl->...ijk", g, sc.c)  # c_ij,k
     # transpose(clow, (2, 0, 1))[i, j, k] = clow[j, k, i] and
     # transpose(clow, (1, 2, 0))[i, j, k] = clow[k, i, j]
     koszul = clow - transpose_last(clow, (2, 0, 1)) + transpose_last(clow, (1, 2, 0))
-    half = Fraction(1, 2) if (sc.exact and is_exact(g)) else 0.5
-    return half * np.einsum("...kl,...ijl->...ijk", g_inv, koszul)
+    half = Fraction(1, 2) if sc.exact else 0.5
+    return half * contract("...kl,...ijl->...ijk", g_inv, koszul)
 
 
 def curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureData:
@@ -136,8 +151,16 @@ def curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureData:
     and Rm[i,j,k,l] = g(e_k, R(e_i,e_j) e_l), which makes the unit round
     metric come out with Rm = (1/2) g kn g and Ric = (n-1) g.
     """
-    g_inv = inverse_metric(g)
-    return _curvature(sc, g, g_inv, levi_civita(sc, g, g_inv))
+    return _curvature(sc, g, *_connection(sc, g))
+
+
+def _connection(sc: StructureConstants, g, g_inv=None, gam=None) -> tuple:
+    """(g^-1, the connection of g), each built unless given."""
+    if g_inv is None:
+        g_inv = inverse_metric(g)
+    if gam is None:
+        gam = levi_civita(sc, g, g_inv)
+    return g_inv, gam
 
 
 def _curvature(sc: StructureConstants, g: np.ndarray, g_inv: np.ndarray,
@@ -145,11 +168,11 @@ def _curvature(sc: StructureConstants, g: np.ndarray, g_inv: np.ndarray,
     """curvature() from the inverse metric and the connection already built."""
     # f[i,j,k,l]: coefficient of e_l in R(e_i,e_j) e_k
     f = (
-        np.einsum("...jkm,...iml->...ijkl", gam, gam)
-        - np.einsum("...ikm,...jml->...ijkl", gam, gam)
-        - np.einsum("ijm,...mkl->...ijkl", sc.c, gam)
+        contract("...jkm,...iml->...ijkl", gam, gam)
+        - contract("...ikm,...jml->...ijkl", gam, gam)
+        - contract("ijm,...mkl->...ijkl", sc.c, gam)
     )
-    rm = np.einsum("...km,...ijlm->...ijkl", g, f)
+    rm = contract("...km,...ijlm->...ijkl", g, f)
     return CurvatureData(sc.n, g, rm, g_inv=g_inv)
 
 
@@ -165,7 +188,8 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     r = t.ndim - len(lead)
     if r == 0:
         # scalars are constant on a homogeneous space
-        return zeros((*lead, n), is_exact(t))
+        zero = np.zeros((*lead, n), dtype=int)
+        return exact_tensor(zero) if is_exact(t) else zero.astype(float)
     gam2 = gam.reshape(*lead, n * n, n)
     out = None
     for p in range(r):
@@ -182,14 +206,13 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def laplacian(sc: StructureConstants, g: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rough Laplacian Delta T = g^ab nab_a nab_b T of an invariant tensor."""
-    g_inv = inverse_metric(g)
-    return _laplacian(g_inv, levi_civita(sc, g, g_inv), t)
+    return _laplacian(*_connection(sc, g), t)
 
 
 def _laplacian(g_inv: np.ndarray, gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """laplacian() from the inverse metric and the connection already built."""
     idx = "ijklmnop"[:t.ndim - (g_inv.ndim - 2)]
-    return np.einsum(f"...ab,...ab{idx}->...{idx}", g_inv, _cov1(gam, _cov1(gam, t)))
+    return contract(f"...ab,...ab{idx}->...{idx}", g_inv, _cov1(gam, _cov1(gam, t)))
 
 
 def divergence(sc: StructureConstants, g: np.ndarray, h: np.ndarray,
@@ -201,11 +224,8 @@ def divergence(sc: StructureConstants, g: np.ndarray, h: np.ndarray,
     """
     if h.ndim - (g.ndim - 2) != 2:
         raise ValueError("divergence here takes a 2-tensor")
-    if g_inv is None:
-        g_inv = inverse_metric(g)
-    if gam is None:
-        gam = levi_civita(sc, g, g_inv)
-    return np.einsum("...ia,...aij->...j", g_inv, _cov1(gam, h))
+    g_inv, gam = _connection(sc, g, g_inv, gam)
+    return contract("...ia,...aij->...j", g_inv, _cov1(gam, h))
 
 
 def gradient_F(sc: StructureConstants, g: np.ndarray, tau,
@@ -225,10 +245,7 @@ def gradient_F(sc: StructureConstants, g: np.ndarray, tau,
     connection (levi_civita), so that a caller who also takes the
     divergence builds them once.
     """
-    if g_inv is None:
-        g_inv = inverse_metric(g)
-    if gam is None:
-        gam = levi_civita(sc, g, g_inv)
+    g_inv, gam = _connection(sc, g, g_inv, gam)
     cd = _curvature(sc, g, g_inv, gam)
     return cd.algebraic_gradient(tau) - _laplacian(g_inv, gam, cd.ric)
 
@@ -251,9 +268,9 @@ def volume(sc: StructureConstants, g: np.ndarray, vol_ref: float) -> float:
     """Total volume vol_ref * sqrt(det g).
 
     vol_ref is the volume in the reference frame where g = identity
-    (2 pi^2 for the SU(2) frame used by su2()).
+    (2 pi^2 for the SU(2) frame used by su2()); g is a float metric.
     """
-    return float(vol_ref) * math.sqrt(float(metric_det(g)))
+    return float(vol_ref) * math.sqrt(float(np.linalg.det(g)))
 
 
 def functional_value(sc: StructureConstants, g: np.ndarray, tau,

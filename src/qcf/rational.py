@@ -19,16 +19,29 @@ imports no numpy, so the commands built on it (`intervals`, `rigidity`,
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 
 def parse_ratio(text: str) -> Fraction:
-    """Parse 'p/q' or a decimal literal into an exact Fraction."""
+    """Parse 'p/q' or a decimal literal into an exact Fraction.
+
+    Raises ValueError when the numerator or the denominator could have
+    more digits than the interpreter converts between int and text
+    (sys.get_int_max_str_digits()): int() already refuses such digit
+    strings, and a decimal exponent is refused before it is applied, so
+    the length of an input bounds the work of every exact command on it.
+    """
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
+    mantissa, _, exponent = text.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # the numerator and the denominator have at most len(mantissa) + |exponent| digits
+    if exponent and limit and len(mantissa) + abs(int(exponent)) > limit:
+        raise ValueError(f"{text!r} has more digits than the interpreter converts")
     return Fraction(text)
 
 
@@ -117,16 +130,8 @@ def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynom
     return SpectralPolynomial(c0, c1, Fraction(1, 2))
 
 
-def tt_s_polynomial(n: int, scal) -> SpectralPolynomial:
-    """TT action for the scalar-curvature functional: R(2R/n - mu)."""
-    R = as_exact(scal)
-    return SpectralPolynomial(2 * R * R / n, -R, Fraction(0))
-
-
 def tt_jacobi(n: int, scal, tau, mu, normalized: bool = True):
-    """Evaluate the TT Jacobi polynomial; tau=None selects the S-functional."""
-    if tau is None:
-        return tt_s_polynomial(n, scal)(as_exact(mu))
+    """Evaluate the TT Jacobi polynomial at the eigenvalue mu."""
     return tt_polynomial(n, scal, tau, normalized)(as_exact(mu))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from qcf._exact import exact_rank_nullspace
 from qcf.rational import as_exact
-from qcf.tensor_core import _per_metric, identity, is_exact, zeros
+from qcf.tensor_core import _per_metric
 
 
 def _sym_basis(n: int) -> list[tuple[int, int]]:
@@ -26,8 +26,9 @@ def _sym_to_vec(h: np.ndarray, basis) -> np.ndarray:
     return np.array([h[i, j] for i, j in basis], dtype=h.dtype)
 
 
-def _vec_to_sym(v, basis, n: int, exact: bool) -> np.ndarray:
-    h = zeros((n, n), exact)
+def _vec_to_sym(v, basis, n: int) -> np.ndarray:
+    """The symmetric array with the exact coordinates v in the basis."""
+    h = np.empty((n, n), dtype=object)
     for c, (i, j) in zip(v, basis):
         h[i, j] = c
         h[j, i] = c
@@ -58,8 +59,8 @@ class SymbolOperator(NamedTuple):
     in an orthonormal frame (g the identity). Only tr h and h(xi,xi)
     enter besides h itself, so the matrix is (1/2)|xi|^4 I plus two
     rank-one terms. Exact entries when tau and xi are rational. A float
-    operator may hold a stack of matrices (see gauged_symbol); apply and
-    trace_free_block take the matrix of one covector.
+    operator may hold a stack of matrices (see gauged_symbol);
+    trace_free_block takes the matrix of one covector.
     """
 
     n: int
@@ -67,11 +68,6 @@ class SymbolOperator(NamedTuple):
     xi: np.ndarray
     matrix: np.ndarray
     basis: tuple = ()
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        v = _sym_to_vec(np.asarray(h), self.basis)
-        out = self.matrix @ v
-        return _vec_to_sym(out, self.basis, self.n, is_exact(self.matrix))
 
     def min_singular_value(self):
         """The smallest singular value: a float, or an array over the
@@ -155,10 +151,6 @@ class InjectivityVerdict(NamedTuple):
     kernel: tuple = ()
     note: str = ""
 
-    @property
-    def verdict(self) -> str:
-        return "injective" if self.injective else "degenerate"
-
 
 def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
                        restrict_trace_free: bool = False) -> InjectivityVerdict:
@@ -189,7 +181,7 @@ def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
     if restrict_trace_free:
         kernel = tuple(np.array(v, dtype=object) for v in null)
     else:
-        kernel = tuple(_vec_to_sym(v, op.basis, n, True) for v in null)
+        kernel = tuple(_vec_to_sym(v, op.basis, n) for v in null)
     return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency")
 
 
@@ -204,7 +196,7 @@ def kernel_contains_metric(verdict: InjectivityVerdict, n: int) -> bool:
         if arr.ndim != 2:
             return False
         cols.append(_sym_to_vec(arr, basis))
-    g_vec = _sym_to_vec(identity(n, True), basis)
+    g_vec = np.array([Fraction(int(i == j)) for i, j in basis], dtype=object)
     m = np.array(cols + [g_vec], dtype=object).T
     rank_with, _ = exact_rank_nullspace(m)
     m0 = np.array(cols, dtype=object).T

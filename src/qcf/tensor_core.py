@@ -6,24 +6,20 @@ the quadratic invariants |Rm|^2, |Ric|^2, R^2, |W|^2. Two backends share
 one code path: float64 arrays, or exact rational tensors (dimensions
 are capped at 8, so dense is cheap).
 
-An exact tensor is held in one private form, ``_Exact``: integer
-numerators over one positive int denominator, with a bound on
-|numerator| worked out from the operands. The numerators are int64
-while that bound is below 2**62 and Python ints once it reaches it, so
-one set of numpy calls runs on machine words for the catalog's small
-numerators and stays exact at any size. A contraction is then an
-integer einsum and a product of denominators, with no Fraction
-arithmetic per entry.
-``exact_tensor`` builds the form from integers or Fractions;
-``contract``, ``kulkarni_nomizu``, ``constant_curvature_rm``,
-``tensor_norm2``, ``inverse_metric`` (fraction-free, via ``_exact``) and
-``CurvatureData`` accept it alongside arrays, and the catalog's
-curvature builders pass it among themselves. A Fraction array is built
-only where a public function or attribute returns one; CurvatureData
-builds each of g, g_inv, rm and ric once, on first read. zeros and
-identity are the only code that builds a Fraction array from scratch,
-and vanishes the only code that decides that a tensor is zero; other
-modules call them.
+An exact tensor is held in one form, ``_Exact``: integer numerators over
+one positive int denominator, with a bound on |numerator| worked out
+from the operands. The numerators are int64 while that bound is below
+2**62 and Python ints once it reaches it, so one set of numpy calls runs
+on machine words for the catalog's small numerators and stays exact at
+any size. A contraction is then an integer einsum and a product of
+denominators, with no Fraction arithmetic per entry.
+``exact_tensor`` builds the form from integers or Fractions, and every
+function here, ``CurvatureData`` and the kernels of ``homogeneous`` take
+and return it wherever a float backend takes and returns an array: the
+exact path is the float path run on exact tensors. A full contraction
+gives a Fraction, and a Fraction array is built only when a caller asks
+for one with ``_Exact.fractions()``. vanishes is the only code that
+decides that a tensor is zero; other modules call it.
 
 Float tensors may carry leading batch axes: a stack of metrics g of
 shape (..., n, n) with tensors of shape (..., n, ..., n), one per
@@ -48,7 +44,8 @@ from typing import Any
 
 import numpy as np
 
-from qcf._exact import common_denominator, exact_det, exact_inv, integer_inverse
+from qcf._exact import common_denominator, integer_inverse
+from qcf._exact import exact_det, exact_inv  # noqa: F401 SITES pins these; ROADMAP item 1b
 
 DIM_MIN = 3
 DIM_MAX = 8
@@ -62,12 +59,15 @@ class _Exact:
 
     Each operation works out the bound of its result first and computes
     in Python ints once it reaches 2**62, so int64 never overflows.
-    Supports +, -, negation, multiplication by an int or Fraction scalar
-    and transpose; einsum goes through ``contract``.
+    Supports +, -, negation, multiplication by an int or Fraction scalar,
+    matrix products (@), transpose and reshape; einsum goes through
+    ``contract``.
     """
 
     __slots__ = ("num", "den", "bound")
-    dtype = np.dtype(object)  # so that is_exact() holds
+    # the benchmark's span tracer (perfbench/spans.py) tells exact from
+    # float invariants by g.dtype == object
+    dtype = np.dtype(object)
     __array_ufunc__ = None  # numpy operators defer to the methods below
 
     def __init__(self, num: np.ndarray, den: int, bound: int):
@@ -79,6 +79,10 @@ class _Exact:
     def shape(self) -> tuple:
         return self.num.shape
 
+    @property
+    def ndim(self) -> int:
+        return self.num.ndim
+
     def fractions(self) -> np.ndarray:
         """The entries as a Fraction array; equal entries share one Fraction."""
         vals = self.num.ravel().tolist()
@@ -89,6 +93,9 @@ class _Exact:
 
     def transpose(self, *axes) -> _Exact:
         return _Exact(self.num.transpose(*axes), self.den, self.bound)
+
+    def reshape(self, *shape) -> _Exact:
+        return _Exact(self.num.reshape(*shape), self.den, self.bound)
 
     def __neg__(self) -> _Exact:
         return _Exact(-self.num, self.den, self.bound)
@@ -110,6 +117,12 @@ class _Exact:
         return _Exact(_times(self.num, c.numerator, bound), self.den * c.denominator, bound)
 
     __rmul__ = __mul__
+
+    def __matmul__(self, other: _Exact) -> _Exact:
+        # each entry sums one product per value of the shared index
+        bound = self.bound * other.bound * self.shape[-1]
+        num = _widened(self.num, bound) @ _widened(other.num, bound)
+        return _Exact(num, self.den * other.den, bound)
 
 
 def _widened(num: np.ndarray, bound: int) -> np.ndarray:
@@ -186,48 +199,26 @@ def validate_dim(n: int) -> int:
     return int(n)
 
 
-def is_exact(arr: np.ndarray) -> bool:
-    return arr.dtype == object
+def is_exact(t) -> bool:
+    return isinstance(t, _Exact)
 
 
-def zeros(shape, exact: bool) -> np.ndarray:
-    """All-zero array: Fraction(0) entries when exact, float64 otherwise."""
-    if not exact:
-        return np.zeros(shape)
-    z = np.empty(shape, dtype=object)
-    z[...] = Fraction(0)
-    return z
+def vanishes(t, tol: float) -> bool:
+    """Whether every entry is zero: exactly for an exact tensor, else max |entry| <= tol."""
+    if is_exact(t):
+        return not t.num.any()
+    return float(np.max(np.abs(t))) <= tol
 
 
-def identity(n: int, exact: bool) -> np.ndarray:
-    """n x n identity matrix, with Fraction entries when exact."""
-    eye = zeros((n, n), exact)
-    np.fill_diagonal(eye, Fraction(1) if exact else 1.0)
-    return eye
-
-
-def vanishes(arr: np.ndarray, tol: float) -> bool:
-    """Whether every entry is zero: exactly for exact arrays, else max |entry| <= tol."""
-    if isinstance(arr, _Exact):
-        return not arr.num.any()
-    if is_exact(arr):
-        return all(v == 0 for v in arr.ravel())
-    return float(np.max(np.abs(arr))) <= tol
-
-
-def inverse_metric(g: np.ndarray) -> np.ndarray:
-    """g^-1 of the same kind as g: float, Fraction array or exact tensor.
+def inverse_metric(g):
+    """g^-1 of the kind of g: a float array, or an exact tensor.
 
     An exact tensor G / d is inverted fraction-free as d * G^-1 = d adj(G) / det G.
     """
-    if isinstance(g, _Exact):
+    if is_exact(g):
         num, den = integer_inverse(g.num.tolist(), g.den)
         return _from_ints([x for row in num for x in row], g.shape, den)
-    return exact_inv(g) if is_exact(g) else np.linalg.inv(g)
-
-
-def metric_det(g: np.ndarray):
-    return exact_det(g) if is_exact(g) else float(np.linalg.det(g))
+    return np.linalg.inv(g)
 
 
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,8 +288,8 @@ def check_curvature_symmetries(rm: np.ndarray, tol: float = 1e-12) -> None:
     Exact inputs are compared exactly.
     """
     pairs = [
-        ("antisymmetry (first pair)", rm + np.swapaxes(rm, -4, -3)),
-        ("antisymmetry (second pair)", rm + np.swapaxes(rm, -2, -1)),
+        ("antisymmetry (first pair)", rm + transpose_last(rm, (1, 0, 2, 3))),
+        ("antisymmetry (second pair)", rm + transpose_last(rm, (0, 1, 3, 2))),
         ("pair exchange", rm - transpose_last(rm, (2, 3, 0, 1))),
         ("first Bianchi",
          rm + transpose_last(rm, (0, 2, 3, 1)) + transpose_last(rm, (0, 3, 1, 2))),
@@ -348,20 +339,18 @@ def gauss_bonnet_integrand(g: np.ndarray, rm: np.ndarray):
     if g.shape[0] != 4:
         raise ValueError("Gauss-Bonnet density is a dimension-4 identity")
     inv = quadratic_invariants(g, rm)
-    two_thirds = Fraction(2, 3) if is_exact(g) and is_exact(rm) else 2.0 / 3.0
+    two_thirds = Fraction(2, 3) if is_exact(g) else 2.0 / 3.0
     return inv["weyl2"] - 2 * inv["ric2"] + two_thirds * inv["scal2"]
 
 
 class CurvatureData:
     """A metric frame together with its curvature tensor and traces.
 
-    g and rm are float arrays, Fraction arrays or exact tensors
-    (exact_tensor); g_inv, when given, is taken as the inverse of g and
-    saves inverting it again. Exact data is held and contracted in the
-    exact form. The attributes g, g_inv, rm and ric are float arrays or,
-    for exact data, Fraction arrays, each built once on first read (an
-    array passed in is returned as it is); scal is a float or a Fraction.
-    Float data may be a stack of metrics (module docstring): scal and the
+    g and rm are both float arrays or both exact tensors (exact_tensor);
+    g_inv, when given, is taken as the inverse of g (of the same kind)
+    and saves inverting it again. The attributes g, g_inv, rm and ric
+    are of that kind too, and scal is a float or a Fraction. Float data
+    may be a stack of metrics (module docstring): scal and the
     invariants are then arrays over the batch axes. einstein_constant
     takes one metric.
     """
@@ -370,31 +359,14 @@ class CurvatureData:
         validate_dim(n)
         if rm.shape[-4:] != (n,) * 4:
             raise ValueError("curvature tensor shape mismatch")
-        self.n = n
-        self.exact = is_exact(g) and is_exact(rm)
-        self._arrays = {name: v for name, v in (("g", g), ("rm", rm), ("g_inv", g_inv))
-                        if isinstance(v, np.ndarray)}
-        if self.exact:
-            g, rm = exact_tensor(g), exact_tensor(rm)
-            if g_inv is not None:
-                g_inv = exact_tensor(g_inv)
-        if g_inv is None:
-            g_inv = inverse_metric(g)
-        ric = contract_ricci(g_inv, rm)
-        self._t = {"g": g, "rm": rm, "g_inv": g_inv, "ric": ric}
-        self.scal = scalar_curvature(g_inv, ric)
-
-    def _array(self, name: str) -> np.ndarray:
-        arr = self._arrays.get(name)
-        if arr is None:
-            t = self._t[name]
-            arr = self._arrays[name] = t.fractions() if isinstance(t, _Exact) else t
-        return arr
-
-    g = property(lambda self: self._array("g"))
-    g_inv = property(lambda self: self._array("g_inv"))
-    rm = property(lambda self: self._array("rm"))
-    ric = property(lambda self: self._array("ric"))
+        self.exact = is_exact(g)
+        if is_exact(rm) != self.exact:
+            raise ValueError("g and rm must both be exact tensors or both float arrays")
+        self.n, self.g, self.rm = n, g, rm
+        self.g_inv = inverse_metric(g) if g_inv is None else g_inv
+        self.ric = contract_ricci(self.g_inv, rm)
+        self.scal = scalar_curvature(self.g_inv, self.ric)
+        self._grads = None
 
     def einstein_constant(self):
         """Return kappa with Ric = kappa g, or None if not Einstein.
@@ -402,17 +374,15 @@ class CurvatureData:
         Exact data is tested exactly; float data to 1e-12 relative.
         """
         kappa = self.scal / self.n
-        defect = self._t["ric"] - kappa * self._t["g"]
         tol = 0.0
         if not self.exact:
-            defect = np.asarray(defect, dtype=float)
-            scale = max(1.0, float(np.max(np.abs(np.asarray(self.g, dtype=float)))))
+            scale = max(1.0, float(np.max(np.abs(self.g))))
             tol = 1e-12 * abs(float(kappa)) + 1e-12 * scale
-        return kappa if vanishes(defect, tol) else None
+        return kappa if vanishes(self.ric - kappa * self.g, tol) else None
 
     def ric_norm2(self):
         """|Ric|^2, the one contraction F_tau needs besides R."""
-        return tensor_norm2(self._t["g_inv"], self._t["ric"])
+        return tensor_norm2(self.g_inv, self.ric)
 
     def invariants(self) -> dict[str, Any]:
         """The quadratic invariants from the two contractions |Rm|^2, |Ric|^2.
@@ -421,8 +391,8 @@ class CurvatureData:
         orthogonal, with norms |W|^2, 4(|Ric|^2 - R^2/n)/(n-2) and
         2R^2/(n(n-1)) that sum to |Rm|^2 (Besse, Einstein Manifolds, 1.116).
         """
-        n, scal, t = self.n, self.scal, self._t
-        rm2 = tensor_norm2(t["g_inv"], t["rm"])
+        n, scal = self.n, self.scal
+        rm2 = tensor_norm2(self.g_inv, self.rm)
         ric2 = self.ric_norm2()
         scal2 = scal * scal
         ricci_part2 = 4 * (ric2 - scal2 / n) / (n - 2)
@@ -431,31 +401,26 @@ class CurvatureData:
                 "weyl2": rm2 - ricci_part2 - scalar_part2,
                 "ricci_part2": ricci_part2, "scalar_part2": scalar_part2}
 
-    def algebraic_gradient(self, tau) -> np.ndarray:
+    def algebraic_gradient(self, tau):
         """The algebraic terms of grad F_tau, F_tau = int |Ric|^2 + tau int R^2:
 
           -2 Rm_pkql Ric^kl + (1/2)|Ric|^2 g_pq + tau (-2 R Ric_pq + (1/2) R^2 g_pq).
 
         The other terms of the gradient are derivatives of Ric and R, so
         on data with parallel Ricci tensor (Einstein data) this is the
-        whole gradient. Exact data gives a Fraction array. On a stack of
-        float metrics tau is a number or an array with one value per
-        metric. The two tau-free parts are contracted on the first call
-        and kept.
+        whole gradient. It is of the kind of g: exact data, with an int
+        or Fraction tau, gives an exact tensor. On a stack of float
+        metrics tau is a number or an array with one value per metric.
+        The two tau-free parts are contracted on the first call and kept.
         """
-        t, scal = self._t, self.scal
-        if "grad0" not in t:
-            g, g_inv, ric = t["g"], t["g_inv"], t["ric"]
+        if self._grads is None:
+            g, ric = self.g, self.ric
             half = Fraction(1, 2) if self.exact else 0.5
-            ric_up = contract("...ka,...lb,...ab->...kl", g_inv, g_inv, ric)
+            ric_up = contract("...ka,...lb,...ab->...kl", self.g_inv, self.g_inv, ric)
             ric2 = _per_metric(contract("...kl,...kl->...", ric_up, ric), 2)
-            t["grad0"] = (-2 * contract("...pkql,...kl->...pq", t["rm"], ric_up)
-                          + half * ric2 * g)
-            scal = _per_metric(scal, 2)
-            t["grad_s"] = -2 * scal * ric + half * scal * scal * g
-        grad0, grad_s = t["grad0"], t["grad_s"]
-        if not self.exact:
-            return grad0 + _per_metric(tau, 2) * grad_s
-        if isinstance(tau, (int, Fraction)):
-            return (grad0 + tau * grad_s).fractions()
-        return grad0.fractions() + tau * grad_s.fractions()
+            scal = _per_metric(self.scal, 2)
+            self._grads = (-2 * contract("...pkql,...kl->...pq", self.rm, ric_up)
+                           + half * ric2 * g,
+                           -2 * scal * ric + half * scal * scal * g)
+        grad0, grad_s = self._grads
+        return grad0 + _per_metric(tau, 2) * grad_s

@@ -21,7 +21,7 @@ from qcf import functionals, homogeneous, rational, spectral, stability
 from qcf.catalog import (CatalogError, builtin_catalog, load_catalog)
 from qcf.rational import tau1, tau2
 from qcf.tensor_core import (check_curvature_symmetries, decompose, gauss_bonnet_integrand,
-                             inverse_metric, quadratic_invariants, tensor_norm2)
+                             inverse_metric, quadratic_invariants, tensor_norm2, vanishes)
 
 
 class CheckResult(NamedTuple):
@@ -164,16 +164,13 @@ def check_einstein_gradients(loaded=None) -> CheckResult:
         model = cat[key]
         cd = model.curvature_data(exact=True)
         n, R = model.n, model.scal
-        g = cd.g.ravel().tolist()
-        grad0 = homogeneous.gradient_from_einstein(cd, Fraction(0)).ravel().tolist()
-        grad1 = homogeneous.gradient_from_einstein(cd, Fraction(1)).ravel().tolist()
+        grad0 = homogeneous.gradient_from_einstein(cd, Fraction(0))
+        grad1 = homogeneous.gradient_from_einstein(cd, Fraction(1))
         want0 = Fraction(n - 4, 2 * n * n) * R * R
         want_s = Fraction(n - 4, 2 * n) * R * R
-        # grad - want g vanishes entrywise: where g is 0 the F0 entry is 0 and
-        # grad S = grad1 - grad0 is 0, so only nonzero entries of g need arithmetic
-        if any(x != (want0 * v if v else 0) for x, v in zip(grad0, g)):
+        if not vanishes(grad0 - want0 * cd.g, 0.0):
             bad.append(f"{key} grad F0")
-        if any(x1 - x0 != want_s * v if v else x1 != x0 for x0, x1, v in zip(grad0, grad1, g)):
+        if not vanishes(grad1 - grad0 - want_s * cd.g, 0.0):
             bad.append(f"{key} grad S")
     if bad:
         return CheckResult("05-einstein-gradients", False, "; ".join(bad),

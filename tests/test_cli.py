@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -366,6 +367,37 @@ def test_verify_filter_and_exit(runner, schema):
     jsonschema.validate(obj, schema)
     assert obj["kind"] == "verify"
     assert obj["all_passed"] is True
+
+
+# a decimal exponent whose value has more digits than the interpreter's
+# int-string limit (4,300): refused as a bad ratio before any exact work
+PAST_THE_DIGIT_LIMIT = [
+    ["intervals", "--model", "sphere:4", "--tau", "1e100000"],
+    ["bishop", "--vol-g", "1e100000", "--vol-gt", "1e100000", "--dim", "8", "--ftilde0", "50",
+     "--ric-upper-ok", "--ric-lower-ok"],
+]
+
+
+@pytest.mark.parametrize("args", PAST_THE_DIGIT_LIMIT)
+def test_a_ratio_past_the_digit_limit_exits_2(runner, args):
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and "Exceeds the limit" not in res.output
+    assert "'1e100000' is not a finite 'p/q' or decimal" in res.stderr
+
+
+def test_parse_ratio_bounds_the_digits_of_an_exponent():
+    import sys
+
+    from qcf.rational import parse_ratio
+
+    assert parse_ratio("1e400") == 10**400 and parse_ratio("1E-400") == Fraction(1, 10**400)
+    limit = sys.get_int_max_str_digits()
+    assert parse_ratio(f"1e{limit - 1}") == 10 ** (limit - 1)
+    for text in (f"1e{limit}", f"-2.5e-{limit}", "1e100000", "3e-100000"):
+        with pytest.raises(ValueError, match="more digits"):
+            parse_ratio(text)
 
 
 # impossible spectral input: a first nonzero Laplace eigenvalue <= 0, a TT

@@ -6,8 +6,8 @@ contract one index at a time with a matrix product. The oracles below
 are the earlier `np.tensordot` + `np.moveaxis` forms of the same loops,
 applied item by item to a stack with leading batch axes.
 On float input the kernels must agree with them bit for bit (so that
-`qcf grad` and `qcf verify` print the same bytes), and on the object
-arrays of the exact path entry for entry. The mutation tests check that
+`qcf grad` and `qcf verify` print the same bytes), and on the exact
+tensors of the exact path entry for entry. The mutation tests check that
 `qcf verify` notices a broken kernel, and a metric-compatibility check
 the one mutation no output shows: the overall sign of the derivative.
 """
@@ -126,8 +126,8 @@ def test_kernels_are_exact_on_exact_tensors():
             if rank < 3:
                 assert (tensor_norm2(g_inv, t)
                         == np.sum(_raise_all_oracle(g_inv.fractions(), frac) * frac))
-            gam = _fractions(rng, (n, n, n))
-            got, want = _cov1(gam, frac), _cov1_oracle(gam, frac)
+            gam = exact_tensor(_fractions(rng, (n, n, n)))
+            got, want = _cov1(gam, t).fractions(), _cov1_oracle(gam.fractions(), frac)
             assert got.shape == want.shape and (got == want).all()
 
 
@@ -180,12 +180,13 @@ def _cov1_matches_metric_compatibility(cov1) -> bool:
     which the outputs do not: gradient_F applies _cov1 twice (in Delta
     Ric), and the divergence is only ever checked to vanish.
     """
-    g = np.diag([Fraction(3, 2), Fraction(5, 7), Fraction(2)])
+    g = exact_tensor(np.diag([Fraction(3, 2), Fraction(5, 7), Fraction(2)]))
     gam = levi_civita(su2(exact=True), g)
+    gf, gamf = g.fractions(), gam.fractions()
     for i in range(3):
-        lowered = gam[:, i, :] @ g  # [a, k] = g(nabla_a e_i, e_k)
+        lowered = gamf[:, i, :] @ gf  # [a, k] = g(nabla_a e_i, e_k)
         assert any(v != 0 for v in lowered.ravel())
-        if not (cov1(gam, g[i]) == lowered).all():
+        if not (cov1(gam, exact_tensor(gf[i])).fractions() == lowered).all():
             return False
     return True
 

@@ -18,8 +18,17 @@ call, which on the n <= 8 tensors here costs several times the
 contraction itself (raising both indices of a 4 x 4 tensor that way
 takes about 35 us, one matmul per index about 6 us); a matmul per index
 (`tensor_core.raise_all`, `homogeneous._cov1`) does the same
-contraction with the same bits. Test modules are scanned for imports
-only: pytest finds their fixtures by name.
+contraction with the same bits. The curvature layer (`tensor_core`,
+`homogeneous`, `catalog`, `verify`) holds exact data in one form,
+`tensor_core._Exact`, so none of its modules builds an object-dtype
+array (`dtype=object`) or names that dtype (`np.dtype(object)`): a
+Fraction array there would be a second exact form, with a conversion at
+every boundary between the two. The exceptions are `_Exact.fractions()`,
+the one place that hands a caller a Fraction array, and the
+`_Exact.dtype` class attribute. Numerators past int64, which `_Exact`
+keeps as Python ints, are an integer array chosen by its bound and are
+not named this way. Test modules are scanned for imports only: pytest
+finds their fixtures by name.
 """
 
 import ast
@@ -53,6 +62,32 @@ _AXIS_SHUFFLES = ("tensordot", "moveaxis")
 # which no qcf code looks up, because the benchmark tracer (perfbench/spans.py)
 # subclasses it. It goes when the tracer drops its TracedPool.
 _CONCURRENCY_EXEMPT = ("cli", "__getattr__")
+
+
+_EXACT_LAYER = ("tensor_core", "homogeneous", "catalog", "verify")
+_OBJECT_DTYPE_EXEMPT = (("_Exact", "fractions"), ("_Exact", "dtype"))
+
+
+def _owners(tree: ast.Module):
+    """(node, (class or None, the function or assigned name it defines)) for
+    each top-level statement and each statement of a top-level class body."""
+    for top in tree.body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            name = getattr(node, "name", None)
+            if isinstance(node, ast.Assign):
+                name = next((t.id for t in node.targets if isinstance(t, ast.Name)), None)
+            yield node, (top.name if node is not top else None, name)
+
+
+def _names_object_dtype(node: ast.AST) -> bool:
+    """A dtype=object keyword or an np.dtype(object) call."""
+    if isinstance(node, ast.keyword):
+        value = node.value if node.arg == "dtype" else None
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dtype":
+        value = node.args[0] if node.args else None
+    else:
+        return False
+    return isinstance(value, ast.Name) and value.id == "object"
 
 
 def _imports_by_owner(tree: ast.Module):
@@ -93,6 +128,11 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
     for node in ast.walk(tree) if src else ():
         if isinstance(node, ast.Attribute) and node.attr in _AXIS_SHUFFLES:
             out.append(f"calls np.{node.attr}")
+    for top, owner in _owners(tree) if src and module in _EXACT_LAYER else ():
+        if owner not in _OBJECT_DTYPE_EXEMPT:
+            where = ".".join(name for name in owner if name)
+            out += [f"object dtype in {where}" for node in ast.walk(top)
+                    if _names_object_dtype(node)]
     return out
 
 
@@ -155,3 +195,37 @@ def contract(a, b):
     assert findings(source, module="cli") == scan[:9] + scan[10:]
     assert findings(source, src=False) == [
         "unused import os", "unused import Fraction", "unused import dataclasses"]
+
+
+def test_scan_flags_object_dtypes_in_the_curvature_layer():
+    source = """
+class _Exact:
+    dtype = np.dtype(object)
+
+    def fractions(self):
+        return np.empty(3, dtype=object)
+
+    def widened(self):
+        return np.zeros(3, dtype=object)
+
+def zeros(shape):
+    return np.full(shape, Fraction(0), dtype=np.int64 if shape else object)
+
+def identity(n):
+    eye = np.empty((n, n), dtype=object)
+    return eye.astype(np.dtype(object))
+
+KINDS = {"exact": np.dtype(object), "held": _Exact}
+"""
+    scan = ["object dtype in _Exact.widened", "object dtype in identity",
+            "object dtype in identity", "object dtype in KINDS"]
+    for module in ("tensor_core", "homogeneous", "catalog", "verify"):
+        assert findings(source, module=module) == scan
+    assert findings(source, module="spectral") == []
+    # a Fraction array built in homogeneous.su2 fails the scan
+    path = SRC / "homogeneous.py"
+    text = path.read_text(encoding="utf-8")
+    body = "    return _su2_frame(3, exact)\n"
+    assert text.count(body) == 1
+    mutant = text.replace(body, "    c = np.empty((3, 3, 3), dtype=object)\n" + body)
+    assert findings(mutant, module="homogeneous") == ["object dtype in su2"]

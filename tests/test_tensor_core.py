@@ -12,27 +12,26 @@ from qcf.tensor_core import (
     constant_curvature_rm,
     contract_ricci,
     decompose,
+    exact_tensor,
     gauss_bonnet_integrand,
-    identity,
     inverse_metric,
+    is_exact,
     kulkarni_nomizu,
     quadratic_invariants,
     raise_all,
     tensor_norm2,
     validate_dim,
     vanishes,
-    zeros,
 )
 
 
 def _random_exact_sym(n, rng):
     m = rng.integers(-4, 5, size=(n, n))
-    sym = m + m.T
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = Fraction(int(sym[i, j]))
-    return out
+    return exact_tensor(m + m.T)
+
+
+def _exact_eye(n):
+    return exact_tensor(np.eye(n, dtype=int))
 
 
 def test_validate_dim_bounds():
@@ -49,14 +48,14 @@ def test_validate_dim_bounds():
 
 
 def test_exact_constructors_and_zero_test():
-    z, eye = zeros((2, 3), True), identity(3, True)
-    assert all(type(v) is Fraction for v in [*z.ravel(), *eye.ravel()])
-    assert np.array_equal(eye.astype(float), np.eye(3))
-    assert np.array_equal(identity(3, False), np.eye(3)) and identity(3, False).dtype == float
-    assert vanishes(z, 0.0) and vanishes(zeros(4, False), 0.0)
-    z[1, 2] = Fraction(1, 10**30)
-    assert not vanishes(z, 1.0)  # exact arrays are compared exactly, whatever tol
-    assert vanishes(z.astype(float), 1e-12) and not vanishes(z.astype(float), 0.0)
+    z = exact_tensor(np.zeros((2, 3), dtype=int))
+    assert vanishes(z, 0.0) and vanishes(np.zeros(4), 0.0)
+    tiny = np.zeros((2, 3), dtype=int)
+    tiny[1, 2] = 1
+    z = z + Fraction(1, 10**30) * exact_tensor(tiny)
+    assert not vanishes(z, 1.0)  # exact tensors are compared exactly, whatever tol
+    floats = z.fractions().astype(float)
+    assert vanishes(floats, 1e-12) and not vanishes(floats, 0.0)
 
 
 def test_kulkarni_nomizu_has_curvature_symmetries():
@@ -77,42 +76,42 @@ def test_check_curvature_symmetries_rejects_garbage():
 def test_constant_curvature_round_sphere():
     """kappa = 1 gives Ric = (n-1) g and R = n(n-1)."""
     for n in (3, 5, 8):
-        g = identity(n, True)
+        g = _exact_eye(n)
         rm = constant_curvature_rm(g, Fraction(1))
         cd = CurvatureData(n, g, rm)
         assert cd.scal == n * (n - 1)
-        assert all(cd.ric[i, i] == n - 1 for i in range(n))
+        assert all(cd.ric.fractions()[i, i] == n - 1 for i in range(n))
         assert cd.einstein_constant() == n - 1
 
 
 def test_decompose_reassembles_and_is_orthogonal():
     rng = np.random.default_rng(7)
     for n in (4, 5):
-        g = identity(n, True)
+        g = _exact_eye(n)
         a = _random_exact_sym(n, rng)
         rm = kulkarni_nomizu(a, a)
         weyl, ricci_part, scalar_part = decompose(g, rm)
         total = weyl + ricci_part + scalar_part
-        assert all(v == 0 for v in (total - rm).ravel())
+        assert all(v == 0 for v in (total - rm).fractions().ravel())
         g_inv = inverse_metric(g)
 
         def inner(x, y):
-            return np.sum(raise_all(g_inv, x) * y)
+            return np.sum(raise_all(g_inv.fractions(), x.fractions()) * y.fractions())
 
         assert inner(weyl, ricci_part) == 0
         assert inner(weyl, scalar_part) == 0
         assert inner(ricci_part, scalar_part) == 0
         # the Weyl part is totally trace-free
         tr = contract_ricci(g_inv, weyl)
-        assert all(v == 0 for v in tr.ravel())
+        assert all(v == 0 for v in tr.fractions().ravel())
 
 
 def test_weyl_vanishes_in_dimension_three():
     rng = np.random.default_rng(3)
-    g = identity(3, True)
+    g = _exact_eye(3)
     a = _random_exact_sym(3, rng)
     weyl, _, _ = decompose(g, kulkarni_nomizu(a, a))
-    assert all(v == 0 for v in weyl.ravel())
+    assert all(v == 0 for v in weyl.fractions().ravel())
 
 
 def test_invariants_on_model_spaces():
@@ -147,9 +146,8 @@ def test_parts_sum_to_full_norm():
 
 
 def test_einstein_constant_none_off_locus():
-    g = identity(4, True)
-    a = identity(4, True)
-    a[0, 0] = Fraction(3)
+    g = _exact_eye(4)
+    a = exact_tensor(np.diag([3, 1, 1, 1]))
     rm = kulkarni_nomizu(a, g)
     cd = CurvatureData(4, g, rm)
     assert cd.einstein_constant() is None
@@ -225,12 +223,13 @@ def _kn_four_terms(a, b):
 def test_kulkarni_nomizu_equals_the_four_term_formula():
     rng = np.random.default_rng(13)
     for n in (3, 4, 6):
-        a = _random_exact_sym(n, rng) / 3
-        b = _random_exact_sym(n, rng) / 5
+        a = Fraction(1, 3) * _random_exact_sym(n, rng)
+        b = Fraction(1, 5) * _random_exact_sym(n, rng)
         got = kulkarni_nomizu(a, b)
-        assert got.dtype == object
+        assert is_exact(got)
+        got = got.fractions()
         assert all(isinstance(v, Fraction) for v in got.ravel())
-        assert np.array_equal(got, _kn_four_terms(a, b))
+        assert np.array_equal(got, _kn_four_terms(a.fractions(), b.fractions()))
     for n in (3, 4, 8):
         a = np.diag(rng.uniform(-2.0, 2.0, size=n))
         b = np.diag(rng.uniform(-2.0, 2.0, size=n))
@@ -247,13 +246,17 @@ def _fraction_array(arr):
     return out
 
 
+def _fraction_eye(n):
+    return _fraction_array(np.eye(n, dtype=int))
+
+
 def _oracle(g, g_inv, rm, tau):
     n = g.shape[0]
-    assert ((g @ g_inv) == identity(n, True)).all()
+    assert ((g @ g_inv) == _fraction_eye(n)).all()
     ric = np.einsum("ik,ijkl->jl", g_inv, rm)
     scal = np.einsum("jl,jl->", g_inv, ric)
     rm_up = rm
-    if not (g_inv == identity(n, True)).all():  # raising by the identity changes nothing
+    if not (g_inv == _fraction_eye(n)).all():  # raising by the identity changes nothing
         for axis in range(4):
             rm_up = np.moveaxis(np.tensordot(g_inv, rm_up, axes=([1], [axis])), 0, axis)
     ric_up = np.einsum("ka,lb,ab->kl", g_inv, g_inv, ric)
@@ -268,21 +271,22 @@ def _oracle(g, g_inv, rm, tau):
 def _assert_matches_oracle(cd, g_inv, tau, einstein):
     from qcf.homogeneous import gradient_from_einstein
 
-    want = _oracle(cd.g, g_inv, cd.rm, tau)
+    want = _oracle(cd.g.fractions(), g_inv, cd.rm.fractions(), tau)
     inv = cd.invariants()
-    assert all(type(v) is Fraction for v in cd.ric.ravel())
-    assert np.array_equal(cd.ric, want["ric"])
-    assert np.array_equal(cd.g_inv, g_inv)
+    ric = cd.ric.fractions()
+    assert all(type(v) is Fraction for v in ric.ravel())
+    assert np.array_equal(ric, want["ric"])
+    assert np.array_equal(cd.g_inv.fractions(), g_inv)
     for name, got in (("scal", cd.scal), ("rm2", inv["rm2"]), ("ric2", inv["ric2"])):
         assert type(got) is Fraction and got == want[name], name
-    grad = cd.algebraic_gradient(tau)
+    grad = cd.algebraic_gradient(tau).fractions()
     assert all(type(v) is Fraction for v in grad.ravel())
     assert np.array_equal(grad, want["grad"])
     if einstein:
         grad0 = gradient_from_einstein(cd, Fraction(0))
         grad_s = gradient_from_einstein(cd, Fraction(1)) - grad0
-        assert np.array_equal(grad0, want["grad0"])
-        assert np.array_equal(grad_s, want["grad_s"])
+        assert np.array_equal(grad0.fractions(), want["grad0"])
+        assert np.array_equal(grad_s.fractions(), want["grad_s"])
 
 
 def test_integer_core_matches_fraction_oracle_on_every_model():
@@ -292,7 +296,7 @@ def test_integer_core_matches_fraction_oracle_on_every_model():
         cd = cat[key].curvature_data(exact=True)
         n = cat[key].n
         assert cd.g is cd.g and cd.rm is cd.rm  # built once per object
-        _assert_matches_oracle(cd, identity(n, True), Fraction(-3, 7), einstein=True)
+        _assert_matches_oracle(cd, _fraction_eye(n), Fraction(-3, 7), einstein=True)
 
 
 def test_integer_core_matches_fraction_oracle_off_the_identity():
@@ -313,23 +317,24 @@ def test_integer_core_matches_fraction_oracle_off_the_identity():
         (homogeneous.su2(exact=True), ["1", "1", "1/9"], False),  # berger_metric(1/3)
     ]
     for sc, entries, einstein in cases:
-        g = diag(entries)
-        cd = homogeneous.curvature(sc, g)
+        cd = homogeneous.curvature(sc, exact_tensor(diag(entries)))
         assert (cd.einstein_constant() is not None) == einstein, entries
         _assert_matches_oracle(cd, diag_inv(entries), Fraction(5, 11), einstein)
     g = homogeneous.berger_metric(Fraction(1, 3), exact=True)
-    assert np.array_equal(g, diag(["1", "1", "1/9"]))
+    assert np.array_equal(g.fractions(), diag(["1", "1", "1/9"]))
     # a non-diagonal rational metric and a Kulkarni-Nomizu curvature tensor
     g = _fraction_array([[2, Fraction(1, 3), 0, 0], [Fraction(1, 3), Fraction(5, 7), 0, 1],
                          [0, 0, 3, Fraction(-1, 2)], [0, 1, Fraction(-1, 2), 4]])
     rng = np.random.default_rng(17)
-    rm = kulkarni_nomizu(_random_exact_sym(4, rng) / 3, _random_exact_sym(4, rng) / 5)
-    _assert_matches_oracle(CurvatureData(4, g, rm), inverse_metric(g), Fraction(-2, 9),
-                           einstein=False)
+    rm = kulkarni_nomizu(Fraction(1, 3) * _random_exact_sym(4, rng),
+                         Fraction(1, 5) * _random_exact_sym(4, rng))
+    g = exact_tensor(g)
+    _assert_matches_oracle(CurvatureData(4, g, rm), inverse_metric(g).fractions(),
+                           Fraction(-2, 9), einstein=False)
 
 
 def test_exact_tensor_round_trip_and_arithmetic():
-    from qcf.tensor_core import contract, exact_tensor
+    from qcf.tensor_core import contract
 
     a = _fraction_array([[Fraction(1, 3), -2], [Fraction(10**30, 7), 0]])
     b = _fraction_array([[Fraction(-5, 6), 1], [4, Fraction(1, 10**30)]])
@@ -343,7 +348,7 @@ def test_exact_tensor_round_trip_and_arithmetic():
     assert np.array_equal(contract("ij,jk->ik", ea, eb).fractions(), a @ b)
     assert contract("ij,ij->", ea, eb) == np.sum(a * b)
     assert vanishes(ea - ea, 0.0) and not vanishes(ea, 1e300)
-    assert np.array_equal(kulkarni_nomizu(ea, eb).fractions(), kulkarni_nomizu(a, b))
+    assert np.array_equal(kulkarni_nomizu(ea, eb).fractions(), _kn_four_terms(a, b))
 
 
 # The int64 numerators: every exact-tensor operation against np.einsum on
@@ -393,7 +398,7 @@ _SPECS = [("ij,jk->ik", "ab"), ("ik,jl->ijkl", "ab"), ("...il,...jk->...ijkl", "
 def test_exact_operations_match_the_fraction_oracle(size):
     import random
 
-    from qcf.tensor_core import contract, exact_tensor
+    from qcf.tensor_core import contract
 
     rng, top = random.Random(len(size)), _TOP[size]
     for n in range(3, 9):
@@ -429,7 +434,7 @@ def test_sums_of_products_that_fit_int64_are_still_exact():
     """n products of 2**31 - 1 each fit in int64 and their sum does not, so
     the bound of a contraction counts its summed indices (and |T|^2 the
     sizes of the indices it raises and sums)."""
-    from qcf.tensor_core import contract, exact_tensor
+    from qcf.tensor_core import contract
 
     top = 2**31 - 1
     for n in range(3, 9):
@@ -453,8 +458,6 @@ def test_sums_of_products_that_fit_int64_are_still_exact():
 
 
 def test_numerators_leave_int64_exactly_at_the_limit():
-    from qcf.tensor_core import exact_tensor
-
     below, at = exact_tensor([[2**62 - 1]]), exact_tensor(np.array([[-(2**62)]]))
     assert (below.bound, below.num.dtype) == (2**62 - 1, np.int64)
     assert (at.bound, at.num.dtype) == (2**62, object)
@@ -469,7 +472,7 @@ def test_numerators_leave_int64_exactly_at_the_limit():
 
 
 def test_huge_scalars_and_denominators_on_zero_and_int64_tensors():
-    from qcf.tensor_core import contract, exact_tensor
+    from qcf.tensor_core import contract
 
     zero = exact_tensor(np.zeros((3, 3), dtype=int))
     for k in (10**30, -(10**30), Fraction(10**30, 7), Fraction(3, 10**30)):
@@ -489,8 +492,6 @@ def test_huge_scalars_and_denominators_on_zero_and_int64_tensors():
 
 
 def test_exact_tensor_of_int_fraction_and_python_int_arrays():
-    from qcf.tensor_core import exact_tensor
-
     cases = [np.arange(-4, 5).reshape(3, 3), np.arange(9, dtype=np.int32).reshape(3, 3),
              np.array([[0, 255]], dtype=np.uint8), np.array([2**63 + 5, 1], dtype=np.uint64),
              np.array([-(2**63), 2**63 - 1], dtype=np.int64),
