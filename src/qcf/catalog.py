@@ -8,7 +8,7 @@ nonzero Laplace eigenvalue, and the known transverse-traceless spectrum
 of -Delta_L (exact leading eigenvalues, or a lower bound where only a
 bound is available, as on hyperbolic manifolds).
 
-Catalog entries serialize to JSON (schema shipped under qcf/schemas/);
+Catalog entries are read from JSON (schema shipped under qcf/schemas/);
 an extension catalog can be merged in through the QCF_CATALOG
 environment variable. Loading always re-validates the cross identities
 between the stored spectra and the curvature normalization, so a
@@ -24,7 +24,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, NamedTuple
 
-from qcf.rational import format_ratio, parse_ratio
+from qcf.rational import parse_ratio
 
 if TYPE_CHECKING:
     from qcf.tensor_core import CurvatureData
@@ -47,9 +47,6 @@ class ExactVolume(NamedTuple):
     def __float__(self) -> float:
         return float(self.coeff) * math.pi**self.pi_pow
 
-    def to_json(self) -> dict:
-        return {"coeff": format_ratio(self.coeff), "pi_pow": self.pi_pow}
-
     @staticmethod
     def from_json(obj: dict) -> "ExactVolume":
         return ExactVolume(parse_ratio(str(obj["coeff"])), int(obj["pi_pow"]))
@@ -58,12 +55,6 @@ class ExactVolume(NamedTuple):
 class TTEigenvalue(NamedTuple):
     mu: Fraction
     witness: str = ""
-
-    def to_json(self) -> dict:
-        out = {"mu": format_ratio(self.mu)}
-        if self.witness:
-            out["witness"] = self.witness
-        return out
 
 
 class TTData(NamedTuple):
@@ -82,14 +73,6 @@ class TTData(NamedTuple):
     tail_bound: Fraction
     is_bound: bool = False
     is_subset: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "known": [e.to_json() for e in self.known],
-            "tail_bound": format_ratio(self.tail_bound),
-            "is_bound": self.is_bound,
-            "is_subset": self.is_subset,
-        }
 
 
 class ModelSpace(NamedTuple):
@@ -151,21 +134,6 @@ class ModelSpace(NamedTuple):
         cd = CurvatureData(n, g, rm)
         return cd if exact else CurvatureData(n, cd.g.fractions().astype(float),
                                               cd.rm.fractions().astype(float))
-
-    def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "variant": self.variant,
-            "dim": self.n,
-            "m": self.m,
-            "quotient_order": self.quotient_order,
-            "einstein_constant": format_ratio(self.einstein_constant),
-            "scal": format_ratio(self.scal),
-            "volume": self.volume.to_json() if self.volume else None,
-            "euler_char": self.euler_char,
-            "tt": self.tt.to_json() if self.tt else None,
-            "lambda1": format_ratio(self.lambda1) if self.lambda1 is not None else None,
-        }
 
 
 def __getattr__(name: str):
@@ -383,13 +351,6 @@ def _sums_of_squares(n: int, count: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def catalog_to_json(cat: dict[str, ModelSpace]) -> dict:
-    return {
-        "schema_version": CATALOG_SCHEMA_VERSION,
-        "models": [cat[k].to_json() for k in sorted(cat)],
-    }
-
 
 def model_from_json(obj: dict) -> ModelSpace:
     tt = None

@@ -4,7 +4,8 @@ Every command emits deterministic output for a fixed argv and seed.
 Exact thresholds travel as ratio strings ("p/q"); JSON reports carry a
 "kind" field and validate against qcf/schemas/report.schema.json before
 being printed. Exit codes: 0 success, 1 verification failure, 2 invalid
-input, 3 insufficient spectral data.
+input, 3 insufficient spectral data; the group's main() prints each
+failure as one stderr line.
 
 Only the numpy-free modules are imported here. The commands that need
 numpy (grad, symbol without --conformal-killing, verify) import it, and
@@ -15,10 +16,10 @@ logging it imports): every curve sweep runs on one thread.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from importlib import resources
 
@@ -108,31 +109,6 @@ FINITE = FiniteFloat()
 POSITIVE = FiniteFloat(positive=True)
 
 
-def _tau_json(tau):
-    return format_ratio(tau) if isinstance(tau, (int, Fraction)) else float(tau)
-
-
-def guarded(fn):
-    """Map domain errors to the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InsufficientSpectralData as exc:
-            click.echo(f"insufficient data: {exc}", err=True)
-            sys.exit(3)
-        except OverflowError:
-            # from math.exp and **, whose own text does not say what overflowed
-            click.echo("error: float overflow at this input", err=True)
-            sys.exit(2)
-        except (CatalogError, IllConditionedDerivativeError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
 def model_options(fn):
     fn = click.option("--order", type=int, default=None,
                       help="Quotient order (quotient models).")(fn)
@@ -145,7 +121,47 @@ def model_options(fn):
     return fn
 
 
-@click.group()
+# the messages of numpy's floating-point warnings
+_FLOAT_WARNING = "(overflow|invalid value|divide by zero|underflow) encountered"
+
+
+class _QcfGroup(click.Group):
+    """The one error path: every failure ends as one stderr line and an exit code.
+
+    Usage errors print `error: ...` with click's exit code (no usage block),
+    InsufficientSpectralData `insufficient data: ...` with exit 3, and bad
+    input or data exit 2. numpy's float warnings are ignored: an overflow
+    shows as a non-finite result (_require_finite), not as a warning. With
+    standalone_mode=False errors reach the caller, as click documents.
+    """
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FLOAT_WARNING, RuntimeWarning)
+            try:
+                super().main(*args, standalone_mode=False, **kwargs)
+            except click.exceptions.NoArgsIsHelpError as exc:  # its message is the help
+                line, code = exc.format_message(), exc.exit_code
+            except click.ClickException as exc:
+                line, code = f"error: {exc.format_message()}", exc.exit_code
+            except click.Abort:
+                line, code = "Aborted!", 1
+            except InsufficientSpectralData as exc:
+                line, code = f"insufficient data: {exc}", 3
+            except OverflowError:
+                # from math.exp and **, whose own text does not say what overflowed
+                line, code = "error: float overflow at this input", 2
+            except (CatalogError, IllConditionedDerivativeError, ValueError) as exc:
+                line, code = f"error: {exc}", 2
+            else:
+                sys.exit(0)
+        click.echo(line, err=True)
+        sys.exit(code)
+
+
+@click.group(cls=_QcfGroup)
 def main() -> None:
     """Stability, rigidity, and curve data for quadratic curvature functionals."""
 
@@ -155,11 +171,11 @@ def main() -> None:
 
 
 def _interval_text(ms, iv) -> str:
-    lo = format_ratio(iv.lo) if iv.lo is not None else "-inf"
-    hi = format_ratio(iv.hi) if iv.hi is not None else "inf"
+    ends = iv.to_json()  # a missing endpoint is -inf or inf
     lb = "(" if iv.lo_open else "["
     rb = ")" if iv.hi_open else "]"
-    lines = [f"{ms.display_name}: tau in {lb}{lo}, {hi}{rb} -> {iv.verdict_inside}",
+    lines = [f"{ms.display_name}: tau in {lb}{ends['lo']}, {ends['hi']}{rb} -> "
+             f"{iv.verdict_inside}",
              f"  lower endpoint: {iv.lo_provenance}",
              f"  upper endpoint: {iv.hi_provenance}"]
     lines.extend(f"  note: {note}" for note in iv.notes)
@@ -167,7 +183,7 @@ def _interval_text(ms, iv) -> str:
 
 
 def _verdict_text(ms, tau, v) -> str:
-    head = f"{ms.display_name} at tau = {_tau_json(tau)}: {v.variant}"
+    head = f"{ms.display_name} at tau = {format_ratio(tau)}: {v.variant}"
     if v.witness is not None:
         head += f" (witness {format_ratio(v.witness)})"
     lines = [head]
@@ -184,7 +200,6 @@ def _verdict_text(ms, tau, v) -> str:
               help="First nonzero Laplace eigenvalue on functions, for branches that need it.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
-@guarded
 def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
     """Strict-stability tau interval of a catalog model, or a point verdict."""
     if lambda1_ is not None and tau is None:
@@ -200,7 +215,7 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
         elif fmt == "csv":
             click.echo("model,tau,verdict,witness")
             wit = format_ratio(v.witness) if v.witness is not None else ""
-            click.echo(f"{ms.key},{_tau_json(tau)},{v.variant},{wit}")
+            click.echo(f"{ms.key},{format_ratio(tau)},{v.variant},{wit}")
         else:
             click.echo(_verdict_text(ms, tau, v))
         return
@@ -208,10 +223,10 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
     if fmt == "json":
         _emit_json({"kind": "interval", **stability.interval_to_json(ms, iv)})
     elif fmt == "csv":
-        lo = format_ratio(iv.lo) if iv.lo is not None else "-inf"
-        hi = format_ratio(iv.hi) if iv.hi is not None else "inf"
+        ends = iv.to_json()
         click.echo("model,lo,hi,lo_open,hi_open,verdict_inside")
-        click.echo(f"{ms.key},{lo},{hi},{iv.lo_open},{iv.hi_open},{iv.verdict_inside}")
+        click.echo(f"{ms.key},{ends['lo']},{ends['hi']},{iv.lo_open},{iv.hi_open},"
+                   f"{iv.verdict_inside}")
     else:
         click.echo(_interval_text(ms, iv))
 
@@ -228,13 +243,12 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
               help="Extra TT eigenvalues (repeatable), for bound-only models.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
-@guarded
 def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
     """Exceptional tau values where the gauged kernel jumps; Bach verdict at n=4."""
     cat = load_catalog()
     ms = resolve_model(cat, model, dim, m_, order)
     rep = stability.rigidity_exceptional_taus(
-        ms, count=count, mu_list=[Fraction(m) for m in mus] or None)
+        ms, count=count, mu_list=list(mus) or None)
     obj = {"kind": "rigidity", **rep.to_json()}
     bach = stability.bach_verdict(ms) if ms.n == 4 else None
     if bach is not None:
@@ -293,7 +307,6 @@ def _derivatives(fn, params: list[float], order: int) -> list[list]:
               help="Also list the critical parameters of the curve.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
-@guarded
 def berger(tau, at_, derivatives, critical, fmt) -> None:
     """Berger-family functional value and finite-difference derivatives."""
     fn = lambda s: functionals.berger_curve(tau, s)
@@ -305,7 +318,7 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
     if fmt == "json":
         obj = {
             "kind": "berger",
-            "tau": _tau_json(tau),
+            "tau": format_ratio(tau),
             "at": at_,
             "value": value,
             "derivatives": [
@@ -315,25 +328,21 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
         }
         if pts is not None:
             obj["critical_points"] = [
-                {"s_squared": (format_ratio(p.s_squared)
-                               if isinstance(p.s_squared, Fraction)
-                               else float(p.s_squared)),
-                 "s": p.s, "multiplicity": p.multiplicity}
+                {"s_squared": format_ratio(p.s_squared), "s": p.s,
+                 "multiplicity": p.multiplicity}
                 for p in pts
             ]
         _emit_json(obj)
         return
     lines = [f"f_tau({functionals.format_float(at_)}) = "
-             f"{functionals.format_float(value)} at tau = {_tau_json(tau)}"]
+             f"{functionals.format_float(value)} at tau = {format_ratio(tau)}"]
     for e in ests:
         lines.append(f"  d{e.order} = {functionals.format_float(e.value)} "
                      f"(error estimate {e.error:.3e})")
     if pts is not None:
         for p in pts:
-            s2 = (format_ratio(p.s_squared) if isinstance(p.s_squared, Fraction)
-                  else functionals.format_float(p.s_squared))
             mult = f", multiplicity {p.multiplicity}" if p.multiplicity > 1 else ""
-            lines.append(f"  critical: s^2 = {s2} (s = "
+            lines.append(f"  critical: s^2 = {format_ratio(p.s_squared)} (s = "
                          f"{functionals.format_float(p.s)}{mult})")
     click.echo("\n".join(lines))
 
@@ -364,7 +373,6 @@ def _linspace(start: float, stop: float, points: int) -> list[float]:
                    "one thread.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv")
-@guarded
 def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
     """Plot-ready sweep of a variation curve (CSV by default)."""
     if family == "berger":
@@ -391,7 +399,7 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
                 row[f"d{o}"] = by_order[o].value if o in by_order else None
                 row[f"err{o}"] = by_order[o].error if o in by_order else None
             json_rows.append(row)
-        _emit_json({"kind": "curve", "family": family, "tau": _tau_json(tau),
+        _emit_json({"kind": "curve", "family": family, "tau": format_ratio(tau),
                     "rows": json_rows})
         return
     click.echo(functionals.sweep_csv(rows), nl=False)
@@ -410,7 +418,6 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
               help="Reference frame volume (default 2*pi^2 for su2, 1 otherwise).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
-@guarded
 def grad(group, diag, tau, vol_ref, fmt) -> None:
     """Full gradient of F_tau at a diagonal left-invariant metric."""
     import numpy as np
@@ -430,20 +437,18 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
     if vol_ref is None:
         vol_ref = homogeneous.SU2_REFERENCE_VOLUME if group == "su2" else 1.0
     g = np.diag(entries)
-    # overflow shows up as a non-finite result (_require_finite), not a warning
-    with np.errstate(all="ignore"):
-        gradm = np.asarray(homogeneous.gradient_F(sc, g, tau), dtype=float)
-        div = np.asarray(homogeneous.divergence(sc, g, gradm), dtype=float)
-        div_norm = float(tensor_norm2(inverse_metric(g), div)) ** 0.5
-        vol = homogeneous.volume(sc, g, vol_ref)
-        fval = homogeneous.functional_value(sc, g, tau, vol_ref)
+    gradm = np.asarray(homogeneous.gradient_F(sc, g, tau), dtype=float)
+    div = np.asarray(homogeneous.divergence(sc, g, gradm), dtype=float)
+    div_norm = float(tensor_norm2(inverse_metric(g), div)) ** 0.5
+    vol = homogeneous.volume(sc, g, vol_ref)
+    fval = homogeneous.functional_value(sc, g, tau, vol_ref)
     _require_finite([vol, fval, div_norm, *gradm.ravel(), *div])
     if fmt == "json":
         _emit_json({
             "kind": "grad",
             "group": group,
             "diag": entries,
-            "tau": _tau_json(tau),
+            "tau": format_ratio(tau),
             "volume": vol,
             "functional_value": fval,
             "gradient": [[float(v) for v in row] for row in gradm],
@@ -451,7 +456,7 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
             "divergence_norm": div_norm,
         })
         return
-    lines = [f"grad F_tau at diag({diag}) on {group}, tau = {_tau_json(tau)}:"]
+    lines = [f"grad F_tau at diag({diag}) on {group}, tau = {format_ratio(tau)}:"]
     for row in gradm:
         lines.append("  [" + ", ".join(functionals.format_float(v) for v in row) + "]")
     lines.append(f"  volume = {functionals.format_float(vol)}")
@@ -482,7 +487,6 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
                    "takes neither --tau nor --trace-free.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
-@guarded
 def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
     """Principal-symbol injectivity of the gauged linearization."""
     if ck:
@@ -511,20 +515,16 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
         return
     if tau is None:
         raise ValueError("--tau is required (or pass --conformal-killing)")
-    import numpy as np
-
     from qcf import spectral
 
-    # float warnings stay off stderr, as in the other numpy commands
-    with np.errstate(all="ignore"):
-        v = spectral.symbol_injectivity(n, tau, trials=trials, seed=seed,
-                                        restrict_trace_free=trace_free)
-        contains_g = spectral.kernel_contains_metric(v, n)
+    v = spectral.symbol_injectivity(n, tau, trials=trials, seed=seed,
+                                    restrict_trace_free=trace_free)
+    contains_g = spectral.kernel_contains_metric(v, n)
     if fmt == "json":
         _emit_json({
             "kind": "symbol",
             "n": n,
-            "tau": _tau_json(tau),
+            "tau": format_ratio(tau),
             "trials": trials,
             "injective": v.injective,
             "min_singular_value": v.min_singular_value,
@@ -563,7 +563,6 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
               help="Caller asserts the pointwise lower Ricci comparison.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
-@guarded
 def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
     """Volume-comparison deduction near a stable positive Einstein metric."""
     d = stability.reverse_bishop(vol_g, n, vol_gt, ric_upper_ok,
@@ -584,16 +583,11 @@ def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
 @click.option("--seed", type=int, default=0)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
-@guarded
 def verify(filter_, seed, fmt) -> None:
     """Run the acceptance suite; nonzero exit on any failure."""
-    import numpy as np
-
     from qcf import verify as verify_mod
 
-    # float warnings stay off stderr, as in the other numpy commands
-    with np.errstate(all="ignore"):
-        report = verify_mod.run_all(filter_str=filter_, seed=seed)
+    report = verify_mod.run_all(filter_str=filter_, seed=seed)
     if fmt == "json":
         _emit_json(report.to_json())
     else:

@@ -28,21 +28,25 @@ def parse_ratio(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact Fraction.
 
     Raises ValueError when the numerator or the denominator could have
-    more digits than the interpreter converts between int and text
-    (sys.get_int_max_str_digits()): int() already refuses such digit
-    strings, and a decimal exponent is refused before it is applied, so
-    the length of an input bounds the work of every exact command on it.
+    more than half the digits the interpreter converts between int and
+    text (sys.get_int_max_str_digits()). The bound is checked on the
+    text, before any conversion, and the half leaves room for what a
+    command derives and prints (a bound such as 24 tau + 12), so the
+    length of an input bounds the work and the output of every exact
+    command on it.
     """
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    mantissa, _, exponent = text.lower().partition("e")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    # the numerator and the denominator have at most len(mantissa) + |exponent| digits
-    if exponent and limit and len(mantissa) + abs(int(exponent)) > limit:
-        raise ValueError(f"{text!r} has more digits than the interpreter converts")
-    return Fraction(text)
+    num, slash, den = text.partition("/")
+    if slash:
+        digits = max(len(part.strip().lstrip("+-")) for part in (num, den))
+    else:
+        mantissa, _, exponent = text.lower().partition("e")
+        # the numerator and the denominator have at most len(mantissa) + |exponent| digits
+        digits = len(mantissa.lstrip("+-")) + abs(int(exponent or 0))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() // 2  # 0: no limit
+    if limit and digits > limit:
+        raise ValueError(f"{text!r} has more digits than half the interpreter converts")
+    return Fraction(int(num), int(den)) if slash else Fraction(text)
 
 
 def format_ratio(x: Fraction) -> str:

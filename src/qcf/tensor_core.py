@@ -275,10 +275,6 @@ def tensor_norm2(g_inv: np.ndarray, t: np.ndarray):
     return (raise_all(g_inv, t) * t).reshape(*g_inv.shape[:-2], -1).sum(-1)
 
 
-def sym2_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray):
-    return np.einsum("ip,jq,ij,pq->", g_inv, g_inv, a, b)
-
-
 def check_curvature_symmetries(rm: np.ndarray, tol: float = 1e-12) -> None:
     """Raise if rm lacks the algebraic curvature symmetries.
 

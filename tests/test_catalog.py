@@ -4,14 +4,16 @@ import itertools
 import json
 from fractions import Fraction
 
+import jsonschema
 import pytest
+from conftest import catalog_json
 
 from qcf.catalog import (
     CatalogError,
     ExactVolume,
     _sums_of_squares,
     builtin_catalog,
-    catalog_to_json,
+    catalog_schema,
     function_spectrum,
     load_catalog,
     make_sphere,
@@ -44,15 +46,15 @@ def test_builtin_catalog_validates(cat):
 
 
 def test_round_trip(cat):
-    doc = catalog_to_json(cat)
-    assert doc["schema_version"] == 1
+    doc = catalog_json(cat[k] for k in sorted(cat))
+    jsonschema.validate(doc, catalog_schema())
     for obj in doc["models"]:
         model = model_from_json(obj)
         assert model == cat[model.key]
 
 
 def test_round_trip_through_json_text(cat):
-    text = json.dumps(catalog_to_json(cat))
+    text = json.dumps(catalog_json(cat.values()))
     doc = json.loads(text)
     rebuilt = {m["key"]: model_from_json(m) for m in doc["models"]}
     assert rebuilt == cat
@@ -88,10 +90,10 @@ def test_validate_model_rejects_impossible_lambda1_and_volume(field, value, name
 
 def test_corrupted_extension_rejected_by_content(cat, tmp_path):
     """A wrong first TT eigenvalue of CP^2 must fail the named identity."""
-    obj = cat["cp:2"].to_json()
-    obj["tt"]["known"][0]["mu"] = "30"
+    doc = catalog_json([cat["cp:2"]])
+    doc["models"][0]["tt"]["known"][0]["mu"] = "30"
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema_version": 1, "models": [obj]}))
+    path.write_text(json.dumps(doc))
     with pytest.raises(CatalogError, match=r"complex-projective identity"):
         load_catalog(str(path))
 

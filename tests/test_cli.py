@@ -1,6 +1,7 @@
 """CLI behavior: formats, determinism, exit codes, schema-valid JSON."""
 
 import json
+import sys
 import warnings
 from fractions import Fraction
 from importlib import resources
@@ -8,6 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from conftest import catalog_json
 
 from qcf.cli import main
 
@@ -343,15 +345,13 @@ def test_bishop_decides_exactly(runner, args, stdout):
 @pytest.mark.parametrize("value, error", [
     ("0", "error: vol_g must be finite and positive, got 0\n"),
     ("-1", "error: vol_g must be finite and positive, got -1\n"),
-    ("nan", "Error: Invalid value for '--vol-g': 'nan' is not a finite 'p/q' or decimal\n"),
-    ("inf", "Error: Invalid value for '--vol-g': 'inf' is not a finite 'p/q' or decimal\n"),
+    ("nan", "error: Invalid value for '--vol-g': 'nan' is not a finite 'p/q' or decimal\n"),
+    ("inf", "error: Invalid value for '--vol-g': 'inf' is not a finite 'p/q' or decimal\n"),
 ])
 def test_bishop_refuses_a_volume_as_typed(runner, value, error):
     res = runner.invoke(main, ["bishop", "--vol-g", value, "--vol-gt", "1", "--dim", "4",
                                "--ftilde0", "1", *_FLAGS])
-    assert (res.exit_code, res.stdout) == (2, "")
-    assert [line + "\n" for line in res.stderr.splitlines()
-            if line.lower().startswith("error:")] == [error]
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", error)
 
 
 def test_verify_filter_and_exit(runner, schema):
@@ -387,17 +387,70 @@ def test_a_ratio_past_the_digit_limit_exits_2(runner, args):
     assert "'1e100000' is not a finite 'p/q' or decimal" in res.stderr
 
 
-def test_parse_ratio_bounds_the_digits_of_an_exponent():
-    import sys
+# the most digits parse_ratio accepts in a numerator or a denominator
+_HALF = sys.get_int_max_str_digits() // 2
 
+
+def test_parse_ratio_bounds_the_digits_of_an_exponent():
     from qcf.rational import parse_ratio
 
     assert parse_ratio("1e400") == 10**400 and parse_ratio("1E-400") == Fraction(1, 10**400)
-    limit = sys.get_int_max_str_digits()
-    assert parse_ratio(f"1e{limit - 1}") == 10 ** (limit - 1)
-    for text in (f"1e{limit}", f"-2.5e-{limit}", "1e100000", "3e-100000"):
+    assert parse_ratio(f"1e{_HALF - 1}") == 10 ** (_HALF - 1)
+    assert parse_ratio(f"-1e-{_HALF - 1}") == Fraction(-1, 10 ** (_HALF - 1))
+    for text in (f"1e{_HALF}", f"-2.5e-{_HALF}", "1e100000", "3e-100000"):
         with pytest.raises(ValueError, match="more digits"):
             parse_ratio(text)
+
+
+def test_parse_ratio_bounds_the_digits_of_p_and_q():
+    from qcf.rational import parse_ratio
+
+    big = "7" * _HALF
+    assert parse_ratio(f"-{big}/{'9' * _HALF}") == Fraction(-int(big), int("9" * _HALF))
+    assert parse_ratio(f" 3/{big} ") == Fraction(3, int(big))
+    for text in (f"{big}7/3", f"3/{big}7", f"-{big}7/{big}", f"{big}7"):
+        with pytest.raises(ValueError, match="more digits"):
+            parse_ratio(text)
+
+
+# the largest ratios parse_ratio accepts, and the same forms at the full
+# int-string limit, which it refuses
+MAXIMAL_RATIOS = [x for d in (_HALF, 2 * _HALF)
+                  for x in (f"1e{d - 1}", f"-1e{d - 1}", f"1e-{d - 1}", f"{'7' * d}/3",
+                            f"3/{'7' * d}", f"-{'7' * d}/{'9' * d}")]
+# every ratio option of every command; X is the ratio
+RATIO_COMMANDS = [
+    ["intervals", "--model", "sphere:4", "--tau", "X"],
+    ["intervals", "--model", "cp:2", "--tau", "X", "--format", "json"],
+    ["intervals", "--model", "hyperbolic:6", "--tau", "X", "--lambda1", "9/2", "--format", "csv"],
+    ["intervals", "--model", "hyperbolic:6", "--tau", "0", "--lambda1", "X"],
+    ["rigidity", "--model", "hyperbolic:4", "--mu", "X"],
+    ["rigidity", "--model", "hyperbolic:5", "--mu", "X", "--format", "json"],
+    ["berger", "--tau", "X", "--critical", "--derivatives", "0"],
+    ["berger", "--tau", "X", "--critical", "--format", "json"],
+    ["curve", "--tau", "X", "--points", "2"],
+    ["grad", "--diag", "1,1,2", "--tau", "X"],
+    # symbol stays at --dim 3: at higher dimensions a tiny tau is slow
+    ["symbol", "--dim", "3", "--tau", "X"],
+    ["bishop", "--vol-g", "X", "--vol-gt", "1", "--dim", "4", "--ftilde0", "36", *_FLAGS],
+    ["bishop", "--vol-g", "1", "--vol-gt", "X", "--dim", "4", "--ftilde0", "36", *_FLAGS],
+    ["bishop", "--vol-g", "1", "--vol-gt", "1", "--dim", "4", "--ftilde0", "X", *_FLAGS],
+]
+
+
+@pytest.mark.parametrize("template", RATIO_COMMANDS,
+                         ids=lambda t: " ".join(a for a in t if a not in _FLAGS))
+def test_a_maximal_ratio_exits_0_or_with_one_error_line(runner, template):
+    """What a command derives from an accepted ratio and prints (24 tau + 12,
+    say) stays within the int-string limit, and a ratio past the bound is
+    refused as typed."""
+    for x in MAXIMAL_RATIOS:
+        res = runner.invoke(main, [x if a == "X" else a for a in template])
+        assert res.exception is None or isinstance(res.exception, SystemExit), (x, res.exception)
+        assert "Traceback" not in res.output and "Exceeds the limit" not in res.output, x
+        assert res.exit_code == 0 or (res.exit_code, res.stdout) == (2, ""), x
+        if res.exit_code:
+            assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: "), x
 
 
 # impossible spectral input: a first nonzero Laplace eigenvalue <= 0, a TT
@@ -464,14 +517,14 @@ def _extension_catalog(tmp_path, key, field, value):
     """A one-model extension file: catalog model `key` with the dotted `field` set."""
     from qcf.catalog import builtin_catalog
 
-    obj = builtin_catalog()[key].to_json()
+    doc = catalog_json([builtin_catalog()[key]])
     *parents, last = field.split(".")
-    target = obj
+    target = doc["models"][0]
     for name in parents:
         target = target[name]
     target[last] = value
     path = tmp_path / "impossible.json"
-    path.write_text(json.dumps({"schema_version": 1, "models": [obj]}))
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -592,10 +645,10 @@ def test_sweep_grid_matches_np_linspace_bitwise():
 def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
     from qcf.catalog import builtin_catalog
 
-    obj = builtin_catalog()["cp:2"].to_json()
-    obj["tt"]["known"][0]["mu"] = "30"
+    doc = catalog_json([builtin_catalog()["cp:2"]])
+    doc["models"][0]["tt"]["known"][0]["mu"] = "30"
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema_version": 1, "models": [obj]}))
+    path.write_text(json.dumps(doc))
     monkeypatch.setenv("QCF_CATALOG", str(path))
     res = runner.invoke(main, ["verify", "--filter", "catalog"])
     assert res.exit_code == 1

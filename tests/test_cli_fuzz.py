@@ -1,9 +1,11 @@
 """Fuzz every CLI command with extreme, malformed and non-finite inputs.
 
 Whatever the input, a command ends in exit 0 (a result), 2 (bad input)
-or 3 (missing spectral data), never in a traceback. A result never
-prints nan or inf as a number, and JSON output is strict JSON that
-validates against the report schema. Sizes stay small (symbol dimension
+or 3 (missing spectral data), never in a traceback, and a failure prints
+one stderr line. A result never prints nan or inf as a number, and JSON
+output is strict JSON that validates against the report schema. A
+second fuzz feeds `bishop` exact volume sandwiches and checks its
+conclusion against the exact rule. Sizes stay small (symbol dimension
 at most 6, at most 21 curve points, only cheap verify criteria) so that
 the whole run is quick and deterministic.
 """
@@ -134,6 +136,8 @@ def test_cli_fuzz_exit_codes_and_output(argv):
     assert res.exception is None or isinstance(res.exception, SystemExit), (argv, res.exception)
     assert "Traceback" not in res.output, argv
     if res.exit_code != 0:
+        assert res.stderr.count("\n") == 1, (argv, res.stderr)
+        assert res.stderr.startswith(("error: ", "insufficient data: ")), (argv, res.stderr)
         return
     if "--format=json" in argv:
         obj = json.loads(res.stdout, parse_constant=_reject_constant)
@@ -147,3 +151,63 @@ def test_cli_fuzz_exit_codes_and_output(argv):
     assert not _NONFINITE.search(text), (argv, res.stdout)
     if argv[0] == "bishop":
         _check_bishop(argv, [line.strip() for line in text.splitlines()[1:]])
+
+
+# Vol(g) = u^n, Vol(g~) = v^n and F~0 = n(n-1)^2 w^4 for exact positive u,
+# v, w: the chain concludes exactly when u <= w <= v
+SIZE = st.fractions(Fraction(1, 40), 40, max_denominator=40)
+NUDGE = st.fractions(Fraction(1, 10**6), Fraction(1, 10), max_denominator=10**6)
+
+
+@st.composite
+def _sandwich(draw):
+    """(n, u, v, w): w inside [u, v], on an equality u = v = w, or just
+    below u or above v (where v may lie below u)."""
+    n, u = draw(st.integers(3, 8)), draw(SIZE)
+    where = draw(st.sampled_from(["inside", "equal", "below", "above"]))
+    if where == "equal":
+        return n, u, u, u
+    if where == "inside":
+        v = u + draw(SIZE)
+        return n, u, v, u + draw(st.fractions(0, 1, max_denominator=20)) * (v - u)
+    v = u * draw(st.fractions(Fraction(1, 2), 2, max_denominator=20))
+    return n, u, v, u * (1 - draw(NUDGE)) if where == "below" else v * (1 + draw(NUDGE))
+
+
+def _bishop_rule(u, v, w) -> str:
+    if w < u:
+        return "below the stability bound"
+    if w > v:
+        return "exceeds the Ricci-bound ceiling"
+    return "EqualityRigidity" if u == v else "VolumeAtLeast"
+
+
+def test_bishop_fuzz_decides_sandwiches_by_the_exact_rule():
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_sandwich(), st.sampled_from(["text", "json"]))
+    def check(case, fmt):
+        n, u, v, w = case
+        argv = ["bishop", f"--vol-g={u ** n}", f"--vol-gt={v ** n}", f"--dim={n}",
+                f"--ftilde0={n * (n - 1) ** 2 * w ** 4}", "--ric-upper-ok", "--ric-lower-ok",
+                f"--format={fmt}"]
+        res = CliRunner().invoke(main, argv)
+        assert (res.exit_code, res.stderr) == (0, ""), (argv, res.output)
+        if fmt == "json":
+            obj = json.loads(res.stdout, parse_constant=_reject_constant)
+            jsonschema.validate(obj, SCHEMA)
+            conclusion, notes = obj["conclusion"], obj["notes"]
+        else:
+            conclusion, *notes = [line.strip() for line in res.stdout.splitlines()]
+        want = _bishop_rule(u, v, w)
+        if conclusion == "Inconclusive":
+            assert len(notes) == 1 and want in notes[0], (argv, notes)
+        else:
+            assert conclusion == want, argv
+        _check_bishop(argv, notes)
+        seen.add(want)
+
+    check()
+    assert seen == {"VolumeAtLeast", "EqualityRigidity", "below the stability bound",
+                    "exceeds the Ricci-bound ceiling"}

@@ -27,8 +27,12 @@ every boundary between the two. The exceptions are `_Exact.fractions()`,
 the one place that hands a caller a Fraction array, and the
 `_Exact.dtype` class attribute. Numerators past int64, which `_Exact`
 keeps as Python ints, are an integer array chosen by its bound and are
-not named this way. Test modules are scanned for imports only: pytest
-finds their fixtures by name.
+not named this way. The CLI has one error path: in `cli`, only the
+group's handler (`_QcfGroup.main`) calls `sys.exit` or echoes with
+`err=True`, apart from `verify`'s `elapsed:` line and its exit 1 on a
+failed criterion, and no code calls `np.errstate` (the handler ignores
+numpy's float warnings). Test modules are scanned for imports only:
+pytest finds their fixtures by name.
 """
 
 import ast
@@ -68,6 +72,12 @@ _EXACT_LAYER = ("tensor_core", "homogeneous", "catalog", "verify")
 _OBJECT_DTYPE_EXEMPT = (("_Exact", "fractions"), ("_Exact", "dtype"))
 
 
+# cli ends a command and prints to stderr only in the group's handler,
+# apart from these two calls in verify
+_ERROR_HANDLER = ("_QcfGroup", "main")
+_VERIFY_EXEMPT = ("click.echo(f'elapsed: {report.elapsed:.2f}s', err=True)", "sys.exit(1)")
+
+
 def _owners(tree: ast.Module):
     """(node, (class or None, the function or assigned name it defines)) for
     each top-level statement and each statement of a top-level class body."""
@@ -88,6 +98,14 @@ def _names_object_dtype(node: ast.AST) -> bool:
     else:
         return False
     return isinstance(value, ast.Name) and value.id == "object"
+
+
+def _is_error_output(node: ast.AST) -> bool:
+    """A sys.exit call or a call with an err=True keyword."""
+    return isinstance(node, ast.Call) and (
+        ast.unparse(node.func) == "sys.exit"
+        or any(k.arg == "err" and getattr(k.value, "value", None) is True
+               for k in node.keywords))
 
 
 def _imports_by_owner(tree: ast.Module):
@@ -133,6 +151,14 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
             where = ".".join(name for name in owner if name)
             out += [f"object dtype in {where}" for node in ast.walk(top)
                     if _names_object_dtype(node)]
+    for top, owner in _owners(tree) if src and module == "cli" else ():
+        where = ".".join(name for name in owner if name)
+        for node in ast.walk(top) if owner != _ERROR_HANDLER else ():
+            if _is_error_output(node) and not (
+                    owner == (None, "verify") and ast.unparse(node) in _VERIFY_EXEMPT):
+                out.append(f"error output in {where}: {ast.unparse(node)}")
+        out += [f"calls np.errstate in {where}" for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "errstate"]
     return out
 
 
@@ -229,3 +255,44 @@ KINDS = {"exact": np.dtype(object), "held": _Exact}
     assert text.count(body) == 1
     mutant = text.replace(body, "    c = np.empty((3, 3, 3), dtype=object)\n" + body)
     assert findings(mutant, module="homogeneous") == ["object dtype in su2"]
+
+
+def test_scan_keeps_cli_errors_in_the_group_handler():
+    source = """
+class _QcfGroup(click.Group):
+    def main(self, *args, **kwargs):
+        with np.errstate(all="ignore"):
+            click.echo("error: x", err=True)
+            sys.exit(2)
+
+@click.group(cls=_QcfGroup)
+def main():
+    pass
+
+def verify(report):
+    click.echo(f"elapsed: {report.elapsed:.2f}s", err=True)
+    sys.exit(1)
+
+def grad():
+    with np.errstate(all="ignore"):
+        click.echo("warning", err=True)
+    click.echo("stdout", err=False)
+    sys.exit(3)
+"""
+    assert findings(source, module="cli") == [
+        "calls np.errstate in _QcfGroup.main",
+        "error output in grad: sys.exit(3)",
+        "error output in grad: click.echo('warning', err=True)",
+        "calls np.errstate in grad"]
+    assert findings(source, module="spectral") == []
+    # verify may print only its timing line and exit 1
+    assert findings(source.replace("sys.exit(1)", "sys.exit(2)"), module="cli")[1] == (
+        "error output in verify: sys.exit(2)")
+    # a command that echoes its own stderr line fails the scan
+    path = SRC / "cli.py"
+    text = path.read_text(encoding="utf-8")
+    doc = '    """Strict-stability tau interval of a catalog model, or a point verdict."""\n'
+    assert text.count(doc) == 1
+    mutant = text.replace(doc, doc + '    click.echo("error: refused", err=True)\n')
+    assert findings(mutant, module="cli") == [
+        "error output in intervals: click.echo('error: refused', err=True)"]
