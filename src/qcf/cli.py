@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -84,7 +85,10 @@ class RatioType(click.ParamType):
         try:
             return parse_ratio(str(value))
         except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not a finite 'p/q' or decimal", param, ctx)
+            text = str(value)  # a long input is quoted by its first 40 characters
+            shown = (repr(value) if len(text) <= 40
+                     else f"{text[:40]!r}... ({len(text)} characters)")
+            self.fail(f"{shown} is not a finite 'p/q' or decimal", param, ctx)
 
 
 RATIO = RatioType()
@@ -130,9 +134,10 @@ class _QcfGroup(click.Group):
 
     Usage errors print `error: ...` with click's exit code (no usage block),
     InsufficientSpectralData `insufficient data: ...` with exit 3, and bad
-    input or data exit 2. numpy's float warnings are ignored: an overflow
-    shows as a non-finite result (_require_finite), not as a warning. With
-    standalone_mode=False errors reach the caller, as click documents.
+    input or data exit 2; a number the line quotes is cut to 40 digits.
+    numpy's float warnings are ignored: an overflow shows as a non-finite
+    result (_require_finite), not as a warning. With standalone_mode=False
+    errors reach the caller, as click documents.
     """
 
     def main(self, *args, standalone_mode: bool = True, **kwargs):
@@ -157,7 +162,9 @@ class _QcfGroup(click.Group):
                 line, code = f"error: {exc}", 2
             else:
                 sys.exit(0)
-        click.echo(line, err=True)
+        # a number past 40 digits shows as its first 40 and its length
+        click.echo(re.sub(r"\d{41,}", lambda m: f"{m[0][:40]}... ({len(m[0])} digits)", line),
+                   err=True)
         sys.exit(code)
 
 

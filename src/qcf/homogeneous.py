@@ -60,20 +60,19 @@ class StructureConstants(_StructureFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.c.shape != (self.n,) * 3:
+    def __new__(cls, n, c):
+        if c.shape != (n,) * 3:
             raise ValueError("structure constant array must be n x n x n")
-        anti = self.c + transpose_last(self.c, (1, 0, 2))
+        anti = c + transpose_last(c, (1, 0, 2))
         jac = (
-            contract("ijm,mkl->ijkl", self.c, self.c)
-            + contract("jkm,mil->ijkl", self.c, self.c)
-            + contract("kim,mjl->ijkl", self.c, self.c)
+            contract("ijm,mkl->ijkl", c, c)
+            + contract("jkm,mil->ijkl", c, c)
+            + contract("kim,mjl->ijkl", c, c)
         )
         for name, defect in [("antisymmetry", anti), ("Jacobi identity", jac)]:
             if not vanishes(defect, 1e-12):
                 raise ValueError(f"structure constants violate {name}")
-        return self
+        return tuple.__new__(cls, (n, c))
 
     @classmethod
     def _make(cls, iterable):

@@ -34,7 +34,8 @@ VERDICT_VARIANTS = ("StrictlyStable", "StableBoundOnly", "Indeterminate",
 
 
 # A record that checks its fields is a NamedTuple of the fields and methods
-# with a thin subclass that checks in __new__ (a NamedTuple class body cannot
+# with a thin subclass whose __new__ takes the fields by name, with their
+# defaults, checks them and builds the tuple (a NamedTuple class body cannot
 # define __new__); _make is overridden so that _replace checks as well.
 class _VerdictFields(NamedTuple):
     variant: str
@@ -58,13 +59,12 @@ class _VerdictFields(NamedTuple):
 class StabilityVerdict(_VerdictFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.variant not in VERDICT_VARIANTS:
-            raise ValueError(f"unknown verdict variant {self.variant}")
-        if self.variant == "FailsTT" and self.witness is None:
+    def __new__(cls, variant, witness=None, notes=(), provenance=()):
+        if variant not in VERDICT_VARIANTS:
+            raise ValueError(f"unknown verdict variant {variant}")
+        if variant == "FailsTT" and witness is None:
             raise ValueError("FailsTT requires an eigenvalue witness")
-        return self
+        return tuple.__new__(cls, (variant, witness, notes, provenance))
 
     @classmethod
     def _make(cls, iterable):
@@ -112,11 +112,12 @@ class TauInterval(_IntervalFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
-            raise ValueError(f"empty interval: lo {self.lo} >= hi {self.hi}")
-        return self
+    def __new__(cls, lo, hi, lo_open=True, hi_open=True, lo_provenance="",
+                hi_provenance="", notes=(), verdict_inside="StrictlyStable"):
+        if lo is not None and hi is not None and not lo < hi:
+            raise ValueError(f"empty interval: lo {lo} >= hi {hi}")
+        return tuple.__new__(cls, (lo, hi, lo_open, hi_open, lo_provenance,
+                                   hi_provenance, notes, verdict_inside))
 
     @classmethod
     def _make(cls, iterable):
@@ -148,22 +149,22 @@ def _tt_meets(tt, lo: int, hi: int, den: int):
     """Where spec_TT meets [lo/den, hi/den] (den > 0), by cross-multiplication:
     the first known eigenvalue inside or None, and whether the interval
     lies below the tail bound."""
-    eig = next((e for e in tt.known if lo * e.mu.denominator <= e.mu.numerator * den
-                <= hi * e.mu.denominator), None)
-    return eig, hi * tt.tail_bound.denominator < tt.tail_bound.numerator * den
+    for eig in tt.known:
+        mu = eig.mu
+        d = mu.denominator
+        if lo * d <= mu.numerator * den <= hi * d:
+            break
+    else:
+        eig = None
+    tail = tt.tail_bound
+    return eig, hi * tail.denominator < tail.numerator * den
 
 
-def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
-    """Positivity of the TT Jacobi polynomial over the model's TT spectrum.
+# The gap checks return a verdict's fields (variant, witness, notes,
+# provenance), so that combined_verdict builds one record from the two.
 
-    The polynomial (1/2)(2R/n - mu)((4/n + 2 tau)R - mu) is positive
-    exactly when mu avoids the closed interval between its roots, so the
-    check is emptiness of spec_TT over that interval. Known eigenvalues
-    give concrete failure witnesses; the tail bound certifies emptiness
-    above the known list. Bound-only models (hyperbolic) can pass only
-    as StableBoundOnly; quotient models have subset spectra, so endpoint
-    hits downgrade to Indeterminate instead of a definite failure.
-    """
+
+def _tt_gap(model: ModelSpace, tau) -> tuple:
     tt = model.tt
     if tt is None:
         raise InsufficientSpectralData(f"{model.key}: no TT spectral data")
@@ -181,31 +182,38 @@ def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
         if eig.witness:
             note += f"; witness: {eig.witness}"
         if tt.is_subset:
-            return StabilityVerdict(
-                "Indeterminate", witness=eig.mu,
-                notes=(note, "spectrum is a quotient subset: the witness "
-                             "may not descend"),
-                provenance=("tt-gap",))
-        return StabilityVerdict("FailsTT", witness=eig.mu, notes=(note,),
-                                provenance=("tt-gap",))
+            return ("Indeterminate", eig.mu,
+                    (note, "spectrum is a quotient subset: the witness may not descend"),
+                    ("tt-gap",))
+        return "FailsTT", eig.mu, (note,), ("tt-gap",)
     if below_tail:
-        prov = "tt-gap"
         if tt.is_bound:
-            return StabilityVerdict(
-                "StableBoundOnly",
-                notes=(f"forbidden interval {span} lies below the "
-                       f"spectral lower bound {tt.tail_bound}",),
-                provenance=(prov, "tt-lower-bound"))
-        return StabilityVerdict(
-            "StrictlyStable",
-            notes=(f"forbidden interval {span} misses the known "
-                   f"spectrum and lies below the tail bound {tt.tail_bound}",),
-            provenance=(prov,))
-    return StabilityVerdict(
-        "Indeterminate",
-        notes=(f"forbidden interval {span} reaches the region "
-               f"mu >= {tt.tail_bound} where the spectrum is not fully known",),
-        provenance=("tt-gap",))
+            return ("StableBoundOnly", None,
+                    (f"forbidden interval {span} lies below the "
+                     f"spectral lower bound {tt.tail_bound}",),
+                    ("tt-gap", "tt-lower-bound"))
+        return ("StrictlyStable", None,
+                (f"forbidden interval {span} misses the known "
+                 f"spectrum and lies below the tail bound {tt.tail_bound}",),
+                ("tt-gap",))
+    return ("Indeterminate", None,
+            (f"forbidden interval {span} reaches the region "
+             f"mu >= {tt.tail_bound} where the spectrum is not fully known",),
+            ("tt-gap",))
+
+
+def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
+    """Positivity of the TT Jacobi polynomial over the model's TT spectrum.
+
+    The polynomial (1/2)(2R/n - mu)((4/n + 2 tau)R - mu) is positive
+    exactly when mu avoids the closed interval between its roots, so the
+    check is emptiness of spec_TT over that interval. Known eigenvalues
+    give concrete failure witnesses; the tail bound certifies emptiness
+    above the known list. Bound-only models (hyperbolic) can pass only
+    as StableBoundOnly; quotient models have subset spectra, so endpoint
+    hits downgrade to Indeterminate instead of a definite failure.
+    """
+    return StabilityVerdict(*_tt_gap(model, tau))
 
 
 def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
@@ -233,6 +241,134 @@ def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
     return None
 
 
+def _vs(p: int, q: int, num: int, den: int) -> int:
+    """An integer with the sign of p/q - num/den (q, den > 0)."""
+    return den * p - num * q
+
+
+def _fails(model: ModelSpace, t: Fraction, note: str, witness=None,
+           allow_scan=True) -> tuple:
+    """A FailsConformal verdict's fields; without a given witness, the scan
+    supplies one where allowed."""
+    w = witness
+    if w is None and allow_scan:
+        w = _conformal_witness(model, t)
+    notes = (note,)
+    if w is None and allow_scan:
+        notes += ("no concrete eigenvalue witness available from the catalog",)
+    elif w is not None and model.spectra_are_subsets:
+        notes += ("witness eigenvalue from the covering spectrum; the "
+                  "eigenfunction may not descend to the quotient",)
+    return "FailsConformal", w, notes, ("conformal-branch",)
+
+
+def _conformal_gap(model: ModelSpace, tau, lambda1_override: Fraction | None) -> tuple:
+    t = _exact_tau(tau)
+    n, p, q, r = model.n, t.numerator, t.denominator, model.scal.numerator
+    t1, t2 = (4 - 3 * n, 2 * n * (n - 1)), (-n, 4 * (n - 1))  # tau1, tau2 as (num, den)
+    if r > 0:
+        if n == 3:
+            if _vs(p, q, -3, 8) > 0:
+                return ("StrictlyStable", None,
+                        ("dimension three, positive scalar curvature: tau above -3/8",),
+                        ("conformal-branch",))
+            if _vs(p, q, -5, 12) < 0:
+                return _fails(model, t, "dimension three: tau below -5/12 makes the "
+                                        "conformal Hessian negative past the gauge modes")
+            return ("Indeterminate", None,
+                    ("dimension three: tau in [-5/12, -3/8], where neither branch applies",),
+                    ("conformal-branch",))
+        if n == 4:
+            if _vs(p, q, -1, 3) > 0:
+                return ("StrictlyStable", None, ("dimension four: tau above -1/3",),
+                        ("conformal-branch",))
+            if _vs(p, q, -1, 3) == 0:
+                return ("Indeterminate", None,
+                        ("tau = -1/3 in dimension four: the functional is "
+                         "conformally invariant, the conformal Hessian "
+                         "vanishes identically",),
+                        ("conformal-invariance",))
+            return _fails(model, t, "dimension four: tau below -1/3 flips the conformal "
+                                    "Hessian negative")
+        # n >= 5
+        if _vs(p, q, *t1) > 0:
+            return ("StrictlyStable", None,
+                    (f"tau above the threshold {_ratio_text(*t1)} = (4-3n)/(2n(n-1))",),
+                    ("conformal-branch",))
+        if _vs(p, q, *t2) <= 0:
+            return _fails(model, t, f"tau at or below -n/(4(n-1)) = {_ratio_text(*t2)}: "
+                                    "negative leading coefficient, the conformal Hessian "
+                                    "is negative on all sufficiently large eigenvalues")
+        return ("Indeterminate", None,
+                (f"tau in ({_ratio_text(*t2)}, {_ratio_text(*t1)}]: between the negative and "
+                 "positive branches, where the statement is silent",),
+                ("conformal-branch",))
+
+    if r < 0:
+        if n == 3:
+            if _vs(p, q, -1, 3) > 0:
+                return ("StrictlyStable", None,
+                        ("dimension three, negative scalar curvature: tau above -1/3",),
+                        ("conformal-branch",))
+            if _vs(p, q, -3, 8) < 0:
+                return _fails(model, t, "dimension three, negative scalar curvature: "
+                                        "tau below -3/8")
+            return ("Indeterminate", None, ("dimension three: tau in [-3/8, -1/3]",),
+                    ("conformal-branch",))
+        if n == 4:
+            if _vs(p, q, -1, 3) > 0:
+                return ("StrictlyStable", None, ("dimension four: tau above -1/3",),
+                        ("conformal-branch",))
+            if _vs(p, q, -1, 3) == 0:
+                return ("Indeterminate", None,
+                        ("tau = -1/3 in dimension four: conformal invariance",),
+                        ("conformal-invariance",))
+            return _fails(model, t, "dimension four: tau below -1/3")
+        # n >= 5, R < 0
+        if _vs(p, q, *t2) > 0 and _vs(p, q, -1, n) <= 0:
+            return ("StrictlyStable", None,
+                    (f"tau in ({_ratio_text(*t2)}, -1/{n}]: second factor positive on all "
+                     "positive eigenvalues regardless of lambda_1",),
+                    ("conformal-branch",))
+        if _vs(p, q, -1, n) > 0:
+            lam1 = lambda1_override if lambda1_override is not None else model.lambda1
+            if lam1 is None:
+                raise InsufficientSpectralData(
+                    f"{model.key}: tau > -1/n with negative scalar curvature "
+                    "needs the first nonzero Laplace eigenvalue (the branch "
+                    "requires lambda_1 > (n-4)(-R)/(2(n-1)); pass "
+                    "lambda1_override)")
+            qv = q_factor(n, model.scal, t, lam1)
+            if qv > 0:
+                return ("StrictlyStable", None,
+                        (f"second factor positive at lambda_1 = {lam1} and increasing",),
+                        ("conformal-branch", "lambda1-data"))
+            if qv == 0:
+                return ("Indeterminate", lam1,
+                        (f"second factor vanishes at lambda_1 = {lam1}: "
+                         "neutral conformal direction",),
+                        ("conformal-branch", "lambda1-data"))
+            return _fails(model, t, f"second factor negative at lambda_1 = {lam1}",
+                          witness=lam1, allow_scan=False)
+        # t <= tau2(n)
+        return _fails(model, t, f"tau at or below {_ratio_text(*t2)}: negative leading "
+                                "coefficient, the conformal Hessian is negative on all "
+                                "sufficiently large eigenvalues")
+
+    # R == 0
+    if _vs(p, q, *t2) > 0:
+        return ("StrictlyStable", None,
+                ("scalar-flat: polynomial reduces to a positive multiple "
+                 "of lambda^2 for tau above -n/(4(n-1))",),
+                ("conformal-branch",))
+    if _vs(p, q, *t2) == 0:
+        return ("Indeterminate", None,
+                ("scalar-flat at tau = -n/(4(n-1)): the conformal "
+                 "polynomial vanishes identically",),
+                ("conformal-branch",))
+    return _fails(model, t, "scalar-flat: negative multiple of lambda^2 below -n/(4(n-1))")
+
+
 def conformal_gap_check(model: ModelSpace, tau,
                         lambda1_override: Fraction | None = None) -> StabilityVerdict:
     """Positivity of the conformal Jacobi polynomial over function eigenvalues.
@@ -245,150 +381,7 @@ def conformal_gap_check(model: ModelSpace, tau,
     Indeterminate there. A given lambda1_override must be positive.
     """
     _check_lambda1(lambda1_override)
-    t = _exact_tau(tau)
-    n, p, q, r = model.n, t.numerator, t.denominator, model.scal.numerator
-    t1, t2 = (4 - 3 * n, 2 * n * (n - 1)), (-n, 4 * (n - 1))  # tau1, tau2 as (num, den)
-
-    def vs(num: int, den: int) -> int:  # an integer with the sign of tau - num/den
-        return den * p - num * q
-
-    def fails(note: str, witness=None, allow_scan=True) -> StabilityVerdict:
-        w = witness
-        if w is None and allow_scan:
-            w = _conformal_witness(model, t)
-        notes = [note]
-        if w is None and allow_scan:
-            notes.append("no concrete eigenvalue witness available from the catalog")
-        elif w is not None and model.spectra_are_subsets:
-            notes.append("witness eigenvalue from the covering spectrum; the "
-                         "eigenfunction may not descend to the quotient")
-        return StabilityVerdict("FailsConformal", witness=w, notes=tuple(notes),
-                                provenance=("conformal-branch",))
-
-    if r > 0:
-        if n == 3:
-            if vs(-3, 8) > 0:
-                return StabilityVerdict(
-                    "StrictlyStable",
-                    notes=("dimension three, positive scalar curvature: "
-                           "tau above -3/8",),
-                    provenance=("conformal-branch",))
-            if vs(-5, 12) < 0:
-                return fails("dimension three: tau below -5/12 makes the "
-                             "conformal Hessian negative past the gauge modes")
-            return StabilityVerdict(
-                "Indeterminate",
-                notes=("dimension three: tau in [-5/12, -3/8], where neither "
-                       "branch applies",),
-                provenance=("conformal-branch",))
-        if n == 4:
-            if vs(-1, 3) > 0:
-                return StabilityVerdict(
-                    "StrictlyStable",
-                    notes=("dimension four: tau above -1/3",),
-                    provenance=("conformal-branch",))
-            if vs(-1, 3) == 0:
-                return StabilityVerdict(
-                    "Indeterminate",
-                    notes=("tau = -1/3 in dimension four: the functional is "
-                           "conformally invariant, the conformal Hessian "
-                           "vanishes identically",),
-                    provenance=("conformal-invariance",))
-            return fails("dimension four: tau below -1/3 flips the conformal "
-                         "Hessian negative")
-        # n >= 5
-        if vs(*t1) > 0:
-            return StabilityVerdict(
-                "StrictlyStable",
-                notes=(f"tau above the threshold {_ratio_text(*t1)} = (4-3n)/(2n(n-1))",),
-                provenance=("conformal-branch",))
-        if vs(*t2) <= 0:
-            return fails(f"tau at or below -n/(4(n-1)) = {_ratio_text(*t2)}: negative leading "
-                         "coefficient, the conformal Hessian is negative on "
-                         "all sufficiently large eigenvalues")
-        return StabilityVerdict(
-            "Indeterminate",
-            notes=(f"tau in ({_ratio_text(*t2)}, {_ratio_text(*t1)}]: between the negative and "
-                   "positive branches, where the statement is silent",),
-            provenance=("conformal-branch",))
-
-    if r < 0:
-        if n == 3:
-            if vs(-1, 3) > 0:
-                return StabilityVerdict(
-                    "StrictlyStable",
-                    notes=("dimension three, negative scalar curvature: "
-                           "tau above -1/3",),
-                    provenance=("conformal-branch",))
-            if vs(-3, 8) < 0:
-                return fails("dimension three, negative scalar curvature: "
-                             "tau below -3/8")
-            return StabilityVerdict(
-                "Indeterminate",
-                notes=("dimension three: tau in [-3/8, -1/3]",),
-                provenance=("conformal-branch",))
-        if n == 4:
-            if vs(-1, 3) > 0:
-                return StabilityVerdict(
-                    "StrictlyStable",
-                    notes=("dimension four: tau above -1/3",),
-                    provenance=("conformal-branch",))
-            if vs(-1, 3) == 0:
-                return StabilityVerdict(
-                    "Indeterminate",
-                    notes=("tau = -1/3 in dimension four: conformal invariance",),
-                    provenance=("conformal-invariance",))
-            return fails("dimension four: tau below -1/3")
-        # n >= 5, R < 0
-        if vs(*t2) > 0 and vs(-1, n) <= 0:
-            return StabilityVerdict(
-                "StrictlyStable",
-                notes=(f"tau in ({_ratio_text(*t2)}, -1/{n}]: second factor positive on all "
-                       "positive eigenvalues regardless of lambda_1",),
-                provenance=("conformal-branch",))
-        if vs(-1, n) > 0:
-            lam1 = lambda1_override if lambda1_override is not None else model.lambda1
-            if lam1 is None:
-                raise InsufficientSpectralData(
-                    f"{model.key}: tau > -1/n with negative scalar curvature "
-                    "needs the first nonzero Laplace eigenvalue (the branch "
-                    "requires lambda_1 > (n-4)(-R)/(2(n-1)); pass "
-                    "lambda1_override)")
-            qv = q_factor(n, model.scal, t, lam1)
-            if qv > 0:
-                return StabilityVerdict(
-                    "StrictlyStable",
-                    notes=(f"second factor positive at lambda_1 = {lam1} and "
-                           "increasing",),
-                    provenance=("conformal-branch", "lambda1-data"))
-            if qv == 0:
-                return StabilityVerdict(
-                    "Indeterminate", witness=lam1,
-                    notes=(f"second factor vanishes at lambda_1 = {lam1}: "
-                           "neutral conformal direction",),
-                    provenance=("conformal-branch", "lambda1-data"))
-            return fails(f"second factor negative at lambda_1 = {lam1}",
-                         witness=lam1, allow_scan=False)
-        # t <= tau2(n)
-        return fails(f"tau at or below {_ratio_text(*t2)}: negative leading coefficient, "
-                     "the conformal Hessian is negative on all sufficiently "
-                     "large eigenvalues")
-
-    # R == 0
-    if vs(*t2) > 0:
-        return StabilityVerdict(
-            "StrictlyStable",
-            notes=("scalar-flat: polynomial reduces to a positive multiple "
-                   "of lambda^2 for tau above -n/(4(n-1))",),
-            provenance=("conformal-branch",))
-    if vs(*t2) == 0:
-        return StabilityVerdict(
-            "Indeterminate",
-            notes=("scalar-flat at tau = -n/(4(n-1)): the conformal "
-                   "polynomial vanishes identically",),
-            provenance=("conformal-branch",))
-    return fails("scalar-flat: negative multiple of lambda^2 below "
-                 "-n/(4(n-1))")
+    return StabilityVerdict(*_conformal_gap(model, tau, lambda1_override))
 
 
 # ---------------------------------------------------------------------------
@@ -717,22 +710,18 @@ def combined_verdict(model: ModelSpace, tau,
     alone decides the verdict.
     """
     _check_lambda1(lambda1_override)
-    tt_v = tt_gap_check(model, tau)
-    if tt_v.variant == "FailsTT":
-        return tt_v
-    cf_v = conformal_gap_check(model, tau, lambda1_override)
-    if cf_v.variant == "FailsConformal":
-        return cf_v
-    for v in (tt_v, cf_v):
-        if v.variant == "Indeterminate":
-            return StabilityVerdict("Indeterminate", witness=v.witness,
-                                    notes=tt_v.notes + cf_v.notes,
-                                    provenance=tt_v.provenance + cf_v.provenance)
-    variant = ("StableBoundOnly"
-               if "StableBoundOnly" in (tt_v.variant, cf_v.variant)
-               else "StrictlyStable")
-    return StabilityVerdict(variant, notes=tt_v.notes + cf_v.notes,
-                            provenance=tt_v.provenance + cf_v.provenance)
+    tt_v = _tt_gap(model, tau)
+    if tt_v[0] == "FailsTT":
+        return StabilityVerdict(*tt_v)
+    cf_v = _conformal_gap(model, tau, lambda1_override)
+    if cf_v[0] == "FailsConformal":
+        return StabilityVerdict(*cf_v)
+    notes, provenance = tt_v[2] + cf_v[2], tt_v[3] + cf_v[3]
+    for variant, witness, _, _ in (tt_v, cf_v):
+        if variant == "Indeterminate":
+            return StabilityVerdict("Indeterminate", witness, notes, provenance)
+    variant = "StableBoundOnly" if "StableBoundOnly" in (tt_v[0], cf_v[0]) else "StrictlyStable"
+    return StabilityVerdict(variant, None, notes, provenance)
 
 
 def verdict_to_json(model: ModelSpace, tau, verdict: StabilityVerdict) -> dict:

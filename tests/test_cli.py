@@ -451,6 +451,28 @@ def test_a_maximal_ratio_exits_0_or_with_one_error_line(runner, template):
         assert res.exit_code == 0 or (res.exit_code, res.stdout) == (2, ""), x
         if res.exit_code:
             assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: "), x
+        assert all(len(line) < 200 for line in res.stderr.splitlines()), (x, res.stderr[:300])
+
+
+def test_an_error_line_quotes_a_long_input_by_its_first_40_characters(runner):
+    """A refused ratio of at most 40 characters is quoted whole; a longer one
+    by its first 40 characters and its length, and a number of more than 40
+    digits that a library error quotes by its first 40 digits and its
+    digit count."""
+    def stderr(tau, *extra):
+        res = runner.invoke(main, ["intervals", "--model", "hyperbolic:6", "--tau", tau, *extra])
+        assert res.exit_code == 2 and res.stdout == "", tau
+        return res.stderr
+
+    for tau in ("1/x", "7" * 37 + "/x", "nan"):
+        assert stderr(tau) == (f"error: Invalid value for '--tau': {tau!r} is not a finite "
+                               "'p/q' or decimal\n")
+    assert stderr("7" * 39 + "/x") == (f"error: Invalid value for '--tau': {'7' * 39 + '/'!r}... "
+                                       "(41 characters) is not a finite 'p/q' or decimal\n")
+    assert stderr("0", "--lambda1", "-" + "9" * 40) == (
+        f"error: lambda1 must be a positive eigenvalue, got -{'9' * 40}\n")
+    assert stderr("0", "--lambda1", "-" + "9" * 41) == (
+        f"error: lambda1 must be a positive eigenvalue, got -{'9' * 40}... (41 digits)\n")
 
 
 # impossible spectral input: a first nonzero Laplace eigenvalue <= 0, a TT

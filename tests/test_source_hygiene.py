@@ -31,8 +31,12 @@ not named this way. The CLI has one error path: in `cli`, only the
 group's handler (`_QcfGroup.main`) calls `sys.exit` or echoes with
 `err=True`, apart from `verify`'s `elapsed:` line and its exit 1 on a
 failed criterion, and no code calls `np.errstate` (the handler ignores
-numpy's float warnings). Test modules are scanned for imports only:
-pytest finds their fixtures by name.
+numpy's float warnings). A `__new__` in src/qcf (the checking records'
+constructors) takes its fields by name, with no `*args` or `**kwargs`:
+forwarding them through `super().__new__` binds them in the NamedTuple's
+generated constructor, one more Python call per record, which made a
+record cost several times a positional one on the verdict path. Test
+modules are scanned for imports only: pytest finds their fixtures by name.
 """
 
 import ast
@@ -151,6 +155,9 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
             where = ".".join(name for name in owner if name)
             out += [f"object dtype in {where}" for node in ast.walk(top)
                     if _names_object_dtype(node)]
+    for node, (cls, name) in _owners(tree) if src else ():
+        if name == "__new__" and (node.args.vararg or node.args.kwarg):
+            out.append(f"{cls}.__new__ takes *args or **kwargs")
     for top, owner in _owners(tree) if src and module == "cli" else ():
         where = ".".join(name for name in owner if name)
         for node in ast.walk(top) if owner != _ERROR_HANDLER else ():
@@ -296,3 +303,30 @@ def grad():
     mutant = text.replace(doc, doc + '    click.echo("error: refused", err=True)\n')
     assert findings(mutant, module="cli") == [
         "error output in intervals: click.echo('error: refused', err=True)"]
+
+
+def test_scan_keeps_record_constructors_positional():
+    source = """
+class Checked(_Fields):
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)
+
+class Named(_Fields):
+    def __new__(cls, variant, witness=None):
+        return tuple.__new__(cls, (variant, witness))
+
+class Rest(_Fields):
+    def __new__(cls, variant, **extra):
+        return tuple.__new__(cls, (variant,))
+"""
+    assert findings(source) == ["Checked.__new__ takes *args or **kwargs",
+                                "Rest.__new__ takes *args or **kwargs"]
+    assert findings(source, src=False) == []
+    # StabilityVerdict forwarding its arguments fails the scan
+    path = SRC / "stability.py"
+    text = path.read_text(encoding="utf-8")
+    sig = "    def __new__(cls, variant, witness=None, notes=(), provenance=()):\n"
+    assert text.count(sig) == 1
+    mutant = text.replace(sig, "    def __new__(cls, *args, **kwargs):\n")
+    assert findings(mutant, module="stability") == [
+        "StabilityVerdict.__new__ takes *args or **kwargs"]

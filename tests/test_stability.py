@@ -925,6 +925,52 @@ def test_gap_checks_match_the_fraction_chain_oracle(cat, monkeypatch):
                 assert bach_verdict(m) == _oracle_bach_verdict(m), m.key
 
 
+def _oracle_combined_verdict(model, tau, lambda1_override=None):
+    """combined_verdict as it read when it combined the two checks' records."""
+    _check_lambda1(lambda1_override)
+    tt_v = _oracle_tt_gap_check(model, tau)
+    if tt_v.variant == "FailsTT":
+        return tt_v
+    cf_v = _oracle_conformal_gap_check(model, tau, lambda1_override)
+    if cf_v.variant == "FailsConformal":
+        return cf_v
+    for v in (tt_v, cf_v):
+        if v.variant == "Indeterminate":
+            return StabilityVerdict("Indeterminate", witness=v.witness,
+                                    notes=tt_v.notes + cf_v.notes,
+                                    provenance=tt_v.provenance + cf_v.provenance)
+    variant = ("StableBoundOnly" if "StableBoundOnly" in (tt_v.variant, cf_v.variant)
+               else "StrictlyStable")
+    return StabilityVerdict(variant, notes=tt_v.notes + cf_v.notes,
+                            provenance=tt_v.provenance + cf_v.provenance)
+
+
+def test_combined_verdict_matches_the_combined_oracle_checks(cat, monkeypatch):
+    """combined_verdict builds its one record from the fields the two checks
+    return, without calling tt_gap_check or conformal_gap_check, so the
+    oracle comparison above cannot reach it through them. Here it is
+    compared with the Fraction-chain checks combined record by record, at
+    every benchmark breakpoint and odd tau of every model and rescaled copy,
+    for each lambda_1 choice and an impossible one, with the JSON and the
+    type and text of any error; every variant occurs."""
+    monkeypatch.setattr(stability, "function_spectrum", functools.lru_cache(function_spectrum))
+
+    def run(f, model, t, lam):
+        try:
+            v = f(model, t, lam)
+        except ValueError as e:  # InsufficientSpectralData included
+            return type(e), str(e)
+        return v, verdict_to_json(model, t, v)
+
+    cases = [(m, t) for m, t, full in _gap_check_cases(cat, grid=False) if full or m.tt is None]
+    outcomes = [(run(combined_verdict, m, t, lam), run(_oracle_combined_verdict, m, t, lam))
+                for m, t in cases for lam in _lambda1_choices(m, t) + [Fraction(0)]]
+    assert len(outcomes) > 2000
+    assert [pair for pair in outcomes if pair[0] != pair[1]] == []
+    seen = {got[0].variant for got, _ in outcomes if isinstance(got[0], StabilityVerdict)}
+    assert seen == set(stability.VERDICT_VARIANTS)
+
+
 @pytest.mark.parametrize("strict", ["lo", "hi"])
 def test_oracle_comparison_sees_a_strict_membership_mutant(cat, monkeypatch, strict):
     """With < in place of <= at either end of the membership test, an
@@ -980,3 +1026,29 @@ def test_verdicts_build_fractions_only_for_what_they_return(cat, monkeypatch):
                         lambda model, count: scans.append(count) or function_spectrum(model, count))
     combined_verdict(cat["sphere:7"], Fraction(-1, 3))
     assert scans == [60]
+
+
+def _python_calls(f, *args) -> int:
+    """Python-level function calls of f(*args) under cProfile, f included
+    (built-ins, which the profile files under '~', are not counted)."""
+    prof = cProfile.Profile()
+    prof.runcall(f, *args)
+    return sum(calls for (path, _, _), (_, calls, *_rest) in pstats.Stats(prof).stats.items()
+               if path != "~")
+
+
+def test_plain_verdicts_make_few_python_calls(cat):
+    """A verdict that needs no witness scan builds one record, through a
+    __new__ that takes the fields by name, and scans the known TT
+    eigenvalues in a plain loop. The bounds are the calls made on
+    Python 3.11: the gap checks that built three records through
+    super().__new__(cls, *args, **kwargs), with a generator over the
+    known eigenvalues and two closures per conformal check, made 32, 28
+    and 30, and a constructor with *args and **kwargs alone adds one
+    call per record."""
+    for key, tau, variant, most in (("sphere:6", Fraction(-1, 5), "StrictlyStable", 24),
+                                    ("hyperbolic:3", Fraction(0), "StableBoundOnly", 21),
+                                    ("hyperbolic:5", Fraction(-11, 40), "Indeterminate", 23)):
+        model = cat[key]
+        assert combined_verdict(model, tau).variant == variant
+        assert _python_calls(combined_verdict, model, tau) <= most, key
