@@ -27,7 +27,7 @@ from importlib import resources
 import click
 
 from qcf import functionals, rational, stability
-from qcf.catalog import CatalogError, load_catalog, resolve_model
+from qcf.catalog import load_catalog, resolve_model
 from qcf.functionals import IllConditionedDerivativeError
 from qcf.rational import format_ratio, parse_ratio
 from qcf.stability import InsufficientSpectralData
@@ -158,7 +158,7 @@ class _QcfGroup(click.Group):
             except OverflowError:
                 # from math.exp and **, whose own text does not say what overflowed
                 line, code = "error: float overflow at this input", 2
-            except (CatalogError, IllConditionedDerivativeError, ValueError) as exc:
+            except (IllConditionedDerivativeError, ValueError) as exc:
                 line, code = f"error: {exc}", 2
             else:
                 sys.exit(0)
@@ -502,7 +502,7 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
             raise ValueError("--tau does not apply with --conformal-killing")
         if trace_free:
             raise ValueError("--trace-free does not apply with --conformal-killing")
-        v = rational.conformal_killing_symbol(n, [1.0] + [0.0] * (n - 1))
+        v = rational.conformal_killing_symbol(n)
         if fmt == "json":
             _emit_json({
                 "kind": "conformal_killing",
@@ -524,8 +524,7 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
         raise ValueError("--tau is required (or pass --conformal-killing)")
     from qcf import spectral
 
-    v = spectral.symbol_injectivity(n, tau, trials=trials, seed=seed,
-                                    restrict_trace_free=trace_free)
+    v = spectral.symbol_injectivity(n, tau, restrict_trace_free=trace_free)
     contains_g = spectral.kernel_contains_metric(v, n)
     if fmt == "json":
         _emit_json({

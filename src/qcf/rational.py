@@ -6,7 +6,7 @@ tensors) and each Laplace eigenspace (conformal directions) as plain
 multiplication, so the operators reduce to quadratic polynomials in the
 eigenvalue. Those polynomials, in exact arithmetic, are what the
 stability and rigidity decisions consume. The conformal-Killing gauge
-symbol is a closed form in |xi|^2 and lives here too.
+symbol, a closed form at a unit covector, lives here too.
 
 Sign conventions, fixed once: mu ranges over spec(-Delta_L) on TT
 tensors and lambda over spec(-Delta) on functions, both bounded below,
@@ -207,31 +207,23 @@ class ConformalKillingVerdict(NamedTuple):
     note: str = ""
 
 
-def conformal_killing_symbol(n: int, xi) -> ConformalKillingVerdict:
-    """Symbol of the conformal-Killing gauge operator on covectors.
+def conformal_killing_symbol(n: int) -> ConformalKillingVerdict:
+    """Symbol of the conformal-Killing gauge operator at a unit covector.
 
-    ``xi`` is any sequence of n numbers. The matrix is
-    |xi|^2 I + (1 - 2/n) xi xi^T with eigenvalues (2 - 2/n)|xi|^2 (once,
-    along xi) and |xi|^2 (n-1 times). As a matrix it is invertible for
-    every n >= 1; the gauge verdict is degenerate exactly in dimension
-    two, where the conformal group is infinite dimensional and the gauge
-    slice collapses. Both facts are reported: the true spectrum and the
-    dimension-two degeneracy flag.
+    At xi the matrix is |xi|^2 I + (1 - 2/n) xi xi^T, with eigenvalues
+    (2 - 2/n)|xi|^2 (once, along xi) and |xi|^2 (n-1 times), so it is
+    the same up to scale at every nonzero xi. As a matrix it is
+    invertible for every n >= 2; the gauge verdict is degenerate exactly
+    in dimension two, where the conformal group is infinite dimensional
+    and the gauge slice collapses. Both facts are reported: the true
+    spectrum and the dimension-two degeneracy flag.
     """
-    xi = [float(x) for x in xi]
-    if len(xi) != n:
-        raise ValueError(f"xi must have shape ({n},)")
-    xi2 = sum(x * x for x in xi)
-    if xi2 == 0.0:
-        raise ValueError("xi must be nonzero")
-    along = (2.0 - 2.0 / n) * xi2
-    eigs = tuple(sorted([along] + [xi2] * (n - 1)))
+    eigs = (1.0,) * (n - 1) + (2.0 - 2.0 / n,)  # ascending: 2 - 2/n >= 1
     degenerate = n == 2
     note = ""
     if degenerate:
         note = ("dimension two: conformal gauge slice collapses "
                 "(infinite-dimensional conformal group); matrix itself has "
-                f"min singular value {min(eigs):g}")
-    return ConformalKillingVerdict(n=n, eigenvalues=eigs,
-                                   min_singular_value=min(eigs),
+                f"min singular value {eigs[0]:g}")
+    return ConformalKillingVerdict(n=n, eigenvalues=eigs, min_singular_value=eigs[0],
                                    degenerate=degenerate, note=note)

@@ -22,10 +22,6 @@ def _sym_basis(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _sym_to_vec(h: np.ndarray, basis) -> np.ndarray:
-    return np.array([h[i, j] for i, j in basis], dtype=h.dtype)
-
-
 def _vec_to_sym(v, basis, n: int) -> np.ndarray:
     """The symmetric array with the exact coordinates v in the basis."""
     h = np.empty((n, n), dtype=object)
@@ -150,6 +146,7 @@ class InjectivityVerdict(NamedTuple):
     min_singular_value: float
     kernel: tuple = ()
     note: str = ""
+    contains_metric: bool = False
 
 
 def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
@@ -161,8 +158,10 @@ def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
     kernel dimension and whether g lies in its kernel are the same at
     every nonzero xi. Floats: injective iff the smallest singular value
     exceeds 1e-10. Rational tau: exact rank; a rank drop returns the
-    exact kernel basis. ``trials`` and ``seed`` are accepted for
-    compatibility and change nothing.
+    exact kernel basis, and g lies in the kernel exactly when M g = 0,
+    which never holds on the trace-free block (g is not trace-free).
+    ``trials`` and ``seed`` are accepted for compatibility and change
+    nothing.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -180,25 +179,16 @@ def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
                                   note="exact full rank at every sampled direction")
     if restrict_trace_free:
         kernel = tuple(np.array(v, dtype=object) for v in null)
-    else:
-        kernel = tuple(_vec_to_sym(v, op.basis, n) for v in null)
-    return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency")
+        return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency")
+    kernel = tuple(_vec_to_sym(v, op.basis, n) for v in null)
+    # M g, the sum of the diagonal-coordinate columns; skipping zeros saves a gcd each
+    diag = [k for k, (i, j) in enumerate(op.basis) if i == j]
+    mg = (sum(x for x in row if x) for row in m[:, diag].tolist())
+    return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency",
+                              contains_metric=not any(mg))
 
 
 def kernel_contains_metric(verdict: InjectivityVerdict, n: int) -> bool:
-    """Whether the identity matrix direction lies in the reported kernel span."""
-    if not verdict.kernel:
-        return False
-    basis = _sym_basis(n)
-    cols = []
-    for k in verdict.kernel:
-        arr = np.asarray(k)
-        if arr.ndim != 2:
-            return False
-        cols.append(_sym_to_vec(arr, basis))
-    g_vec = np.array([Fraction(int(i == j)) for i, j in basis], dtype=object)
-    m = np.array(cols + [g_vec], dtype=object).T
-    rank_with, _ = exact_rank_nullspace(m)
-    m0 = np.array(cols, dtype=object).T
-    rank_without, _ = exact_rank_nullspace(m0)
-    return rank_with == rank_without
+    """Whether the metric direction g lies in the kernel of the decided
+    symbol, as symbol_injectivity read it from M g = 0 (n changes nothing)."""
+    return verdict.contains_metric

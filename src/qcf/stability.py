@@ -160,15 +160,14 @@ def _tt_meets(tt, lo: int, hi: int, den: int):
     return eig, hi * tail.denominator < tail.numerator * den
 
 
-# The gap checks return a verdict's fields (variant, witness, notes,
-# provenance), so that combined_verdict builds one record from the two.
+# The gap checks take an exact tau and return a verdict's fields (variant, witness,
+# notes, provenance), so that combined_verdict converts tau once and builds one record.
 
 
-def _tt_gap(model: ModelSpace, tau) -> tuple:
+def _tt_gap(model: ModelSpace, t: Fraction) -> tuple:
     tt = model.tt
     if tt is None:
         raise InsufficientSpectralData(f"{model.key}: no TT spectral data")
-    t = _exact_tau(tau)
     n, p, q = model.n, t.numerator, t.denominator
     r, s = model.scal.numerator, model.scal.denominator
     # with tau = p/q and R = r/s, the roots over the common denominator nqs
@@ -213,7 +212,7 @@ def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
     as StableBoundOnly; quotient models have subset spectra, so endpoint
     hits downgrade to Indeterminate instead of a definite failure.
     """
-    return StabilityVerdict(*_tt_gap(model, tau))
+    return StabilityVerdict(*_tt_gap(model, _exact_tau(tau)))
 
 
 def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
@@ -262,8 +261,7 @@ def _fails(model: ModelSpace, t: Fraction, note: str, witness=None,
     return "FailsConformal", w, notes, ("conformal-branch",)
 
 
-def _conformal_gap(model: ModelSpace, tau, lambda1_override: Fraction | None) -> tuple:
-    t = _exact_tau(tau)
+def _conformal_gap(model: ModelSpace, t: Fraction, lambda1_override: Fraction | None) -> tuple:
     n, p, q, r = model.n, t.numerator, t.denominator, model.scal.numerator
     t1, t2 = (4 - 3 * n, 2 * n * (n - 1)), (-n, 4 * (n - 1))  # tau1, tau2 as (num, den)
     if r > 0:
@@ -381,7 +379,7 @@ def conformal_gap_check(model: ModelSpace, tau,
     Indeterminate there. A given lambda1_override must be positive.
     """
     _check_lambda1(lambda1_override)
-    return StabilityVerdict(*_conformal_gap(model, tau, lambda1_override))
+    return StabilityVerdict(*_conformal_gap(model, _exact_tau(tau), lambda1_override))
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +708,11 @@ def combined_verdict(model: ModelSpace, tau,
     alone decides the verdict.
     """
     _check_lambda1(lambda1_override)
-    tt_v = _tt_gap(model, tau)
+    t = _exact_tau(tau)
+    tt_v = _tt_gap(model, t)
     if tt_v[0] == "FailsTT":
         return StabilityVerdict(*tt_v)
-    cf_v = _conformal_gap(model, tau, lambda1_override)
+    cf_v = _conformal_gap(model, t, lambda1_override)
     if cf_v[0] == "FailsConformal":
         return StabilityVerdict(*cf_v)
     notes, provenance = tt_v[2] + cf_v[2], tt_v[3] + cf_v[3]

@@ -31,7 +31,7 @@ def _numpy_free_records():
         stability.bach_verdict(sphere),
         stability.reverse_bishop(10.0, 4, 11.0, True, True, 3000.0),
         rational.tt_polynomial(4, Fraction(12), Fraction(0)),
-        rational.conformal_killing_symbol(4, [1.0, 0.0, 0.0, 0.0]),
+        rational.conformal_killing_symbol(4),
         functionals.berger_critical_points(Fraction(1, 3))[0],
         functionals.DerivativeEstimate(1, 0.5, 1e-9),
         spectral.InjectivityVerdict(True, 0.5),

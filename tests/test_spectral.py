@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcf import rational, verify
+from qcf import rational, spectral, verify
 from qcf._exact import exact_det, exact_rank_nullspace
 from qcf.rational import (
     _quotient,
@@ -198,6 +198,45 @@ def test_symbol_trials_and_seed_change_nothing():
             base.injective, base.min_singular_value, base.note)
 
 
+def _span_oracle(verdict, n):
+    """Whether g lies in the span of the reported kernel, by exact rank with
+    and without g (two eliminations), as kernel_contains_metric decided it
+    before it read M g = 0: the oracle. A trace-free kernel holds
+    coordinate vectors, not symmetric arrays, and never contains g."""
+    if not verdict.kernel or any(np.ndim(k) != 2 for k in verdict.kernel):
+        return False
+    basis = [(i, j) for i in range(n) for j in range(i, n)]
+    cols = [[k[i, j] for i, j in basis] for k in verdict.kernel]
+    g = [Fraction(int(i == j)) for i, j in basis]
+    rank_with, _ = exact_rank_nullspace(np.array(cols + [g], dtype=object).T)
+    rank_without, _ = exact_rank_nullspace(np.array(cols, dtype=object).T)
+    return rank_with == rank_without
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12])
+@pytest.mark.parametrize("trace_free", [False, True])
+def test_kernel_contains_metric_matches_the_span_oracle(n, trace_free):
+    for tau in (Fraction(1, 3), Fraction(-1, 2), Fraction(2, 7), tau2(n),
+                tau2(n) + Fraction(1, 10)):
+        v = symbol_injectivity(n, tau, restrict_trace_free=trace_free)
+        got = kernel_contains_metric(v, n)
+        assert got == _span_oracle(v, n) == (not trace_free and tau == tau2(n)), (n, tau)
+
+
+@pytest.mark.parametrize("n, tau, trace_free", [(5, tau2(5), False), (5, tau2(5), True),
+                                                (5, Fraction(1, 3), False)])
+def test_a_symbol_decision_makes_one_exact_elimination(monkeypatch, n, tau, trace_free):
+    """Reading "g in the kernel" from M g costs no elimination beyond the
+    rank decision (two more on a degenerate full symbol when it was a
+    span test on the kernel)."""
+    calls = []
+    real = spectral.exact_rank_nullspace
+    monkeypatch.setattr(spectral, "exact_rank_nullspace",
+                        lambda m: calls.append(m.shape) or real(m))
+    kernel_contains_metric(symbol_injectivity(n, tau, restrict_trace_free=trace_free), n)
+    assert len(calls) == 1
+
+
 def test_kernel_contains_metric_edge_cases():
     v = symbol_injectivity(3, Fraction(0), trials=1)
     assert not kernel_contains_metric(v, 3)  # empty kernel
@@ -212,24 +251,27 @@ def test_gauged_symbol_input_validation():
         gauged_symbol(3, 0.0, np.zeros(3))
 
 
+def _ck_eigenvalues_at_e1(n):
+    """The conformal-Killing spectrum as it was computed from the covector
+    e_1: |xi|^2 summed, (2 - 2/n)|xi|^2 along xi, then sorted (the oracle)."""
+    xi = [1.0] + [0.0] * (n - 1)
+    xi2 = sum(x * x for x in xi)
+    return tuple(sorted([(2.0 - 2.0 / n) * xi2] + [xi2] * (n - 1)))
+
+
 def test_conformal_killing_symbol_eigenvalues():
-    v = conformal_killing_symbol(3, np.array([1.0, 0.0, 0.0]))
-    assert v.eigenvalues == (1.0, 1.0, pytest.approx(4.0 / 3.0))
-    assert not v.degenerate
-    assert v.min_singular_value == 1.0
-
-    v = conformal_killing_symbol(3, np.array([2.0, 0.0, 0.0]))
-    assert v.min_singular_value == 4.0  # scales like |xi|^2
-
-    for n in range(2, 9):
-        xi = np.zeros(n)
-        xi[-1] = 1.0
-        assert conformal_killing_symbol(n, xi).degenerate == (n == 2)
-
-    v2 = conformal_killing_symbol(2, np.array([0.0, 1.0]))
-    assert "dimension two" in v2.note
-    with pytest.raises(ValueError, match="nonzero"):
-        conformal_killing_symbol(3, np.zeros(3))
+    for n in range(2, 13):
+        v = conformal_killing_symbol(n)
+        want = _ck_eigenvalues_at_e1(n)
+        assert [e.hex() for e in v.eigenvalues] == [e.hex() for e in want], n
+        assert v.min_singular_value.hex() == min(want).hex() == (1.0).hex()
+        assert v.degenerate == (n == 2)
+        assert ("dimension two" in v.note) == (n == 2)
+        # the spectrum of |xi|^2 I + (1 - 2/n) xi xi^T at a random unit covector
+        xi = np.random.default_rng(n).normal(size=n)
+        xi /= np.linalg.norm(xi)
+        m = np.eye(n) + (1 - 2 / n) * np.outer(xi, xi)
+        np.testing.assert_allclose(np.linalg.eigvalsh(m), v.eigenvalues, rtol=0, atol=1e-12)
 
 
 def _rational(rng, shape):

@@ -867,8 +867,8 @@ def _gap_check_cases(cat, grid=True):
     """(model, tau, full) for every catalog model at every benchmark verdict
     tau, on the 1/240 grid of [-2, 1] and at float taus and 10^-400; and for
     a rescaled copy of each model at the same taus but the grid. full
-    marks the benchmark's breakpoints and the odd taus, where the combined
-    verdict, the witness scan and the JSON are also compared directly."""
+    marks the benchmark's breakpoints and the odd taus, where the witness
+    scan and the JSON are also compared directly."""
     extra = sorted({Fraction(k, 240) for k in range(-480, 241)} - set(_POOL_TAUS)) if grid else []
     models = list(cat.values()) + [_scaled(m, Fraction(7, 5)) for m in cat.values()]
     out = [(m, t, t in _BREAKPOINTS or t in _ODD_TAUS) for m in models for t in _POOL_TAUS + _ODD_TAUS]
@@ -890,8 +890,6 @@ def _outcomes(model, t, full):
         return out
     for lam in _lambda1_choices(model, t):
         out.append(run(stability.conformal_gap_check, model, t, lam))
-        if full:
-            out.append(run(stability.combined_verdict, model, t, lam))
     if full:
         out.append(run(stability._conformal_witness, model, _exact_tau(t)))
     return out
@@ -912,10 +910,9 @@ def _oracle_mismatches(monkeypatch, cases):
 
 def test_gap_checks_match_the_fraction_chain_oracle(cat, monkeypatch):
     """Variant, witness, notes, provenance, JSON and error texts are those
-    of the Fraction-chain checks, for each lambda_1 choice; the combined
-    verdict is a function of the two checks, and is compared directly at
-    the breakpoints. Bach verdicts too, on every dimension-four model and a
-    rescaled copy."""
+    of the Fraction-chain checks, for each lambda_1 choice. The combined
+    verdict calls neither check, so the test below compares it. Bach
+    verdicts too, on every dimension-four model and a rescaled copy."""
     cases = _gap_check_cases(cat)
     assert len(cases) > 25000
     assert _oracle_mismatches(monkeypatch, cases) == []
