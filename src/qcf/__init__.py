@@ -15,19 +15,7 @@ from qcf.stability import TauInterval, StabilityVerdict, stability_interval
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    # CurvatureData lives in the numpy layer; it is imported on first use so
-    # that `import qcf` does not import numpy
-    if name == "CurvatureData":
-        from qcf.tensor_core import CurvatureData
-
-        return CurvatureData
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "CurvatureData",
     "ModelSpace",
     "builtin_catalog",
     "load_catalog",

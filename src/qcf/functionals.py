@@ -101,24 +101,6 @@ def berger_critical_points(tau) -> list[CriticalPoint]:
     return out
 
 
-def berger_curve_from_geometry(tau, s, normalized: bool = True) -> float:
-    """Berger functional via the structure-constant curvature route.
-
-    Independent of the closed form above: builds the left-invariant
-    curvature, evaluates, normalizes, and divides by Vol(S^3)^(4/3).
-    """
-    from qcf import homogeneous
-
-    sc = homogeneous.su2(exact=False)
-    g = homogeneous.berger_metric(s, exact=False)
-    cd = homogeneous.curvature(sc, g)
-    vol = homogeneous.volume(sc, g, homogeneous.SU2_REFERENCE_VOLUME)
-    val = evaluate(tau, cd, vol, normalized=normalized)
-    if normalized:
-        return float(val) / homogeneous.SU2_REFERENCE_VOLUME ** (4.0 / 3.0)
-    return float(val)
-
-
 # ---------------------------------------------------------------------------
 # product-sphere path
 

@@ -12,10 +12,10 @@ tensor_core's exact tensors: every contraction goes through
 tensor_core.contract, which on arrays is np.einsum itself.
 
 The float kernels (levi_civita, curvature, the covariant derivative,
-the Laplacian, divergence and gradient_F) take leading batch axes, as
-tensor_core's do: a stack of metrics g of shape (..., n, n) over one
-algebra goes through one call, with tau a number or one value per
-metric. One metric takes exactly the operations it took alone.
+the rough Laplacian, divergence and gradient_F) take leading batch
+axes, as tensor_core's do: a stack of metrics g of shape (..., n, n)
+over one algebra goes through one call, with tau a number or one value
+per metric. One metric takes exactly the operations it took alone.
 """
 
 from __future__ import annotations
@@ -203,13 +203,9 @@ def _cov1(gam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian(sc: StructureConstants, g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rough Laplacian Delta T = g^ab nab_a nab_b T of an invariant tensor."""
-    return _laplacian(*_connection(sc, g), t)
-
-
 def _laplacian(g_inv: np.ndarray, gam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """laplacian() from the inverse metric and the connection already built."""
+    """Rough Laplacian Delta T = g^ab nab_a nab_b T of an invariant tensor, from
+    the inverse metric and the connection (levi_civita)."""
     idx = "ijklmnop"[:t.ndim - (g_inv.ndim - 2)]
     return contract(f"...ab,...ab{idx}->...{idx}", g_inv, _cov1(gam, _cov1(gam, t)))
 

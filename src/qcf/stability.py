@@ -1,13 +1,13 @@
 """Stability intervals, rigidity thresholds, Bach verdicts, volume comparison.
 
-Decision procedures over the catalog's exact spectral data. The two gap
-checks certify positivity of the second variation in the
-transverse-traceless and conformal directions; stability_interval
-assembles the theorem-backed tau ranges with per-endpoint provenance;
-rigidity_exceptional_taus lists the tau values where the TT kernel
+Decision procedures over the catalog's exact spectral data. combined_verdict
+intersects the gap checks _tt_gap and _conformal_gap, which certify positivity
+of the second variation in the transverse-traceless and conformal directions;
+stability_interval assembles the theorem-backed tau ranges with per-endpoint
+provenance; rigidity_exceptional_taus lists the tau values where the TT kernel
 jumps; bach_verdict runs the dimension-four Weyl-functional checks; and
-reverse_bishop performs the volume-comparison deduction near a stable
-positive Einstein metric.
+reverse_bishop performs the volume-comparison deduction near a stable positive
+Einstein metric.
 
 Every decision here is exact rational arithmetic (floats only print the
 volume comparison's notes); the procedures never extrapolate beyond the
@@ -43,10 +43,6 @@ class _VerdictFields(NamedTuple):
     notes: tuple[str, ...] = ()
     provenance: tuple[str, ...] = ()
 
-    @property
-    def passes(self) -> bool:
-        return self.variant in ("StrictlyStable", "StableBoundOnly")
-
     def to_json(self) -> dict:
         return {
             "verdict": self.variant,
@@ -80,16 +76,6 @@ class _IntervalFields(NamedTuple):
     hi_provenance: str = ""
     notes: tuple[str, ...] = ()
     verdict_inside: str = "StrictlyStable"
-
-    def contains(self, tau) -> bool:
-        t = Fraction(tau) if isinstance(tau, int) else tau
-        if self.lo is not None:
-            if t < self.lo or (self.lo_open and t == self.lo):
-                return False
-        if self.hi is not None:
-            if t > self.hi or (self.hi_open and t == self.hi):
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -165,6 +151,16 @@ def _tt_meets(tt, lo: int, hi: int, den: int):
 
 
 def _tt_gap(model: ModelSpace, t: Fraction) -> tuple:
+    """Positivity of the TT Jacobi polynomial over the model's TT spectrum.
+
+    The polynomial (1/2)(2R/n - mu)((4/n + 2 tau)R - mu) is positive
+    exactly when mu avoids the closed interval between its roots, so the
+    check is emptiness of spec_TT over that interval. Known eigenvalues
+    give concrete failure witnesses; the tail bound certifies emptiness
+    above the known list. Bound-only models (hyperbolic) can pass only
+    as StableBoundOnly; quotient models have subset spectra, so endpoint
+    hits downgrade to Indeterminate instead of a definite failure.
+    """
     tt = model.tt
     if tt is None:
         raise InsufficientSpectralData(f"{model.key}: no TT spectral data")
@@ -199,20 +195,6 @@ def _tt_gap(model: ModelSpace, t: Fraction) -> tuple:
             (f"forbidden interval {span} reaches the region "
              f"mu >= {tt.tail_bound} where the spectrum is not fully known",),
             ("tt-gap",))
-
-
-def tt_gap_check(model: ModelSpace, tau) -> StabilityVerdict:
-    """Positivity of the TT Jacobi polynomial over the model's TT spectrum.
-
-    The polynomial (1/2)(2R/n - mu)((4/n + 2 tau)R - mu) is positive
-    exactly when mu avoids the closed interval between its roots, so the
-    check is emptiness of spec_TT over that interval. Known eigenvalues
-    give concrete failure witnesses; the tail bound certifies emptiness
-    above the known list. Bound-only models (hyperbolic) can pass only
-    as StableBoundOnly; quotient models have subset spectra, so endpoint
-    hits downgrade to Indeterminate instead of a definite failure.
-    """
-    return StabilityVerdict(*_tt_gap(model, _exact_tau(tau)))
 
 
 def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
@@ -262,6 +244,15 @@ def _fails(model: ModelSpace, t: Fraction, note: str, witness=None,
 
 
 def _conformal_gap(model: ModelSpace, t: Fraction, lambda1_override: Fraction | None) -> tuple:
+    """Positivity of the conformal Jacobi polynomial over function eigenvalues.
+
+    Branches follow the sign of R and the dimension; for R > 0 only the
+    Lichnerowicz lower bound lambda_1 >= R/(n-1) is used, for R < 0 in
+    n >= 5 the range tau > -1/n needs the first nonzero Laplace
+    eigenvalue: lambda1_override when given (bound-only models need it),
+    else the model's. The procedure never extrapolates outside a branch;
+    it returns Indeterminate there.
+    """
     n, p, q, r = model.n, t.numerator, t.denominator, model.scal.numerator
     t1, t2 = (4 - 3 * n, 2 * n * (n - 1)), (-n, 4 * (n - 1))  # tau1, tau2 as (num, den)
     if r > 0:
@@ -365,21 +356,6 @@ def _conformal_gap(model: ModelSpace, t: Fraction, lambda1_override: Fraction | 
                  "polynomial vanishes identically",),
                 ("conformal-branch",))
     return _fails(model, t, "scalar-flat: negative multiple of lambda^2 below -n/(4(n-1))")
-
-
-def conformal_gap_check(model: ModelSpace, tau,
-                        lambda1_override: Fraction | None = None) -> StabilityVerdict:
-    """Positivity of the conformal Jacobi polynomial over function eigenvalues.
-
-    Branches follow the sign of R and the dimension; for R > 0 only the
-    Lichnerowicz lower bound lambda_1 >= R/(n-1) is used, for R < 0 in
-    n >= 5 the range tau > -1/n needs the model's first nonzero Laplace
-    eigenvalue (pass it as lambda1_override for bound-only models). The
-    procedure never extrapolates outside a branch; it returns
-    Indeterminate there. A given lambda1_override must be positive.
-    """
-    _check_lambda1(lambda1_override)
-    return StabilityVerdict(*_conformal_gap(model, _exact_tau(tau), lambda1_override))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +483,7 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    tt = model.tt
-    R = model.scal
-    n = model.n
+    tt, R, n = model.tt, model.scal, model.n
     if R == 0:
         raise InsufficientSpectralData(
             f"{model.key}: scalar-flat models have tau-independent kernel "
@@ -528,12 +502,9 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
         notes.append("includes user-supplied eigenvalues")
     first_factor_root = 2 * R / n
     out = []
-    seen = set()
+    # tau(mu) has slope 1/(2R) != 0, so distinct mu give distinct tau
     for mu in sorted(set(mus)):
         t = Fraction(mu * n - 4 * R, 2 * n * R)
-        if t in seen:
-            continue
-        seen.add(t)
         note = _KERNEL_NOTES.get((model.variant, mu), "")
         if mu == first_factor_root:
             note = (note + "; " if note else "") + (
@@ -541,7 +512,7 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
         out.append(ExceptionalTau(t, mu, note))
         if len(out) >= count:
             break
-    if model.variant in ("sphere", "quotient", "cp", "product", "torus"):
+    if model.has_function_spectrum:
         notes.append("conformal kernel: the polynomial roots lambda = R/(n-1) "
                      "and the second-factor root are checked against the "
                      "function spectrum per branch; catalog models have no "
@@ -603,12 +574,7 @@ def bach_verdict(model: ModelSpace) -> BachVerdict:
     lo, hi = (a, b) if a <= b else (b, a)
     e1 = _interval_empty(model.tt, a, a, den)
     e2 = _interval_empty(model.tt, b, b, den)
-    if e1 is False or e2 is False:
-        rigid = False
-    elif e1 and e2:
-        rigid = True
-    else:
-        rigid = None
+    rigid = False if e1 is False or e2 is False else e1 and e2  # True, or None if unsure
     empty = _interval_empty(model.tt, lo, hi, den)
     notes = [f"checked values R/3 = {t1} and R/2 = {t2_} against the TT data"]
     if rigid is None or empty is None:
@@ -695,11 +661,6 @@ def reverse_bishop(vol_g: Fraction | float, n: int, vol_gt: Fraction | float, ri
 # combined verdict + JSON
 
 
-def _check_lambda1(lam) -> None:
-    if lam is not None and not lam > 0:
-        raise ValueError(f"lambda1 must be a positive eigenvalue, got {format_ratio(lam)}")
-
-
 def combined_verdict(model: ModelSpace, tau,
                      lambda1_override: Fraction | None = None) -> StabilityVerdict:
     """Intersection of the TT and conformal gap checks at one tau.
@@ -707,7 +668,9 @@ def combined_verdict(model: ModelSpace, tau,
     An impossible lambda1_override is refused even where the TT check
     alone decides the verdict.
     """
-    _check_lambda1(lambda1_override)
+    if lambda1_override is not None and not lambda1_override > 0:
+        raise ValueError("lambda1 must be a positive eigenvalue, got "
+                         f"{format_ratio(lambda1_override)}")
     t = _exact_tau(tau)
     tt_v = _tt_gap(model, t)
     if tt_v[0] == "FailsTT":
@@ -725,17 +688,9 @@ def combined_verdict(model: ModelSpace, tau,
 
 def verdict_to_json(model: ModelSpace, tau, verdict: StabilityVerdict) -> dict:
     t = _exact_tau(tau)
-    out = {
-        "model": model.key,
-        "n": model.n,
-        "R": format_ratio(model.scal),
-        "tau": {"num": t.numerator, "den": t.denominator},
-    }
-    out.update(verdict.to_json())
-    return out
+    return {"model": model.key, "n": model.n, "R": format_ratio(model.scal),
+            "tau": {"num": t.numerator, "den": t.denominator}, **verdict.to_json()}
 
 
 def interval_to_json(model: ModelSpace, interval: TauInterval) -> dict:
-    out = {"model": model.key, "n": model.n}
-    out.update(interval.to_json())
-    return out
+    return {"model": model.key, "n": model.n, **interval.to_json()}

@@ -10,29 +10,19 @@ first. The verify query is left to tests/test_acceptance.py, which runs
 the same suite.
 """
 
-import importlib.util
 import json
 from collections import defaultdict
-from pathlib import Path
 
 import pytest
+from conftest import PERFBENCH, load_perfbench
 
 from qcf.catalog import load_catalog
 from qcf.stability import InsufficientSpectralData
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SKIPPED_KINDS = ("verify",)
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-exact_calls = _load("exact_calls")
-refcheck = _load("refcheck")
+exact_calls = load_perfbench("exact_calls")
+refcheck = load_perfbench("refcheck")
 
 
 def _references() -> dict:

@@ -6,19 +6,13 @@ test loads the tracer's site list by path and resolves each name.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
-
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from conftest import load_perfbench
 
 
 def _sites() -> list[str]:
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    names = [site for _, _, sites in mod.SITES for site in sites]
+    names = [site for _, _, sites in load_perfbench("spans").SITES for site in sites]
     # patched directly by Tracer.install
     return names + ["qcf.cli.ThreadPoolExecutor", "qcf.cli._emit_json",
                     "qcf.verify.CRITERIA"]

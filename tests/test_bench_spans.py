@@ -7,18 +7,9 @@ tensor_core's function, so both sites get the same wrapper and a call
 opens one `tensor_core.kn` span, not two.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from conftest import load_perfbench
 
 
 def test_kulkarni_nomizu_calls_open_one_span_each(monkeypatch):
@@ -34,7 +25,7 @@ def test_kulkarni_nomizu_calls_open_one_span_each(monkeypatch):
 
     monkeypatch.setattr(tensor_core, "kulkarni_nomizu", counted)
     cat = catalog.builtin_catalog()
-    tracer = _tracer_module().Tracer()
+    tracer = load_perfbench("spans").Tracer()
     tracer.install()
     try:
         for key in ("cp:2", "product:2"):

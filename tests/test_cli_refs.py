@@ -11,27 +11,16 @@ different ways: the first failing point decides, as in a point-by-point
 loop.
 """
 
-import importlib.util
 import json
 import traceback
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import PERFBENCH, load_perfbench
 
 from qcf.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-refcheck = _load("refcheck")
+refcheck = load_perfbench("refcheck")
 
 
 def _references(workload: str) -> dict:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import berger_curve_from_geometry
 
 from qcf import homogeneous
 from qcf.catalog import builtin_catalog
@@ -15,7 +16,6 @@ from qcf.functionals import (
     IllConditionedDerivativeError,
     berger_critical_points,
     berger_curve,
-    berger_curve_from_geometry,
     curve_derivatives,
     evaluate,
     format_float,

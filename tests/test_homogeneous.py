@@ -22,13 +22,18 @@ from qcf.homogeneous import (
     functional_value,
     gradient_F,
     gradient_from_einstein,
-    laplacian,
     levi_civita,
     su2,
     su2_plus_r,
     volume,
 )
 from qcf.tensor_core import _Exact, check_curvature_symmetries, exact_tensor, tensor_norm2
+
+
+def laplacian(sc, g, t):
+    """Rough Laplacian Delta T = g^ab nab_a nab_b T of an invariant tensor,
+    with the inverse metric and the connection built once."""
+    return homogeneous._laplacian(*homogeneous._connection(sc, g), t)
 
 
 def _exact_diag(entries):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import berger_curve_from_geometry, contains, passes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -193,8 +194,8 @@ def test_verdict_passes_inside_interval(key, u):
         tau = iv.lo + 10 * u
     else:
         tau = iv.lo + (iv.hi - iv.lo) * u
-    assume(iv.contains(tau))
-    assert combined_verdict(model, tau).passes
+    assume(contains(iv, tau))
+    assert passes(combined_verdict(model, tau))
 
 
 @pytest.mark.parametrize("key", _INTERVAL_KEYS)
@@ -206,7 +207,7 @@ def test_verdict_never_passes_outside_interval(key, u, above):
     if above:
         assume(iv.hi is not None)
         tau = iv.hi + 2 * u
-        assume(not iv.contains(tau))
+        assume(not contains(iv, tau))
     else:
         tau = iv.lo - 2 * u
     try:
@@ -215,7 +216,7 @@ def test_verdict_never_passes_outside_interval(key, u, above):
         # hyperbolic models above -1/n legitimately need lambda_1 input;
         # without it the query cannot pass, which is what matters here
         return
-    assert not verdict.passes
+    assert not passes(verdict)
 
 
 @settings(max_examples=50, deadline=None)
@@ -243,7 +244,7 @@ def test_symbol_scaling_in_xi(n, ints, tau):
 @given(st.floats(min_value=0.3, max_value=1.9,
                  allow_nan=False, allow_infinity=False))
 def test_berger_routes_agree(s):
-    from qcf.functionals import berger_curve, berger_curve_from_geometry
+    from qcf.functionals import berger_curve
 
     tau = Fraction(1, 7)
     [closed] = berger_curve(tau, [s])

@@ -1,51 +1,66 @@
-"""Source hygiene: no unused import in src/qcf or tests, no unreferenced
-private helper in src/qcf, and no src/qcf import that slows every
-process's start-up.
+"""Source hygiene: no unused import in src/qcf or tests, no src/qcf
+function, class or method without a caller, and no src/qcf import that
+slows every process's start-up.
 
 A standard-library `ast` scan, so it needs no linter. An imported name
 is used when the module reads it anywhere or lists it in `__all__`; an
 import line marked `# noqa: F401` is deliberate and exempt. A
 module-level function or class of src/qcf whose name starts with an
 underscore is used when its module reads the name anywhere; names that
-only other modules read belong in the public interface. No module of
-src/qcf imports `dataclasses` (records are NamedTuples, whose classes
-are built without generating and compiling methods), and none imports
-`concurrent`, `threading` or `multiprocessing` anywhere, function bodies
-included: qcf computes on one thread, and `concurrent.futures` imports
-`logging` as well. No module of src/qcf calls `np.tensordot` or
-`np.moveaxis`: both normalise their axis arguments in Python on every
-call, which on the n <= 8 tensors here costs several times the
-contraction itself (raising both indices of a 4 x 4 tensor that way
-takes about 35 us, one matmul per index about 6 us); a matmul per index
-(`tensor_core.raise_all`, `homogeneous._cov1`) does the same
-contraction with the same bits. The curvature layer (`tensor_core`,
-`homogeneous`, `catalog`, `verify`) holds exact data in one form,
-`tensor_core._Exact`, so none of its modules builds an object-dtype
-array (`dtype=object`) or names that dtype (`np.dtype(object)`): a
-Fraction array there would be a second exact form, with a conversion at
-every boundary between the two. The exceptions are `_Exact.fractions()`,
-the one place that hands a caller a Fraction array, and the
-`_Exact.dtype` class attribute. Numerators past int64, which `_Exact`
-keeps as Python ints, are an integer array chosen by its bound and are
-not named this way. The CLI has one error path: in `cli`, only the
-group's handler (`_QcfGroup.main`) calls `sys.exit` or echoes with
-`err=True`, apart from `verify`'s `elapsed:` line and its exit 1 on a
-failed criterion, and no code calls `np.errstate` (the handler ignores
-numpy's float warnings). A `__new__` in src/qcf (the checking records'
-constructors) takes its fields by name, with no `*args` or `**kwargs`:
-forwarding them through `super().__new__` binds them in the NamedTuple's
-generated constructor, one more Python call per record, which made a
-record cost several times a positional one on the verdict path. Test
-modules are scanned for imports only: pytest finds their fixtures by name.
+only other modules read belong in the public interface. Beyond that,
+every module-level function and class of src/qcf and every method of its
+classes has a caller outside the tests: src/qcf reads the name outside
+the definition itself (a listing in `__all__` is a string, not a read;
+`super().name` in an override reads the base class's method, which the
+base's callers reach), or a perfbench/*.py identifier reads it, or it is
+the last part of a `qcf.` dotted string there, as in the span tracer's
+SITES. Names match as identifiers, unresolved, so one read covers every
+definition of that name; a method is reached only as an attribute
+(`x.name`), so a local variable of the same name does not count for it.
+Dunder names, `_make` overrides (the NamedTuple protocol that `_replace`
+calls) and click commands are exempt. What only tests call lives in the
+tests. No module of src/qcf imports `dataclasses` (records are
+NamedTuples, whose classes are built without generating and compiling
+methods), and none imports `concurrent`, `threading` or
+`multiprocessing` anywhere, function bodies included: qcf computes on
+one thread, and `concurrent.futures` imports `logging` as well. No
+module of src/qcf calls `np.tensordot` or `np.moveaxis`: both normalise
+their axis arguments in Python on every call, which on the n <= 8
+tensors here costs several times the contraction itself (raising both
+indices of a 4 x 4 tensor that way takes about 35 us, one matmul per
+index about 6 us); a matmul per index (`tensor_core.raise_all`,
+`homogeneous._cov1`) does the same contraction with the same bits. The
+curvature layer (`tensor_core`, `homogeneous`, `catalog`, `verify`)
+holds exact data in one form, `tensor_core._Exact`, so none of its
+modules builds an object-dtype array (`dtype=object`) or names that
+dtype (`np.dtype(object)`): a Fraction array there would be a second
+exact form, with a conversion at every boundary between the two. The
+exceptions are `_Exact.fractions()`, the one place that hands a caller a
+Fraction array, and the `_Exact.dtype` class attribute. Numerators past
+int64, which `_Exact` keeps as Python ints, are an integer array chosen
+by its bound and are not named this way. The CLI has one error path: in
+`cli`, only the group's handler (`_QcfGroup.main`) calls `sys.exit` or
+echoes with `err=True`, apart from `verify`'s `elapsed:` line and its
+exit 1 on a failed criterion, and no code calls `np.errstate` (the
+handler ignores numpy's float warnings). A `__new__` in src/qcf (the
+checking records' constructors) takes its fields by name, with no
+`*args` or `**kwargs`: forwarding them through `super().__new__` binds
+them in the NamedTuple's generated constructor, one more Python call per
+record, which made a record cost several times a positional one on the
+verdict path. Test modules are scanned for imports only: pytest finds
+their fixtures by name.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qcf"
+BENCH = TESTS.parent / "perfbench"
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -167,6 +182,73 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
         out += [f"calls np.errstate in {where}" for node in ast.walk(top)
                 if isinstance(node, ast.Attribute) and node.attr == "errstate"]
     return out
+
+
+_QCF_DOTTED = re.compile(r"qcf(\.\w+)+")
+
+
+def _is_super_attribute(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Call) and (
+        getattr(node.value.func, "id", None) == "super")
+
+
+def _reads(tree: ast.AST, skip_super: bool = False) -> Counter:
+    """How often each identifier is read under tree: a name as itself, an
+    attribute as "." and its name; skip_super leaves out the attributes of
+    super()."""
+    return Counter(node.id if isinstance(node, ast.Name) else "." + node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                   and not (skip_super and _is_super_attribute(node)))
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class and
+    each method of a module-level class."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield top.name, top
+        for node in top.body if isinstance(top, ast.ClassDef) else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{top.name}.{node.name}", node
+
+
+def _exempt(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    """A dunder, a `_make` override or a click command (`@group.command()`)."""
+    return (node.name.startswith("__") and node.name.endswith("__") or node.name == "_make"
+            or any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"
+                   for d in node.decorator_list))
+
+
+def uncalled(src: dict[str, str], bench: list[str]) -> list[str]:
+    """module.qualified names of the definitions in src (module name to
+    source) that have no caller in src outside themselves or in bench (the
+    perfbench sources)."""
+    trees = {module: ast.parse(source) for module, source in src.items()}
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    bench_names = set()
+    for tree in map(ast.parse, bench):
+        bench_names |= {name.lstrip(".") for name in _reads(tree)}
+        bench_names |= {node.value.rpartition(".")[2] for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and _QCF_DOTTED.fullmatch(node.value)}
+    out = []
+    for module, tree in trees.items():
+        for qualified, node in _definitions(tree):
+            if _exempt(node) or node.name in bench_names:
+                continue
+            # a method is reached only as an attribute, a module-level name also by name
+            keys = ["." + node.name] if "." in qualified else [node.name, "." + node.name]
+            own = _reads(node, skip_super=True)
+            if all(read[key] <= own[key] for key in keys):
+                out.append(f"{module}.{qualified}")
+    return out
+
+
+def _package() -> tuple[dict[str, str], list[str]]:
+    """src/qcf's sources by module name, and perfbench's sources."""
+    return ({path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))},
+            [path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))])
 
 
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
@@ -330,3 +412,80 @@ class Rest(_Fields):
     mutant = text.replace(sig, "    def __new__(cls, *args, **kwargs):\n")
     assert findings(mutant, module="stability") == [
         "StabilityVerdict.__new__ takes *args or **kwargs"]
+
+
+def test_every_src_function_class_and_method_has_a_caller():
+    assert uncalled(*_package()) == []
+
+
+def test_caller_scan_rules():
+    source = """
+__all__ = ["listed"]
+
+def listed():
+    return 1
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+def used():
+    return Record(1)._replace(x=2).total, FLOAT
+
+class Record(NamedTuple):
+    x: int
+
+    @property
+    def total(self):
+        return self.x
+
+    def unread(self):
+        return self.unread
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __repr__(self):
+        return "Record"
+
+class Finite(click.types.FloatParamType):
+    def convert(self, value, param, ctx):
+        return super().convert(value, param, ctx)
+
+FLOAT = Finite()
+
+@main.command()
+def intervals():
+    pass
+
+def traced():
+    pass
+
+def run():
+    unread = used()  # a local name does not reach the method Record.unread
+    return unread
+"""
+    bench = 'SITES = ["qcf.mod.traced", "not qcf.mod.listed"]\nmod.run()\n'
+    assert uncalled({"mod": source}, [bench]) == ["mod.listed", "mod.recursive",
+                                                 "mod.Record.unread"]
+    assert uncalled({"mod": source}, []) == ["mod.listed", "mod.recursive",
+                                            "mod.Record.unread", "mod.traced", "mod.run"]
+
+
+def test_caller_scan_flags_what_only_tests_call():
+    """A new public function that nothing calls fails the scan, and so does
+    a method that only tests call (the verdict's former `passes`). The
+    tracer's dotted names keep exact_inv and exact_det, which no src module
+    calls."""
+    src, bench = _package()
+    text = src["stability"]
+    mutant = dict(src, stability=text + "\n\ndef tt_gap_check(model, tau):\n"
+                                        "    return _tt_gap(model, _exact_tau(tau))\n")
+    assert uncalled(mutant, bench) == ["stability.tt_gap_check"]
+    anchor = "    def to_json(self) -> dict:\n        return {\n            \"verdict\""
+    assert text.count(anchor) == 1
+    passes = ("    @property\n    def passes(self) -> bool:\n        return self.variant in "
+              "(\"StrictlyStable\", \"StableBoundOnly\")\n\n")
+    mutant = dict(src, stability=text.replace(anchor, passes + anchor))
+    assert uncalled(mutant, bench) == ["stability._VerdictFields.passes"]
+    assert uncalled(src, []) == ["_exact.exact_inv", "_exact.exact_det"]

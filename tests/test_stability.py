@@ -11,26 +11,31 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import contains, passes
 
 from qcf import stability
 from qcf.catalog import builtin_catalog, function_spectrum
-from qcf.rational import _second_factor, conformal_polynomial, q_factor, tau1, tau2
+from qcf.rational import (
+    _second_factor,
+    conformal_polynomial,
+    format_ratio,
+    q_factor,
+    tau1,
+    tau2,
+)
 from qcf.stability import (
     BachVerdict,
     InsufficientSpectralData,
     StabilityVerdict,
     TauInterval,
-    _check_lambda1,
     _conformal_witness,
     _exact_tau,
     bach_verdict,
     combined_verdict,
-    conformal_gap_check,
     interval_to_json,
     reverse_bishop,
     rigidity_exceptional_taus,
     stability_interval,
-    tt_gap_check,
     verdict_to_json,
 )
 
@@ -40,23 +45,44 @@ def cat():
     return builtin_catalog()
 
 
+def _check_lambda1(lam) -> None:
+    if lam is not None and not lam > 0:
+        raise ValueError(f"lambda1 must be a positive eigenvalue, got {format_ratio(lam)}")
+
+
+# The two gap checks one at a time, each as a verdict record: combined_verdict
+# runs them on the way and combines their fields.
+
+
+def tt_gap_check(model, tau) -> StabilityVerdict:
+    """The TT gap check alone (stability._tt_gap) at one tau."""
+    return StabilityVerdict(*stability._tt_gap(model, _exact_tau(tau)))
+
+
+def conformal_gap_check(model, tau, lambda1_override=None) -> StabilityVerdict:
+    """The conformal gap check alone (stability._conformal_gap) at one tau. A
+    given lambda1_override must be positive."""
+    _check_lambda1(lambda1_override)
+    return StabilityVerdict(*stability._conformal_gap(model, _exact_tau(tau), lambda1_override))
+
+
 def test_verdict_invariants():
     with pytest.raises(ValueError, match="witness"):
         StabilityVerdict("FailsTT")
     with pytest.raises(ValueError, match="unknown verdict"):
         StabilityVerdict("Wobbly")
-    assert StabilityVerdict("StableBoundOnly").passes
-    assert not StabilityVerdict("Indeterminate").passes
+    assert passes(StabilityVerdict("StableBoundOnly"))
+    assert not passes(StabilityVerdict("Indeterminate"))
 
 
 def test_interval_contains():
     iv = TauInterval(Fraction(-1, 3), Fraction(1, 6), hi_open=False)
-    assert not iv.contains(Fraction(-1, 3))
-    assert iv.contains(Fraction(0))
-    assert iv.contains(Fraction(1, 6))
-    assert not iv.contains(Fraction(1, 5))
+    assert not contains(iv, Fraction(-1, 3))
+    assert contains(iv, Fraction(0))
+    assert contains(iv, Fraction(1, 6))
+    assert not contains(iv, Fraction(1, 5))
     unbounded = TauInterval(Fraction(0), None)
-    assert unbounded.contains(Fraction(1000))
+    assert contains(unbounded, Fraction(1000))
     with pytest.raises(ValueError, match="empty interval"):
         TauInterval(Fraction(1), Fraction(0))
 
@@ -295,8 +321,8 @@ def test_interval_membership_agrees_with_verdicts(cat):
         iv = stability_interval(model)
         hi = iv.hi if iv.hi is not None else iv.lo + 1
         mid = (iv.lo + hi) / 2
-        assert iv.contains(mid)
-        assert combined_verdict(model, mid).passes
+        assert contains(iv, mid)
+        assert passes(combined_verdict(model, mid))
 
 
 def test_rigidity_sphere_three(cat):
@@ -877,21 +903,24 @@ def _gap_check_cases(cat, grid=True):
     return out
 
 
-def _outcomes(model, t, full):
-    """The gap-check results at (model, t), with the text of any error."""
+def _outcomes(model, t, full, checks):
+    """The gap-check results at (model, t), with the text of any error, by
+    checks: the TT check, the conformal check and the witness scan."""
+    tt_check, conformal_check, witness = checks
+
     def run(f, *args):
         try:
             v = f(*args)
         except InsufficientSpectralData as e:
             return ("raises", str(e))
         return (v, verdict_to_json(model, t, v)) if full and isinstance(v, StabilityVerdict) else v
-    out = [run(stability.tt_gap_check, model, t)]
+    out = [run(tt_check, model, t)]
     if model.tt is None:
         return out
     for lam in _lambda1_choices(model, t):
-        out.append(run(stability.conformal_gap_check, model, t, lam))
+        out.append(run(conformal_check, model, t, lam))
     if full:
-        out.append(run(stability._conformal_witness, model, _exact_tau(t)))
+        out.append(run(witness, model, _exact_tau(t)))
     return out
 
 
@@ -899,20 +928,18 @@ def _oracle_mismatches(monkeypatch, cases):
     """The cases where the checks and the oracle differ. Both read the
     function spectrum through one cache, which only saves time."""
     monkeypatch.setattr(stability, "function_spectrum", functools.lru_cache(function_spectrum))
-    got = [_outcomes(*case) for case in cases]
-    with monkeypatch.context() as mp:
-        mp.setattr(stability, "tt_gap_check", _oracle_tt_gap_check)
-        mp.setattr(stability, "conformal_gap_check", _oracle_conformal_gap_check)
-        mp.setattr(stability, "_conformal_witness", _oracle_conformal_witness)
-        want = [_outcomes(*case) for case in cases]
+    got = [_outcomes(*case, (tt_gap_check, conformal_gap_check, _conformal_witness))
+           for case in cases]
+    oracle = (_oracle_tt_gap_check, _oracle_conformal_gap_check, _oracle_conformal_witness)
+    want = [_outcomes(*case, oracle) for case in cases]
     return [(m.key, t) for (m, t, _), a, b in zip(cases, got, want) if a != b]
 
 
 def test_gap_checks_match_the_fraction_chain_oracle(cat, monkeypatch):
     """Variant, witness, notes, provenance, JSON and error texts are those
     of the Fraction-chain checks, for each lambda_1 choice. The combined
-    verdict calls neither check, so the test below compares it. Bach
-    verdicts too, on every dimension-four model and a rescaled copy."""
+    verdict combines the checks' fields, and the test below compares it.
+    Bach verdicts too, on every dimension-four model and a rescaled copy."""
     cases = _gap_check_cases(cat)
     assert len(cases) > 25000
     assert _oracle_mismatches(monkeypatch, cases) == []
@@ -943,13 +970,13 @@ def _oracle_combined_verdict(model, tau, lambda1_override=None):
 
 
 def test_combined_verdict_matches_the_combined_oracle_checks(cat, monkeypatch):
-    """combined_verdict builds its one record from the fields the two checks
-    return, without calling tt_gap_check or conformal_gap_check, so the
-    oracle comparison above cannot reach it through them. Here it is
-    compared with the Fraction-chain checks combined record by record, at
-    every benchmark breakpoint and odd tau of every model and rescaled copy,
-    for each lambda_1 choice and an impossible one, with the JSON and the
-    type and text of any error; every variant occurs."""
+    """combined_verdict builds its one record from the fields that _tt_gap and
+    _conformal_gap return, so the oracle comparison above, which runs the
+    checks one at a time, does not reach it. Here it is compared with the
+    Fraction-chain checks combined record by record, at every benchmark
+    breakpoint and odd tau of every model and rescaled copy, for each
+    lambda_1 choice and an impossible one, with the JSON and the type and
+    text of any error; every variant occurs."""
     monkeypatch.setattr(stability, "function_spectrum", functools.lru_cache(function_spectrum))
 
     def run(f, model, t, lam):
