@@ -12,9 +12,12 @@ Sign conventions, fixed once: mu ranges over spec(-Delta_L) on TT
 tensors and lambda over spec(-Delta) on functions, both bounded below,
 so interval statements about spectra translate verbatim.
 
-Everything here is Fraction (or float) arithmetic on Python numbers and
-imports no numpy, so the commands built on it (`intervals`, `rigidity`,
-`bishop`, `berger`, `symbol --conformal-killing`) start without it.
+Every polynomial here is exact: its coefficients and values are
+Fractions, and a float argument converts to its exact value (only
+as_exact keeps a float, for the float symbols of `spectral`). It is
+plain arithmetic on Python numbers and imports no numpy, so the commands
+built on it (`intervals`, `rigidity`, `bishop`, `berger`,
+`symbol --conformal-killing`) start without it.
 """
 
 from __future__ import annotations
@@ -74,41 +77,25 @@ def as_exact(x):
     return float(x)
 
 
-def _split(x) -> tuple:
-    """x as (numerator, denominator): ints for int or Fraction x, (float x, 1) otherwise."""
-    x = as_exact(x)
-    return (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
-
-
-def _quotient(num, den):
-    """num / den as a Fraction when num is an int (den always is), else a float.
-
-    The polynomials below form each coefficient over one integer
-    denominator and build a single Fraction from it, in place of a chain
-    of Fraction operations that each reduce by a gcd.
-    """
-    return Fraction(num, den) if isinstance(num, int) else num / den
+def _split(x) -> tuple[int, int]:
+    """x as (numerator, denominator) of its exact value; a float converts exactly."""
+    return x.as_integer_ratio()
 
 
 class SpectralPolynomial(NamedTuple):
     """Degree <= 2 polynomial c2 x^2 + c1 x + c0 in the eigenvalue variable.
 
     The variable is mu (TT, eigenvalue of -Delta_L) or lambda (conformal,
-    eigenvalue of -Delta). Coefficients are exact ratios when the
-    defining data (n, R, tau) are.
+    eigenvalue of -Delta). Coefficients and values are exact.
     """
 
     c0: Fraction
     c1: Fraction
     c2: Fraction
 
-    def __call__(self, x):
-        c0, c1, c2 = self
-        if not (type(c0) is type(c1) is type(c2) is Fraction and isinstance(x, (int, Fraction))):
-            return (c2 * x + c1) * x + c0
-        # exact: one quotient over d0 d1 d2 q^2 in place of a chain of Fractions
-        (n0, d0), (n1, d1), (n2, d2) = ((c.numerator, c.denominator) for c in self)
-        p, q = x.numerator, x.denominator
+    def __call__(self, x) -> Fraction:
+        # one quotient over d0 d1 d2 q^2 in place of a chain of Fractions
+        (n0, d0), (n1, d1), (n2, d2), (p, q) = map(_split, (*self, x))
         return Fraction((n2 * d0 * d1 * p + n1 * d0 * d2 * q) * p + n0 * d1 * d2 * q * q,
                         d0 * d1 * d2 * q * q)
 
@@ -129,14 +116,14 @@ def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynom
     k = 8 * q + 4 * n * p
     if not normalized:
         k += (n - 4) * (q + n * p)
-    c1 = _quotient(-(3 * q + n * p) * a, n * q * b)
-    c0 = _quotient(k * a * a, 2 * n * n * q * b * b)
+    c1 = Fraction(-(3 * q + n * p) * a, n * q * b)
+    c0 = Fraction(k * a * a, 2 * n * n * q * b * b)
     return SpectralPolynomial(c0, c1, Fraction(1, 2))
 
 
-def tt_jacobi(n: int, scal, tau, mu, normalized: bool = True):
+def tt_jacobi(n: int, scal, tau, mu, normalized: bool = True) -> Fraction:
     """Evaluate the TT Jacobi polynomial at the eigenvalue mu."""
-    return tt_polynomial(n, scal, tau, normalized)(as_exact(mu))
+    return tt_polynomial(n, scal, tau, normalized)(mu)
 
 
 def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:
@@ -149,46 +136,32 @@ def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:
     of this expanded form (verify 10, the property tests) are what tie
     that rule to the polynomial.
     """
-    R = as_exact(scal)
-    (an, ad), (bn, bd) = map(_split, _second_factor(n, R, as_exact(tau)))
-    r, s = _split(R)
+    (an, ad), (bn, bd) = map(_split, _second_factor(n, scal, tau))
+    r, s = _split(scal)
     # c2 = (n-1)a/(2n), c1 = ((n-1)b - Ra)/(2n), c0 = -Rb/(2n), each one quotient
-    c2 = _quotient((n - 1) * an, 2 * n * ad)
-    c1 = _quotient((n - 1) * bn * ad * s - r * an * bd, 2 * n * ad * bd * s)
-    c0 = _quotient(-r * bn, 2 * n * bd * s)
+    c2 = Fraction((n - 1) * an, 2 * n * ad)
+    c1 = Fraction((n - 1) * bn * ad * s - r * an * bd, 2 * n * ad * bd * s)
+    c0 = Fraction(-r * bn, 2 * n * bd * s)
     return SpectralPolynomial(c0, c1, c2)
 
 
 def conformal_s_polynomial(n: int, scal) -> SpectralPolynomial:
     """Conformal polynomial of the S-functional:
     2(n-1)^2 lambda^2 + (n-6)(n-1) R lambda - (n-4) R^2."""
-    R = as_exact(scal)
+    R = Fraction(scal)
     return SpectralPolynomial(-(n - 4) * R * R, (n - 6) * (n - 1) * R,
                               Fraction(2 * (n - 1) ** 2))
 
 
-def q_factor(n: int, scal, tau, lam):
-    """Second factor n(n-4tau+4ntau)lambda + 2(n-4)(1+n tau)R of p_tau.
-
-    Its sign at lambda_1 decides the conformal verdict past the
-    Lichnerowicz root; the lambda coefficient is positive exactly for
-    tau > -n/(4(n-1)), and at tau = -1/n the R term drops out
-    (coefficient (n-2)^2 lambda).
-    """
-    a, b = _second_factor(n, as_exact(scal), as_exact(tau))
-    return a * as_exact(lam) + b
-
-
-def _second_factor(n: int, R, t) -> tuple:
+def _second_factor(n: int, R, t) -> tuple[Fraction, Fraction]:
     """Slope and constant (a, b) of the second factor a lambda + b of p_tau.
 
-    With R = r/s and tau = p/q exact, each is one quotient:
-    a = n(nq + 4(n-1)p)/q and b = 2(n-4)(q + np)r/(qs). Float input keeps
-    n(n - 4tau + 4n tau) and 2(n-4)(1 + n tau)R.
+    With R = r/s and tau = p/q, each is one quotient:
+    a = n(nq + 4(n-1)p)/q and b = 2(n-4)(q + np)r/(qs). The slope is
+    positive exactly for tau > -n/(4(n-1)), and at tau = -1/n the R term
+    drops out (slope (n-2)^2).
     """
     (p, q), (r, s) = _split(t), _split(R)
-    if not (isinstance(p, int) and isinstance(r, int)):
-        return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
     a, b = _second_numerators(n, p, q, r)
     return Fraction(a, q), Fraction(b, q * s)
 

@@ -22,15 +22,6 @@ def _sym_basis(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _vec_to_sym(v, basis, n: int) -> np.ndarray:
-    """The symmetric array with the exact coordinates v in the basis."""
-    h = np.empty((n, n), dtype=object)
-    for c, (i, j) in zip(v, basis):
-        h[i, j] = c
-        h[j, i] = c
-    return h
-
-
 def symbol_coefficients(n: int, tau) -> tuple:
     """The three coefficient combinations entering the gauged symbol.
 
@@ -158,8 +149,9 @@ def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
     kernel dimension and whether g lies in its kernel are the same at
     every nonzero xi. Floats: injective iff the smallest singular value
     exceeds 1e-10. Rational tau: exact rank; a rank drop returns the
-    exact kernel basis, and g lies in the kernel exactly when M g = 0,
-    which never holds on the trace-free block (g is not trace-free).
+    exact kernel basis in the coordinates of the decided matrix (as
+    exact_rank_nullspace gives it), and g lies in the kernel exactly when
+    M g = 0, which never holds on the trace-free block (g is not trace-free).
     ``trials`` and ``seed`` are accepted for compatibility and change
     nothing.
     """
@@ -177,15 +169,13 @@ def symbol_injectivity(n: int, tau, trials: int = 100, seed: int = 0,
     if not null:
         return InjectivityVerdict(True, min_sv,
                                   note="exact full rank at every sampled direction")
-    if restrict_trace_free:
-        kernel = tuple(np.array(v, dtype=object) for v in null)
-        return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency")
-    kernel = tuple(_vec_to_sym(v, op.basis, n) for v in null)
-    # M g, the sum of the diagonal-coordinate columns; skipping zeros saves a gcd each
     diag = [k for k, (i, j) in enumerate(op.basis) if i == j]
-    mg = (sum(x for x in row if x) for row in m[:, diag].tolist())
-    return InjectivityVerdict(False, min_sv, kernel, note="exact rank deficiency",
-                              contains_metric=not any(mg))
+    # g lies in the kernel of the full symbol exactly when M g, the sum of the
+    # diagonal-coordinate columns, vanishes (skipping zeros saves a gcd each)
+    contains_g = not restrict_trace_free and not any(
+        sum(x for x in row if x) for row in m[:, diag].tolist())
+    return InjectivityVerdict(False, min_sv, tuple(null), note="exact rank deficiency",
+                              contains_metric=contains_g)
 
 
 def kernel_contains_metric(verdict: InjectivityVerdict, n: int) -> bool:

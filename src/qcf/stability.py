@@ -2,7 +2,9 @@
 
 Decision procedures over the catalog's exact spectral data. combined_verdict
 intersects the gap checks _tt_gap and _conformal_gap, which certify positivity
-of the second variation in the transverse-traceless and conformal directions;
+of the second variation in the transverse-traceless and conformal directions
+(the conformal one as a single ladder of thresholds, a row per sign of R and
+dimension, with lambda_1 deciding where R < 0, n >= 5 and tau > -1/n);
 stability_interval assembles the theorem-backed tau ranges with per-endpoint
 provenance; rigidity_exceptional_taus lists the tau values where the TT kernel
 jumps; bach_verdict runs the dimension-four Weyl-functional checks; and
@@ -16,13 +18,14 @@ branch of the statement that covers the input, returning Indeterminate instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
 from qcf.catalog import CatalogError, ModelSpace, function_spectrum
-from qcf.rational import _second_numerators, format_ratio, q_factor, tau1, tau2
+from qcf.rational import _second_numerators, format_ratio, tau1, tau2
 
 
 class InsufficientSpectralData(ValueError):
@@ -227,135 +230,116 @@ def _vs(p: int, q: int, num: int, den: int) -> int:
     return den * p - num * q
 
 
-def _fails(model: ModelSpace, t: Fraction, note: str, witness=None,
-           allow_scan=True) -> tuple:
+def _fails(model: ModelSpace, t: Fraction, note: str, witness=None) -> tuple:
     """A FailsConformal verdict's fields; without a given witness, the scan
-    supplies one where allowed."""
-    w = witness
-    if w is None and allow_scan:
-        w = _conformal_witness(model, t)
+    supplies one."""
+    w = _conformal_witness(model, t) if witness is None else witness
     notes = (note,)
-    if w is None and allow_scan:
+    if w is None:
         notes += ("no concrete eigenvalue witness available from the catalog",)
-    elif w is not None and model.spectra_are_subsets:
+    elif model.spectra_are_subsets:
         notes += ("witness eigenvalue from the covering spectrum; the "
                   "eigenfunction may not descend to the quotient",)
     return "FailsConformal", w, notes, ("conformal-branch",)
 
 
+# The conformal decision, one row per sign of R and dimension (3, 4, and 5 for
+# n >= 5): tau above the first threshold is StrictlyStable, below the second
+# (or at it, where the flag holds) FailsConformal, and Indeterminate between,
+# with the three outcomes' notes and the Indeterminate provenance. A threshold
+# is a (num, den) pair, or "t1" or "t2" for tau1(n) or tau2(n); braces in a note
+# fill in n, t1 and t2. For R < 0 and n >= 5 the row covers tau <= -1/n only,
+# where no band is left between its thresholds.
+_NEGATIVE_TAIL = ("negative leading coefficient, the conformal Hessian is negative "
+                  "on all sufficiently large eigenvalues")
+_LADDER = {
+    (1, 3): ((-3, 8), (-5, 12), False,
+             "dimension three, positive scalar curvature: tau above -3/8",
+             "dimension three: tau below -5/12 makes the conformal Hessian negative "
+             "past the gauge modes",
+             "dimension three: tau in [-5/12, -3/8], where neither branch applies",
+             "conformal-branch"),
+    (1, 4): ((-1, 3), (-1, 3), False, "dimension four: tau above -1/3",
+             "dimension four: tau below -1/3 flips the conformal Hessian negative",
+             "tau = -1/3 in dimension four: the functional is conformally invariant, "
+             "the conformal Hessian vanishes identically",
+             "conformal-invariance"),
+    (1, 5): ("t1", "t2", True, "tau above the threshold {t1} = (4-3n)/(2n(n-1))",
+             "tau at or below -n/(4(n-1)) = {t2}: " + _NEGATIVE_TAIL,
+             "tau in ({t2}, {t1}]: between the negative and positive branches, "
+             "where the statement is silent",
+             "conformal-branch"),
+    (-1, 3): ((-1, 3), (-3, 8), False,
+              "dimension three, negative scalar curvature: tau above -1/3",
+              "dimension three, negative scalar curvature: tau below -3/8",
+              "dimension three: tau in [-3/8, -1/3]", "conformal-branch"),
+    (-1, 4): ((-1, 3), (-1, 3), False, "dimension four: tau above -1/3",
+              "dimension four: tau below -1/3",
+              "tau = -1/3 in dimension four: conformal invariance", "conformal-invariance"),
+    (-1, 5): ("t2", "t2", True,
+              "tau in ({t2}, -1/{n}]: second factor positive on all positive "
+              "eigenvalues regardless of lambda_1",
+              "tau at or below {t2}: " + _NEGATIVE_TAIL, None, None),
+    **dict.fromkeys(((0, 3), (0, 4), (0, 5)), (
+        "t2", "t2", False,
+        "scalar-flat: polynomial reduces to a positive multiple of lambda^2 for tau "
+        "above -n/(4(n-1))",
+        "scalar-flat: negative multiple of lambda^2 below -n/(4(n-1))",
+        "scalar-flat at tau = -n/(4(n-1)): the conformal polynomial vanishes identically",
+        "conformal-branch")),
+}
+
+
+@functools.cache
+def _ladder_row(sign: int, n: int) -> tuple:
+    """The row of _LADDER for the sign of R and n, thresholds and notes resolved."""
+    above, below, fails_at, *notes, provenance = _LADDER[sign, min(n, 5)]
+    named = {"t1": (4 - 3 * n, 2 * n * (n - 1)), "t2": (-n, 4 * (n - 1))}  # tau1, tau2
+    texts = {k: _ratio_text(*v) for k, v in named.items()}
+    notes = tuple(note and note.format(n=n, **texts) for note in notes)
+    return named.get(above, above), named.get(below, below), fails_at, notes, provenance
+
+
 def _conformal_gap(model: ModelSpace, t: Fraction, lambda1_override: Fraction | None) -> tuple:
     """Positivity of the conformal Jacobi polynomial over function eigenvalues.
 
-    Branches follow the sign of R and the dimension; for R > 0 only the
-    Lichnerowicz lower bound lambda_1 >= R/(n-1) is used, for R < 0 in
-    n >= 5 the range tau > -1/n needs the first nonzero Laplace
-    eigenvalue: lambda1_override when given (bound-only models need it),
-    else the model's. The procedure never extrapolates outside a branch;
-    it returns Indeterminate there.
+    The row of _LADDER for the sign of R and the dimension decides; for
+    R > 0 it uses only the Lichnerowicz lower bound lambda_1 >= R/(n-1).
+    For R < 0 in n >= 5 the range tau > -1/n needs the first nonzero
+    Laplace eigenvalue: lambda1_override when given (bound-only models
+    need it), else the model's, where the sign of the second factor
+    decides, on integers as in the witness scan. The procedure never
+    extrapolates outside a branch; it returns Indeterminate there.
     """
     n, p, q, r = model.n, t.numerator, t.denominator, model.scal.numerator
-    t1, t2 = (4 - 3 * n, 2 * n * (n - 1)), (-n, 4 * (n - 1))  # tau1, tau2 as (num, den)
-    if r > 0:
-        if n == 3:
-            if _vs(p, q, -3, 8) > 0:
-                return ("StrictlyStable", None,
-                        ("dimension three, positive scalar curvature: tau above -3/8",),
-                        ("conformal-branch",))
-            if _vs(p, q, -5, 12) < 0:
-                return _fails(model, t, "dimension three: tau below -5/12 makes the "
-                                        "conformal Hessian negative past the gauge modes")
-            return ("Indeterminate", None,
-                    ("dimension three: tau in [-5/12, -3/8], where neither branch applies",),
-                    ("conformal-branch",))
-        if n == 4:
-            if _vs(p, q, -1, 3) > 0:
-                return ("StrictlyStable", None, ("dimension four: tau above -1/3",),
-                        ("conformal-branch",))
-            if _vs(p, q, -1, 3) == 0:
-                return ("Indeterminate", None,
-                        ("tau = -1/3 in dimension four: the functional is "
-                         "conformally invariant, the conformal Hessian "
-                         "vanishes identically",),
-                        ("conformal-invariance",))
-            return _fails(model, t, "dimension four: tau below -1/3 flips the conformal "
-                                    "Hessian negative")
-        # n >= 5
-        if _vs(p, q, *t1) > 0:
+    if r < 0 and n >= 5 and _vs(p, q, -1, n) > 0:
+        lam1 = lambda1_override if lambda1_override is not None else model.lambda1
+        if lam1 is None:
+            raise InsufficientSpectralData(
+                f"{model.key}: tau > -1/n with negative scalar curvature "
+                "needs the first nonzero Laplace eigenvalue (the branch "
+                "requires lambda_1 > (n-4)(-R)/(2(n-1)); pass "
+                "lambda1_override)")
+        a, b = _second_numerators(n, p, q, r)
+        l, d = lam1.as_integer_ratio()
+        second = a * model.scal.denominator * l + b * d  # the sign of a lambda_1 + b
+        if second > 0:
             return ("StrictlyStable", None,
-                    (f"tau above the threshold {_ratio_text(*t1)} = (4-3n)/(2n(n-1))",),
-                    ("conformal-branch",))
-        if _vs(p, q, *t2) <= 0:
-            return _fails(model, t, f"tau at or below -n/(4(n-1)) = {_ratio_text(*t2)}: "
-                                    "negative leading coefficient, the conformal Hessian "
-                                    "is negative on all sufficiently large eigenvalues")
-        return ("Indeterminate", None,
-                (f"tau in ({_ratio_text(*t2)}, {_ratio_text(*t1)}]: between the negative and "
-                 "positive branches, where the statement is silent",),
-                ("conformal-branch",))
-
-    if r < 0:
-        if n == 3:
-            if _vs(p, q, -1, 3) > 0:
-                return ("StrictlyStable", None,
-                        ("dimension three, negative scalar curvature: tau above -1/3",),
-                        ("conformal-branch",))
-            if _vs(p, q, -3, 8) < 0:
-                return _fails(model, t, "dimension three, negative scalar curvature: "
-                                        "tau below -3/8")
-            return ("Indeterminate", None, ("dimension three: tau in [-3/8, -1/3]",),
-                    ("conformal-branch",))
-        if n == 4:
-            if _vs(p, q, -1, 3) > 0:
-                return ("StrictlyStable", None, ("dimension four: tau above -1/3",),
-                        ("conformal-branch",))
-            if _vs(p, q, -1, 3) == 0:
-                return ("Indeterminate", None,
-                        ("tau = -1/3 in dimension four: conformal invariance",),
-                        ("conformal-invariance",))
-            return _fails(model, t, "dimension four: tau below -1/3")
-        # n >= 5, R < 0
-        if _vs(p, q, *t2) > 0 and _vs(p, q, -1, n) <= 0:
-            return ("StrictlyStable", None,
-                    (f"tau in ({_ratio_text(*t2)}, -1/{n}]: second factor positive on all "
-                     "positive eigenvalues regardless of lambda_1",),
-                    ("conformal-branch",))
-        if _vs(p, q, -1, n) > 0:
-            lam1 = lambda1_override if lambda1_override is not None else model.lambda1
-            if lam1 is None:
-                raise InsufficientSpectralData(
-                    f"{model.key}: tau > -1/n with negative scalar curvature "
-                    "needs the first nonzero Laplace eigenvalue (the branch "
-                    "requires lambda_1 > (n-4)(-R)/(2(n-1)); pass "
-                    "lambda1_override)")
-            qv = q_factor(n, model.scal, t, lam1)
-            if qv > 0:
-                return ("StrictlyStable", None,
-                        (f"second factor positive at lambda_1 = {lam1} and increasing",),
-                        ("conformal-branch", "lambda1-data"))
-            if qv == 0:
-                return ("Indeterminate", lam1,
-                        (f"second factor vanishes at lambda_1 = {lam1}: "
-                         "neutral conformal direction",),
-                        ("conformal-branch", "lambda1-data"))
-            return _fails(model, t, f"second factor negative at lambda_1 = {lam1}",
-                          witness=lam1, allow_scan=False)
-        # t <= tau2(n)
-        return _fails(model, t, f"tau at or below {_ratio_text(*t2)}: negative leading "
-                                "coefficient, the conformal Hessian is negative on all "
-                                "sufficiently large eigenvalues")
-
-    # R == 0
-    if _vs(p, q, *t2) > 0:
-        return ("StrictlyStable", None,
-                ("scalar-flat: polynomial reduces to a positive multiple "
-                 "of lambda^2 for tau above -n/(4(n-1))",),
-                ("conformal-branch",))
-    if _vs(p, q, *t2) == 0:
-        return ("Indeterminate", None,
-                ("scalar-flat at tau = -n/(4(n-1)): the conformal "
-                 "polynomial vanishes identically",),
-                ("conformal-branch",))
-    return _fails(model, t, "scalar-flat: negative multiple of lambda^2 below -n/(4(n-1))")
+                    (f"second factor positive at lambda_1 = {lam1} and increasing",),
+                    ("conformal-branch", "lambda1-data"))
+        if second == 0:
+            return ("Indeterminate", lam1,
+                    (f"second factor vanishes at lambda_1 = {lam1}: "
+                     "neutral conformal direction",),
+                    ("conformal-branch", "lambda1-data"))
+        return _fails(model, t, f"second factor negative at lambda_1 = {lam1}", lam1)
+    above, below, fails_at, notes, provenance = _ladder_row((r > 0) - (r < 0), n)
+    if _vs(p, q, *above) > 0:
+        return "StrictlyStable", None, (notes[0],), ("conformal-branch",)
+    c = _vs(p, q, *below)
+    if c < 0 or (fails_at and c == 0):
+        return _fails(model, t, notes[1])
+    return "Indeterminate", None, (notes[2],), (provenance,)
 
 
 # ---------------------------------------------------------------------------

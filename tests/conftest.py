@@ -68,6 +68,20 @@ def contains(interval, tau) -> bool:
     return True
 
 
+def second_factor(n, R, t):
+    """Slope and constant (a, b) of the second factor a lambda + b of the
+    conformal polynomial, as a chain of Fraction operations (the oracle)."""
+    return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
+
+
+def q_factor(n, R, t, lam):
+    """The second factor n(n - 4tau + 4n tau)lambda + 2(n-4)(1 + n tau)R at
+    lambda, as a chain of Fraction operations (the oracle); a float lambda
+    converts to its exact value."""
+    a, b = second_factor(n, R, t)
+    return a * Fraction(lam) + b
+
+
 def berger_curve_from_geometry(tau, s, normalized: bool = True) -> float:
     """Berger functional via the structure-constant curvature route.
 

@@ -4,18 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import second_factor
 
 from qcf import rational, spectral, verify
 from qcf._exact import exact_det, exact_rank_nullspace
 from qcf.rational import (
-    _quotient,
     _second_factor,
-    _split,
-    as_exact,
     conformal_killing_symbol,
     conformal_polynomial,
     conformal_s_polynomial,
-    q_factor,
     tau1,
     tau2,
     tt_jacobi,
@@ -93,8 +90,8 @@ def test_q_factor_at_minus_one_over_n():
     """At tau = -1/n the R term drops and the slope is (n-2)^2."""
     for n in (3, 4, 5, 8):
         for lam in (Fraction(2), Fraction(-7, 3)):
-            got = q_factor(n, Fraction(-n * (n - 1)), Fraction(-1, n), lam)
-            assert got == (n - 2) ** 2 * lam
+            a, b = _second_factor(n, Fraction(-n * (n - 1)), Fraction(-1, n))
+            assert a * lam + b == (n - 2) ** 2 * lam
 
 
 def test_symbol_coefficients_vanish_appropriately():
@@ -198,16 +195,16 @@ def test_symbol_trials_and_seed_change_nothing():
             base.injective, base.min_singular_value, base.note)
 
 
-def _span_oracle(verdict, n):
+def _span_oracle(verdict, n, trace_free):
     """Whether g lies in the span of the reported kernel, by exact rank with
     and without g (two eliminations), as kernel_contains_metric decided it
-    before it read M g = 0: the oracle. A trace-free kernel holds
-    coordinate vectors, not symmetric arrays, and never contains g."""
-    if not verdict.kernel or any(np.ndim(k) != 2 for k in verdict.kernel):
+    before it read M g = 0: the oracle. A kernel vector holds coordinates
+    in the E_ij basis (i <= j); a trace-free kernel, in the trace-free
+    block's basis, never contains g."""
+    if not verdict.kernel or trace_free:
         return False
-    basis = [(i, j) for i in range(n) for j in range(i, n)]
-    cols = [[k[i, j] for i, j in basis] for k in verdict.kernel]
-    g = [Fraction(int(i == j)) for i, j in basis]
+    cols = [list(k) for k in verdict.kernel]
+    g = [Fraction(int(i == j)) for i in range(n) for j in range(i, n)]
     rank_with, _ = exact_rank_nullspace(np.array(cols + [g], dtype=object).T)
     rank_without, _ = exact_rank_nullspace(np.array(cols, dtype=object).T)
     return rank_with == rank_without
@@ -220,7 +217,7 @@ def test_kernel_contains_metric_matches_the_span_oracle(n, trace_free):
                 tau2(n) + Fraction(1, 10)):
         v = symbol_injectivity(n, tau, restrict_trace_free=trace_free)
         got = kernel_contains_metric(v, n)
-        assert got == _span_oracle(v, n) == (not trace_free and tau == tau2(n)), (n, tau)
+        assert got == _span_oracle(v, n, trace_free) == (not trace_free and tau == tau2(n)), (n, tau)
 
 
 @pytest.mark.parametrize("n, tau, trace_free", [(5, tau2(5), False), (5, tau2(5), True),
@@ -349,21 +346,11 @@ def test_trace_free_block_equals_projection(n):
                                rtol=0, atol=1e-12 * float(np.max(np.abs(op.matrix))))
 
 
-def _chained_second_factor(n, R, t):
-    """The second factor as a chain of Fraction or float operations, the form
-    it had before each coefficient became one quotient: the oracle."""
-    return n * (n - 4 * t + 4 * n * t), 2 * (n - 4) * (1 + n * t) * R
-
-
-def _chained_conformal_polynomial(n, scal, tau):
-    """conformal_polynomial on the chained second factor (oracle)."""
-    R = as_exact(scal)
-    (an, ad), (bn, bd) = map(_split, _chained_second_factor(n, R, as_exact(tau)))
-    r, s = _split(R)
-    c2 = _quotient((n - 1) * an, 2 * n * ad)
-    c1 = _quotient((n - 1) * bn * ad * s - r * an * bd, 2 * n * ad * bd * s)
-    c0 = _quotient(-r * bn, 2 * n * bd * s)
-    return c0, c1, c2
+def _chained_conformal_polynomial(n, R, tau):
+    """conformal_polynomial's coefficients (c0, c1, c2) as a chain of
+    Fraction operations on the chained second factor (oracle)."""
+    a, b = second_factor(n, R, tau)
+    return -R * b / (2 * n), ((n - 1) * b - R * a) / (2 * n), (n - 1) * a / (2 * n)
 
 
 def _second_factor_inputs(count, seed=17):
@@ -381,26 +368,10 @@ def _second_factor_inputs(count, seed=17):
 
 
 def test_second_factor_keeps_the_chained_values_on_exact_input():
-    for n, R, tau, lam in _second_factor_inputs(20000):
-        got, want = _second_factor(n, R, tau), _chained_second_factor(n, R, tau)
+    for n, R, tau, _ in _second_factor_inputs(20000):
+        got, want = _second_factor(n, R, tau), second_factor(n, R, tau)
         assert got == want and all(type(x) is Fraction for x in got)
-        assert q_factor(n, R, tau, lam) == want[0] * lam + want[1]
         assert tuple(conformal_polynomial(n, R, tau)) == _chained_conformal_polynomial(n, R, tau)
-
-
-def test_second_factor_keeps_the_chained_bits_on_float_input():
-    """Float R or tau (or both) take the chained expression itself."""
-    def bits(values):
-        return [float(v).hex() if isinstance(v, float) else v for v in values]
-
-    for k, (n, R, tau, lam) in enumerate(_second_factor_inputs(2000, seed=18)):
-        R, tau = (float(R), tau) if k % 3 == 0 else (R, float(tau)) if k % 3 == 1 else (
-            float(R), float(tau))
-        want = _chained_second_factor(n, R, tau)
-        assert bits(_second_factor(n, R, tau)) == bits(want)
-        assert bits([q_factor(n, R, tau, float(lam))]) == bits([want[0] * float(lam) + want[1]])
-        assert (bits(conformal_polynomial(n, R, tau))
-                == bits(_chained_conformal_polynomial(n, R, tau)))
 
 
 def test_verify_10_fails_when_the_second_factor_drops_its_r_term(monkeypatch):
@@ -411,7 +382,7 @@ def test_verify_10_fails_when_the_second_factor_drops_its_r_term(monkeypatch):
 
 
 def _horner(p, x):
-    """SpectralPolynomial evaluated as the Fraction (or float) chain (oracle)."""
+    """SpectralPolynomial evaluated as the Fraction chain (oracle)."""
     return (p.c2 * x + p.c1) * x + p.c0
 
 
@@ -446,16 +417,24 @@ def test_polynomial_call_equals_the_horner_chain_on_exact_input():
             assert poly(x) == _horner(poly, x) and type(poly(x)) is Fraction
 
 
-def test_polynomial_call_keeps_the_horner_bits_on_float_input():
-    """A float x, a float coefficient or int coefficients take the chain itself."""
-    for k, (p, x) in enumerate(_polynomial_inputs(1500, seed=24)):
-        cases = [(p, float(x)), (p._replace(c1=float(p.c1)), x),
-                 (p._replace(c0=float(p.c0)), float(x))]
-        for poly, y in cases:
-            got, want = poly(y), _horner(poly, y)
-            assert type(got) is float and got.hex() == want.hex()
-    p = rational.SpectralPolynomial(3, -2, 1)
-    assert p(4) == 11 and type(p(4)) is int
+def test_float_input_gives_the_result_of_its_exact_value():
+    """A float R, tau, eigenvalue or coefficient converts to its exact
+    value: each polynomial, coefficient and value is the one the exact
+    Fraction of the float gives, and a Fraction."""
+    for n, R, tau, lam in _second_factor_inputs(500, seed=18):
+        R, tau, lam = float(R), float(tau), float(lam)
+        eR, et, el = Fraction(R), Fraction(tau), Fraction(lam)
+        assert _second_factor(n, R, tau) == second_factor(n, eR, et)
+        for poly, exact in ((conformal_polynomial(n, R, tau), conformal_polynomial(n, eR, et)),
+                            (tt_polynomial(n, R, tau), tt_polynomial(n, eR, et)),
+                            (conformal_s_polynomial(n, R), conformal_s_polynomial(n, eR))):
+            assert poly == exact and poly(lam) == exact(el)
+            assert all(type(c) is Fraction for c in (*poly, poly(lam)))
+        assert tt_jacobi(n, R, tau, lam) == tt_jacobi(n, eR, et, el)
+    for p, x in _polynomial_inputs(500, seed=24):
+        c1 = float(p.c1)
+        got = p._replace(c1=c1)(float(x))
+        assert got == p._replace(c1=Fraction(c1))(Fraction(float(x))) and type(got) is Fraction
 
 
 def test_verify_10_fails_when_tt_polynomial_moves_its_constant(monkeypatch):

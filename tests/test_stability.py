@@ -11,18 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import contains, passes
+from conftest import contains, passes, q_factor, second_factor
 
 from qcf import stability
 from qcf.catalog import builtin_catalog, function_spectrum
-from qcf.rational import (
-    _second_factor,
-    conformal_polynomial,
-    format_ratio,
-    q_factor,
-    tau1,
-    tau2,
-)
+from qcf.rational import conformal_polynomial, format_ratio, tau1, tau2
 from qcf.stability import (
     BachVerdict,
     InsufficientSpectralData,
@@ -683,7 +676,7 @@ def _oracle_conformal_witness(model, t):
         return None
     spec = stability.function_spectrum(model, 60)
     lich = model.scal / (model.n - 1)
-    a, b = _second_factor(model.n, model.scal, t)
+    a, b = second_factor(model.n, model.scal, t)
     for lam in spec:
         if lam == 0 or lam == lich:
             continue
@@ -883,7 +876,7 @@ def _lambda1_choices(model, t):
     out = [None, Fraction(9, 2), 4.5]
     if model.lambda1 is not None:
         out.append(model.lambda1)
-    a, b = _second_factor(model.n, model.scal, _exact_tau(t))
+    a, b = second_factor(model.n, model.scal, _exact_tau(t))
     if a and -b / a > 0:
         out.append(-b / a)
     return out
@@ -1034,17 +1027,21 @@ def _fraction_news(call) -> int:
 def test_verdicts_build_fractions_only_for_what_they_return(cat, monkeypatch):
     """A verdict decides on integer numerators: it builds no Fraction beyond
     the function spectrum that a witness scan reads (the Fraction-chain
-    checks built 9 and 8 for the first two verdicts), and the scan still
-    looks function_spectrum up on qcf.stability, where the benchmark's
-    tracer wraps it."""
-    for key, tau, variant, most in (("sphere:6", Fraction(-1, 5), "StrictlyStable", 2),
-                                    ("hyperbolic:5", Fraction(-11, 40), "Indeterminate", 2),
-                                    ("sphere:7", Fraction(-1, 3), "FailsConformal", None)):
+    checks built 9 and 8 for the first two verdicts, and the lambda_1
+    branch built 4 when it read the second factor through Fractions), and
+    the scan still looks function_spectrum up on qcf.stability, where the
+    benchmark's tracer wraps it."""
+    for key, tau, lam, variant, most in (
+            ("sphere:6", Fraction(-1, 5), None, "StrictlyStable", 2),
+            ("hyperbolic:5", Fraction(-11, 40), None, "Indeterminate", 2),
+            ("hyperbolic:5", Fraction(-1, 6), Fraction(9, 2), "StableBoundOnly", 0),
+            ("hyperbolic:5", Fraction(-1, 6), Fraction(1, 10), "FailsConformal", 0),
+            ("sphere:7", Fraction(-1, 3), None, "FailsConformal", None)):
         model = cat[key]
-        assert combined_verdict(model, tau).variant == variant
+        assert combined_verdict(model, tau, lam).variant == variant
         if most is None:
             most = _fraction_news(lambda: function_spectrum(model, 60))
-        assert _fraction_news(lambda: combined_verdict(model, tau)) <= most, key
+        assert _fraction_news(lambda: combined_verdict(model, tau, lam)) <= most, (key, lam)
     scans = []
     monkeypatch.setattr(stability, "function_spectrum",
                         lambda model, count: scans.append(count) or function_spectrum(model, count))
@@ -1064,15 +1061,40 @@ def _python_calls(f, *args) -> int:
 def test_plain_verdicts_make_few_python_calls(cat):
     """A verdict that needs no witness scan builds one record, through a
     __new__ that takes the fields by name, and scans the known TT
-    eigenvalues in a plain loop. The bounds are the calls made on
-    Python 3.11: the gap checks that built three records through
-    super().__new__(cls, *args, **kwargs), with a generator over the
-    known eigenvalues and two closures per conformal check, made 32, 28
-    and 30, and a constructor with *args and **kwargs alone adds one
-    call per record."""
-    for key, tau, variant, most in (("sphere:6", Fraction(-1, 5), "StrictlyStable", 24),
-                                    ("hyperbolic:3", Fraction(0), "StableBoundOnly", 21),
-                                    ("hyperbolic:5", Fraction(-11, 40), "Indeterminate", 23)):
+    eigenvalues in a plain loop; the conformal check reads its ladder row,
+    resolved once per dimension (the first verdict below warms it), and
+    the lambda_1 branch reads the sign of the second factor on integers,
+    as the witness scan does. The bounds are the calls made on Python
+    3.11. The gap checks that built three
+    records through super().__new__(cls, *args, **kwargs), with a
+    generator over the known eigenvalues and two closures per conformal
+    check, made 32, 28 and 30, and a constructor with *args and **kwargs
+    alone adds one call per record; the lambda_1 branch made 58 and 61
+    when it evaluated the second factor in Fractions."""
+    for key, tau, lam, variant, most in (
+            ("sphere:6", Fraction(-1, 5), None, "StrictlyStable", 21),
+            ("hyperbolic:3", Fraction(0), None, "StableBoundOnly", 19),
+            ("hyperbolic:5", Fraction(-11, 40), None, "Indeterminate", 20),
+            ("hyperbolic:5", Fraction(-1, 6), Fraction(9, 2), "StableBoundOnly", 30),
+            ("hyperbolic:5", Fraction(-1, 6), Fraction(1, 10), "FailsConformal", 30)):
         model = cat[key]
-        assert combined_verdict(model, tau).variant == variant
-        assert _python_calls(combined_verdict, model, tau) <= most, key
+        assert combined_verdict(model, tau, lam).variant == variant
+        assert _python_calls(combined_verdict, model, tau, lam) <= most, (key, lam)
+
+
+def test_conformal_lower_endpoints_are_where_the_conformal_check_starts_to_pass(cat):
+    """Where an interval's lower endpoint comes from the conformal side, the
+    conformal check is not StrictlyStable at it and is StrictlyStable just
+    above it. Every model but hyperbolic:5..8, whose lower endpoint is a TT
+    contact, has one; the tori, which the interval property tests skip,
+    included."""
+    conformal = []
+    for key, model in cat.items():
+        iv = stability_interval(model)
+        if "conformal" not in iv.lo_provenance:
+            continue
+        conformal.append(key)
+        at = conformal_gap_check(model, iv.lo).variant
+        above = conformal_gap_check(model, iv.lo + Fraction(1, 10**9)).variant
+        assert at != "StrictlyStable" and above == "StrictlyStable", (key, at, above)
+    assert sorted(set(cat) - set(conformal)) == [f"hyperbolic:{n}" for n in range(5, 9)]
