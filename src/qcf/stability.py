@@ -5,9 +5,9 @@ intersects the gap checks _tt_gap and _conformal_gap, which certify positivity
 of the second variation in the transverse-traceless and conformal directions
 (the conformal one as a single ladder of thresholds, a row per sign of R and
 dimension, with lambda_1 deciding where R < 0, n >= 5 and tau > -1/n);
-stability_interval assembles the theorem-backed tau ranges with per-endpoint
-provenance; rigidity_exceptional_taus lists the tau values where the TT kernel
-jumps; bach_verdict runs the dimension-four Weyl-functional checks; and
+stability_interval reads each tau range's ends from the same rules, so extension
+data moves them; rigidity_exceptional_taus lists the tau values where the TT
+kernel jumps; bach_verdict runs the dimension-four Weyl-functional checks; and
 reverse_bishop performs the volume-comparison deduction near a stable positive
 Einstein metric.
 
@@ -24,8 +24,8 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-from qcf.catalog import CatalogError, ModelSpace, function_spectrum
-from qcf.rational import _second_numerators, format_ratio, tau1, tau2
+from qcf.catalog import ModelSpace, function_spectrum
+from qcf.rational import _second_numerators, format_ratio, tau2
 
 
 class InsufficientSpectralData(ValueError):
@@ -114,14 +114,12 @@ class TauInterval(_IntervalFields):
 
 
 def _exact_tau(tau) -> Fraction:
+    """tau as a Fraction; a float converts to its exact value."""
     if isinstance(tau, Fraction):
         return tau
-    if isinstance(tau, int):
-        return Fraction(tau)
-    f = Fraction(tau).limit_denominator(10**12)
-    if abs(float(f) - float(tau)) > 1e-12 * max(1.0, abs(float(tau))):
-        return Fraction(tau)
-    return f
+    if not -math.inf < tau < math.inf:
+        raise ValueError(f"tau must be finite, got {tau}")
+    return Fraction(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -244,49 +242,54 @@ def _fails(model: ModelSpace, t: Fraction, note: str, witness=None) -> tuple:
 
 
 # The conformal decision, one row per sign of R and dimension (3, 4, and 5 for
-# n >= 5): tau above the first threshold is StrictlyStable, below the second
-# (or at it, where the flag holds) FailsConformal, and Indeterminate between,
-# with the three outcomes' notes and the Indeterminate provenance. A threshold
-# is a (num, den) pair, or "t1" or "t2" for tau1(n) or tau2(n); braces in a note
-# fill in n, t1 and t2. For R < 0 and n >= 5 the row covers tau <= -1/n only,
-# where no band is left between its thresholds.
+# n >= 5): tau above the first threshold is StrictlyStable, below the second (or
+# at it, where the flag holds) FailsConformal, and Indeterminate between; a row
+# holds the three outcomes' notes, the first threshold's text as an interval end
+# and the Indeterminate provenance. A threshold is a (num, den) pair, or "t1" or
+# "t2" for tau1(n) or tau2(n); braces in a note fill in n, t1 and t2. For R < 0,
+# n >= 5 the row covers tau <= -1/n only, with no band between its thresholds.
 _NEGATIVE_TAIL = ("negative leading coefficient, the conformal Hessian is negative "
                   "on all sufficiently large eigenvalues")
+_TAU1_END = "conformal threshold (4-3n)/(2n(n-1))"
 _LADDER = {
     (1, 3): ((-3, 8), (-5, 12), False,
              "dimension three, positive scalar curvature: tau above -3/8",
              "dimension three: tau below -5/12 makes the conformal Hessian negative "
              "past the gauge modes",
              "dimension three: tau in [-5/12, -3/8], where neither branch applies",
-             "conformal-branch"),
+             "conformal branch, dimension three", "conformal-branch"),
     (1, 4): ((-1, 3), (-1, 3), False, "dimension four: tau above -1/3",
              "dimension four: tau below -1/3 flips the conformal Hessian negative",
              "tau = -1/3 in dimension four: the functional is conformally invariant, "
              "the conformal Hessian vanishes identically",
-             "conformal-invariance"),
+             _TAU1_END, "conformal-invariance"),
     (1, 5): ("t1", "t2", True, "tau above the threshold {t1} = (4-3n)/(2n(n-1))",
              "tau at or below -n/(4(n-1)) = {t2}: " + _NEGATIVE_TAIL,
              "tau in ({t2}, {t1}]: between the negative and positive branches, "
              "where the statement is silent",
-             "conformal-branch"),
+             _TAU1_END, "conformal-branch"),
     (-1, 3): ((-1, 3), (-3, 8), False,
               "dimension three, negative scalar curvature: tau above -1/3",
               "dimension three, negative scalar curvature: tau below -3/8",
-              "dimension three: tau in [-3/8, -1/3]", "conformal-branch"),
+              "dimension three: tau in [-3/8, -1/3]",
+              "conformal threshold -1/3, dimension three", "conformal-branch"),
     (-1, 4): ((-1, 3), (-1, 3), False, "dimension four: tau above -1/3",
               "dimension four: tau below -1/3",
-              "tau = -1/3 in dimension four: conformal invariance", "conformal-invariance"),
+              "tau = -1/3 in dimension four: conformal invariance",
+              "conformal threshold -1/3, coinciding with the TT bound endpoint",
+              "conformal-invariance"),
     (-1, 5): ("t2", "t2", True,
               "tau in ({t2}, -1/{n}]: second factor positive on all positive "
               "eigenvalues regardless of lambda_1",
-              "tau at or below {t2}: " + _NEGATIVE_TAIL, None, None),
+              "tau at or below {t2}: " + _NEGATIVE_TAIL, None,
+              "conformal threshold -n/(4(n-1))", None),
     **dict.fromkeys(((0, 3), (0, 4), (0, 5)), (
         "t2", "t2", False,
         "scalar-flat: polynomial reduces to a positive multiple of lambda^2 for tau "
         "above -n/(4(n-1))",
         "scalar-flat: negative multiple of lambda^2 below -n/(4(n-1))",
         "scalar-flat at tau = -n/(4(n-1)): the conformal polynomial vanishes identically",
-        "conformal-branch")),
+        "scalar-flat conformal threshold -n/(4(n-1))", "conformal-branch")),
 }
 
 
@@ -346,77 +349,69 @@ def _conformal_gap(model: ModelSpace, t: Fraction, lambda1_override: Fraction | 
 # intervals
 
 
-def stability_interval(model: ModelSpace) -> TauInterval:
-    """Theorem-backed open tau range where both gap checks pass.
+# The provenance of a TT end where the moving root meets the tail bound, with the
+# bound's name: every built-in TT contact lies at its model's tail bound
+_TT_TAIL = {
+    **dict.fromkeys(("sphere", "quotient"),
+                    ("TT gap closes at the first Lichnerowicz eigenvalue", "4n")),
+    "cp": ("TT gap closes at the first eigenvalue", "8(m+2)"),
+    "product": ("TT forbidden interval reaches the spectral tail bound", "2m"),
+    "hyperbolic": ("TT forbidden interval reaches the lower bound", "-n"),
+}
 
-    Endpoints carry provenance by content; bound-only data (hyperbolic)
-    downgrades the inside verdict to StableBoundOnly; the flat torus
-    gets a conformal-only interval because its parallel TT kernel makes
-    stability non-strict at every tau.
+
+def _contact_tau(model: ModelSpace, mu: Fraction) -> Fraction:
+    """tau(mu) = (mu n - 4R)/(2nR), where the moving TT root (4/n + 2 tau)R is mu."""
+    n, R = model.n, model.scal
+    return (mu * n - 4 * R) / (2 * n * R)
+
+
+def stability_interval(model: ModelSpace) -> TauInterval:
+    """The open tau range where both gap checks pass, each end with its provenance.
+
+    The conformal end is the first threshold of the model's _LADDER row (R < 0,
+    n >= 5 closes at -1/n, beyond which the lambda_1 branch needs data). A TT end
+    is tau(mu) at the first spectral value, known or the tail bound, that the
+    moving root (4/n + 2 tau)R meets on either side of the fixed root 2R/n; it
+    replaces the conformal end where strictly tighter. Inside, the verdict is the
+    TT check's at the fixed root; where that fails already (the flat torus's
+    parallel TT kernel), no tau passes and the conformal range is Indeterminate.
     """
-    n = model.n
-    v = model.variant
-    if v in ("sphere", "quotient"):
-        lo = Fraction(-3, 8) if n == 3 else tau1(n)
-        lo_prov = ("conformal branch, dimension three" if n == 3 else
-                   "conformal threshold (4-3n)/(2n(n-1))")
-        hi = Fraction(2, n * (n - 1))
-        notes = ()
-        if v == "quotient":
-            notes = ("constant-curvature quotient: conformal kernel "
-                     "directions are not essential and are skipped",)
-        return TauInterval(
-            lo, hi, lo_provenance=lo_prov,
-            hi_provenance="TT gap closes at the first Lichnerowicz "
-                          "eigenvalue 4n",
-            notes=notes)
-    if v == "cp":
-        m = model.m
-        return TauInterval(
-            tau1(n), Fraction(1, m * (m + 1)),
-            lo_provenance="conformal threshold (4-3n)/(2n(n-1))",
-            hi_provenance="TT gap closes at the first eigenvalue 8(m+2)")
-    if v == "product":
-        m = model.m
-        notes = ()
-        if m >= 3:
-            notes = ("optimality: unknown (the upper endpoint comes from the "
-                     "tail bound 2m, not from a known eigenvalue)",)
-        return TauInterval(
-            tau1(n), Fraction(2 - m, 2 * m * (m - 1)),
-            lo_provenance="conformal threshold (4-3n)/(2n(n-1))",
-            hi_provenance="TT forbidden interval reaches the spectral "
-                          "tail bound 2m",
-            notes=notes)
-    if v == "hyperbolic":
-        if n in (3, 4):
-            lo_prov = ("conformal threshold -1/3, dimension three" if n == 3
-                       else "conformal threshold -1/3, coinciding with the "
-                            "TT bound endpoint")
-            return TauInterval(
-                Fraction(-1, 3), None,
-                lo_provenance=lo_prov,
-                hi_provenance="unbounded: forbidden TT interval stays below "
-                              "the lower bound for all larger tau",
-                verdict_inside="StableBoundOnly",
-                notes=("TT spectrum known only through the lower bound -n",))
-        return TauInterval(
-            tau1(n), Fraction(-1, n), hi_open=False,
-            lo_provenance="TT forbidden interval reaches the lower bound -n",
-            hi_provenance="conformal branch closes at -1/n; beyond it the "
-                          "first Laplace eigenvalue would be needed",
-            verdict_inside="StableBoundOnly",
-            notes=("TT spectrum known only through the lower bound -n",))
-    if v == "torus":
-        return TauInterval(
-            tau2(n), None,
-            lo_provenance="scalar-flat conformal threshold -n/(4(n-1))",
-            hi_provenance="unbounded",
-            verdict_inside="Indeterminate",
-            notes=("conformal direction only: parallel trace-free tensors "
-                   "are a neutral TT kernel at every tau, so stability is "
-                   "never strict",))
-    raise CatalogError(f"no interval logic for variant {v}")
+    n, R, tt = model.n, model.scal, model.tt
+    above, _, _, texts, _ = _ladder_row((R > 0) - (R < 0), n)
+    lo, lo_prov, hi, hi_open, hi_prov = Fraction(*above), texts[3], None, True, "unbounded"
+    if R < 0 and n >= 5:
+        hi, hi_open = Fraction(-1, n), False
+        hi_prov = ("conformal branch closes at -1/n; beyond it the first Laplace "
+                   "eigenvalue would be needed")
+    inside = _tt_gap(model, Fraction(-1, n))[0]  # the forbidden interval is 2R/n alone
+    if inside not in ("StrictlyStable", "StableBoundOnly"):
+        return TauInterval(lo, hi, True, hi_open, lo_prov, hi_prov, (
+            "conformal direction only: parallel trace-free tensors are a neutral TT "
+            "kernel at every tau, so stability is never strict",), "Indeterminate")
+    fixed, known, tail = 2 * R / n, [e.mu for e in tt.known], tt.tail_bound
+    up = min([mu for mu in known if mu > fixed] + [tail])
+    down = max((mu for mu in known if mu < fixed), default=None)
+    lo_mu, hi_mu = (down, up) if R > 0 else (up, down) if R < 0 else (None, None)
+
+    def end(mu):
+        what = (" ".join(_TT_TAIL[model.variant]) if mu == tail
+                else f"TT gap closes at the known eigenvalue {mu}")
+        return _contact_tau(model, mu), what
+    if lo_mu is not None and end(lo_mu)[0] > lo:
+        lo, lo_prov = end(lo_mu)
+    if hi_mu is not None and (hi is None or end(hi_mu)[0] < hi):
+        (hi, hi_prov), hi_open = end(hi_mu), True
+    elif hi is None and R < 0:
+        hi_prov = "unbounded: forbidden TT interval stays below the lower bound for all larger tau"
+    notes = ("TT spectrum known only through the lower bound -n",) if tt.is_bound else ()
+    if model.spectra_are_subsets:
+        notes += ("constant-curvature quotient: conformal kernel directions are not "
+                  "essential and are skipped",)
+    if hi_mu == tail and tail not in known:
+        notes += (f"optimality: unknown (the upper endpoint comes from the tail bound "
+                  f"{_TT_TAIL[model.variant][1]}, not from a known eigenvalue)",)
+    return TauInterval(lo, hi, True, hi_open, lo_prov, hi_prov, notes, inside)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +483,7 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
     out = []
     # tau(mu) has slope 1/(2R) != 0, so distinct mu give distinct tau
     for mu in sorted(set(mus)):
-        t = Fraction(mu * n - 4 * R, 2 * n * R)
+        t = _contact_tau(model, mu)
         note = _KERNEL_NOTES.get((model.variant, mu), "")
         if mu == first_factor_root:
             note = (note + "; " if note else "") + (
@@ -652,10 +647,9 @@ def combined_verdict(model: ModelSpace, tau,
     An impossible lambda1_override is refused even where the TT check
     alone decides the verdict.
     """
-    if lambda1_override is not None and not lambda1_override > 0:
-        raise ValueError("lambda1 must be a positive eigenvalue, got "
-                         f"{format_ratio(lambda1_override)}")
-    t = _exact_tau(tau)
+    if lambda1_override is not None and not 0 < lambda1_override < math.inf:
+        raise ValueError(f"lambda1 must be a positive eigenvalue, got {lambda1_override}")
+    t = tau if isinstance(tau, Fraction) else _exact_tau(tau)  # a Fraction skips the call
     tt_v = _tt_gap(model, t)
     if tt_v[0] == "FailsTT":
         return StabilityVerdict(*tt_v)

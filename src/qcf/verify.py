@@ -58,6 +58,7 @@ def check_intervals(loaded=None) -> CheckResult:
     expected["sphere:3"] = (Fraction(-3, 8), Fraction(1, 3), True, True)
     for n in range(4, 9):
         expected[f"sphere:{n}"] = (tau1(n), Fraction(2, n * (n - 1)), True, True)
+    expected["quotient:4:2"] = (Fraction(-1, 3), Fraction(1, 6), True, True)
     for m in (2, 3, 4):
         expected[f"cp:{m}"] = (tau1(2 * m), Fraction(1, m * (m + 1)), True, True)
         expected[f"product:{m}"] = (tau1(2 * m),

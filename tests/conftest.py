@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qcf.catalog import TTEigenvalue
 from qcf.rational import format_ratio
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,6 +49,13 @@ def load_perfbench(name: str):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def with_tt_eigenvalue(model, mu):
+    """model with mu appended to its known TT eigenvalues, as an extension
+    catalog can give it."""
+    tt = model.tt._replace(known=model.tt.known + (TTEigenvalue(Fraction(mu)),))
+    return model._replace(tt=tt)
 
 
 def passes(verdict) -> bool:

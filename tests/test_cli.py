@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 from click.testing import CliRunner
-from conftest import catalog_json
+from conftest import catalog_json, with_tt_eigenvalue
 
 from qcf.cli import main
 
@@ -570,6 +570,30 @@ def test_impossible_extension_catalog_exits_2(runner, tmp_path, monkeypatch,
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.stderr == f"error: {key}: {named.format(path=path)}\n"
+
+
+def test_intervals_follow_an_extension_catalog(runner, schema, tmp_path, monkeypatch):
+    """A QCF_CATALOG override of product:3 with one more known TT eigenvalue,
+    mu = 5, closes the interval at tau(5) = -1/8 in text and json, and the
+    point verdict at -1/10, past that end, fails TT."""
+    from qcf.catalog import builtin_catalog
+
+    model = with_tt_eigenvalue(builtin_catalog()["product:3"], 5)
+    path = tmp_path / "extension.json"
+    path.write_text(json.dumps(catalog_json([model])))
+    monkeypatch.setenv("QCF_CATALOG", str(path))
+    res = invoke(runner, ["intervals", "--model", "product:3"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[:3] == [
+        "S^3 x S^3: tau in (-7/30, -1/8) -> StrictlyStable",
+        "  lower endpoint: conformal threshold (4-3n)/(2n(n-1))",
+        "  upper endpoint: TT gap closes at the known eigenvalue 5"]
+    res = invoke(runner, ["intervals", "--model", "product:3", "--format", "json"])
+    obj = json.loads(res.stdout)
+    jsonschema.validate(obj, schema)
+    assert (obj["lo"], obj["hi"], obj["notes"]) == ("-7/30", "-1/8", [])
+    res = invoke(runner, ["intervals", "--model", "product:3", "--tau", "-1/10"])
+    assert res.output.startswith("S^3 x S^3 at tau = -1/10: FailsTT")
 
 
 @pytest.mark.parametrize("args", [

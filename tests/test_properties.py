@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import berger_curve_from_geometry, contains, passes
-from hypothesis import assume, given, settings
+from conftest import berger_curve_from_geometry, contains, passes, with_tt_eigenvalue
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcf import homogeneous
-from qcf.catalog import builtin_catalog
+from qcf.catalog import builtin_catalog, validate_model
 from qcf.rational import (
     conformal_polynomial,
     conformal_s_polynomial,
@@ -176,40 +176,49 @@ def test_negated_cov1_cancels_in_the_gradient(monkeypatch):
         assert homogeneous.gradient_F(sc, g, tau).tobytes() == w.tobytes()
 
 
-_INTERVAL_KEYS = [
-    key for key in sorted(builtin_catalog())
-    # the flat torus interval is conformal-only (never strict), so the
-    # inside-implies-pass property does not apply to it
-    if not key.startswith("torus")
-]
+_INTERVAL_KEYS = sorted(builtin_catalog())
+# the families whose TT data an extension catalog can give one more known
+# eigenvalue and still pass validate_model
+_EXTENSION_KEYS = [key for key in _INTERVAL_KEYS
+                   if key.partition(":")[0] in ("sphere", "cp", "product", "quotient")]
+edge_fractions = st.fractions(min_value=Fraction(0), max_value=Fraction(99, 100),
+                              max_denominator=100)
+extension_v = st.fractions(min_value=Fraction(-1), max_value=Fraction(2), max_denominator=12)
 
 
-@pytest.mark.parametrize("key", _INTERVAL_KEYS)
-@settings(max_examples=12, deadline=None)
-@given(u=unit_fractions)
-def test_verdict_passes_inside_interval(key, u):
-    model = builtin_catalog()[key]
+def _extension(key: str, v: Fraction):
+    """Catalog model `key` with one more known TT eigenvalue, at 2R/n + v (tail - 2R/n):
+    v = 0 puts it on the fixed TT root, v = 1 on the tail bound."""
+    base = builtin_catalog()[key]
+    fixed, tail = 2 * base.scal / base.n, base.tt.tail_bound
+    model = with_tt_eigenvalue(base, fixed + (tail - fixed) * v)
+    validate_model(model)
+    return model
+
+
+def _check_inside(model, u: Fraction) -> None:
+    """Where the interval's inside passes, tau at fraction u of the way
+    across it passes with that verdict; where it is Indeterminate, the
+    verdict does not pass."""
     iv = stability_interval(model)
-    if iv.hi is None:
-        tau = iv.lo + 10 * u
-    else:
-        tau = iv.lo + (iv.hi - iv.lo) * u
+    tau = iv.lo + 10 * u if iv.hi is None else iv.lo + (iv.hi - iv.lo) * u
     assume(contains(iv, tau))
-    assert passes(combined_verdict(model, tau))
+    verdict = combined_verdict(model, tau)
+    if iv.verdict_inside == "Indeterminate":
+        assert not passes(verdict)
+    else:
+        assert verdict.variant == iv.verdict_inside
 
 
-@pytest.mark.parametrize("key", _INTERVAL_KEYS)
-@settings(max_examples=12, deadline=None)
-@given(u=unit_fractions, above=st.booleans())
-def test_verdict_never_passes_outside_interval(key, u, above):
-    model = builtin_catalog()[key]
+def _check_outside(model, u: Fraction, above: bool) -> None:
+    """No tau outside the interval passes, its open ends included."""
     iv = stability_interval(model)
     if above:
         assume(iv.hi is not None)
         tau = iv.hi + 2 * u
-        assume(not contains(iv, tau))
     else:
         tau = iv.lo - 2 * u
+    assume(not contains(iv, tau))
     try:
         verdict = combined_verdict(model, tau)
     except InsufficientSpectralData:
@@ -217,6 +226,37 @@ def test_verdict_never_passes_outside_interval(key, u, above):
         # without it the query cannot pass, which is what matters here
         return
     assert not passes(verdict)
+
+
+@pytest.mark.parametrize("key", _INTERVAL_KEYS)
+@settings(max_examples=12, deadline=None)
+@given(u=unit_fractions)
+def test_verdict_passes_inside_interval(key, u):
+    _check_inside(builtin_catalog()[key], u)
+
+
+@pytest.mark.parametrize("key", _INTERVAL_KEYS)
+@settings(max_examples=12, deadline=None)
+@given(u=edge_fractions, above=st.booleans())
+def test_verdict_never_passes_outside_interval(key, u, above):
+    _check_outside(builtin_catalog()[key], u, above)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(_EXTENSION_KEYS), v=extension_v, u=unit_fractions)
+@example(key="product:3", v=Fraction(1, 2), u=Fraction(9, 10))
+@example(key="sphere:4", v=Fraction(2, 5), u=Fraction(9, 10))
+def test_extension_verdict_passes_inside_interval(key, v, u):
+    _check_inside(_extension(key, v), u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(_EXTENSION_KEYS), v=extension_v, u=edge_fractions,
+       above=st.booleans())
+@example(key="product:3", v=Fraction(1, 2), u=Fraction(0), above=True)
+@example(key="sphere:4", v=Fraction(0), u=Fraction(1, 2), above=False)
+def test_extension_verdict_never_passes_outside_interval(key, v, u, above):
+    _check_outside(_extension(key, v), u, above)
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,11 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import contains, passes, q_factor, second_factor
+from conftest import contains, passes, q_factor, second_factor, with_tt_eigenvalue
 
 from qcf import stability
-from qcf.catalog import builtin_catalog, function_spectrum
-from qcf.rational import conformal_polynomial, format_ratio, tau1, tau2
+from qcf.catalog import builtin_catalog, function_spectrum, validate_model
+from qcf.rational import conformal_polynomial, tau1, tau2
 from qcf.stability import (
     BachVerdict,
     InsufficientSpectralData,
@@ -39,8 +39,8 @@ def cat():
 
 
 def _check_lambda1(lam) -> None:
-    if lam is not None and not lam > 0:
-        raise ValueError(f"lambda1 must be a positive eigenvalue, got {format_ratio(lam)}")
+    if lam is not None and not 0 < lam < math.inf:
+        raise ValueError(f"lambda1 must be a positive eigenvalue, got {lam}")
 
 
 # The two gap checks one at a time, each as a verdict record: combined_verdict
@@ -305,6 +305,122 @@ def test_interval_endpoints_table(cat):
     iv = stability_interval(cat["torus:5"])
     assert iv.lo == tau2(5) and iv.hi is None
     assert iv.verdict_inside == "Indeterminate"
+
+
+# Every built-in interval as (lo, hi, lo_open, hi_open, verdict_inside), as the
+# per-variant endpoint table printed them before the ends came from the gap rules
+_BUILTIN_INTERVALS = {
+    "cp:2": ("-1/3", "1/6", True, True, "StrictlyStable"),
+    "cp:3": ("-7/30", "1/12", True, True, "StrictlyStable"),
+    "cp:4": ("-5/28", "1/20", True, True, "StrictlyStable"),
+    "hyperbolic:3": ("-1/3", None, True, True, "StableBoundOnly"),
+    "hyperbolic:4": ("-1/3", None, True, True, "StableBoundOnly"),
+    "hyperbolic:5": ("-11/40", "-1/5", True, False, "StableBoundOnly"),
+    "hyperbolic:6": ("-7/30", "-1/6", True, False, "StableBoundOnly"),
+    "hyperbolic:7": ("-17/84", "-1/7", True, False, "StableBoundOnly"),
+    "hyperbolic:8": ("-5/28", "-1/8", True, False, "StableBoundOnly"),
+    "product:2": ("-1/3", "0", True, True, "StrictlyStable"),
+    "product:3": ("-7/30", "-1/12", True, True, "StrictlyStable"),
+    "product:4": ("-5/28", "-1/12", True, True, "StrictlyStable"),
+    "quotient:4:2": ("-1/3", "1/6", True, True, "StrictlyStable"),
+    "sphere:3": ("-3/8", "1/3", True, True, "StrictlyStable"),
+    "sphere:4": ("-1/3", "1/6", True, True, "StrictlyStable"),
+    "sphere:5": ("-11/40", "1/10", True, True, "StrictlyStable"),
+    "sphere:6": ("-7/30", "1/15", True, True, "StrictlyStable"),
+    "sphere:7": ("-17/84", "1/21", True, True, "StrictlyStable"),
+    "sphere:8": ("-5/28", "1/28", True, True, "StrictlyStable"),
+    "torus:3": ("-3/8", None, True, True, "Indeterminate"),
+    "torus:4": ("-1/3", None, True, True, "Indeterminate"),
+    "torus:5": ("-5/16", None, True, True, "Indeterminate"),
+    "torus:6": ("-3/10", None, True, True, "Indeterminate"),
+    "torus:7": ("-7/24", None, True, True, "Indeterminate"),
+    "torus:8": ("-2/7", None, True, True, "Indeterminate"),
+}
+
+
+def test_every_builtin_interval_matches_the_literal_table(cat):
+    assert sorted(cat) == sorted(_BUILTIN_INTERVALS)
+    for key, (lo, hi, lo_open, hi_open, inside) in _BUILTIN_INTERVALS.items():
+        iv = stability_interval(cat[key])
+        want = (Fraction(lo), hi and Fraction(hi), lo_open, hi_open, inside)
+        assert (iv.lo, iv.hi, iv.lo_open, iv.hi_open, iv.verdict_inside) == want, key
+
+
+@pytest.mark.parametrize("key,mu,lo,hi,hi_prov", [
+    ("product:3", 5, "-7/30", "-1/8", "TT gap closes at the known eigenvalue 5"),
+    ("sphere:4", 10, "-1/3", "-1/12", "TT gap closes at the known eigenvalue 10"),
+    ("quotient:4:2", 10, "-1/3", "-1/12", "TT gap closes at the known eigenvalue 10"),
+    ("sphere:4", 20, "-1/3", "1/6", "TT gap closes at the first Lichnerowicz eigenvalue 4n"),
+], ids=["product:3+5", "sphere:4+10", "quotient:4:2+10", "sphere:4+20"])
+def test_interval_follows_an_extra_known_tt_eigenvalue(cat, key, mu, lo, hi, hi_prov):
+    """An extra known TT eigenvalue between the fixed root 2R/n and the tail
+    bound closes the interval at tau(mu), as the point verdicts do; one past
+    the tail bound moves nothing."""
+    model = with_tt_eigenvalue(cat[key], mu)
+    validate_model(model)
+    iv = stability_interval(model)
+    assert (iv.lo, iv.hi, iv.hi_provenance) == (Fraction(lo), Fraction(hi), hi_prov)
+    assert not passes(combined_verdict(model, iv.hi))
+    assert passes(combined_verdict(model, iv.hi - Fraction(1, 10**6)))
+    assert not any("optimality" in note for note in iv.notes)
+
+
+def test_interval_lower_end_follows_a_known_tt_eigenvalue_below_the_fixed_root(cat):
+    """sphere:4 (2R/n = 6) with mu = 5: the moving root meets 5 at
+    tau = -7/24, above the conformal threshold -1/3."""
+    model = with_tt_eigenvalue(cat["sphere:4"], 5)
+    iv = stability_interval(model)
+    assert iv.lo == Fraction(-7, 24)
+    assert iv.lo_provenance == "TT gap closes at the known eigenvalue 5"
+    assert combined_verdict(model, iv.lo).variant == "FailsTT"
+    assert passes(combined_verdict(model, iv.lo + Fraction(1, 10**6)))
+
+
+@pytest.mark.parametrize("key", ["sphere:4", "product:2", "quotient:4:2"])
+def test_a_known_tt_eigenvalue_at_the_fixed_root_leaves_no_passing_tau(cat, key):
+    """With 2R/n itself a known TT eigenvalue, every forbidden interval holds
+    it: the report is the conformal range with Indeterminate inside, as on
+    the flat torus."""
+    model = cat[key]
+    model = with_tt_eigenvalue(model, 2 * model.scal / model.n)
+    iv = stability_interval(model)
+    assert (iv.lo, iv.hi, iv.verdict_inside) == (stability_interval(cat[key]).lo, None,
+                                                 "Indeterminate")
+    for tau in (iv.lo + Fraction(1, 100), Fraction(-1, model.n), Fraction(0), Fraction(5)):
+        assert not passes(combined_verdict(model, tau))
+
+
+def test_an_interval_needs_tt_data(cat):
+    """Its TT ends come from the TT data, so a model without any (an extension
+    catalog's "tt": null) gets no interval, as it gets no verdict."""
+    with pytest.raises(InsufficientSpectralData, match="sphere:4: no TT spectral data"):
+        stability_interval(cat["sphere:4"]._replace(tt=None))
+
+
+@pytest.mark.parametrize("tau,lam,message", [
+    (Fraction(-1, 6), math.inf, "lambda1 must be a positive eigenvalue, got inf"),
+    (Fraction(-1, 6), math.nan, "lambda1 must be a positive eigenvalue, got nan"),
+    (Fraction(-1, 6), -math.inf, "lambda1 must be a positive eigenvalue, got -inf"),
+    (math.inf, None, "tau must be finite, got inf"),
+    (-math.inf, None, "tau must be finite, got -inf"),
+    (math.nan, None, "tau must be finite, got nan"),
+], ids=["lambda1-inf", "lambda1-nan", "lambda1-minus-inf", "tau-inf", "tau-minus-inf", "tau-nan"])
+def test_non_finite_input_is_refused(cat, tau, lam, message):
+    """A non-finite lambda_1 or tau is one ValueError naming it, not an
+    OverflowError or a formatting error."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        combined_verdict(cat["hyperbolic:5"], tau, lam)
+
+
+def test_a_float_tau_decides_at_its_exact_value(cat):
+    """0.1 is 3602879701896397/2^55, a little above 1/10: the verdict and
+    its JSON read that value, not 1/10, as reverse_bishop and the rational
+    helpers read floats."""
+    model = cat["sphere:4"]
+    assert _exact_tau(0.1) == Fraction(0.1) != Fraction(1, 10)
+    v = combined_verdict(model, 0.1)
+    assert v == combined_verdict(model, Fraction(0.1))
+    assert verdict_to_json(model, 0.1, v)["tau"] == {"num": 3602879701896397, "den": 2**55}
 
 
 def test_interval_membership_agrees_with_verdicts(cat):
