@@ -363,6 +363,11 @@ def model_from_json(obj: dict) -> ModelSpace:
             is_bound=bool(t.get("is_bound", False)),
             is_subset=bool(t.get("is_subset", False)),
         )
+        mus = [e.mu for e in tt.known]
+        if any(a >= b for a, b in zip(mus, mus[1:])):
+            # validate_model checks each family's first eigenvalue: none may follow it smaller
+            raise CatalogError(f"{obj['key']}: known TT eigenvalues "
+                               f"{', '.join(map(str, mus))} are not strictly increasing")
     vol = ExactVolume.from_json(obj["volume"]) if obj.get("volume") else None
     lam = parse_ratio(str(obj["lambda1"])) if obj.get("lambda1") is not None else None
     return ModelSpace(

@@ -4,18 +4,22 @@ Every command emits deterministic output for a fixed argv and seed.
 Exact thresholds travel as ratio strings ("p/q"); JSON reports carry a
 "kind" field and validate against qcf/schemas/report.schema.json before
 being printed. Exit codes: 0 success, 1 verification failure, 2 invalid
-input, 3 insufficient spectral data; the group's main() prints each
-failure as one stderr line.
+input, 3 insufficient spectral data; `main.main()` prints each failure
+as one stderr line.
 
-Only the numpy-free modules are imported here. The commands that need
-numpy (grad, symbol without --conformal-killing, verify) import it, and
-the modules built on it, when they run, and jsonschema is imported only
-to validate a JSON report. No command loads concurrent.futures (or the
-logging it imports): every curve sweep runs on one thread.
+The front end is the standard library's argparse, and `_COMMANDS` holds
+every command with its options; a process builds the parser of the one
+command it runs. Only the numpy-free modules are imported here. The
+commands that need numpy (grad, symbol without --conformal-killing,
+verify) import it, and the modules built on it, when they run, and
+jsonschema is imported only to validate a JSON report. No command loads
+concurrent.futures (or the logging it imports): every curve sweep runs
+on one thread.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -23,8 +27,6 @@ import sys
 import warnings
 from fractions import Fraction
 from importlib import resources
-
-import click
 
 from qcf import functionals, rational, stability
 from qcf.catalog import load_catalog, resolve_model
@@ -57,7 +59,7 @@ def _emit_json(obj: dict) -> None:
     import jsonschema
 
     jsonschema.validate(obj, _report_schema())
-    click.echo(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _require_finite(values) -> None:
@@ -70,89 +72,140 @@ def _require_finite(values) -> None:
         raise ValueError("result is not finite at this input (float overflow)")
 
 
-class RatioType(click.ParamType):
-    """Accepts exact 'p/q' syntax, integers, and decimal literals.
-
-    Every finite literal parses to an exact ratio, so thresholds like 1/3
-    survive; inf and nan are rejected.
-    """
-
-    name = "ratio"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
-        try:
-            return parse_ratio(str(value))
-        except (ValueError, ZeroDivisionError):
-            text = str(value)  # a long input is quoted by its first 40 characters
-            shown = (repr(value) if len(text) <= 40
-                     else f"{text[:40]!r}... ({len(text)} characters)")
-            self.fail(f"{shown} is not a finite 'p/q' or decimal", param, ctx)
+# ---------------------------------------------------------------------------
+# the command line: converters, argparse, and the one error path
 
 
-RATIO = RatioType()
+def _ratio(text: str) -> Fraction:
+    """Exact 'p/q' syntax, an integer or a decimal literal: every finite
+    literal parses to an exact ratio, so thresholds like 1/3 survive."""
+    try:
+        return parse_ratio(text)
+    except (ValueError, ZeroDivisionError):
+        # a long input is quoted by its first 40 characters
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"{shown} is not a finite 'p/q' or decimal") from None
 
 
-class FiniteFloat(click.types.FloatParamType):
+def _float(positive: bool = False):
     """A float that must be finite, and positive when ``positive`` is set."""
-
-    def __init__(self, positive: bool = False):
-        self.positive = positive
-
-    def convert(self, value, param, ctx):
-        x = super().convert(value, param, ctx)
+    def convert(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid float.") from None
         if not math.isfinite(x):
-            self.fail(f"{value!r} is not finite", param, ctx)
-        if self.positive and x <= 0:
-            self.fail(f"{value!r} is not positive", param, ctx)
+            raise ValueError(f"{text!r} is not finite")
+        if positive and x <= 0:
+            raise ValueError(f"{text!r} is not positive")
         return x
+    return convert
 
 
-FINITE = FiniteFloat()
-POSITIVE = FiniteFloat(positive=True)
+def _int(lo: int | None = None, hi: int | None = None):
+    """An integer, within [lo, hi] when the bounds are given."""
+    def convert(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid integer.") from None
+        if lo is not None and not lo <= k <= hi:
+            raise ValueError(f"{k} is not in the range {lo}<=x<={hi}.")
+        return k
+    return convert
 
 
-def model_options(fn):
-    fn = click.option("--order", type=int, default=None,
-                      help="Quotient order (quotient models).")(fn)
-    fn = click.option("--m", "m_", type=int, default=None,
-                      help="Complex dimension / factor dimension for cp and product models.")(fn)
-    fn = click.option("--dim", type=int, default=None,
-                      help="Dimension for sphere, hyperbolic, torus, quotient models.")(fn)
-    fn = click.option("--model", required=True,
-                      help="Catalog key ('sphere:4') or family name plus --dim/--m.")(fn)
-    return fn
+class _UsageError(Exception):
+    """A malformed command line; not a ValueError, so argparse lets it through."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error raised for the one error path instead of printed."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _opt(name: str, convert=None, **kwargs) -> tuple:
+    """One option of a command: its name and argparse's keywords. `convert`
+    parses its value; the ValueError it raises is the reason of the usage
+    error "Invalid value for '--name': <reason>"."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise _UsageError(f"Invalid value for '{name}': {exc}") from None
+    return name, dict(kwargs, type=parse) if convert else kwargs
+
+
+def _attach(argv: list[str], takes_value: set[str]) -> list[str]:
+    """argv with each option that takes a value joined to it (--tau=-1/2).
+
+    As in click, the token after such an option is its value, whatever it
+    looks like; argparse alone reads -1/2 or -1.5e-1 as an option name.
+    `--` ends the options, and nothing may follow it.
+    """
+    out, rest = [], iter(argv)
+    for tok in rest:
+        if tok == "--":
+            extra = list(rest)
+            if extra:
+                raise _UsageError(f"unexpected extra arguments: {' '.join(extra)}")
+            break
+        value = next(rest, None) if tok in takes_value else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
+def _run(prog: str, argv: list[str]) -> None:
+    """Parse argv with the parser of its command alone and run that command."""
+    if argv[:1] == ["--help"]:
+        print(f"usage: {prog} COMMAND [--help] [OPTIONS]", "", "commands:",
+              *("  " + name.ljust(11) + (fn.__doc__ or "").partition("\n")[0]
+                for name, (fn, _) in _COMMANDS.items()), sep="\n")
+        return
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"no such command {argv[0]!r}" if argv else "missing command"
+        raise _UsageError(f"{given}; choose from {', '.join(_COMMANDS)} (or --help)")
+    fn, options = _COMMANDS[argv[0]]
+    parser = _Parser(prog=f"{prog} {argv[0]}", description=fn.__doc__, add_help=False,
+                     allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    takes_value = set()
+    for name, kwargs in options:  # a flag takes no value (nargs 0)
+        if parser.add_argument(name, **kwargs).nargs != 0:
+            takes_value.add(name)
+    fn(**vars(parser.parse_args(_attach(argv[1:], takes_value))))
 
 
 # the messages of numpy's floating-point warnings
 _FLOAT_WARNING = "(overflow|invalid value|divide by zero|underflow) encountered"
 
 
-class _QcfGroup(click.Group):
-    """The one error path: every failure ends as one stderr line and an exit code.
+class _Main:
+    """The `qcf` entry point and its one error path: every failure ends as
+    one stderr line and an exit code. A usage error prints `error: ...`
+    with exit 2 (no usage block), InsufficientSpectralData `insufficient
+    data: ...` with exit 3, and bad input or data `error: ...` with exit
+    2; a number the line quotes is cut to 40 digits. numpy's float
+    warnings are ignored: an overflow shows as a non-finite result
+    (_require_finite), not as a warning. Every run ends in SystemExit.
 
-    Usage errors print `error: ...` with click's exit code (no usage block),
-    InsufficientSpectralData `insufficient data: ...` with exit 3, and bad
-    input or data exit 2; a number the line quotes is cut to 40 digits.
-    numpy's float warnings are ignored: an overflow shows as a non-finite
-    result (_require_finite), not as a warning. With standalone_mode=False
-    errors reach the caller, as click documents.
+    `name` and the signature of `main` are the ones the benchmark's
+    launcher and its recorder (through click.testing.CliRunner) call;
+    the launcher passes standalone_mode=True, the only mode there is.
     """
 
-    def main(self, *args, standalone_mode: bool = True, **kwargs):
-        if not standalone_mode:
-            return super().main(*args, standalone_mode=False, **kwargs)
+    name = "qcf"
+
+    def main(self, args=None, prog_name=None, standalone_mode: bool = True):
+        argv = sys.argv[1:] if args is None else list(args)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FLOAT_WARNING, RuntimeWarning)
             try:
-                super().main(*args, standalone_mode=False, **kwargs)
-            except click.exceptions.NoArgsIsHelpError as exc:  # its message is the help
-                line, code = exc.format_message(), exc.exit_code
-            except click.ClickException as exc:
-                line, code = f"error: {exc.format_message()}", exc.exit_code
-            except click.Abort:
-                line, code = "Aborted!", 1
+                _run(prog_name or self.name, argv)
+            except _UsageError as exc:
+                line, code = f"error: {exc}", 2
             except InsufficientSpectralData as exc:
                 line, code = f"insufficient data: {exc}", 3
             except OverflowError:
@@ -163,15 +216,15 @@ class _QcfGroup(click.Group):
             else:
                 sys.exit(0)
         # a number past 40 digits shows as its first 40 and its length
-        click.echo(re.sub(r"\d{41,}", lambda m: f"{m[0][:40]}... ({len(m[0])} digits)", line),
-                   err=True)
+        print(re.sub(r"\d{41,}", lambda m: f"{m[0][:40]}... ({len(m[0])} digits)", line),
+              file=sys.stderr)
         sys.exit(code)
 
+    def __call__(self):
+        self.main()
 
-@click.group(cls=_QcfGroup)
-def main() -> None:
-    """Stability, rigidity, and curve data for quadratic curvature functionals."""
 
+main = _Main()
 
 # ---------------------------------------------------------------------------
 # intervals
@@ -199,14 +252,6 @@ def _verdict_text(ms, tau, v) -> str:
     return "\n".join(lines)
 
 
-@main.command()
-@model_options
-@click.option("--tau", type=RATIO, default=None,
-              help="Report the verdict at this tau instead of the interval.")
-@click.option("--lambda1", "lambda1_", type=RATIO, default=None,
-              help="First nonzero Laplace eigenvalue on functions, for branches that need it.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text")
 def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
     """Strict-stability tau interval of a catalog model, or a point verdict."""
     if lambda1_ is not None and tau is None:
@@ -220,42 +265,34 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
         if fmt == "json":
             _emit_json(obj)
         elif fmt == "csv":
-            click.echo("model,tau,verdict,witness")
+            print("model,tau,verdict,witness")
             wit = format_ratio(v.witness) if v.witness is not None else ""
-            click.echo(f"{ms.key},{format_ratio(tau)},{v.variant},{wit}")
+            print(f"{ms.key},{format_ratio(tau)},{v.variant},{wit}")
         else:
-            click.echo(_verdict_text(ms, tau, v))
+            print(_verdict_text(ms, tau, v))
         return
     iv = stability.stability_interval(ms)
     if fmt == "json":
         _emit_json({"kind": "interval", **stability.interval_to_json(ms, iv)})
     elif fmt == "csv":
         ends = iv.to_json()
-        click.echo("model,lo,hi,lo_open,hi_open,verdict_inside")
-        click.echo(f"{ms.key},{ends['lo']},{ends['hi']},{iv.lo_open},{iv.hi_open},"
+        print("model,lo,hi,lo_open,hi_open,verdict_inside")
+        print(f"{ms.key},{ends['lo']},{ends['hi']},{iv.lo_open},{iv.hi_open},"
                    f"{iv.verdict_inside}")
     else:
-        click.echo(_interval_text(ms, iv))
+        print(_interval_text(ms, iv))
 
 
 # ---------------------------------------------------------------------------
 # rigidity
 
 
-@main.command()
-@model_options
-@click.option("--count", type=click.IntRange(1, 64), default=8,
-              help="How many exceptional values to list.")
-@click.option("--mu", "mus", type=RATIO, multiple=True,
-              help="Extra TT eigenvalues (repeatable), for bound-only models.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text")
 def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
     """Exceptional tau values where the gauged kernel jumps; Bach verdict at n=4."""
     cat = load_catalog()
     ms = resolve_model(cat, model, dim, m_, order)
     rep = stability.rigidity_exceptional_taus(
-        ms, count=count, mu_list=list(mus) or None)
+        ms, count=count, mu_list=mus)
     obj = {"kind": "rigidity", **rep.to_json()}
     bach = stability.bach_verdict(ms) if ms.n == 4 else None
     if bach is not None:
@@ -264,10 +301,10 @@ def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
         _emit_json(obj)
         return
     if fmt == "csv":
-        click.echo("tau,mu,kernel")
+        print("tau,mu,kernel")
         for e in rep.exceptional:
             kernel = e.kernel_note.replace(",", ";")
-            click.echo(f"{format_ratio(e.tau)},{format_ratio(e.mu)},{kernel}")
+            print(f"{format_ratio(e.tau)},{format_ratio(e.mu)},{kernel}")
         return
     lines = [f"{ms.display_name}: exceptional tau values"]
     for e in rep.exceptional:
@@ -284,7 +321,7 @@ def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
                      f"{flag[bach.strict_weyl_min]} (targets "
                      f"{', '.join(format_ratio(t) for t in bach.targets)})")
         lines.extend(f"  note: {note}" for note in bach.notes)
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +341,6 @@ def _derivatives(fn, params: list[float], order: int) -> list[list]:
         raise
 
 
-@main.command()
-@click.option("--tau", type=RATIO, required=True)
-@click.option("--at", "at_", type=FINITE, default=1.0,
-              help="Berger parameter s at which to evaluate.")
-@click.option("--derivatives", type=click.IntRange(0, 3), default=3,
-              help="Highest derivative order to estimate (0 = value only).")
-@click.option("--critical", is_flag=True, default=False,
-              help="Also list the critical parameters of the curve.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
 def berger(tau, at_, derivatives, critical, fmt) -> None:
     """Berger-family functional value and finite-difference derivatives."""
     fn = lambda s: functionals.berger_curve(tau, s)
@@ -351,7 +378,7 @@ def berger(tau, at_, derivatives, critical, fmt) -> None:
             mult = f", multiplicity {p.multiplicity}" if p.multiplicity > 1 else ""
             lines.append(f"  critical: s^2 = {format_ratio(p.s_squared)} (s = "
                          f"{functionals.format_float(p.s)}{mult})")
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +392,6 @@ def _linspace(start: float, stop: float, points: int) -> list[float]:
             for i in range(div)] + [stop]
 
 
-@main.command()
-@click.option("--family", type=click.Choice(["berger", "product"]),
-              default="berger")
-@click.option("--tau", type=RATIO, required=True)
-@click.option("--start", type=FINITE, default=None,
-              help="Sweep start (default 0.2 for berger, -1 for product).")
-@click.option("--stop", type=FINITE, default=None,
-              help="Sweep end (default 2 for berger, 1 for product).")
-@click.option("--points", type=click.IntRange(2, 100000), default=21)
-@click.option("--derivatives", type=click.IntRange(0, 3), default=0)
-@click.option("--jobs", type=click.IntRange(1, 64), default=1,
-              help="Accepted for compatibility; no effect: the sweep runs on "
-                   "one thread.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv")
 def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
     """Plot-ready sweep of a variation curve (CSV by default)."""
     if family == "berger":
@@ -409,22 +421,13 @@ def curve(family, tau, start, stop, points, derivatives, jobs, fmt) -> None:
         _emit_json({"kind": "curve", "family": family, "tau": format_ratio(tau),
                     "rows": json_rows})
         return
-    click.echo(functionals.sweep_csv(rows), nl=False)
+    print(functionals.sweep_csv(rows), end="")
 
 
 # ---------------------------------------------------------------------------
 # gradient at a left-invariant metric
 
 
-@main.command()
-@click.option("--group", type=click.Choice(["su2", "su2xr"]), default="su2")
-@click.option("--diag", required=True,
-              help="Comma-separated diagonal metric entries, e.g. 1,1,4.")
-@click.option("--tau", type=RATIO, required=True)
-@click.option("--vol-ref", type=POSITIVE, default=None,
-              help="Reference frame volume (default 2*pi^2 for su2, 1 otherwise).")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
 def grad(group, diag, tau, vol_ref, fmt) -> None:
     """Full gradient of F_tau at a diagonal left-invariant metric."""
     import numpy as np
@@ -469,31 +472,13 @@ def grad(group, diag, tau, vol_ref, fmt) -> None:
     lines.append(f"  volume = {functionals.format_float(vol)}")
     lines.append(f"  F_tau = {functionals.format_float(fval)}")
     lines.append(f"  |divergence| = {div_norm:.3e}")
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
 # symbol
 
 
-@main.command()
-@click.option("--dim", "n", type=click.IntRange(2, 12), required=True)
-@click.option("--tau", type=RATIO, default=None,
-              help="The weight tau; required, except with --conformal-killing, "
-                   "which refuses it.")
-@click.option("--trials", type=click.IntRange(1, 100000), default=100,
-              help="Accepted for compatibility; no effect, since rotation "
-                   "invariance decides the symbol at one covector.")
-@click.option("--seed", type=int, default=0,
-              help="Accepted for compatibility; no effect, since rotation "
-                   "invariance decides the symbol at one covector.")
-@click.option("--trace-free", is_flag=True, default=False,
-              help="Restrict the symbol to the trace-free block.")
-@click.option("--conformal-killing", "ck", is_flag=True, default=False,
-              help="Report the conformal-Killing gauge symbol instead; "
-                   "takes neither --tau nor --trace-free.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
 def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
     """Principal-symbol injectivity of the gauged linearization."""
     if ck:
@@ -518,7 +503,7 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
         line = f"{status}; eigenvalues {{{eigs}}} at unit xi"
         if v.note:
             line += f"\n  note: {v.note}"
-        click.echo(line)
+        print(line)
         return
     if tau is None:
         raise ValueError("--tau is required (or pass --conformal-killing)")
@@ -548,27 +533,13 @@ def symbol(n, tau, trials, seed, trace_free, ck, fmt) -> None:
         line += f" (kernel dimension {len(v.kernel)})"
     if v.note:
         line += f"\n  note: {v.note}"
-    click.echo(line)
+    print(line)
 
 
 # ---------------------------------------------------------------------------
 # bishop
 
 
-@main.command()
-@click.option("--vol-g", type=RATIO, required=True,
-              help="Volume of the stable Einstein reference metric.")
-@click.option("--vol-gt", type=RATIO, required=True,
-              help="Volume of the comparison metric.")
-@click.option("--dim", "n", type=click.IntRange(3, 8), required=True)
-@click.option("--ftilde0", type=RATIO, required=True,
-              help="Normalized F_0 value of the comparison metric.")
-@click.option("--ric-upper-ok/--no-ric-upper-ok", default=False,
-              help="Caller asserts the pointwise upper Ricci comparison.")
-@click.option("--ric-lower-ok/--no-ric-lower-ok", default=False,
-              help="Caller asserts the pointwise lower Ricci comparison.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
 def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
     """Volume-comparison deduction near a stable positive Einstein metric."""
     d = stability.reverse_bishop(vol_g, n, vol_gt, ric_upper_ok,
@@ -576,19 +547,13 @@ def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
     if fmt == "json":
         _emit_json({"kind": "bishop", **d.to_json()})
     else:
-        click.echo("\n".join([d.conclusion, *(f"  {note}" for note in d.notes)]))
+        print("\n".join([d.conclusion, *(f"  {note}" for note in d.notes)]))
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-@main.command()
-@click.option("--filter", "filter_", default=None,
-              help="Run only criteria whose name contains this substring.")
-@click.option("--seed", type=int, default=0)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
 def verify(filter_, seed, fmt) -> None:
     """Run the acceptance suite; nonzero exit on any failure."""
     from qcf import verify as verify_mod
@@ -597,10 +562,101 @@ def verify(filter_, seed, fmt) -> None:
     if fmt == "json":
         _emit_json(report.to_json())
     else:
-        click.echo(report.text(), nl=False)
-    click.echo(f"elapsed: {report.elapsed:.2f}s", err=True)
+        print(report.text(), end="")
+    print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
     if not report.all_passed:
         sys.exit(1)
+
+
+# ---------------------------------------------------------------------------
+# the command table: every command with its options, in the order --help lists them
+
+_MODEL = (
+    _opt("--model", required=True,
+         help="Catalog key ('sphere:4') or family name plus --dim/--m."),
+    _opt("--dim", _int(), help="Dimension for sphere, hyperbolic, torus, quotient models."),
+    _opt("--m", _int(), dest="m_",
+         help="Complex dimension / factor dimension for cp and product models."),
+    _opt("--order", _int(), help="Quotient order (quotient models)."),
+)
+_UNUSED = "Accepted for compatibility; no effect, since rotation invariance decides the " \
+          "symbol at one covector."
+
+
+def _format(*choices: str) -> tuple:
+    return _opt("--format", dest="fmt", choices=choices, default=choices[0])
+
+
+_COMMANDS = {
+    "intervals": (intervals, (
+        *_MODEL,
+        _opt("--tau", _ratio, help="Report the verdict at this tau instead of the interval."),
+        _opt("--lambda1", _ratio, dest="lambda1_",
+             help="First nonzero Laplace eigenvalue on functions, for branches that need it."),
+        _format("text", "json", "csv"))),
+    "rigidity": (rigidity, (
+        *_MODEL,
+        _opt("--count", _int(1, 64), default=8, help="How many exceptional values to list."),
+        _opt("--mu", _ratio, dest="mus", action="append",
+             help="Extra TT eigenvalues (repeatable), for bound-only models."),
+        _format("text", "json", "csv"))),
+    "berger": (berger, (
+        _opt("--tau", _ratio, required=True),
+        _opt("--at", _float(), dest="at_", default=1.0,
+             help="Berger parameter s at which to evaluate."),
+        _opt("--derivatives", _int(0, 3), default=3,
+             help="Highest derivative order to estimate (0 = value only)."),
+        _opt("--critical", action="store_true",
+             help="Also list the critical parameters of the curve."),
+        _format("text", "json"))),
+    "curve": (curve, (
+        _opt("--family", choices=("berger", "product"), default="berger"),
+        _opt("--tau", _ratio, required=True),
+        _opt("--start", _float(), help="Sweep start (default 0.2 for berger, -1 for product)."),
+        _opt("--stop", _float(), help="Sweep end (default 2 for berger, 1 for product)."),
+        _opt("--points", _int(2, 100000), default=21),
+        _opt("--derivatives", _int(0, 3), default=0),
+        _opt("--jobs", _int(1, 64), default=1,
+             help="Accepted for compatibility; no effect: the sweep runs on one thread."),
+        _format("csv", "json"))),
+    "grad": (grad, (
+        _opt("--group", choices=("su2", "su2xr"), default="su2"),
+        _opt("--diag", required=True,
+             help="Comma-separated diagonal metric entries, e.g. 1,1,4."),
+        _opt("--tau", _ratio, required=True),
+        _opt("--vol-ref", _float(positive=True),
+             help="Reference frame volume (default 2*pi^2 for su2, 1 otherwise)."),
+        _format("text", "json"))),
+    "symbol": (symbol, (
+        _opt("--dim", _int(2, 12), dest="n", required=True),
+        _opt("--tau", _ratio, help="The weight tau; required, except with "
+                                   "--conformal-killing, which refuses it."),
+        _opt("--trials", _int(1, 100000), default=100, help=_UNUSED),
+        _opt("--seed", _int(), default=0, help=_UNUSED),
+        _opt("--trace-free", action="store_true",
+             help="Restrict the symbol to the trace-free block."),
+        _opt("--conformal-killing", dest="ck", action="store_true",
+             help="Report the conformal-Killing gauge symbol instead; "
+                  "takes neither --tau nor --trace-free."),
+        _format("text", "json"))),
+    "bishop": (bishop, (
+        _opt("--vol-g", _ratio, required=True,
+             help="Volume of the stable Einstein reference metric."),
+        _opt("--vol-gt", _ratio, required=True, help="Volume of the comparison metric."),
+        _opt("--dim", _int(3, 8), dest="n", required=True),
+        _opt("--ftilde0", _ratio, required=True,
+             help="Normalized F_0 value of the comparison metric."),
+        _opt("--ric-upper-ok", action=argparse.BooleanOptionalAction, default=False,
+             help="Caller asserts the pointwise upper Ricci comparison."),
+        _opt("--ric-lower-ok", action=argparse.BooleanOptionalAction, default=False,
+             help="Caller asserts the pointwise lower Ricci comparison."),
+        _format("text", "json"))),
+    "verify": (verify, (
+        _opt("--filter", dest="filter_",
+             help="Run only criteria whose name contains this substring."),
+        _opt("--seed", _int(), default=0),
+        _format("text", "json"))),
+}
 
 
 if __name__ == "__main__":

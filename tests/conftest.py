@@ -1,6 +1,9 @@
+import contextlib
 import importlib.util
+import io
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -14,6 +17,42 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _clean_catalog_env(monkeypatch):
     """Keep tests independent of any catalog extension in the environment."""
     monkeypatch.delenv("QCF_CATALOG", raising=False)
+
+
+class Result(NamedTuple):
+    """One in-process `qcf` run: exit code, captured streams, and the
+    exception that ended it (the SystemExit of a nonzero exit, or an
+    uncaught error)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class QcfRunner:
+    """Runs `qcf` in-process through `main.main(args=argv, prog_name="qcf")`,
+    capturing stdout and stderr and catching SystemExit; an uncaught error
+    exits 1, or propagates with catch_exceptions=False."""
+
+    def invoke(self, cli, args, catch_exceptions: bool = True) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main(args=list(args), prog_name="qcf")
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if code else None
+            except Exception as exc:
+                if not catch_exceptions:
+                    raise
+                code, exception = 1, exc
+        return Result(code, out.getvalue(), err.getvalue(), exception)
 
 
 def catalog_json(models) -> dict:

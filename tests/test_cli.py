@@ -8,8 +8,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
-from conftest import catalog_json, with_tt_eigenvalue
+from conftest import QcfRunner, catalog_json, with_tt_eigenvalue
 
 from qcf.cli import main
 
@@ -22,7 +21,7 @@ def schema():
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return QcfRunner()
 
 
 def invoke(runner, args, **kwargs):
@@ -572,6 +571,28 @@ def test_impossible_extension_catalog_exits_2(runner, tmp_path, monkeypatch,
     assert res.stderr == f"error: {key}: {named.format(path=path)}\n"
 
 
+@pytest.mark.parametrize("mu,code,stderr", [
+    (5, 2, "error: sphere:4: known TT eigenvalues 16, 5 are not strictly increasing\n"),
+    (16, 2, "error: sphere:4: known TT eigenvalues 16, 16 are not strictly increasing\n"),
+    (20, 0, ""),
+])
+def test_an_extension_lists_known_tt_eigenvalues_in_increasing_order(runner, tmp_path,
+                                                                     monkeypatch, mu, code,
+                                                                     stderr):
+    """A QCF_CATALOG sphere:4 whose known TT eigenvalues (16, 5) fall is
+    refused with one error line at load time, before its interval could
+    close at tau(5) = -7/24; a repeated eigenvalue too, and (16, 20) loads."""
+    from qcf.catalog import builtin_catalog
+
+    path = tmp_path / "extension.json"
+    path.write_text(json.dumps(catalog_json([with_tt_eigenvalue(builtin_catalog()["sphere:4"],
+                                                                mu)])))
+    monkeypatch.setenv("QCF_CATALOG", str(path))
+    res = runner.invoke(main, ["intervals", "--model", "sphere:4"])
+    assert (res.exit_code, res.stderr) == (code, stderr)
+    assert (res.stdout == "") == bool(code)
+
+
 def test_intervals_follow_an_extension_catalog(runner, schema, tmp_path, monkeypatch):
     """A QCF_CATALOG override of product:3 with one more known TT eigenvalue,
     mu = 5, closes the interval at tau(5) = -1/8 in text and json, and the
@@ -756,7 +777,7 @@ NUMPY_FREE = [
 ]
 _FORMATS = {"intervals": ("text", "csv", "json"), "rigidity": ("text", "csv", "json"),
             "curve": ("csv", "json")}
-_WATCHED = ("numpy", "jsonschema", "dataclasses", "concurrent.futures", "logging")
+_WATCHED = ("numpy", "jsonschema", "dataclasses", "concurrent.futures", "logging", "click")
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -766,10 +787,10 @@ def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
     watched modules it has imported. Modules only accumulate, so the first
     command that pulls one in is named by the failure.
 
-    No command loads numpy, concurrent.futures or logging, the --jobs 2
-    sweeps included, and jsonschema only for --format json; dataclasses
-    comes only with jsonschema, which imports it. Each --jobs 2 sweep
-    prints the bytes of its --jobs 1 twin."""
+    No command loads numpy, concurrent.futures, logging or click, the
+    --jobs 2 sweeps included, and jsonschema only for --format json;
+    dataclasses comes only with jsonschema, which imports it. Each --jobs 2
+    sweep prints the bytes of its --jobs 1 twin."""
     import subprocess
     import sys
 
@@ -797,7 +818,7 @@ def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
     if fmt != "json":
         assert [r[0] for r in rows if "jsonschema" in r[3]] == []
     assert [r[0] for r in rows if "dataclasses" in r[3] and "jsonschema" not in r[3]] == []
-    for mod in ("concurrent.futures", "logging"):
+    for mod in ("concurrent.futures", "logging", "click"):
         assert [r[0] for r in rows if mod in r[3]] == []
     stdout = {tuple(r[0]): r[2] for r in rows}
     jobs = [r for r in rows if "--jobs" in r[0]]
@@ -805,3 +826,27 @@ def test_numpy_free_commands_import_neither_numpy_nor_jsonschema(fmt):
     for argv, _, out, _ in jobs:
         i = argv.index("--jobs")
         assert out and out == stdout[tuple(argv[:i] + argv[i + 2:])], argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_numpy_commands_do_not_import_click(fmt):
+    """grad, symbol --tau and verify load numpy, and still not click: the
+    parser is argparse's."""
+    import subprocess
+
+    argvs = [["grad", "--diag", "1,1,2", "--tau", "1/2"], ["symbol", "--dim", "4", "--tau", "1/3"],
+             ["verify", "--filter", "intervals"]]
+    code = ("import contextlib, io, json, sys\n"
+            "from qcf.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            main.main(args=argv, prog_name='qcf')\n"
+            "        except SystemExit as exc:\n"
+            "            assert exc.code == 0, (argv, exc.code)\n"
+            "print(json.dumps(['numpy' in sys.modules, 'click' in sys.modules]))\n")
+    p = subprocess.run([sys.executable, "-c", code,
+                        json.dumps([argv + ["--format", fmt] for argv in argvs])],
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout.strip().splitlines()[-1]) == [True, False]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
-from click.testing import CliRunner
+from conftest import QcfRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,7 +131,7 @@ def _reject_constant(name):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(ARGV)
 def test_cli_fuzz_exit_codes_and_output(argv):
-    res = CliRunner().invoke(main, argv)
+    res = QcfRunner().invoke(main, argv)
     assert res.exit_code in (0, 2, 3), (argv, res.exit_code, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), (argv, res.exception)
     assert "Traceback" not in res.output, argv
@@ -192,7 +192,7 @@ def test_bishop_fuzz_decides_sandwiches_by_the_exact_rule():
         argv = ["bishop", f"--vol-g={u ** n}", f"--vol-gt={v ** n}", f"--dim={n}",
                 f"--ftilde0={n * (n - 1) ** 2 * w ** 4}", "--ric-upper-ok", "--ric-lower-ok",
                 f"--format={fmt}"]
-        res = CliRunner().invoke(main, argv)
+        res = QcfRunner().invoke(main, argv)
         assert (res.exit_code, res.stderr) == (0, ""), (argv, res.output)
         if fmt == "json":
             obj = json.loads(res.stdout, parse_constant=_reject_constant)

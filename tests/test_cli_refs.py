@@ -4,19 +4,21 @@ The cli-oneshot and curve-sweeps workloads (perfbench/) run each argv
 list in perfbench/refs/cli-oneshot.json and curve-sweeps.json as its own
 `qcf` process and reject a run whose exit code or output differs from
 the reference, by the rules in refcheck.py. This test replays the same
-argv lists in-process through click's CliRunner and the same
-comparison, loaded by path, so that a changed output fails here first.
-It also pins the one-line errors of sweeps whose points fail in
-different ways: the first failing point decides, as in a point-by-point
-loop.
+argv lists in-process (tests/conftest.py's QcfRunner) and the same
+comparison, loaded by path, so that a changed output fails here first,
+and replays one reference per command as a `python -m qcf.cli` process,
+as the benchmark runs it. It also pins the one-line errors of sweeps
+whose points fail in different ways: the first failing point decides,
+as in a point-by-point loop.
 """
 
 import json
+import subprocess
+import sys
 import traceback
 
 import pytest
-from click.testing import CliRunner
-from conftest import PERFBENCH, load_perfbench
+from conftest import PERFBENCH, QcfRunner, load_perfbench
 
 from qcf.cli import main
 
@@ -36,7 +38,7 @@ CURVE_REFERENCES = _references("curve-sweeps")
 def runner(monkeypatch):
     # the benchmark runs every query against the built-in catalog
     monkeypatch.delenv("QCF_CATALOG", raising=False)
-    return CliRunner()
+    return QcfRunner()
 
 
 def _mismatch(runner, argv, ref):
@@ -93,3 +95,49 @@ def test_every_curve_sweep_matches_its_reference(runner):
 def test_first_failing_point_decides_the_error(runner, argv, stderr):
     res = runner.invoke(main, argv)
     assert (res.exit_code, res.stdout, res.stderr) == (2, "", stderr)
+
+
+# one reference per command, negative values given as separate tokens
+# (--tau -1/2, --tau -1.5e-1), as the benchmark's processes pass them
+PROCESS_REFERENCES = [
+    ("intervals", "--model", "cp:2", "--tau", "-1/2"),
+    ("rigidity", "--model", "cp:2", "--count", "4", "--format", "csv"),
+    ("berger", "--tau", "-1.5e-1"),
+    ("curve", "--family", "product", "--tau", "-1/2", "--format", "json"),
+    ("grad", "--group", "su2", "--diag", "1,1,4", "--tau", "-1/3"),
+    ("symbol", "--dim", "5", "--tau", "-1/2", "--trials", "2", "--format", "json"),
+    ("bishop", "--vol-g", "10", "--vol-gt", "11", "--dim", "4", "--ftilde0", "3000",
+     "--ric-upper-ok", "--ric-lower-ok"),
+    ("verify", "--filter", "09-gauss-bonnet"),
+]
+
+
+def _process(argv):
+    return subprocess.run([sys.executable, "-m", "qcf.cli", *argv], capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_a_process_per_command_matches_its_reference(monkeypatch):
+    monkeypatch.delenv("QCF_CATALOG", raising=False)
+    assert len({argv[0] for argv in PROCESS_REFERENCES}) == 8
+    for argv in PROCESS_REFERENCES:
+        p = _process(argv)
+        assert refcheck.compare_cli(list(argv), p.returncode, p.stdout, p.stderr,
+                                    REFERENCES[argv]) is None, (argv, p.stderr)
+
+
+@pytest.mark.parametrize("argv,code,stderr", [
+    # a negative value as its own token is the option's value, not an option name
+    (["curve", "--tau", "0", "--start", "-1e308", "--stop", "1e308"], 2,
+     "error: the sweep grid from -1e+308 to 1e+308 overflows a float\n"),
+    (["intervals", "--model", "sphere:4", "--tau", "-1.5e-1", "--format", "csv"], 0, ""),
+    # no option name is abbreviated
+    (["intervals", "--mod", "sphere:4"], 2, None),
+])
+def test_a_process_parses_its_options_as_the_in_process_runner(monkeypatch, argv, code, stderr):
+    monkeypatch.delenv("QCF_CATALOG", raising=False)
+    p = _process(argv)
+    res = QcfRunner().invoke(main, argv)
+    assert (p.returncode, p.stdout, p.stderr) == (code, res.stdout, res.stderr)
+    assert stderr is None or p.stderr == stderr
+    assert p.stderr.count("\n") == (1 if code else 0)

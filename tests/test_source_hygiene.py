@@ -17,9 +17,12 @@ the last part of a `qcf.` dotted string there, as in the span tracer's
 SITES. Names match as identifiers, unresolved, so one read covers every
 definition of that name; a method is reached only as an attribute
 (`x.name`), so a local variable of the same name does not count for it.
-Dunder names, `_make` overrides (the NamedTuple protocol that `_replace`
-calls) and click commands are exempt. What only tests call lives in the
-tests. No module of src/qcf imports `dataclasses` (records are
+Dunder names and `_make` overrides (the NamedTuple protocol that
+`_replace` calls) are exempt; the CLI commands are read from `cli`'s
+command table like any other name. What only tests call lives in the
+tests. No module of src/qcf imports `click`, anywhere, function bodies
+included: the CLI parses with argparse, which imports in a tenth of the
+time. No module of src/qcf imports `dataclasses` (records are
 NamedTuples, whose classes are built without generating and compiling
 methods), and none imports `concurrent`, `threading` or
 `multiprocessing` anywhere, function bodies included: qcf computes on
@@ -39,10 +42,11 @@ exceptions are `_Exact.fractions()`, the one place that hands a caller a
 Fraction array, and the `_Exact.dtype` class attribute. Numerators past
 int64, which `_Exact` keeps as Python ints, are an integer array chosen
 by its bound and are not named this way. The CLI has one error path: in
-`cli`, only the group's handler (`_QcfGroup.main`) calls `sys.exit` or
-echoes with `err=True`, apart from `verify`'s `elapsed:` line and its
-exit 1 on a failed criterion, and no code calls `np.errstate` (the
-handler ignores numpy's float warnings). A `__new__` in src/qcf (the
+`cli`, only the entry point's handler (`_Main.main`) calls `sys.exit` or
+writes to stderr (`file=sys.stderr`, `sys.stderr.write`, or an
+`err=True` echo), apart from `verify`'s `elapsed:` line and its exit 1
+on a failed criterion, and no code calls `np.errstate` (the handler
+ignores numpy's float warnings). A `__new__` in src/qcf (the
 checking records' constructors) takes its fields by name, with no
 `*args` or `**kwargs`: forwarding them through `super().__new__` binds
 them in the NamedTuple's generated constructor, one more Python call per
@@ -91,10 +95,10 @@ _EXACT_LAYER = ("tensor_core", "homogeneous", "catalog", "verify")
 _OBJECT_DTYPE_EXEMPT = (("_Exact", "fractions"), ("_Exact", "dtype"))
 
 
-# cli ends a command and prints to stderr only in the group's handler,
+# cli ends a command and prints to stderr only in the entry point's handler,
 # apart from these two calls in verify
-_ERROR_HANDLER = ("_QcfGroup", "main")
-_VERIFY_EXEMPT = ("click.echo(f'elapsed: {report.elapsed:.2f}s', err=True)", "sys.exit(1)")
+_ERROR_HANDLER = ("_Main", "main")
+_VERIFY_EXEMPT = ("print(f'elapsed: {report.elapsed:.2f}s', file=sys.stderr)", "sys.exit(1)")
 
 
 def _owners(tree: ast.Module):
@@ -120,11 +124,11 @@ def _names_object_dtype(node: ast.AST) -> bool:
 
 
 def _is_error_output(node: ast.AST) -> bool:
-    """A sys.exit call or a call with an err=True keyword."""
+    """A sys.exit call, or a call that writes to stderr: sys.stderr.write, or
+    a file=sys.stderr or err=True keyword."""
     return isinstance(node, ast.Call) and (
-        ast.unparse(node.func) == "sys.exit"
-        or any(k.arg == "err" and getattr(k.value, "value", None) is True
-               for k in node.keywords))
+        ast.unparse(node.func) in ("sys.exit", "sys.stderr.write")
+        or any(ast.unparse(k) in ("file=sys.stderr", "err=True") for k in node.keywords))
 
 
 def _imports_by_owner(tree: ast.Module):
@@ -152,8 +156,9 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
             continue
         if "# noqa: F401" not in lines[node.lineno - 1]:
             out += [f"unused import {name}" for name in bound if name not in read]
-        if src and "dataclasses" in _top_package(node):
-            out.append("imports dataclasses")
+        if src:
+            out += [f"imports {top}" for top in _top_package(node)
+                    if top in ("dataclasses", "click")]
     for node, owner in _imports_by_owner(tree) if src else ():
         if (module, owner) != _CONCURRENCY_EXEMPT:
             out += [f"imports {top}" for top in _top_package(node) if top in _CONCURRENCY]
@@ -214,10 +219,8 @@ def _definitions(tree: ast.Module):
 
 
 def _exempt(node: ast.FunctionDef | ast.ClassDef) -> bool:
-    """A dunder, a `_make` override or a click command (`@group.command()`)."""
-    return (node.name.startswith("__") and node.name.endswith("__") or node.name == "_make"
-            or any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"
-                   for d in node.decorator_list))
+    """A dunder or a `_make` override."""
+    return node.name.startswith("__") and node.name.endswith("__") or node.name == "_make"
 
 
 def uncalled(src: dict[str, str], bench: list[str]) -> list[str]:
@@ -275,7 +278,8 @@ def _zeros_obj(shape):
 def _used():
     import concurrent.futures
     from dataclasses import replace
-    return np.zeros(3), concurrent.futures.wait, replace
+    from click import echo
+    return np.zeros(3), concurrent.futures.wait, replace, echo
 
 class _Gone:
     import dataclasses
@@ -301,13 +305,13 @@ def contract(a, b):
     scan = findings(source)
     assert scan == [
         "unused import os", "unused import Fraction",
-        "imports dataclasses", "unused import dataclasses", "imports dataclasses",
-        "imports concurrent", "imports concurrent", "imports threading",
+        "imports dataclasses", "imports click", "unused import dataclasses",
+        "imports dataclasses", "imports concurrent", "imports concurrent", "imports threading",
         "imports multiprocessing", "imports concurrent",
         "unreferenced private _zeros_obj", "unreferenced private _Gone",
         "calls np.tensordot", "calls np.moveaxis"]
     # cli.__getattr__ is the one exception, in cli only
-    assert findings(source, module="cli") == scan[:9] + scan[10:]
+    assert findings(source, module="cli") == scan[:10] + scan[11:]
     assert findings(source, src=False) == [
         "unused import os", "unused import Fraction", "unused import dataclasses"]
 
@@ -346,45 +350,52 @@ KINDS = {"exact": np.dtype(object), "held": _Exact}
     assert findings(mutant, module="homogeneous") == ["object dtype in su2"]
 
 
-def test_scan_keeps_cli_errors_in_the_group_handler():
+def test_scan_keeps_cli_errors_in_the_entry_point_handler():
     source = """
-class _QcfGroup(click.Group):
-    def main(self, *args, **kwargs):
+class _Main:
+    def main(self, args=None):
         with np.errstate(all="ignore"):
-            click.echo("error: x", err=True)
+            print("error: x", file=sys.stderr)
             sys.exit(2)
 
-@click.group(cls=_QcfGroup)
-def main():
-    pass
+main = _Main()
 
 def verify(report):
-    click.echo(f"elapsed: {report.elapsed:.2f}s", err=True)
+    print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
     sys.exit(1)
 
 def grad():
     with np.errstate(all="ignore"):
+        print("warning", file=sys.stderr)
+        sys.stderr.write("warning")
         click.echo("warning", err=True)
-    click.echo("stdout", err=False)
+    print("stdout", file=sys.stdout)
     sys.exit(3)
 """
     assert findings(source, module="cli") == [
-        "calls np.errstate in _QcfGroup.main",
+        "calls np.errstate in _Main.main",
         "error output in grad: sys.exit(3)",
+        "error output in grad: print('warning', file=sys.stderr)",
+        "error output in grad: sys.stderr.write('warning')",
         "error output in grad: click.echo('warning', err=True)",
         "calls np.errstate in grad"]
     assert findings(source, module="spectral") == []
     # verify may print only its timing line and exit 1
     assert findings(source.replace("sys.exit(1)", "sys.exit(2)"), module="cli")[1] == (
         "error output in verify: sys.exit(2)")
-    # a command that echoes its own stderr line fails the scan
+    # a command that prints its own stderr line fails the scan
     path = SRC / "cli.py"
     text = path.read_text(encoding="utf-8")
     doc = '    """Strict-stability tau interval of a catalog model, or a point verdict."""\n'
     assert text.count(doc) == 1
-    mutant = text.replace(doc, doc + '    click.echo("error: refused", err=True)\n')
-    assert findings(mutant, module="cli") == [
-        "error output in intervals: click.echo('error: refused', err=True)"]
+    for line, shown in (('print("error: refused", file=sys.stderr)',
+                         "print('error: refused', file=sys.stderr)"),
+                        ('sys.stderr.write("error: refused")',
+                         "sys.stderr.write('error: refused')"),
+                        ('click.echo("error: refused", err=True)',
+                         "click.echo('error: refused', err=True)")):
+        mutant = text.replace(doc, doc + f"    {line}\n")
+        assert findings(mutant, module="cli") == [f"error output in intervals: {shown}"]
 
 
 def test_scan_keeps_record_constructors_positional():
@@ -448,15 +459,20 @@ class Record(NamedTuple):
     def __repr__(self):
         return "Record"
 
-class Finite(click.types.FloatParamType):
-    def convert(self, value, param, ctx):
-        return super().convert(value, param, ctx)
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        return super().error(message)
 
-FLOAT = Finite()
+PARSER = Parser()
 
-@main.command()
 def intervals():
     pass
+
+@main.command()
+def curve():
+    pass
+
+COMMANDS = {"intervals": intervals}
 
 def traced():
     pass
@@ -466,10 +482,12 @@ def run():
     return unread
 """
     bench = 'SITES = ["qcf.mod.traced", "not qcf.mod.listed"]\nmod.run()\n'
+    # a command is called from the command table, and a decorator exempts none
     assert uncalled({"mod": source}, [bench]) == ["mod.listed", "mod.recursive",
-                                                 "mod.Record.unread"]
+                                                 "mod.Record.unread", "mod.curve"]
     assert uncalled({"mod": source}, []) == ["mod.listed", "mod.recursive",
-                                            "mod.Record.unread", "mod.traced", "mod.run"]
+                                            "mod.Record.unread", "mod.curve", "mod.traced",
+                                            "mod.run"]
 
 
 def test_caller_scan_flags_what_only_tests_call():
