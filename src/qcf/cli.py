@@ -5,7 +5,11 @@ Exact thresholds travel as ratio strings ("p/q"); JSON reports carry a
 "kind" field and validate against qcf/schemas/report.schema.json before
 being printed. Exit codes: 0 success, 1 verification failure, 2 invalid
 input, 3 insufficient spectral data; `main.main()` prints each failure
-as one stderr line.
+as one stderr line, a reader that closes stdout early (exit 1) included.
+
+`main()` is the entry point of the `qcf` script and of `python -m
+qcf.cli`; it freezes the collector's heap once its command is done, so
+the process ends without a last cyclic collection (see `_Main`).
 
 The front end is the standard library's argparse, and `_COMMANDS` holds
 every command with its options; a process builds the parser of the one
@@ -20,8 +24,10 @@ on one thread.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -157,8 +163,9 @@ def _attach(argv: list[str], takes_value: set[str]) -> list[str]:
     return out
 
 
-def _run(prog: str, argv: list[str]) -> None:
-    """Parse argv with the parser of its command alone and run that command."""
+def _run(prog: str, argv: list[str]) -> int | None:
+    """Parse argv with the parser of its command alone and run that command;
+    what the command returns is the exit code (None for 0)."""
     if argv[:1] == ["--help"]:
         print(f"usage: {prog} COMMAND [--help] [OPTIONS]", "", "commands:",
               *("  " + name.ljust(11) + (fn.__doc__ or "").partition("\n")[0]
@@ -175,7 +182,11 @@ def _run(prog: str, argv: list[str]) -> None:
     for name, kwargs in options:  # a flag takes no value (nargs 0)
         if parser.add_argument(name, **kwargs).nargs != 0:
             takes_value.add(name)
-    fn(**vars(parser.parse_args(_attach(argv[1:], takes_value))))
+    try:
+        args = parser.parse_args(_attach(argv[1:], takes_value))
+    except SystemExit:  # only --help exits, its help printed; a parse error raises
+        return 0
+    return fn(**vars(args))
 
 
 # the messages of numpy's floating-point warnings
@@ -189,7 +200,14 @@ class _Main:
     data: ...` with exit 3, and bad input or data `error: ...` with exit
     2; a number the line quotes is cut to 40 digits. numpy's float
     warnings are ignored: an overflow shows as a non-finite result
-    (_require_finite), not as a warning. Every run ends in SystemExit.
+    (_require_finite), not as a warning. A reader that closes stdout
+    before the output is written gets `error: ...` with exit 1. Every run
+    ends in SystemExit.
+
+    Calling the entry (`main()`) runs `main` and then freezes the heap, so
+    that the interpreter's last collection, which has nothing to reclaim,
+    skips it; `main` itself never freezes, since a long-lived caller's
+    frozen heap would not be collected again.
 
     `name` and the signature of `main` are the ones the benchmark's
     launcher and its recorder (through click.testing.CliRunner) call;
@@ -203,7 +221,8 @@ class _Main:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FLOAT_WARNING, RuntimeWarning)
             try:
-                _run(prog_name or self.name, argv)
+                code = _run(prog_name or self.name, argv) or 0
+                sys.stdout.flush()  # a closed stdout raises here, not at shutdown
             except _UsageError as exc:
                 line, code = f"error: {exc}", 2
             except InsufficientSpectralData as exc:
@@ -213,15 +232,24 @@ class _Main:
                 line, code = "error: float overflow at this input", 2
             except (IllConditionedDerivativeError, ValueError) as exc:
                 line, code = f"error: {exc}", 2
+            except BrokenPipeError:
+                # the reader closed stdout: point it at devnull, so that the
+                # flush at shutdown cannot raise again (as the signal module's
+                # SIGPIPE note does)
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                line, code = "error: stdout was closed before the output was written", 1
             else:
-                sys.exit(0)
+                sys.exit(code)
         # a number past 40 digits shows as its first 40 and its length
         print(re.sub(r"\d{41,}", lambda m: f"{m[0][:40]}... ({len(m[0])} digits)", line),
               file=sys.stderr)
         sys.exit(code)
 
     def __call__(self):
-        self.main()
+        try:
+            self.main()
+        finally:
+            gc.freeze()
 
 
 main = _Main()
@@ -554,7 +582,7 @@ def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
 # verify
 
 
-def verify(filter_, seed, fmt) -> None:
+def verify(filter_, seed, fmt) -> int:
     """Run the acceptance suite; nonzero exit on any failure."""
     from qcf import verify as verify_mod
 
@@ -564,8 +592,7 @@ def verify(filter_, seed, fmt) -> None:
     else:
         print(report.text(), end="")
     print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
-    if not report.all_passed:
-        sys.exit(1)
+    return 0 if report.all_passed else 1
 
 
 # ---------------------------------------------------------------------------

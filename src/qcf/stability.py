@@ -374,8 +374,9 @@ def stability_interval(model: ModelSpace) -> TauInterval:
     is tau(mu) at the first spectral value, known or the tail bound, that the
     moving root (4/n + 2 tau)R meets on either side of the fixed root 2R/n; it
     replaces the conformal end where strictly tighter. Inside, the verdict is the
-    TT check's at the fixed root; where that fails already (the flat torus's
-    parallel TT kernel), no tau passes and the conformal range is Indeterminate.
+    TT check's at the fixed root; where that does not pass, no tau passes and
+    the conformal range is Indeterminate, with the flat torus's note when the
+    check fails (its parallel TT kernel) and the check's own notes otherwise.
     """
     n, R, tt = model.n, model.scal, model.tt
     above, _, _, texts, _ = _ladder_row((R > 0) - (R < 0), n)
@@ -384,11 +385,13 @@ def stability_interval(model: ModelSpace) -> TauInterval:
         hi, hi_open = Fraction(-1, n), False
         hi_prov = ("conformal branch closes at -1/n; beyond it the first Laplace "
                    "eigenvalue would be needed")
-    inside = _tt_gap(model, Fraction(-1, n))[0]  # the forbidden interval is 2R/n alone
+    # the forbidden interval is 2R/n alone
+    inside, _, tt_notes, _ = _tt_gap(model, Fraction(-1, n))
     if inside not in ("StrictlyStable", "StableBoundOnly"):
-        return TauInterval(lo, hi, True, hi_open, lo_prov, hi_prov, (
-            "conformal direction only: parallel trace-free tensors are a neutral TT "
-            "kernel at every tau, so stability is never strict",), "Indeterminate")
+        if inside == "FailsTT":
+            tt_notes = ("conformal direction only: parallel trace-free tensors are a "
+                        "neutral TT kernel at every tau, so stability is never strict",)
+        return TauInterval(lo, hi, True, hi_open, lo_prov, hi_prov, tt_notes, "Indeterminate")
     fixed, known, tail = 2 * R / n, [e.mu for e in tt.known], tt.tail_bound
     up = min([mu for mu in known if mu > fixed] + [tail])
     down = max((mu for mu in known if mu < fixed), default=None)

@@ -1,6 +1,9 @@
 """CLI behavior: formats, determinism, exit codes, schema-valid JSON."""
 
+import gc
 import json
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -709,7 +712,8 @@ def test_sweep_grid_matches_np_linspace_bitwise():
     assert bad == []
 
 
-def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
+def _corrupt_catalog(tmp_path, monkeypatch):
+    """An extension catalog on which verify's catalog criterion fails (exit 1)."""
     from qcf.catalog import builtin_catalog
 
     doc = catalog_json([builtin_catalog()["cp:2"]])
@@ -717,6 +721,10 @@ def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     monkeypatch.setenv("QCF_CATALOG", str(path))
+
+
+def test_verify_fails_on_corrupted_catalog(runner, tmp_path, monkeypatch):
+    _corrupt_catalog(tmp_path, monkeypatch)
     res = runner.invoke(main, ["verify", "--filter", "catalog"])
     assert res.exit_code == 1
     assert "[FAIL] 00-catalog" in res.output
@@ -850,3 +858,115 @@ def test_numpy_commands_do_not_import_click(fmt):
                        capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout.strip().splitlines()[-1]) == [True, False]
+
+
+# How a process ends: the entry point (`main()`) freezes the collector's heap
+# once its command is done; `main.main`, which in-process callers run, does not.
+EXITS = [(["intervals", "--model", "sphere:4"], 0),
+         (["verify", "--filter", "catalog"], 1),
+         (["intervals", "--model", "klein:4"], 2),
+         (["intervals", "--model", "hyperbolic:6", "--tau", "0"], 3)]
+
+
+@pytest.mark.parametrize("argv,code", EXITS, ids=[str(code) for _, code in EXITS])
+def test_the_entry_point_freezes_once_and_keeps_the_commands_exit_code(
+        argv, code, tmp_path, monkeypatch, capsys):
+    if code == 1:
+        _corrupt_catalog(tmp_path, monkeypatch)
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr()))
+    monkeypatch.setattr(sys, "argv", ["qcf", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == code
+    # one freeze, after the command printed its report or its error line
+    assert len(frozen) == 1
+    assert (frozen[0].out if code in (0, 1) else frozen[0].err) != ""
+
+
+@pytest.mark.parametrize("argv,code", EXITS, ids=[str(code) for _, code in EXITS])
+def test_the_in_process_handler_leaves_the_collector_as_it_is(
+        argv, code, tmp_path, monkeypatch):
+    if code == 1:
+        _corrupt_catalog(tmp_path, monkeypatch)
+    before = gc.get_freeze_count()
+    assert QcfRunner().invoke(main, argv).exit_code == code
+    assert gc.get_freeze_count() == before
+
+
+def test_a_process_runs_its_exit_hooks_after_the_freeze():
+    """atexit hooks still run, and see the frozen heap; stdout is flushed and
+    the exit code kept."""
+    code = ("import atexit, gc, sys\n"
+            "from qcf.cli import main\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
+            " file=sys.stderr))\n"
+            "sys.argv = ['qcf', *sys.argv[1:]]\n"
+            "main()\n")
+    p = subprocess.run([sys.executable, "-c", code, "intervals", "--model", "sphere:4"],
+                       capture_output=True, text=True, timeout=60)
+    res = QcfRunner().invoke(main, ["intervals", "--model", "sphere:4"])
+    assert (p.returncode, p.stdout, p.stderr) == (0, res.stdout, "frozen True\n")
+
+
+_CLOSED = "error: stdout was closed before the output was written\n"
+
+
+def _buffered_env() -> dict:
+    """The environment with stdout block-buffered, as in a plain shell: with
+    PYTHONUNBUFFERED set, Python's text layer drops what a short write to a
+    closed pipe left over, without an error."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv", [["curve", "--points", "20000", "--tau", "0"],
+                                  ["curve", "--points", "2000", "--tau", "0",
+                                   "--format", "json"]], ids=["text", "json"])
+def test_a_reader_that_closes_stdout_early_gets_one_error_line(argv):
+    """`qcf curve ... | head -c 10`: the command meets the closed pipe while it
+    writes, and ends with one stderr line and exit 1, not a traceback."""
+    p = subprocess.Popen([sys.executable, "-m", "qcf.cli", *argv], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, env=_buffered_env())
+    head = p.stdout.read(10)
+    p.stdout.close()
+    stderr = p.stderr.read().decode()
+    p.stderr.close()
+    assert p.wait(timeout=60) == 1
+    assert len(head) == 10
+    assert "Traceback" not in stderr
+    assert stderr.splitlines(keepends=True) == [_CLOSED]
+
+
+def _into_closed_pipe(argv, env):
+    """A `qcf` process whose stdout is a pipe closed before it starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "qcf.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv,unbuffered", [
+    (["intervals", "--model", "sphere:4"], False), (["intervals", "--model", "sphere:4"], True),
+    (["intervals", "--help"], False)], ids=["buffered", "unbuffered", "help"])
+def test_a_report_for_a_closed_pipe_gets_one_error_line(argv, unbuffered):
+    """A report or a command's help that fits the stdout buffer meets a pipe
+    closed before the command ran at the handler's flush, not at interpreter
+    shutdown; an unbuffered stdout meets it at the command's first write
+    (argparse drops a failed write of the help, so unbuffered help exits 0)."""
+    env = dict(_buffered_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    p = _into_closed_pipe(argv, env)
+    assert (p.returncode, p.stderr) == (1, _CLOSED)
+
+
+def test_a_failing_verify_for_a_closed_pipe_keeps_its_exit_code(tmp_path, monkeypatch):
+    """verify returns its exit 1 to the handler, which flushes stdout before
+    it exits: a closed pipe adds the error line, where it was exit 120 and
+    Python's "Exception ignored" report at shutdown."""
+    _corrupt_catalog(tmp_path, monkeypatch)
+    p = _into_closed_pipe(["verify", "--filter", "catalog"], _buffered_env())
+    assert p.returncode == 1
+    elapsed, closed = p.stderr.splitlines(keepends=True)
+    assert elapsed.startswith("elapsed: ") and closed == _CLOSED

@@ -17,6 +17,11 @@ the last part of a `qcf.` dotted string there, as in the span tracer's
 SITES. Names match as identifiers, unresolved, so one read covers every
 definition of that name; a method is reached only as an attribute
 (`x.name`), so a local variable of the same name does not count for it.
+A method whose name another src/qcf class defines as well (the reports'
+`to_json`) is the exception: it has a caller only where the receiver of
+a read resolves to its class through annotations, constructor calls and
+`self` (or a perfbench dotted string names it as `Class.method`), so a
+second `display_name` does not share `ModelSpace.display_name`'s reads.
 Dunder names and `_make` overrides (the NamedTuple protocol that
 `_replace` calls) are exempt; the CLI commands are read from `cli`'s
 command table like any other name. What only tests call lives in the
@@ -41,12 +46,16 @@ exact form, with a conversion at every boundary between the two. The
 exceptions are `_Exact.fractions()`, the one place that hands a caller a
 Fraction array, and the `_Exact.dtype` class attribute. Numerators past
 int64, which `_Exact` keeps as Python ints, are an integer array chosen
-by its bound and are not named this way. The CLI has one error path: in
+by its bound and are not named this way. Only the entry point
+(`cli._Main.__call__`) freezes the collector's heap (`gc.freeze`): a
+frozen heap is never collected again, so no code that a long-lived
+caller runs may freeze it. The CLI has one error path: in
 `cli`, only the entry point's handler (`_Main.main`) calls `sys.exit` or
 writes to stderr (`file=sys.stderr`, `sys.stderr.write`, or an
-`err=True` echo), apart from `verify`'s `elapsed:` line and its exit 1
-on a failed criterion, and no code calls `np.errstate` (the handler
-ignores numpy's float warnings). A `__new__` in src/qcf (the
+`err=True` echo), apart from `verify`'s `elapsed:` line (a command
+returns its exit code, as verify's 1 on a failed criterion, and the
+handler exits with it once stdout is flushed), and no code calls
+`np.errstate` (the handler ignores numpy's float warnings). A `__new__` in src/qcf (the
 checking records' constructors) takes its fields by name, with no
 `*args` or `**kwargs`: forwarding them through `super().__new__` binds
 them in the NamedTuple's generated constructor, one more Python call per
@@ -96,9 +105,12 @@ _OBJECT_DTYPE_EXEMPT = (("_Exact", "fractions"), ("_Exact", "dtype"))
 
 
 # cli ends a command and prints to stderr only in the entry point's handler,
-# apart from these two calls in verify
+# apart from this call in verify
 _ERROR_HANDLER = ("_Main", "main")
-_VERIFY_EXEMPT = ("print(f'elapsed: {report.elapsed:.2f}s', file=sys.stderr)", "sys.exit(1)")
+_VERIFY_EXEMPT = "print(f'elapsed: {report.elapsed:.2f}s', file=sys.stderr)"
+
+# the one place that may call gc.freeze: the process ends after it
+_FREEZER = ("cli", ("_Main", "__call__"))
 
 
 def _owners(tree: ast.Module):
@@ -129,6 +141,13 @@ def _is_error_output(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and (
         ast.unparse(node.func) in ("sys.exit", "sys.stderr.write")
         or any(ast.unparse(k) in ("file=sys.stderr", "err=True") for k in node.keywords))
+
+
+def _names_gc_freeze(node: ast.AST) -> bool:
+    """A gc.freeze read or a `from gc import freeze`."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "gc" and any(alias.name == "freeze" for alias in node.names)
+    return ast.unparse(node) == "gc.freeze" if isinstance(node, ast.Attribute) else False
 
 
 def _imports_by_owner(tree: ast.Module):
@@ -175,6 +194,10 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
             where = ".".join(name for name in owner if name)
             out += [f"object dtype in {where}" for node in ast.walk(top)
                     if _names_object_dtype(node)]
+    for top, owner in _owners(tree) if src else ():
+        where = ".".join(name for name in owner if name) or "module scope"
+        out += [f"freezes the heap in {where}" for node in ast.walk(top)
+                if _names_gc_freeze(node) and (module, owner) != _FREEZER]
     for node, (cls, name) in _owners(tree) if src else ():
         if name == "__new__" and (node.args.vararg or node.args.kwarg):
             out.append(f"{cls}.__new__ takes *args or **kwargs")
@@ -182,7 +205,7 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
         where = ".".join(name for name in owner if name)
         for node in ast.walk(top) if owner != _ERROR_HANDLER else ():
             if _is_error_output(node) and not (
-                    owner == (None, "verify") and ast.unparse(node) in _VERIFY_EXEMPT):
+                    owner == (None, "verify") and ast.unparse(node) == _VERIFY_EXEMPT):
                 out.append(f"error output in {where}: {ast.unparse(node)}")
         out += [f"calls np.errstate in {where}" for node in ast.walk(top)
                 if isinstance(node, ast.Attribute) and node.attr == "errstate"]
@@ -223,22 +246,153 @@ def _exempt(node: ast.FunctionDef | ast.ClassDef) -> bool:
     return node.name.startswith("__") and node.name.endswith("__") or node.name == "_make"
 
 
+class _Types:
+    """What the receiver scan knows of src/qcf: each top-level class's bases,
+    methods and annotated fields, and each module-level function's return
+    annotation."""
+
+    def __init__(self, trees):
+        self.bases, self.methods, self.fields, self.returns = {}, {}, {}, {}
+        for tree in trees:
+            for top in tree.body:
+                if isinstance(top, ast.ClassDef):
+                    self.bases[top.name] = [getattr(base, "id", None) for base in top.bases]
+                    self.methods[top.name] = {
+                        node.name for node in top.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                    self.fields[top.name] = {
+                        node.target.id: node.annotation for node in top.body
+                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+                elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.returns[top.name] = top.returns
+
+    def mro(self, cls: str | None) -> list[str]:
+        """cls and its src/qcf bases, depth first."""
+        if cls not in self.methods:
+            return []
+        return [cls] + [c for base in self.bases[cls] for c in self.mro(base)]
+
+    def definer(self, cls: str | None, name: str) -> str | None:
+        """The class of cls's mro that defines the method name."""
+        return next((c for c in self.mro(cls) if name in self.methods[c]), None)
+
+    def named(self, note: ast.AST | None, items: bool = False) -> str | None:
+        """The class an annotation names (`C`, `mod.C`, `C | None`), or with
+        items, the class of its items (`tuple[C, ...]`, `list[C]`)."""
+        if isinstance(note, ast.BinOp):
+            return self.named(note.left, items) or self.named(note.right, items)
+        if items:
+            if not isinstance(note, ast.Subscript):
+                return None
+            note = note.slice.elts[0] if isinstance(note.slice, ast.Tuple) else note.slice
+        name = getattr(note, "id", None) or getattr(note, "attr", None)
+        return name if name in self.methods else None
+
+    def of(self, expr: ast.AST, env: dict, items: bool = False) -> str | None:
+        """The class of expr's value (of its items, with items), or None."""
+        if isinstance(expr, ast.Name):
+            return env.get((expr.id, items))
+        if isinstance(expr, ast.IfExp):
+            return self.of(expr.body, env, items) or self.of(expr.orelse, env, items)
+        if isinstance(expr, ast.Call):
+            name = getattr(expr.func, "id", None) or getattr(expr.func, "attr", None)
+            if name in self.methods:
+                return None if items else name
+            return self.named(self.returns.get(name), items)
+        if isinstance(expr, ast.Attribute):
+            for cls in self.mro(self.of(expr.value, env)):
+                if expr.attr in self.fields[cls]:
+                    return self.named(self.fields[cls][expr.attr], items)
+        return None
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _split_scope(scope: ast.AST) -> tuple[list, list]:
+    """The nodes of scope's own body, and the scopes nested in it directly."""
+    own, nested, todo = [], [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _SCOPES):
+            nested.append(node)
+        else:
+            own.append(node)
+            todo += ast.iter_child_nodes(node)
+    return own, nested
+
+
+def _receiver_reads(scope: ast.AST, types: _Types, cls: str | None = None,
+                    env: dict | None = None) -> list:
+    """((class, method), node) for each read `x.method` under scope whose
+    receiver x resolves to a src/qcf class, with the class of x's mro that
+    defines the method. x resolves as `self` in a method of cls, an annotated
+    parameter, a call of a class or of a module-level function with an
+    annotated return, an annotated field, or a name that `=` or `for` binds
+    to one of these; a nested scope sees the names of the scopes around it."""
+    env = dict(env or {})
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
+        for i, arg in enumerate(args):
+            env[(arg.arg, False)] = cls if i == 0 and cls else types.named(arg.annotation)
+            env[(arg.arg, True)] = types.named(arg.annotation, items=True)
+    own, nested = _split_scope(scope)
+    for _ in range(2):  # a name bound from one that is bound further down
+        for node in own:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                for items in (False, True):
+                    env[(node.targets[0].id, items)] = types.of(node.value, env, items)
+            elif (isinstance(node, (ast.For, ast.comprehension))
+                  and isinstance(node.target, ast.Name)):
+                env[(node.target.id, False)] = types.of(node.iter, env, items=True)
+    out = []
+    for node in own:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            definer = types.definer(types.of(node.value, env), node.attr)
+            if definer:
+                out.append(((definer, node.attr), node))
+    for inner in nested:
+        # a class's own methods take it as self; a def nested in a method does not
+        owner = inner.name if isinstance(inner, ast.ClassDef) else (
+            scope.name if isinstance(scope, ast.ClassDef) else None)
+        out += _receiver_reads(inner, types, owner, env)
+    return out
+
+
 def uncalled(src: dict[str, str], bench: list[str]) -> list[str]:
     """module.qualified names of the definitions in src (module name to
     source) that have no caller in src outside themselves or in bench (the
-    perfbench sources)."""
+    perfbench sources). A method whose name another src class defines too
+    has a caller only where a read's receiver resolves to its class
+    (_receiver_reads), or where a bench dotted string names it as
+    `Class.method`."""
     trees = {module: ast.parse(source) for module, source in src.items()}
     read = sum((_reads(tree) for tree in trees.values()), Counter())
-    bench_names = set()
+    types = _Types(trees.values())
+    resolved = [pair for tree in trees.values() for pair in _receiver_reads(tree, types)]
+    shared = {name for name, count in Counter(
+        name for methods in types.methods.values() for name in methods).items() if count > 1}
+    bench_names, bench_dotted = set(), set()
     for tree in map(ast.parse, bench):
         bench_names |= {name.lstrip(".") for name in _reads(tree)}
-        bench_names |= {node.value.rpartition(".")[2] for node in ast.walk(tree)
-                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                        and _QCF_DOTTED.fullmatch(node.value)}
+        dotted = {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and _QCF_DOTTED.fullmatch(node.value)}
+        bench_names |= {name.rpartition(".")[2] for name in dotted}
+        bench_dotted |= {".".join(name.split(".")[-2:]) for name in dotted}
     out = []
     for module, tree in trees.items():
         for qualified, node in _definitions(tree):
-            if _exempt(node) or node.name in bench_names:
+            if _exempt(node):
+                continue
+            if "." in qualified and node.name in shared:
+                inside = {id(n) for n in ast.walk(node)}
+                if qualified not in bench_dotted and all(
+                        id(n) in inside for key, n in resolved
+                        if key == tuple(qualified.split("."))):
+                    out.append(f"{module}.{qualified}")
+                continue
+            if node.name in bench_names:
                 continue
             # a method is reached only as an attribute, a module-level name also by name
             keys = ["." + node.name] if "." in qualified else [node.name, "." + node.name]
@@ -362,7 +516,7 @@ main = _Main()
 
 def verify(report):
     print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
-    sys.exit(1)
+    return 1
 
 def grad():
     with np.errstate(all="ignore"):
@@ -380,9 +534,9 @@ def grad():
         "error output in grad: click.echo('warning', err=True)",
         "calls np.errstate in grad"]
     assert findings(source, module="spectral") == []
-    # verify may print only its timing line and exit 1
-    assert findings(source.replace("sys.exit(1)", "sys.exit(2)"), module="cli")[1] == (
-        "error output in verify: sys.exit(2)")
+    # verify may print only its timing line; it returns its exit code
+    assert findings(source.replace("return 1", "sys.exit(1)"), module="cli")[1] == (
+        "error output in verify: sys.exit(1)")
     # a command that prints its own stderr line fails the scan
     path = SRC / "cli.py"
     text = path.read_text(encoding="utf-8")
@@ -507,3 +661,99 @@ def test_caller_scan_flags_what_only_tests_call():
     mutant = dict(src, stability=text.replace(anchor, passes + anchor))
     assert uncalled(mutant, bench) == ["stability._VerdictFields.passes"]
     assert uncalled(src, []) == ["_exact.exact_inv", "_exact.exact_det"]
+
+
+def test_caller_scan_resolves_shared_method_names_by_receiver():
+    source = """
+class Item(NamedTuple):
+    def to_json(self):
+        return {}
+
+class Report(NamedTuple):
+    items: tuple[Item, ...]
+
+    def to_json(self):
+        return [item.to_json() for item in self.items]
+
+class Unread(NamedTuple):
+    def to_json(self):
+        return self.to_json()
+
+class Traced(NamedTuple):
+    def to_json(self):
+        return {}
+
+class Base(NamedTuple):
+    def to_json(self):
+        return {}
+
+class Derived(Base):
+    pass
+
+def report(model) -> Report:
+    return Report(())
+
+def run(model, derived: Derived | None, anything):
+    anything.to_json()  # a receiver that does not resolve reaches no class
+    chosen = report(model) if model else None
+    return chosen.to_json(), derived.to_json(), (Unread, Traced)
+"""
+    bench = 'SITES = ["qcf.mod.Traced.to_json"]\nmod.run()\n'
+    # Item through Report's field, Report through report's return annotation,
+    # Base through Derived's parameter annotation; Unread only reads itself
+    assert uncalled({"mod": source}, [bench]) == ["mod.Unread.to_json"]
+    assert uncalled({"mod": source}, ['mod.run()\n']) == ["mod.Unread.to_json",
+                                                           "mod.Traced.to_json"]
+
+
+def test_caller_scan_flags_a_method_that_only_shares_a_called_name():
+    """An uncalled `ExceptionalTau.display_name` fails the scan, though cli
+    and catalog read `ModelSpace.display_name`, and so does a report's
+    `to_json` whose one read is gone, though the other reports' are read."""
+    src, bench = _package()
+    text = src["stability"]
+    anchor = "    def to_json(self) -> dict:\n        return {\"tau\": format_ratio(self.tau)"
+    assert text.count(anchor) == 1
+    method = "    @property\n    def display_name(self) -> str:\n        return str(self.tau)\n\n"
+    mutant = dict(src, stability=text.replace(anchor, method + anchor))
+    assert uncalled(mutant, bench) == ["stability.ExceptionalTau.display_name"]
+    read = '        obj["bach"] = bach.to_json()\n'
+    assert src["cli"].count(read) == 1
+    mutant = dict(src, cli=src["cli"].replace(read, '        obj["bach"] = bach._asdict()\n'))
+    assert uncalled(mutant, bench) == ["stability.BachVerdict.to_json"]
+
+
+def test_scan_keeps_gc_freeze_in_the_entry_point():
+    source = """
+import gc
+from gc import freeze
+
+class _Main:
+    def main(self, args=None):
+        gc.freeze()
+
+    def __call__(self):
+        try:
+            self.main()
+        finally:
+            gc.freeze()
+
+def warm():
+    def inner():
+        return gc.freeze
+    return inner, freeze
+
+main = _Main()
+"""
+    flagged = ["freezes the heap in module scope", "freezes the heap in _Main.main",
+               "freezes the heap in warm"]
+    assert findings(source, module="cli") == flagged
+    assert findings(source, module="stability") == flagged[:2] + [
+        "freezes the heap in _Main.__call__", "freezes the heap in warm"]
+    # the handler that in-process callers run may not freeze
+    path = SRC / "cli.py"
+    text = path.read_text(encoding="utf-8")
+    call = "                code = _run(prog_name or self.name, argv) or 0\n"
+    assert text.count(call) == 1
+    mutant = text.replace(call, call + "                gc.freeze()\n")
+    assert findings(mutant, module="cli") == ["freezes the heap in _Main.main"]

@@ -390,6 +390,28 @@ def test_a_known_tt_eigenvalue_at_the_fixed_root_leaves_no_passing_tau(cat, key)
         assert not passes(combined_verdict(model, tau))
 
 
+_TORUS_NOTE = ("conformal direction only: parallel trace-free tensors are a neutral TT "
+               "kernel at every tau, so stability is never strict")
+
+
+def test_a_tt_check_that_is_indeterminate_at_the_fixed_root_gives_its_own_note(cat):
+    """sphere:4 with tail bound 5, below its fixed root 2R/n = 6: the TT check
+    there is Indeterminate only because the spectrum above 5 is unknown, and
+    the interval says so. The flat torus's note goes with a check that fails
+    (the tori's parallel TT kernel, or a known eigenvalue at 2R/n)."""
+    model = cat["sphere:4"]
+    model = model._replace(tt=model.tt._replace(tail_bound=Fraction(5)))
+    validate_model(model)
+    iv = stability_interval(model)
+    assert (iv.lo, iv.hi, iv.verdict_inside) == (Fraction(-1, 3), None, "Indeterminate")
+    assert iv.notes == ("forbidden interval [6, 6] reaches the region mu >= 5 where the "
+                        "spectrum is not fully known",)
+    for key in ("torus:4", "torus:8"):
+        assert stability_interval(cat[key]).notes == (_TORUS_NOTE,)
+    at_root = with_tt_eigenvalue(cat["sphere:4"], 6)
+    assert stability_interval(at_root).notes == (_TORUS_NOTE,)
+
+
 def test_an_interval_needs_tt_data(cat):
     """Its TT ends come from the TT data, so a model without any (an extension
     catalog's "tt": null) gets no interval, as it gets no verdict."""
