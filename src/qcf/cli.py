@@ -1,11 +1,14 @@
 """Command-line surface: tables, curve sweeps, and the self-check suite.
 
 Every command emits deterministic output for a fixed argv and seed.
-Exact thresholds travel as ratio strings ("p/q"); JSON reports carry a
-"kind" field and validate against qcf/schemas/report.schema.json before
-being printed. Exit codes: 0 success, 1 verification failure, 2 invalid
-input, 3 insufficient spectral data; `main.main()` prints each failure
-as one stderr line, a reader that closes stdout early (exit 1) included.
+This is the one module that renders a report: `stability` and `verify`
+return records, and the functions beside each command build its JSON
+and text from their fields. Exact thresholds travel as ratio strings
+("p/q"); JSON reports carry a "kind" field and validate against
+qcf/schemas/report.schema.json before being printed. Exit codes: 0
+success, 1 verification failure, 2 invalid input, 3 insufficient
+spectral data; `main.main()` prints each failure as one stderr line, a
+reader that closes stdout early (exit 1) included.
 
 `main()` is the entry point of the `qcf` script and of `python -m
 qcf.cli`; it freezes the collector's heap once its command is done, so
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import math
 import os
@@ -204,10 +208,12 @@ class _Main:
     before the output is written gets `error: ...` with exit 1. Every run
     ends in SystemExit.
 
-    Calling the entry (`main()`) runs `main` and then freezes the heap, so
-    that the interpreter's last collection, which has nothing to reclaim,
-    skips it; `main` itself never freezes, since a long-lived caller's
-    frozen heap would not be collected again.
+    Calling the entry (`main()`) gives a raw stdout (PYTHONUNBUFFERED) a
+    buffer, so that a closed pipe is reported as with a buffered one, runs
+    `main` and then freezes the heap, so that the interpreter's last
+    collection, which has nothing to reclaim, skips it; `main` itself
+    never freezes, since a long-lived caller's frozen heap would not be
+    collected again.
 
     `name` and the signature of `main` are the ones the benchmark's
     launcher and its recorder (through click.testing.CliRunner) call;
@@ -246,6 +252,12 @@ class _Main:
         sys.exit(code)
 
     def __call__(self):
+        out = sys.stdout
+        if isinstance(getattr(out, "buffer", None), io.FileIO):
+            # PYTHONUNBUFFERED: over a raw stdout the text layer drops what a short
+            # write to a closing pipe left over; buffered, the flush in main raises
+            sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding,
+                                          out.errors)
         try:
             self.main()
         finally:
@@ -258,16 +270,37 @@ main = _Main()
 # intervals
 
 
+def _ends(iv) -> tuple[str, str]:
+    """The texts of an interval's ends; a missing end is -inf or inf."""
+    return ("-inf" if iv.lo is None else format_ratio(iv.lo),
+            "inf" if iv.hi is None else format_ratio(iv.hi))
+
+
+def _interval_json(ms, iv) -> dict:
+    lo, hi = _ends(iv)
+    return {"kind": "interval", "model": ms.key, "n": ms.n, "lo": lo, "hi": hi,
+            "lo_open": iv.lo_open, "hi_open": iv.hi_open,
+            "provenance": {"lo": iv.lo_provenance, "hi": iv.hi_provenance},
+            "notes": list(iv.notes), "verdict_inside": iv.verdict_inside}
+
+
 def _interval_text(ms, iv) -> str:
-    ends = iv.to_json()  # a missing endpoint is -inf or inf
+    lo, hi = _ends(iv)
     lb = "(" if iv.lo_open else "["
     rb = ")" if iv.hi_open else "]"
-    lines = [f"{ms.display_name}: tau in {lb}{ends['lo']}, {ends['hi']}{rb} -> "
-             f"{iv.verdict_inside}",
+    lines = [f"{ms.display_name}: tau in {lb}{lo}, {hi}{rb} -> {iv.verdict_inside}",
              f"  lower endpoint: {iv.lo_provenance}",
              f"  upper endpoint: {iv.hi_provenance}"]
     lines.extend(f"  note: {note}" for note in iv.notes)
     return "\n".join(lines)
+
+
+def _verdict_json(ms, tau, v) -> dict:
+    num, den = tau.as_integer_ratio()  # a float tau is its exact value
+    return {"kind": "verdict", "model": ms.key, "n": ms.n, "R": format_ratio(ms.scal),
+            "tau": {"num": num, "den": den}, "verdict": v.variant,
+            "witness": None if v.witness is None else format_ratio(v.witness),
+            "notes": list(v.notes), "provenance": list(v.provenance)}
 
 
 def _verdict_text(ms, tau, v) -> str:
@@ -289,9 +322,8 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
     ms = resolve_model(cat, model, dim, m_, order)
     if tau is not None:
         v = stability.combined_verdict(ms, tau, lambda1_override=lambda1_)
-        obj = {"kind": "verdict", **stability.verdict_to_json(ms, tau, v)}
         if fmt == "json":
-            _emit_json(obj)
+            _emit_json(_verdict_json(ms, tau, v))
         elif fmt == "csv":
             print("model,tau,verdict,witness")
             wit = format_ratio(v.witness) if v.witness is not None else ""
@@ -301,12 +333,11 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
         return
     iv = stability.stability_interval(ms)
     if fmt == "json":
-        _emit_json({"kind": "interval", **stability.interval_to_json(ms, iv)})
+        _emit_json(_interval_json(ms, iv))
     elif fmt == "csv":
-        ends = iv.to_json()
+        lo, hi = _ends(iv)
         print("model,lo,hi,lo_open,hi_open,verdict_inside")
-        print(f"{ms.key},{ends['lo']},{ends['hi']},{iv.lo_open},{iv.hi_open},"
-                   f"{iv.verdict_inside}")
+        print(f"{ms.key},{lo},{hi},{iv.lo_open},{iv.hi_open},{iv.verdict_inside}")
     else:
         print(_interval_text(ms, iv))
 
@@ -315,18 +346,26 @@ def intervals(model, dim, m_, order, tau, lambda1_, fmt) -> None:
 # rigidity
 
 
+def _rigidity_json(rep, bach) -> dict:
+    obj = {"kind": "rigidity", "model": rep.model_key, "notes": list(rep.notes),
+           "exceptional_taus": [{"tau": format_ratio(e.tau), "mu": format_ratio(e.mu),
+                                 "kernel": e.kernel_note} for e in rep.exceptional]}
+    if bach is not None:
+        obj["bach"] = {"model": bach.model_key, "bach_rigid": bach.rigid,
+                       "strict_weyl_minimizer": bach.strict_weyl_min,
+                       "targets": [format_ratio(t) for t in bach.targets],
+                       "notes": list(bach.notes)}
+    return obj
+
+
 def rigidity(model, dim, m_, order, count, mus, fmt) -> None:
     """Exceptional tau values where the gauged kernel jumps; Bach verdict at n=4."""
     cat = load_catalog()
     ms = resolve_model(cat, model, dim, m_, order)
-    rep = stability.rigidity_exceptional_taus(
-        ms, count=count, mu_list=mus)
-    obj = {"kind": "rigidity", **rep.to_json()}
+    rep = stability.rigidity_exceptional_taus(ms, count=count, mu_list=mus)
     bach = stability.bach_verdict(ms) if ms.n == 4 else None
-    if bach is not None:
-        obj["bach"] = bach.to_json()
     if fmt == "json":
-        _emit_json(obj)
+        _emit_json(_rigidity_json(rep, bach))
         return
     if fmt == "csv":
         print("tau,mu,kernel")
@@ -573,7 +612,7 @@ def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
     d = stability.reverse_bishop(vol_g, n, vol_gt, ric_upper_ok,
                                  ric_lower_ok, ftilde0)
     if fmt == "json":
-        _emit_json({"kind": "bishop", **d.to_json()})
+        _emit_json({"kind": "bishop", "conclusion": d.conclusion, "notes": list(d.notes)})
     else:
         print("\n".join([d.conclusion, *(f"  {note}" for note in d.notes)]))
 
@@ -582,15 +621,27 @@ def bishop(vol_g, vol_gt, n, ftilde0, ric_upper_ok, ric_lower_ok, fmt) -> None:
 # verify
 
 
+def _verify_json(report) -> dict:
+    return {"kind": "verify", "checks": [r._asdict() for r in report.results],
+            "all_passed": report.all_passed}
+
+
+def _verify_text(report) -> str:
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: measured {r.measured}; "
+             f"expected {r.expected}" for r in report.results]
+    lines.append("overall: " + ("PASS" if report.all_passed else "FAIL"))
+    return "\n".join(lines) + "\n"
+
+
 def verify(filter_, seed, fmt) -> int:
     """Run the acceptance suite; nonzero exit on any failure."""
     from qcf import verify as verify_mod
 
     report = verify_mod.run_all(filter_str=filter_, seed=seed)
     if fmt == "json":
-        _emit_json(report.to_json())
+        _emit_json(_verify_json(report))
     else:
-        print(report.text(), end="")
+        print(_verify_text(report), end="")
     print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
     return 0 if report.all_passed else 1
 

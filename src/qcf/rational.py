@@ -13,8 +13,7 @@ tensors and lambda over spec(-Delta) on functions, both bounded below,
 so interval statements about spectra translate verbatim.
 
 Every polynomial here is exact: its coefficients and values are
-Fractions, and a float argument converts to its exact value (only
-as_exact keeps a float, for the float symbols of `spectral`). It is
+Fractions, and a float argument converts to its exact value. It is
 plain arithmetic on Python numbers and imports no numpy, so the commands
 built on it (`intervals`, `rigidity`, `bishop`, `berger`,
 `symbol --conformal-killing`) start without it.
@@ -67,21 +66,6 @@ def tau2(n: int) -> Fraction:
     return Fraction(-n, 4 * (n - 1))
 
 
-def as_exact(x):
-    """A Fraction for int or Fraction input (a Fraction itself, which is
-    immutable, comes back as it is), a float otherwise."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
-
-
-def _split(x) -> tuple[int, int]:
-    """x as (numerator, denominator) of its exact value; a float converts exactly."""
-    return x.as_integer_ratio()
-
-
 class SpectralPolynomial(NamedTuple):
     """Degree <= 2 polynomial c2 x^2 + c1 x + c0 in the eigenvalue variable.
 
@@ -94,8 +78,9 @@ class SpectralPolynomial(NamedTuple):
     c2: Fraction
 
     def __call__(self, x) -> Fraction:
-        # one quotient over d0 d1 d2 q^2 in place of a chain of Fractions
-        (n0, d0), (n1, d1), (n2, d2), (p, q) = map(_split, (*self, x))
+        # one quotient over d0 d1 d2 q^2 in place of a chain of Fractions; a
+        # float's integer ratio is its exact value
+        (n0, d0), (n1, d1), (n2, d2), (p, q) = (c.as_integer_ratio() for c in (*self, x))
         return Fraction((n2 * d0 * d1 * p + n1 * d0 * d2 * q) * p + n0 * d1 * d2 * q * q,
                         d0 * d1 * d2 * q * q)
 
@@ -109,8 +94,8 @@ def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynom
     at tau = 0 this reproduces the coefficients
     (1/2) mu^2 - (3/n) R mu + (n+4)/(2n^2) R^2.
     """
-    a, b = _split(scal)
-    p, q = _split(tau)
+    a, b = scal.as_integer_ratio()
+    p, q = tau.as_integer_ratio()
     # with R = a/b and tau = p/q, each coefficient is one quotient:
     # c1 = -(3q + np) a / (nqb), c0 = (8q + 4np [+ (n-4)(q + np)]) a^2 / (2n^2 q b^2)
     k = 8 * q + 4 * n * p
@@ -136,12 +121,14 @@ def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:
     of this expanded form (verify 10, the property tests) are what tie
     that rule to the polynomial.
     """
-    (an, ad), (bn, bd) = map(_split, _second_factor(n, scal, tau))
-    r, s = _split(scal)
-    # c2 = (n-1)a/(2n), c1 = ((n-1)b - Ra)/(2n), c0 = -Rb/(2n), each one quotient
-    c2 = Fraction((n - 1) * an, 2 * n * ad)
-    c1 = Fraction((n - 1) * bn * ad * s - r * an * bd, 2 * n * ad * bd * s)
-    c0 = Fraction(-r * bn, 2 * n * bd * s)
+    (p, q), (r, s) = tau.as_integer_ratio(), scal.as_integer_ratio()
+    a, b = _second_numerators(n, p, q, r)
+    # the second factor is a/q lambda + b/(qs), and c2 = (n-1)a/(2n),
+    # c1 = ((n-1)b - Ra)/(2n), c0 = -Rb/(2n), each one quotient
+    den = 2 * n * q
+    c2 = Fraction((n - 1) * a, den)
+    c1 = Fraction((n - 1) * b - r * a, den * s)
+    c0 = Fraction(-r * b, den * s * s)
     return SpectralPolynomial(c0, c1, c2)
 
 
@@ -153,22 +140,11 @@ def conformal_s_polynomial(n: int, scal) -> SpectralPolynomial:
                               Fraction(2 * (n - 1) ** 2))
 
 
-def _second_factor(n: int, R, t) -> tuple[Fraction, Fraction]:
-    """Slope and constant (a, b) of the second factor a lambda + b of p_tau.
-
-    With R = r/s and tau = p/q, each is one quotient:
-    a = n(nq + 4(n-1)p)/q and b = 2(n-4)(q + np)r/(qs). The slope is
-    positive exactly for tau > -n/(4(n-1)), and at tau = -1/n the R term
-    drops out (slope (n-2)^2).
-    """
-    (p, q), (r, s) = _split(t), _split(R)
-    a, b = _second_numerators(n, p, q, r)
-    return Fraction(a, q), Fraction(b, q * s)
-
-
 def _second_numerators(n: int, p: int, q: int, r: int) -> tuple[int, int]:
-    """Numerators of the slope and constant of the second factor over the
-    denominators q and qs, for tau = p/q and R = r/s (q, s > 0)."""
+    """Numerators of the slope n(nq + 4(n-1)p)/q and the constant
+    2(n-4)(q + np)r/(qs) of the second factor of p_tau, for tau = p/q and
+    R = r/s (q, s > 0). The slope is positive exactly for tau > -n/(4(n-1)),
+    and at tau = -1/n the R term drops out (slope (n-2)^2)."""
     return n * (n * q + 4 * (n - 1) * p), 2 * (n - 4) * (q + n * p) * r
 
 

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from qcf._exact import exact_rank_nullspace
-from qcf.rational import as_exact
 from qcf.tensor_core import _per_metric
 
 
@@ -28,11 +27,13 @@ def symbol_coefficients(n: int, tau) -> tuple:
     Fractions for exact tau; floats for float tau, or arrays for an
     array of float taus, each 2 tau + c or 2 (tau + c) with c rounded once.
     """
-    t = tau if isinstance(tau, np.ndarray) else as_exact(tau)
     a = Fraction(n * n + 4 * n - 4, 2 * n * n)
     b = Fraction(n - 1, n)
     c = Fraction(n**3 + 4 * n - 4, 2 * n**3)
-    if not isinstance(t, Fraction):
+    if isinstance(tau, (int, Fraction)):
+        t = Fraction(tau)
+    else:
+        t = tau if isinstance(tau, np.ndarray) else float(tau)
         a, b, c = float(a), float(b), float(c)
     return 2 * t + a, 2 * (t + b), 2 * t + c
 

@@ -14,6 +14,8 @@ Einstein metric.
 Every decision here is exact rational arithmetic (floats only print the
 volume comparison's notes); the procedures never extrapolate beyond the
 branch of the statement that covers the input, returning Indeterminate instead.
+They return records (NamedTuples) and render nothing: `cli` builds each
+report's JSON and text from their fields.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from qcf.catalog import ModelSpace, function_spectrum
-from qcf.rational import _second_numerators, format_ratio, tau2
+from qcf.rational import _second_numerators, format_ratio, tau1, tau2
 
 
 class InsufficientSpectralData(ValueError):
@@ -36,23 +38,15 @@ VERDICT_VARIANTS = ("StrictlyStable", "StableBoundOnly", "Indeterminate",
                     "FailsTT", "FailsConformal")
 
 
-# A record that checks its fields is a NamedTuple of the fields and methods
-# with a thin subclass whose __new__ takes the fields by name, with their
-# defaults, checks them and builds the tuple (a NamedTuple class body cannot
-# define __new__); _make is overridden so that _replace checks as well.
+# A record that checks its fields is a NamedTuple of the fields with a thin
+# subclass whose __new__ takes the fields by name, with their defaults, checks
+# them and builds the tuple (a NamedTuple class body cannot define __new__);
+# _make is overridden so that _replace checks as well.
 class _VerdictFields(NamedTuple):
     variant: str
     witness: Fraction | None = None
     notes: tuple[str, ...] = ()
     provenance: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.variant,
-            "witness": format_ratio(self.witness) if self.witness is not None else None,
-            "notes": list(self.notes),
-            "provenance": list(self.provenance),
-        }
 
 
 class StabilityVerdict(_VerdictFields):
@@ -79,17 +73,6 @@ class _IntervalFields(NamedTuple):
     hi_provenance: str = ""
     notes: tuple[str, ...] = ()
     verdict_inside: str = "StrictlyStable"
-
-    def to_json(self) -> dict:
-        return {
-            "lo": format_ratio(self.lo) if self.lo is not None else "-inf",
-            "hi": format_ratio(self.hi) if self.hi is not None else "inf",
-            "lo_open": self.lo_open,
-            "hi_open": self.hi_open,
-            "provenance": {"lo": self.lo_provenance, "hi": self.hi_provenance},
-            "notes": list(self.notes),
-            "verdict_inside": self.verdict_inside,
-        }
 
 
 class TauInterval(_IntervalFields):
@@ -297,7 +280,7 @@ _LADDER = {
 def _ladder_row(sign: int, n: int) -> tuple:
     """The row of _LADDER for the sign of R and n, thresholds and notes resolved."""
     above, below, fails_at, *notes, provenance = _LADDER[sign, min(n, 5)]
-    named = {"t1": (4 - 3 * n, 2 * n * (n - 1)), "t2": (-n, 4 * (n - 1))}  # tau1, tau2
+    named = {"t1": tau1(n).as_integer_ratio(), "t2": tau2(n).as_integer_ratio()}
     texts = {k: _ratio_text(*v) for k, v in named.items()}
     notes = tuple(note and note.format(n=n, **texts) for note in notes)
     return named.get(above, above), named.get(below, below), fails_at, notes, provenance
@@ -426,22 +409,11 @@ class ExceptionalTau(NamedTuple):
     mu: Fraction
     kernel_note: str = ""
 
-    def to_json(self) -> dict:
-        return {"tau": format_ratio(self.tau), "mu": format_ratio(self.mu),
-                "kernel": self.kernel_note}
-
 
 class RigidityReport(NamedTuple):
     model_key: str
     exceptional: tuple[ExceptionalTau, ...]
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model_key,
-            "exceptional_taus": [e.to_json() for e in self.exceptional],
-            "notes": list(self.notes),
-        }
 
 
 _KERNEL_NOTES = {
@@ -518,15 +490,6 @@ class BachVerdict(NamedTuple):
     targets: tuple[Fraction, Fraction]
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model_key,
-            "bach_rigid": self.rigid,
-            "strict_weyl_minimizer": self.strict_weyl_min,
-            "targets": [format_ratio(t) for t in self.targets],
-            "notes": list(self.notes),
-        }
-
 
 def _interval_empty(tt, lo: int, hi: int, den: int) -> bool | None:
     """Is spec_TT disjoint from [lo/den, hi/den]? True/False when certain, else None."""
@@ -572,9 +535,6 @@ def bach_verdict(model: ModelSpace) -> BachVerdict:
 class BishopDeduction(NamedTuple):
     conclusion: str  # VolumeAtLeast | Inconclusive | EqualityRigidity
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {"conclusion": self.conclusion, "notes": list(self.notes)}
 
 
 # display: normal floats lie in [_TINY, _HUGE]; beyond, 12 digits at any exponent
@@ -640,7 +600,7 @@ def reverse_bishop(vol_g: Fraction | float, n: int, vol_gt: Fraction | float, ri
 
 
 # ---------------------------------------------------------------------------
-# combined verdict + JSON
+# combined verdict
 
 
 def combined_verdict(model: ModelSpace, tau,
@@ -665,13 +625,3 @@ def combined_verdict(model: ModelSpace, tau,
             return StabilityVerdict("Indeterminate", witness, notes, provenance)
     variant = "StableBoundOnly" if "StableBoundOnly" in (tt_v[0], cf_v[0]) else "StrictlyStable"
     return StabilityVerdict(variant, None, notes, provenance)
-
-
-def verdict_to_json(model: ModelSpace, tau, verdict: StabilityVerdict) -> dict:
-    t = _exact_tau(tau)
-    return {"model": model.key, "n": model.n, "R": format_ratio(model.scal),
-            "tau": {"num": t.numerator, "den": t.denominator}, **verdict.to_json()}
-
-
-def interval_to_json(model: ModelSpace, interval: TauInterval) -> dict:
-    return {"model": model.key, "n": model.n, **interval.to_json()}

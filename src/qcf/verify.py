@@ -1,9 +1,10 @@
-"""Self-verification suite: every acceptance check, one pass/fail line each.
+"""Self-verification suite: every acceptance check, one pass/fail record each.
 
 Each criterion is a function returning a CheckResult with the measured
 and expected values; the runner executes them in order, optionally
-filtered by substring, and reports deterministic text (timing goes to
-stderr in the CLI so that stdout stays byte-identical across runs).
+filtered by substring, and returns a VerifyReport of the results and the
+elapsed time. `cli` renders it, one line per criterion (timing goes to
+stderr so that stdout stays byte-identical across runs).
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class CheckResult(NamedTuple):
     passed: bool
     measured: str
     expected: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: measured {self.measured}; expected {self.expected}"
 
 
 def _catalog():
@@ -445,22 +442,6 @@ class VerifyReport(NamedTuple):
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def text(self) -> str:
-        lines = [r.line() for r in self.results]
-        lines.append("overall: " + ("PASS" if self.all_passed else "FAIL"))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "verify",
-            "checks": [
-                {"name": r.name, "passed": r.passed,
-                 "measured": r.measured, "expected": r.expected}
-                for r in self.results
-            ],
-            "all_passed": self.all_passed,
-        }
 
 
 def run_all(filter_str: str | None = None, seed: int = 0) -> VerifyReport:

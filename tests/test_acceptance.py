@@ -1,13 +1,14 @@
 """Acceptance gate: every self-check criterion must pass at its stated tolerance.
 
 Runs the full suite once and asserts each criterion separately so a
-failure pinpoints the broken check; the pass/fail line is printed for
+failure pinpoints the broken check; the result record is printed for
 the test log.
 """
 
 import pytest
 
 from qcf import verify
+from qcf.cli import _verify_json, _verify_text
 
 CRITERION_NAMES = [name for name, _ in verify.CRITERIA] + ["runtime"]
 
@@ -20,18 +21,18 @@ def report():
 @pytest.mark.parametrize("name", CRITERION_NAMES)
 def test_criterion(report, name):
     result = next(r for r in report.results if r.name == name)
-    print(result.line())
-    assert result.passed, result.line()
+    print(result)
+    assert result.passed, result
 
 
 def test_report_text_shape(report):
-    text = report.text()
+    text = _verify_text(report)
     assert text.endswith("overall: PASS\n")
     assert text.count("[PASS]") == len(CRITERION_NAMES)
 
 
 def test_report_json_round_trip(report):
-    obj = report.to_json()
+    obj = _verify_json(report)
     assert obj["kind"] == "verify"
     assert obj["all_passed"] is True
     assert len(obj["checks"]) == len(CRITERION_NAMES)

@@ -912,21 +912,25 @@ def test_a_process_runs_its_exit_hooks_after_the_freeze():
 _CLOSED = "error: stdout was closed before the output was written\n"
 
 
-def _buffered_env() -> dict:
-    """The environment with stdout block-buffered, as in a plain shell: with
-    PYTHONUNBUFFERED set, Python's text layer drops what a short write to a
-    closed pipe left over, without an error."""
-    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+def _env(unbuffered: bool) -> dict:
+    """The environment with PYTHONUNBUFFERED set to 1, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
 
 
-@pytest.mark.parametrize("argv", [["curve", "--points", "20000", "--tau", "0"],
-                                  ["curve", "--points", "2000", "--tau", "0",
-                                   "--format", "json"]], ids=["text", "json"])
-def test_a_reader_that_closes_stdout_early_gets_one_error_line(argv):
+_TEXT_CURVE = ["curve", "--points", "20000", "--tau", "0"]
+_JSON_CURVE = ["curve", "--points", "2000", "--tau", "0", "--format", "json"]
+
+
+@pytest.mark.parametrize("argv,unbuffered", [
+    (_TEXT_CURVE, False), (_JSON_CURVE, False), (_TEXT_CURVE, True), (_JSON_CURVE, True)],
+    ids=["text", "json", "text-unbuffered", "json-unbuffered"])
+def test_a_reader_that_closes_stdout_early_gets_one_error_line(argv, unbuffered):
     """`qcf curve ... | head -c 10`: the command meets the closed pipe while it
-    writes, and ends with one stderr line and exit 1, not a traceback."""
+    writes, and ends with one stderr line and exit 1, not a traceback, with
+    stdout buffered or not (PYTHONUNBUFFERED)."""
     p = subprocess.Popen([sys.executable, "-m", "qcf.cli", *argv], stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, env=_buffered_env())
+                         stderr=subprocess.PIPE, env=_env(unbuffered))
     head = p.stdout.read(10)
     p.stdout.close()
     stderr = p.stderr.read().decode()
@@ -950,14 +954,14 @@ def _into_closed_pipe(argv, env):
 
 @pytest.mark.parametrize("argv,unbuffered", [
     (["intervals", "--model", "sphere:4"], False), (["intervals", "--model", "sphere:4"], True),
-    (["intervals", "--help"], False)], ids=["buffered", "unbuffered", "help"])
+    (["intervals", "--help"], False), (["intervals", "--help"], True)],
+    ids=["buffered", "unbuffered", "help", "help-unbuffered"])
 def test_a_report_for_a_closed_pipe_gets_one_error_line(argv, unbuffered):
     """A report or a command's help that fits the stdout buffer meets a pipe
     closed before the command ran at the handler's flush, not at interpreter
-    shutdown; an unbuffered stdout meets it at the command's first write
-    (argparse drops a failed write of the help, so unbuffered help exits 0)."""
-    env = dict(_buffered_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
-    p = _into_closed_pipe(argv, env)
+    shutdown. The entry gives an unbuffered stdout a buffer, so argparse's
+    write of the help, which drops a failed write, cannot hide the pipe."""
+    p = _into_closed_pipe(argv, _env(unbuffered))
     assert (p.returncode, p.stderr) == (1, _CLOSED)
 
 
@@ -966,7 +970,7 @@ def test_a_failing_verify_for_a_closed_pipe_keeps_its_exit_code(tmp_path, monkey
     it exits: a closed pipe adds the error line, where it was exit 120 and
     Python's "Exception ignored" report at shutdown."""
     _corrupt_catalog(tmp_path, monkeypatch)
-    p = _into_closed_pipe(["verify", "--filter", "catalog"], _buffered_env())
+    p = _into_closed_pipe(["verify", "--filter", "catalog"], _env(False))
     assert p.returncode == 1
     elapsed, closed = p.stderr.splitlines(keepends=True)
     assert elapsed.startswith("elapsed: ") and closed == _CLOSED

@@ -5,11 +5,12 @@ list in perfbench/refs/cli-oneshot.json and curve-sweeps.json as its own
 `qcf` process and reject a run whose exit code or output differs from
 the reference, by the rules in refcheck.py. This test replays the same
 argv lists in-process (tests/conftest.py's QcfRunner) and the same
-comparison, loaded by path, so that a changed output fails here first,
-and replays one reference per command as a `python -m qcf.cli` process,
-as the benchmark runs it. It also pins the one-line errors of sweeps
-whose points fail in different ways: the first failing point decides,
-as in a point-by-point loop.
+comparison, loaded by path, so that a changed output fails here first;
+the stdout of `intervals`, `rigidity`, `bishop` and `berger` must also
+equal the reference byte for byte. It replays one reference per command
+as a `python -m qcf.cli` process, as the benchmark runs it. It also pins
+the one-line errors of sweeps whose points fail in different ways: the
+first failing point decides, as in a point-by-point loop.
 """
 
 import json
@@ -41,22 +42,32 @@ def runner(monkeypatch):
     return QcfRunner()
 
 
-def _mismatch(runner, argv, ref):
-    """refcheck's reason why the output of `qcf argv` fails ref, or None."""
+def _mismatch(runner, argv, ref, exact: bool = False):
+    """refcheck's reason why the output of `qcf argv` fails ref, or None;
+    with exact, stdout must also equal the reference's byte for byte."""
     res = runner.invoke(main, list(argv))
     stderr = res.stderr
     if res.exception is not None and not isinstance(res.exception, SystemExit):
         stderr += "".join(traceback.format_exception(res.exception))
-    return refcheck.compare_cli(list(argv), res.exit_code, res.stdout, stderr, ref)
+    why = refcheck.compare_cli(list(argv), res.exit_code, res.stdout, stderr, ref)
+    if not why and exact and res.stdout != ref["stdout"]:
+        return "stdout differs from the reference byte for byte"
+    return why
+
+
+# the commands whose every reference stdout replays byte for byte, where
+# refcheck would let float digits, JSON keys' spacing or whitespace drift
+_BYTE_EXACT = ("intervals", "rigidity", "bishop", "berger")
 
 
 def test_every_oneshot_query_matches_its_reference(runner):
     failures = []
     for argv, ref in REFERENCES.items():
-        why = _mismatch(runner, argv, ref)
+        why = _mismatch(runner, argv, ref, exact=argv[0] in _BYTE_EXACT)
         if why:
             failures.append(f"{' '.join(argv)}: {why}")
     assert len(REFERENCES) > 700
+    assert sum(argv[0] in _BYTE_EXACT for argv in REFERENCES) == 629
     assert not failures, "\n".join(failures[:20])
 
 

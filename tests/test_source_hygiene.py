@@ -17,14 +17,11 @@ the last part of a `qcf.` dotted string there, as in the span tracer's
 SITES. Names match as identifiers, unresolved, so one read covers every
 definition of that name; a method is reached only as an attribute
 (`x.name`), so a local variable of the same name does not count for it.
-A method whose name another src/qcf class defines as well (the reports'
-`to_json`) is the exception: it has a caller only where the receiver of
-a read resolves to its class through annotations, constructor calls and
-`self` (or a perfbench dotted string names it as `Class.method`), so a
-second `display_name` does not share `ModelSpace.display_name`'s reads.
-Dunder names and `_make` overrides (the NamedTuple protocol that
-`_replace` calls) are exempt; the CLI commands are read from `cli`'s
-command table like any other name. What only tests call lives in the
+That match is exact because no two src/qcf classes define a method of
+one name: a second `display_name` would share `ModelSpace.display_name`'s
+reads. Dunder names and `_make` overrides (the NamedTuple protocol that
+`_replace` calls) are exempt from both rules; the CLI commands are read
+from `cli`'s command table like any other name. What only tests call lives in the
 tests. No module of src/qcf imports `click`, anywhere, function bodies
 included: the CLI parses with argparse, which imports in a tenth of the
 time. No module of src/qcf imports `dataclasses` (records are
@@ -246,153 +243,22 @@ def _exempt(node: ast.FunctionDef | ast.ClassDef) -> bool:
     return node.name.startswith("__") and node.name.endswith("__") or node.name == "_make"
 
 
-class _Types:
-    """What the receiver scan knows of src/qcf: each top-level class's bases,
-    methods and annotated fields, and each module-level function's return
-    annotation."""
-
-    def __init__(self, trees):
-        self.bases, self.methods, self.fields, self.returns = {}, {}, {}, {}
-        for tree in trees:
-            for top in tree.body:
-                if isinstance(top, ast.ClassDef):
-                    self.bases[top.name] = [getattr(base, "id", None) for base in top.bases]
-                    self.methods[top.name] = {
-                        node.name for node in top.body
-                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-                    self.fields[top.name] = {
-                        node.target.id: node.annotation for node in top.body
-                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
-                elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self.returns[top.name] = top.returns
-
-    def mro(self, cls: str | None) -> list[str]:
-        """cls and its src/qcf bases, depth first."""
-        if cls not in self.methods:
-            return []
-        return [cls] + [c for base in self.bases[cls] for c in self.mro(base)]
-
-    def definer(self, cls: str | None, name: str) -> str | None:
-        """The class of cls's mro that defines the method name."""
-        return next((c for c in self.mro(cls) if name in self.methods[c]), None)
-
-    def named(self, note: ast.AST | None, items: bool = False) -> str | None:
-        """The class an annotation names (`C`, `mod.C`, `C | None`), or with
-        items, the class of its items (`tuple[C, ...]`, `list[C]`)."""
-        if isinstance(note, ast.BinOp):
-            return self.named(note.left, items) or self.named(note.right, items)
-        if items:
-            if not isinstance(note, ast.Subscript):
-                return None
-            note = note.slice.elts[0] if isinstance(note.slice, ast.Tuple) else note.slice
-        name = getattr(note, "id", None) or getattr(note, "attr", None)
-        return name if name in self.methods else None
-
-    def of(self, expr: ast.AST, env: dict, items: bool = False) -> str | None:
-        """The class of expr's value (of its items, with items), or None."""
-        if isinstance(expr, ast.Name):
-            return env.get((expr.id, items))
-        if isinstance(expr, ast.IfExp):
-            return self.of(expr.body, env, items) or self.of(expr.orelse, env, items)
-        if isinstance(expr, ast.Call):
-            name = getattr(expr.func, "id", None) or getattr(expr.func, "attr", None)
-            if name in self.methods:
-                return None if items else name
-            return self.named(self.returns.get(name), items)
-        if isinstance(expr, ast.Attribute):
-            for cls in self.mro(self.of(expr.value, env)):
-                if expr.attr in self.fields[cls]:
-                    return self.named(self.fields[cls][expr.attr], items)
-        return None
-
-
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-
-
-def _split_scope(scope: ast.AST) -> tuple[list, list]:
-    """The nodes of scope's own body, and the scopes nested in it directly."""
-    own, nested, todo = [], [], list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        if isinstance(node, _SCOPES):
-            nested.append(node)
-        else:
-            own.append(node)
-            todo += ast.iter_child_nodes(node)
-    return own, nested
-
-
-def _receiver_reads(scope: ast.AST, types: _Types, cls: str | None = None,
-                    env: dict | None = None) -> list:
-    """((class, method), node) for each read `x.method` under scope whose
-    receiver x resolves to a src/qcf class, with the class of x's mro that
-    defines the method. x resolves as `self` in a method of cls, an annotated
-    parameter, a call of a class or of a module-level function with an
-    annotated return, an annotated field, or a name that `=` or `for` binds
-    to one of these; a nested scope sees the names of the scopes around it."""
-    env = dict(env or {})
-    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
-        for i, arg in enumerate(args):
-            env[(arg.arg, False)] = cls if i == 0 and cls else types.named(arg.annotation)
-            env[(arg.arg, True)] = types.named(arg.annotation, items=True)
-    own, nested = _split_scope(scope)
-    for _ in range(2):  # a name bound from one that is bound further down
-        for node in own:
-            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-                for items in (False, True):
-                    env[(node.targets[0].id, items)] = types.of(node.value, env, items)
-            elif (isinstance(node, (ast.For, ast.comprehension))
-                  and isinstance(node.target, ast.Name)):
-                env[(node.target.id, False)] = types.of(node.iter, env, items=True)
-    out = []
-    for node in own:
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            definer = types.definer(types.of(node.value, env), node.attr)
-            if definer:
-                out.append(((definer, node.attr), node))
-    for inner in nested:
-        # a class's own methods take it as self; a def nested in a method does not
-        owner = inner.name if isinstance(inner, ast.ClassDef) else (
-            scope.name if isinstance(scope, ast.ClassDef) else None)
-        out += _receiver_reads(inner, types, owner, env)
-    return out
-
-
 def uncalled(src: dict[str, str], bench: list[str]) -> list[str]:
     """module.qualified names of the definitions in src (module name to
     source) that have no caller in src outside themselves or in bench (the
-    perfbench sources). A method whose name another src class defines too
-    has a caller only where a read's receiver resolves to its class
-    (_receiver_reads), or where a bench dotted string names it as
-    `Class.method`."""
+    perfbench sources)."""
     trees = {module: ast.parse(source) for module, source in src.items()}
     read = sum((_reads(tree) for tree in trees.values()), Counter())
-    types = _Types(trees.values())
-    resolved = [pair for tree in trees.values() for pair in _receiver_reads(tree, types)]
-    shared = {name for name, count in Counter(
-        name for methods in types.methods.values() for name in methods).items() if count > 1}
-    bench_names, bench_dotted = set(), set()
+    bench_names = set()
     for tree in map(ast.parse, bench):
         bench_names |= {name.lstrip(".") for name in _reads(tree)}
-        dotted = {node.value for node in ast.walk(tree)
-                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and _QCF_DOTTED.fullmatch(node.value)}
-        bench_names |= {name.rpartition(".")[2] for name in dotted}
-        bench_dotted |= {".".join(name.split(".")[-2:]) for name in dotted}
+        bench_names |= {node.value.rpartition(".")[2] for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and _QCF_DOTTED.fullmatch(node.value)}
     out = []
     for module, tree in trees.items():
         for qualified, node in _definitions(tree):
-            if _exempt(node):
-                continue
-            if "." in qualified and node.name in shared:
-                inside = {id(n) for n in ast.walk(node)}
-                if qualified not in bench_dotted and all(
-                        id(n) in inside for key, n in resolved
-                        if key == tuple(qualified.split("."))):
-                    out.append(f"{module}.{qualified}")
-                continue
-            if node.name in bench_names:
+            if _exempt(node) or node.name in bench_names:
                 continue
             # a method is reached only as an attribute, a module-level name also by name
             keys = ["." + node.name] if "." in qualified else [node.name, "." + node.name]
@@ -400,6 +266,15 @@ def uncalled(src: dict[str, str], bench: list[str]) -> list[str]:
             if all(read[key] <= own[key] for key in keys):
                 out.append(f"{module}.{qualified}")
     return out
+
+
+def shared_method_names(src: dict[str, str]) -> list[str]:
+    """The method names that more than one class of src defines."""
+    methods = {(module, qualified) for module, source in src.items()
+               for qualified, node in _definitions(ast.parse(source))
+               if "." in qualified and not _exempt(node)}
+    names = Counter(qualified.rpartition(".")[2] for _, qualified in methods)
+    return sorted(name for name, count in names.items() if count > 1)
 
 
 def _package() -> tuple[dict[str, str], list[str]]:
@@ -583,6 +458,10 @@ def test_every_src_function_class_and_method_has_a_caller():
     assert uncalled(*_package()) == []
 
 
+def test_no_two_src_classes_define_a_method_of_one_name():
+    assert shared_method_names(_package()[0]) == []
+
+
 def test_caller_scan_rules():
     source = """
 __all__ = ["listed"]
@@ -654,73 +533,42 @@ def test_caller_scan_flags_what_only_tests_call():
     mutant = dict(src, stability=text + "\n\ndef tt_gap_check(model, tau):\n"
                                         "    return _tt_gap(model, _exact_tau(tau))\n")
     assert uncalled(mutant, bench) == ["stability.tt_gap_check"]
-    anchor = "    def to_json(self) -> dict:\n        return {\n            \"verdict\""
+    anchor = "    provenance: tuple[str, ...] = ()\n"
     assert text.count(anchor) == 1
-    passes = ("    @property\n    def passes(self) -> bool:\n        return self.variant in "
-              "(\"StrictlyStable\", \"StableBoundOnly\")\n\n")
-    mutant = dict(src, stability=text.replace(anchor, passes + anchor))
+    passes = ("\n    @property\n    def passes(self) -> bool:\n        return self.variant in "
+              "(\"StrictlyStable\", \"StableBoundOnly\")\n")
+    mutant = dict(src, stability=text.replace(anchor, anchor + passes))
     assert uncalled(mutant, bench) == ["stability._VerdictFields.passes"]
     assert uncalled(src, []) == ["_exact.exact_inv", "_exact.exact_det"]
 
 
-def test_caller_scan_resolves_shared_method_names_by_receiver():
-    source = """
-class Item(NamedTuple):
-    def to_json(self):
-        return {}
-
-class Report(NamedTuple):
-    items: tuple[Item, ...]
-
-    def to_json(self):
-        return [item.to_json() for item in self.items]
-
-class Unread(NamedTuple):
-    def to_json(self):
-        return self.to_json()
-
-class Traced(NamedTuple):
-    def to_json(self):
-        return {}
-
-class Base(NamedTuple):
-    def to_json(self):
-        return {}
-
-class Derived(Base):
-    pass
-
-def report(model) -> Report:
-    return Report(())
-
-def run(model, derived: Derived | None, anything):
-    anything.to_json()  # a receiver that does not resolve reaches no class
-    chosen = report(model) if model else None
-    return chosen.to_json(), derived.to_json(), (Unread, Traced)
-"""
-    bench = 'SITES = ["qcf.mod.Traced.to_json"]\nmod.run()\n'
-    # Item through Report's field, Report through report's return annotation,
-    # Base through Derived's parameter annotation; Unread only reads itself
-    assert uncalled({"mod": source}, [bench]) == ["mod.Unread.to_json"]
-    assert uncalled({"mod": source}, ['mod.run()\n']) == ["mod.Unread.to_json",
-                                                           "mod.Traced.to_json"]
-
-
 def test_caller_scan_flags_a_method_that_only_shares_a_called_name():
-    """An uncalled `ExceptionalTau.display_name` fails the scan, though cli
-    and catalog read `ModelSpace.display_name`, and so does a report's
-    `to_json` whose one read is gone, though the other reports' are read."""
+    """An uncalled `ExceptionalTau.display_name` passes the name-based
+    caller rule, since cli and catalog read `ModelSpace.display_name`, and
+    fails the one-class-per-method-name rule; so does a `to_json` put back
+    on two records, which nothing calls. A cli renderer whose one read is
+    gone fails the caller rule."""
     src, bench = _package()
-    text = src["stability"]
-    anchor = "    def to_json(self) -> dict:\n        return {\"tau\": format_ratio(self.tau)"
-    assert text.count(anchor) == 1
-    method = "    @property\n    def display_name(self) -> str:\n        return str(self.tau)\n\n"
-    mutant = dict(src, stability=text.replace(anchor, method + anchor))
-    assert uncalled(mutant, bench) == ["stability.ExceptionalTau.display_name"]
-    read = '        obj["bach"] = bach.to_json()\n'
+
+    def add(text, cls, method):
+        head = f"class {cls}(NamedTuple):\n"
+        assert text.count(head) == 1
+        return text.replace(head, f"{head}{method}\n")
+    method = "    @property\n    def display_name(self) -> str:\n        return str(self.tau)\n"
+    mutant = dict(src, stability=add(src["stability"], "ExceptionalTau", method))
+    assert uncalled(mutant, bench) == []
+    assert shared_method_names(mutant) == ["display_name"]
+    method = "    def to_json(self) -> dict:\n        return self._asdict()\n"
+    text = add(add(src["stability"], "ExceptionalTau", method), "BachVerdict", method)
+    mutant = dict(src, stability=text)
+    assert uncalled(mutant, bench) == ["stability.ExceptionalTau.to_json",
+                                       "stability.BachVerdict.to_json"]
+    assert shared_method_names(mutant) == ["to_json"]
+    read = "        _emit_json(_rigidity_json(rep, bach))\n"
     assert src["cli"].count(read) == 1
-    mutant = dict(src, cli=src["cli"].replace(read, '        obj["bach"] = bach._asdict()\n'))
-    assert uncalled(mutant, bench) == ["stability.BachVerdict.to_json"]
+    mutant = dict(src, cli=src["cli"].replace(read, "        _emit_json({})\n"))
+    assert uncalled(mutant, bench) == ["cli._rigidity_json"]
+    assert shared_method_names(mutant) == []
 
 
 def test_scan_keeps_gc_freeze_in_the_entry_point():

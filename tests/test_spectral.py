@@ -9,7 +9,7 @@ from conftest import second_factor
 from qcf import rational, spectral, verify
 from qcf._exact import exact_det, exact_rank_nullspace
 from qcf.rational import (
-    _second_factor,
+    _second_numerators,
     conformal_killing_symbol,
     conformal_polynomial,
     conformal_s_polynomial,
@@ -86,11 +86,19 @@ def test_conformal_lichnerowicz_root():
                 assert conformal_polynomial(n, R, t)(R / (n - 1)) == 0
 
 
+def _second_factor(n, R, tau):
+    """The slope and constant of p_tau's second factor, as Fractions of
+    _second_numerators over the denominators q and qs, and the numerators."""
+    (p, q), (r, s) = tau.as_integer_ratio(), R.as_integer_ratio()
+    a, b = _second_numerators(n, p, q, r)
+    return (Fraction(a, q), Fraction(b, q * s)), (a, b)
+
+
 def test_q_factor_at_minus_one_over_n():
     """At tau = -1/n the R term drops and the slope is (n-2)^2."""
     for n in (3, 4, 5, 8):
         for lam in (Fraction(2), Fraction(-7, 3)):
-            a, b = _second_factor(n, Fraction(-n * (n - 1)), Fraction(-1, n))
+            (a, b), _ = _second_factor(n, Fraction(-n * (n - 1)), Fraction(-1, n))
             assert a * lam + b == (n - 2) ** 2 * lam
 
 
@@ -369,15 +377,15 @@ def _second_factor_inputs(count, seed=17):
 
 def test_second_factor_keeps_the_chained_values_on_exact_input():
     for n, R, tau, _ in _second_factor_inputs(20000):
-        got, want = _second_factor(n, R, tau), second_factor(n, R, tau)
-        assert got == want and all(type(x) is Fraction for x in got)
+        (got, numerators), want = _second_factor(n, R, tau), second_factor(n, R, tau)
+        assert got == want and all(type(x) is int for x in numerators)
         assert tuple(conformal_polynomial(n, R, tau)) == _chained_conformal_polynomial(n, R, tau)
 
 
 def test_verify_10_fails_when_the_second_factor_drops_its_r_term(monkeypatch):
-    real = rational._second_factor
+    real = rational._second_numerators
     assert verify.check_property_suites(0).passed
-    monkeypatch.setattr(rational, "_second_factor", lambda n, R, t: (real(n, R, t)[0], 0))
+    monkeypatch.setattr(rational, "_second_numerators", lambda n, p, q, r: (real(n, p, q, r)[0], 0))
     assert not verify.check_property_suites(0).passed
 
 
@@ -424,7 +432,7 @@ def test_float_input_gives_the_result_of_its_exact_value():
     for n, R, tau, lam in _second_factor_inputs(500, seed=18):
         R, tau, lam = float(R), float(tau), float(lam)
         eR, et, el = Fraction(R), Fraction(tau), Fraction(lam)
-        assert _second_factor(n, R, tau) == second_factor(n, eR, et)
+        assert _second_factor(n, R, tau)[0] == second_factor(n, eR, et)
         for poly, exact in ((conformal_polynomial(n, R, tau), conformal_polynomial(n, eR, et)),
                             (tt_polynomial(n, R, tau), tt_polynomial(n, eR, et)),
                             (conformal_s_polynomial(n, R), conformal_s_polynomial(n, eR))):

@@ -15,6 +15,7 @@ from conftest import contains, passes, q_factor, second_factor, with_tt_eigenval
 
 from qcf import stability
 from qcf.catalog import builtin_catalog, function_spectrum, validate_model
+from qcf.cli import _interval_json, _verdict_json
 from qcf.rational import conformal_polynomial, tau1, tau2
 from qcf.stability import (
     BachVerdict,
@@ -25,11 +26,9 @@ from qcf.stability import (
     _exact_tau,
     bach_verdict,
     combined_verdict,
-    interval_to_json,
     reverse_bishop,
     rigidity_exceptional_taus,
     stability_interval,
-    verdict_to_json,
 )
 
 
@@ -442,7 +441,7 @@ def test_a_float_tau_decides_at_its_exact_value(cat):
     assert _exact_tau(0.1) == Fraction(0.1) != Fraction(1, 10)
     v = combined_verdict(model, 0.1)
     assert v == combined_verdict(model, Fraction(0.1))
-    assert verdict_to_json(model, 0.1, v)["tau"] == {"num": 3602879701896397, "den": 2**55}
+    assert _verdict_json(model, 0.1, v)["tau"] == {"num": 3602879701896397, "den": 2**55}
 
 
 def test_interval_membership_agrees_with_verdicts(cat):
@@ -738,19 +737,19 @@ def test_berger_squash_breaks_ricci_hypothesis():
 def test_json_shapes(cat):
     model = cat["sphere:4"]
     iv = stability_interval(model)
-    obj = interval_to_json(model, iv)
+    obj = _interval_json(model, iv)
     assert obj["model"] == "sphere:4"
     assert obj["lo"] == "-1/3" and obj["hi"] == "1/6"
     assert obj["provenance"]["lo"]
 
     v = combined_verdict(model, Fraction(1, 100))
-    obj = verdict_to_json(model, Fraction(1, 100), v)
+    obj = _verdict_json(model, Fraction(1, 100), v)
     assert obj["tau"] == {"num": 1, "den": 100}
     assert obj["verdict"] == "StrictlyStable"
     assert obj["witness"] is None
 
     v = combined_verdict(cat["product:2"], Fraction(0))
-    obj = verdict_to_json(cat["product:2"], Fraction(0), v)
+    obj = _verdict_json(cat["product:2"], Fraction(0), v)
     assert obj["witness"] == "4"
 
 
@@ -1044,7 +1043,7 @@ def _outcomes(model, t, full, checks):
             v = f(*args)
         except InsufficientSpectralData as e:
             return ("raises", str(e))
-        return (v, verdict_to_json(model, t, v)) if full and isinstance(v, StabilityVerdict) else v
+        return (v, _verdict_json(model, t, v)) if full and isinstance(v, StabilityVerdict) else v
     out = [run(tt_check, model, t)]
     if model.tt is None:
         return out
@@ -1115,7 +1114,7 @@ def test_combined_verdict_matches_the_combined_oracle_checks(cat, monkeypatch):
             v = f(model, t, lam)
         except ValueError as e:  # InsufficientSpectralData included
             return type(e), str(e)
-        return v, verdict_to_json(model, t, v)
+        return v, _verdict_json(model, t, v)
 
     cases = [(m, t) for m, t, full in _gap_check_cases(cat, grid=False) if full or m.tt is None]
     outcomes = [(run(combined_verdict, m, t, lam), run(_oracle_combined_verdict, m, t, lam))
