@@ -8,6 +8,14 @@ nonzero Laplace eigenvalue, and the known transverse-traceless spectrum
 of -Delta_L (exact leading eigenvalues, or a lower bound where only a
 bound is available, as on hyperbolic manifolds).
 
+What every model of a variant shares sits in one table, _FAMILIES, a row
+per family: the display name, the CLI options, the Einstein constant, the
+first-TT-eigenvalue identity, the TT tail bound's closed form, whether
+spectra are quotient subsets or known only as a bound, the function
+spectrum, the curvature tensor, and the text of an interval end at the
+tail bound. The models themselves (the make_* builders, catalog files)
+are data that validate_model checks against the table's rules.
+
 Catalog entries are read from JSON (schema shipped under qcf/schemas/);
 an extension catalog can be merged in through the QCF_CATALOG
 environment variable. Loading always re-validates the cross identities
@@ -22,7 +30,7 @@ import math
 import os
 from fractions import Fraction
 from importlib import resources
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from qcf.rational import parse_ratio
 
@@ -30,8 +38,6 @@ if TYPE_CHECKING:
     from qcf.tensor_core import CurvatureData
 
 CATALOG_SCHEMA_VERSION = 1
-
-VARIANTS = ("sphere", "quotient", "hyperbolic", "cp", "product", "torus")
 
 
 class CatalogError(ValueError):
@@ -47,10 +53,6 @@ class ExactVolume(NamedTuple):
     def __float__(self) -> float:
         return float(self.coeff) * math.pi**self.pi_pow
 
-    @staticmethod
-    def from_json(obj: dict) -> "ExactVolume":
-        return ExactVolume(parse_ratio(str(obj["coeff"])), int(obj["pi_pow"]))
-
 
 class TTEigenvalue(NamedTuple):
     mu: Fraction
@@ -62,17 +64,12 @@ class TTData(NamedTuple):
 
     ``known`` lists eigenvalues certain to occur (with witnesses where
     the literature names them); every other spectral value is >=
-    ``tail_bound``. ``is_bound`` marks models where even the least
-    eigenvalue is only bounded, not known (hyperbolic space); verdicts
-    that pass through such data are downgraded to bound-only strength.
-    ``is_subset`` marks quotients whose spectrum is a subset of the
-    listed one: emptiness conclusions stay sound, occupancy ones do not.
+    ``tail_bound``. Whether the list is a quotient subset or only a
+    bound is the family's (ModelSpace.spectra_are_subsets, tt_bound_only).
     """
 
     known: tuple[TTEigenvalue, ...]
     tail_bound: Fraction
-    is_bound: bool = False
-    is_subset: bool = False
 
 
 class ModelSpace(NamedTuple):
@@ -90,23 +87,32 @@ class ModelSpace(NamedTuple):
 
     @property
     def display_name(self) -> str:
-        return {
-            "sphere": f"S^{self.n}",
-            "quotient": f"S^{self.n}/Z_{self.quotient_order}",
-            "hyperbolic": f"hyperbolic^{self.n}",
-            "cp": f"CP^{self.m}",
-            "product": f"S^{self.m} x S^{self.m}",
-            "torus": f"T^{self.n}",
-        }[self.variant]
+        return _FAMILIES[self.variant].name.format(**self._asdict())
 
     @property
     def spectra_are_subsets(self) -> bool:
-        return self.variant == "quotient"
+        """Whether the spectra are subsets of the covering lists (quotients): emptiness
+        conclusions stay sound, occupancy ones do not."""
+        return _FAMILIES[self.variant].is_subset
+
+    @property
+    def tt_bound_only(self) -> bool:
+        """Whether even the least TT eigenvalue is only bounded (hyperbolic)."""
+        return _FAMILIES[self.variant].is_bound
 
     @property
     def has_function_spectrum(self) -> bool:
         """Whether function_spectrum has a closed form here (every variant but hyperbolic)."""
-        return self.variant in ("sphere", "quotient", "cp", "product", "torus")
+        return _FAMILIES[self.variant].spectrum is not None
+
+    @property
+    def tt_tail(self) -> tuple[str, str]:
+        """A TT interval end at the tail bound: its provenance and the bound's name,
+        the family's closed form (4n, ...) where the bound is that, else its value."""
+        tail, bound = _FAMILIES[self.variant].tail, self.tt.tail_bound
+        if tail is not None and bound == tail[0](self.n, self.m):
+            return f"{tail[3]} {tail[1]}", tail[1]
+        return f"TT forbidden interval reaches the tail bound {bound}", str(bound)
 
     def curvature_data(self, exact: bool = True) -> CurvatureData:
         """Curvature tensor of the model in an orthonormal frame.
@@ -115,24 +121,11 @@ class ModelSpace(NamedTuple):
         """
         import numpy as np
 
-        from qcf.tensor_core import CurvatureData, constant_curvature_rm, exact_tensor
+        from qcf.tensor_core import CurvatureData, exact_tensor
 
-        n = self.n
-        g = exact_tensor(np.eye(n, dtype=int))
-        if self.variant in ("sphere", "quotient"):
-            rm = constant_curvature_rm(g, Fraction(1))
-        elif self.variant == "hyperbolic":
-            rm = constant_curvature_rm(g, Fraction(-1))
-        elif self.variant == "torus":
-            rm = constant_curvature_rm(g, Fraction(0))
-        elif self.variant == "cp":
-            rm = _fubini_study_rm(self.m)
-        elif self.variant == "product":
-            rm = _product_spheres_rm(self.m)
-        else:
-            raise CatalogError(f"unknown variant {self.variant}")
-        cd = CurvatureData(n, g, rm)
-        return cd if exact else CurvatureData(n, cd.g.fractions().astype(float),
+        g = exact_tensor(np.eye(self.n, dtype=int))
+        cd = CurvatureData(self.n, g, _FAMILIES[self.variant].curvature(g, self.m))
+        return cd if exact else CurvatureData(self.n, cd.g.fractions().astype(float),
                                               cd.rm.fractions().astype(float))
 
 
@@ -146,8 +139,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _fubini_study_rm(m: int):
-    """Fubini-Study curvature, holomorphic sectional curvature 4.
+def _fubini_study_rm(g, m: int):
+    """Fubini-Study curvature, holomorphic sectional curvature 4, in the frame g.
 
     Complex-space-form tensor
       Rm_ijkl = g_ik g_jl - g_il g_jk + J_ik J_jl - J_il J_jk + 2 J_ij J_kl
@@ -158,9 +151,7 @@ def _fubini_study_rm(m: int):
 
     from qcf.tensor_core import contract, exact_tensor
 
-    n = 2 * m
-    g = exact_tensor(np.eye(n, dtype=int))
-    jj = np.zeros((n, n), dtype=int)
+    jj = np.zeros((2 * m, 2 * m), dtype=int)
     for b in range(m):
         jj[2 * b, 2 * b + 1] = 1
         jj[2 * b + 1, 2 * b] = -1
@@ -174,7 +165,7 @@ def _fubini_study_rm(m: int):
     )
 
 
-def _product_spheres_rm(m: int):
+def _product_spheres_rm(g, m: int):
     """Curvature of S^m x S^m, both factors unit round, as an exact tensor."""
     import numpy as np
 
@@ -183,6 +174,82 @@ def _product_spheres_rm(m: int):
     g1 = exact_tensor(np.diag([1] * m + [0] * m))
     g2 = exact_tensor(np.diag([0] * m + [1] * m))
     return Fraction(1, 2) * (kulkarni_nomizu(g1, g1) + kulkarni_nomizu(g2, g2))
+
+
+def _space_form_rm(g, k: int):
+    """Constant sectional curvature k in the frame g, as an exact tensor."""
+    from qcf.tensor_core import constant_curvature_rm
+
+    return constant_curvature_rm(g, Fraction(k))
+
+
+def _pair_sums(m: int, count: int) -> list[Fraction]:
+    """First ``count`` sums of two eigenvalues l(l+m-1) of S^m."""
+    # base[0] = 0 makes every base[l] a sum, so the first count sums are
+    # all <= base[count - 1]: only pairs within that bound are needed
+    base = [l * (l + m - 1) for l in range(count)]
+    top = base[-1]
+    sums = set()
+    for i, a in enumerate(base):
+        for b in base[i:]:
+            if a + b > top:
+                break
+            sums.add(a + b)
+    return [Fraction(x) for x in sorted(sums)[:count]]
+
+
+class _Family(NamedTuple):
+    """The closed forms that every model of one variant shares."""
+
+    name: str  # display-name template over the model's fields
+    options: dict[str, str]  # each CLI option -> the field it names, the required one first
+    kappa: Callable  # the Einstein constant from (n, m)
+    curvature: Callable  # the exact curvature tensor from the orthonormal frame g and m
+    # the first TT eigenvalue from (n, m, R), and its identity's text ({} takes the value)
+    mu1: tuple | None = None
+    # the TT tail bound from (n, m), its name, whether validation fixes it, an end's provenance
+    tail: tuple | None = None
+    spectrum: Callable | None = None  # the first `count` function eigenvalues from (n, m, count)
+    # the catalog file's optional tt flags: ModelSpace.spectra_are_subsets and tt_bound_only
+    is_subset: bool = False
+    is_bound: bool = False
+
+
+_ROUND = dict(
+    kappa=lambda n, m: n - 1, curvature=lambda g, m: _space_form_rm(g, 1),
+    mu1=(lambda n, m, R: 4 * R / (n - 1), "sphere identity mu1 = 4R/(n-1) = {}"),
+    tail=(lambda n, m: 4 * n, "4n", False, "TT gap closes at the first Lichnerowicz eigenvalue"),
+    spectrum=lambda n, m, count: [Fraction(l * (l + n - 1)) for l in range(count)])
+_FAMILIES = {
+    "sphere": _Family("S^{n}", {"dim": "n"}, **_ROUND),
+    # a quotient's spectra are the subsets of the sphere's that descend
+    "quotient": _Family("S^{n}/Z_{quotient_order}", {"dim": "n", "order": "quotient_order"},
+                        is_subset=True, **_ROUND),
+    # compact quotients of hyperbolic space: the TT spectrum of -Delta_L is only
+    # bounded below by R/(n-1) = -n (equality forces Codazzi tensors)
+    "hyperbolic": _Family(
+        "hyperbolic^{n}", {"dim": "n"}, lambda n, m: 1 - n, lambda g, m: _space_form_rm(g, -1),
+        tail=(lambda n, m: -n, "-n", True, "TT forbidden interval reaches the lower bound"),
+        is_bound=True),
+    # holomorphic sectional curvature 4
+    "cp": _Family(
+        "CP^{m}", {"m": "m"}, lambda n, m: 2 * (m + 1), _fubini_study_rm,
+        mu1=(lambda n, m, R: 2 * (m + 2) * R / (m * (m + 1)),
+             "complex-projective identity mu1 = 2(m+2)R/(m(m+1)) = {}"),
+        tail=(lambda n, m: 8 * (m + 2), "8(m+2)", False, "TT gap closes at the first eigenvalue"),
+        spectrum=lambda n, m, count: [Fraction(4 * l * (l + m)) for l in range(count)]),
+    "product": _Family(
+        "S^{m} x S^{m}", {"m": "m"}, lambda n, m: m - 1, _product_spheres_rm,
+        mu1=(lambda n, m, R: 0, "product identity mu1 = 0 (g1 - g2)"),
+        tail=(lambda n, m: 2 * m, "2m", True,
+              "TT forbidden interval reaches the spectral tail bound"),
+        spectrum=lambda n, m, count: _pair_sums(m, count)),
+    # side length 2 pi, so the function spectrum is the integer quadric values
+    "torus": _Family(
+        "T^{n}", {"dim": "n"}, lambda n, m: 0, lambda g, m: _space_form_rm(g, 0),
+        mu1=(lambda n, m, R: 0, "flat identity mu1 = 0 (parallel trace-free tensors)"),
+        spectrum=lambda n, m, count: [Fraction(k) for k in _sums_of_squares(n, count)]),
+}
 
 
 _SPHERE_VOLUME = {
@@ -210,29 +277,19 @@ def make_sphere(n: int) -> ModelSpace:
 
 def make_quotient(n: int, order: int) -> ModelSpace:
     base = make_sphere(n)
-    vol = ExactVolume(base.volume.coeff / order, base.volume.pi_pow)
-    chi = None
-    if n == 4 and 2 % order == 0:
-        chi = 2 // order
-    return ModelSpace(
-        key=f"quotient:{n}:{order}", variant="quotient", n=n, quotient_order=order,
-        einstein_constant=base.einstein_constant, scal=base.scal,
-        volume=vol, euler_char=chi,
-        tt=TTData(known=base.tt.known, tail_bound=base.tt.tail_bound, is_subset=True),
-        lambda1=None,  # depends on which representations survive the quotient
-    )
+    # lambda1 depends on which representations survive the quotient
+    return base._replace(
+        key=f"quotient:{n}:{order}", variant="quotient", quotient_order=order,
+        volume=ExactVolume(base.volume.coeff / order, base.volume.pi_pow),
+        euler_char=2 // order if n == 4 and 2 % order == 0 else None, lambda1=None)
 
 
 def make_hyperbolic(n: int) -> ModelSpace:
-    # Compact hyperbolic quotients: volume depends on the lattice, the TT
-    # spectrum of -Delta_L is only bounded below by R/(n-1) = -n
-    # (equality forces Codazzi tensors).
+    # compact hyperbolic quotients: the volume depends on the lattice
     return ModelSpace(
         key=f"hyperbolic:{n}", variant="hyperbolic", n=n,
         einstein_constant=Fraction(-(n - 1)), scal=Fraction(-n * (n - 1)),
-        volume=None, euler_char=None,
-        tt=TTData(known=(), tail_bound=Fraction(-n), is_bound=True),
-        lambda1=None,
+        tt=TTData(known=(), tail_bound=Fraction(-n)),
     )
 
 
@@ -268,7 +325,7 @@ def make_product(m: int) -> ModelSpace:
 
 
 def make_torus(n: int) -> ModelSpace:
-    # side length 2 pi, so the function spectrum is the integer quadric values
+    # side length 2 pi, so the volume is (2 pi)^n
     return ModelSpace(
         key=f"torus:{n}", variant="torus", n=n,
         einstein_constant=Fraction(0), scal=Fraction(0),
@@ -281,15 +338,10 @@ def make_torus(n: int) -> ModelSpace:
 
 
 def builtin_catalog() -> dict[str, ModelSpace]:
-    cat: dict[str, ModelSpace] = {}
-    for n in range(3, 9):
-        for model in (make_sphere(n), make_hyperbolic(n), make_torus(n)):
-            cat[model.key] = model
-    cat["quotient:4:2"] = make_quotient(4, 2)
-    for m in (2, 3, 4):
-        for model in (make_cp(m), make_product(m)):
-            cat[model.key] = model
-    return cat
+    models = [make(n) for n in range(3, 9) for make in (make_sphere, make_hyperbolic, make_torus)]
+    models.append(make_quotient(4, 2))
+    models += [make(m) for m in (2, 3, 4) for make in (make_cp, make_product)]
+    return {model.key: model for model in models}
 
 
 # ---------------------------------------------------------------------------
@@ -299,35 +351,16 @@ def builtin_catalog() -> dict[str, ModelSpace]:
 def function_spectrum(model: ModelSpace, count: int) -> list[Fraction]:
     """First ``count`` distinct Laplace eigenvalues on functions.
 
-    Closed forms: sphere l(l+n-1); CP^m 4l(l+m) (holomorphic sectional
-    curvature 4 normalization); S^m x S^m pairwise sums of two sphere
-    lists; flat torus integer values |k|^2 (side 2 pi). Quotient models
-    return the covering list (actual spectrum is a subset, see
-    ``spectra_are_subsets``); hyperbolic has no closed form.
+    The family's closed form: sphere l(l+n-1), CP^m 4l(l+m), S^m x S^m the
+    pairwise sums of two sphere lists, flat torus |k|^2, and for a quotient
+    the covering list (see ``spectra_are_subsets``); hyperbolic has none.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if not model.has_function_spectrum:
+    spectrum = _FAMILIES[model.variant].spectrum
+    if spectrum is None:
         raise CatalogError(f"no closed-form function spectrum for {model.display_name}")
-    v = model.variant
-    if v in ("sphere", "quotient"):
-        nn = model.n
-        return [Fraction(l * (l + nn - 1)) for l in range(count)]
-    if v == "cp":
-        return [Fraction(4 * l * (l + model.m)) for l in range(count)]
-    if v == "product":
-        # base[0] = 0 makes every base[l] a sum, so the first count sums are
-        # all <= base[count - 1]: only pairs within that bound are needed
-        base = [l * (l + model.m - 1) for l in range(count)]
-        top = base[-1]
-        sums = set()
-        for i, a in enumerate(base):
-            for b in base[i:]:
-                if a + b > top:
-                    break
-                sums.add(a + b)
-        return [Fraction(x) for x in sorted(sums)[:count]]
-    return [Fraction(x) for x in _sums_of_squares(model.n, count)]  # torus
+    return spectrum(model.n, model.m, count)
 
 
 def _sums_of_squares(n: int, count: int) -> list[int]:
@@ -360,15 +393,19 @@ def model_from_json(obj: dict) -> ModelSpace:
             known=tuple(TTEigenvalue(parse_ratio(str(e["mu"])), e.get("witness", ""))
                         for e in t.get("known", [])),
             tail_bound=parse_ratio(str(t["tail_bound"])),
-            is_bound=bool(t.get("is_bound", False)),
-            is_subset=bool(t.get("is_subset", False)),
         )
+        family = _FAMILIES.get(obj["variant"])  # validate_model names an unknown one
+        for flag in ("is_bound", "is_subset"):
+            if family and flag in t and bool(t[flag]) != getattr(family, flag):
+                raise CatalogError(f"{obj['key']}: tt.{flag} {json.dumps(bool(t[flag]))} "
+                                   f"contradicts the {obj['variant']} family")
         mus = [e.mu for e in tt.known]
         if any(a >= b for a, b in zip(mus, mus[1:])):
             # validate_model checks each family's first eigenvalue: none may follow it smaller
             raise CatalogError(f"{obj['key']}: known TT eigenvalues "
                                f"{', '.join(map(str, mus))} are not strictly increasing")
-    vol = ExactVolume.from_json(obj["volume"]) if obj.get("volume") else None
+    v = obj.get("volume")
+    vol = ExactVolume(parse_ratio(str(v["coeff"])), int(v["pi_pow"])) if v else None
     lam = parse_ratio(str(obj["lambda1"])) if obj.get("lambda1") is not None else None
     return ModelSpace(
         key=str(obj["key"]), variant=str(obj["variant"]), n=int(obj["dim"]),
@@ -382,30 +419,23 @@ def model_from_json(obj: dict) -> ModelSpace:
 def validate_model(model: ModelSpace) -> None:
     """Cross-identities between stored spectra and curvature data.
 
-    A given lambda1 and volume must also be positive: a verdict drawn
-    from an impossible spectrum or volume would be meaningless.
+    The family's rules fix the Einstein constant, the first TT eigenvalue
+    where it has a closed form, and the TT tail bound where validation
+    fixes it. A given lambda1 and volume must also be positive: a verdict
+    drawn from an impossible spectrum or volume would be meaningless.
     """
-    n, kappa, scal = model.n, model.einstein_constant, model.scal
-    if model.variant not in VARIANTS:
+    n, m, kappa, scal = model.n, model.m, model.einstein_constant, model.scal
+    family = _FAMILIES.get(model.variant)
+    if family is None:
         raise CatalogError(f"{model.key}: unknown variant {model.variant!r}")
     if not (3 <= n <= 8):
         raise CatalogError(f"{model.key}: dimension {n} outside supported range 3..8")
     if scal != n * kappa:
         raise CatalogError(f"{model.key}: scal {scal} != n * einstein_constant {n * kappa}")
-    expected_kappa = {
-        "sphere": Fraction(n - 1),
-        "quotient": Fraction(n - 1),
-        "hyperbolic": Fraction(-(n - 1)),
-        "torus": Fraction(0),
-    }
-    if model.variant in expected_kappa and kappa != expected_kappa[model.variant]:
-        raise CatalogError(f"{model.key}: einstein constant {kappa} != {expected_kappa[model.variant]}")
-    if model.variant in ("cp", "product"):
-        if model.m is None or 2 * model.m != n:
-            raise CatalogError(f"{model.key}: m/dim mismatch")
-        want = Fraction(2 * (model.m + 1)) if model.variant == "cp" else Fraction(model.m - 1)
-        if kappa != want:
-            raise CatalogError(f"{model.key}: einstein constant {kappa} != {want}")
+    if "m" in family.options and (m is None or 2 * m != n):
+        raise CatalogError(f"{model.key}: m/dim mismatch")
+    if kappa != family.kappa(n, m):
+        raise CatalogError(f"{model.key}: einstein constant {kappa} != {family.kappa(n, m)}")
     if model.lambda1 is not None and not model.lambda1 > 0:
         raise CatalogError(f"{model.key}: lambda1 {model.lambda1} is not positive")
     if model.volume is not None and not model.volume.coeff > 0:
@@ -414,29 +444,17 @@ def validate_model(model: ModelSpace) -> None:
     tt = model.tt
     if tt is None:
         return
-    if model.variant in ("sphere", "quotient"):
-        want_mu = 4 * scal / (n - 1)
-        if not tt.known or tt.known[0].mu != want_mu:
-            got = tt.known[0].mu if tt.known else None
+    if family.mu1 is not None:
+        form, identity = family.mu1
+        want, got = form(n, m, scal), tt.known[0].mu if tt.known else None
+        if got != want:
+            raise CatalogError(f"{model.key}: first TT eigenvalue {got} violates the "
+                               f"{identity.format(want)}")
+    if family.tail is not None and family.tail[2]:
+        form, name, _, _ = family.tail
+        if tt.tail_bound != form(n, m):
             raise CatalogError(
-                f"{model.key}: first TT eigenvalue {got} violates the "
-                f"sphere identity mu1 = 4R/(n-1) = {want_mu}")
-    if model.variant == "cp":
-        m = model.m
-        want_mu = 2 * (m + 2) * scal / (m * (m + 1))
-        if not tt.known or tt.known[0].mu != want_mu:
-            got = tt.known[0].mu if tt.known else None
-            raise CatalogError(
-                f"{model.key}: first TT eigenvalue {got} violates the "
-                f"complex-projective identity mu1 = 2(m+2)R/(m(m+1)) = {want_mu}")
-    if model.variant == "product":
-        if not tt.known or tt.known[0].mu != 0:
-            raise CatalogError(f"{model.key}: product TT spectrum must start at 0 (g1 - g2)")
-        if tt.tail_bound != 2 * model.m:
-            raise CatalogError(f"{model.key}: product TT tail bound must be 2m = {2 * model.m}")
-    if model.variant == "hyperbolic":
-        if not tt.is_bound or tt.tail_bound != Fraction(-n):
-            raise CatalogError(f"{model.key}: hyperbolic TT data must be the bound mu >= -n")
+                f"{model.key}: TT tail bound {tt.tail_bound} != {name} = {form(n, m)}")
 
 
 def catalog_schema() -> dict:
@@ -484,14 +502,6 @@ def load_catalog(path: str | None = None) -> dict[str, ModelSpace]:
     return cat
 
 
-# the options each family takes, with the model field each one names
-_FAMILY_OPTIONS = {
-    "sphere": {"dim": "n"}, "hyperbolic": {"dim": "n"}, "torus": {"dim": "n"},
-    "quotient": {"dim": "n", "order": "quotient_order"},
-    "cp": {"m": "m"}, "product": {"m": "m"},
-}
-
-
 def resolve_model(cat: dict[str, ModelSpace], name: str, dim: int | None = None,
                   m: int | None = None, order: int | None = None) -> ModelSpace:
     """Find a model by CLI-style name + parameters.
@@ -503,11 +513,11 @@ def resolve_model(cat: dict[str, ModelSpace], name: str, dim: int | None = None,
     given = {opt: v for opt, v in (("dim", dim), ("m", m), ("order", order))
              if v is not None}
     model = cat.get(name)
-    family = name if model is None else model.variant
-    if family not in _FAMILY_OPTIONS:
+    family = _FAMILIES.get(name if model is None else model.variant)
+    if family is None:
         raise CatalogError(
             f"unknown model '{name}'; available: " + ", ".join(sorted(cat)))
-    options = _FAMILY_OPTIONS[family]
+    options = family.options
     for opt in given:
         if opt not in options:
             takes = " and ".join(f"--{o}" for o in options)
@@ -516,9 +526,8 @@ def resolve_model(cat: dict[str, ModelSpace], name: str, dim: int | None = None,
         required = next(iter(options))  # dim, or m for cp and product
         if required not in given:
             raise CatalogError(f"model '{name}' needs --{required}")
-        key = f"{name}:{given[required]}"
-        if name == "quotient":
-            key += f":{given.get('order', 2)}"
+        # the key lists the family's options in order; a quotient's order defaults to 2
+        key = ":".join([name, *(str(given.get(opt, 2)) for opt in options)])
         if key not in cat:
             raise CatalogError(
                 f"model '{key}' not in catalog; available: " + ", ".join(sorted(cat)))

@@ -106,9 +106,9 @@ def tt_polynomial(n: int, scal, tau, normalized: bool = True) -> SpectralPolynom
     return SpectralPolynomial(c0, c1, Fraction(1, 2))
 
 
-def tt_jacobi(n: int, scal, tau, mu, normalized: bool = True) -> Fraction:
-    """Evaluate the TT Jacobi polynomial at the eigenvalue mu."""
-    return tt_polynomial(n, scal, tau, normalized)(mu)
+def tt_jacobi(n: int, scal, tau, mu) -> Fraction:
+    """Evaluate the normalized TT Jacobi polynomial at the eigenvalue mu."""
+    return tt_polynomial(n, scal, tau)(mu)
 
 
 def conformal_polynomial(n: int, scal, tau) -> SpectralPolynomial:

@@ -148,8 +148,7 @@ def _tt_gap(model: ModelSpace, t: Fraction) -> tuple:
     tt = model.tt
     if tt is None:
         raise InsufficientSpectralData(f"{model.key}: no TT spectral data")
-    n, p, q = model.n, t.numerator, t.denominator
-    r, s = model.scal.numerator, model.scal.denominator
+    (p, q), (r, s), n = t.as_integer_ratio(), model.scal.as_integer_ratio(), model.n
     # with tau = p/q and R = r/s, the roots over the common denominator nqs
     den = n * q * s
     a, b = 2 * q * r, (4 * q + 2 * n * p) * r
@@ -160,13 +159,13 @@ def _tt_gap(model: ModelSpace, t: Fraction) -> tuple:
         note = f"eigenvalue {eig.mu} in the forbidden interval {span}"
         if eig.witness:
             note += f"; witness: {eig.witness}"
-        if tt.is_subset:
+        if model.spectra_are_subsets:
             return ("Indeterminate", eig.mu,
                     (note, "spectrum is a quotient subset: the witness may not descend"),
                     ("tt-gap",))
         return "FailsTT", eig.mu, (note,), ("tt-gap",)
     if below_tail:
-        if tt.is_bound:
+        if model.tt_bound_only:
             return ("StableBoundOnly", None,
                     (f"forbidden interval {span} lies below the "
                      f"spectral lower bound {tt.tail_bound}",),
@@ -332,17 +331,6 @@ def _conformal_gap(model: ModelSpace, t: Fraction, lambda1_override: Fraction | 
 # intervals
 
 
-# The provenance of a TT end where the moving root meets the tail bound, with the
-# bound's name: every built-in TT contact lies at its model's tail bound
-_TT_TAIL = {
-    **dict.fromkeys(("sphere", "quotient"),
-                    ("TT gap closes at the first Lichnerowicz eigenvalue", "4n")),
-    "cp": ("TT gap closes at the first eigenvalue", "8(m+2)"),
-    "product": ("TT forbidden interval reaches the spectral tail bound", "2m"),
-    "hyperbolic": ("TT forbidden interval reaches the lower bound", "-n"),
-}
-
-
 def _contact_tau(model: ModelSpace, mu: Fraction) -> Fraction:
     """tau(mu) = (mu n - 4R)/(2nR), where the moving TT root (4/n + 2 tau)R is mu."""
     n, R = model.n, model.scal
@@ -379,10 +367,10 @@ def stability_interval(model: ModelSpace) -> TauInterval:
     up = min([mu for mu in known if mu > fixed] + [tail])
     down = max((mu for mu in known if mu < fixed), default=None)
     lo_mu, hi_mu = (down, up) if R > 0 else (up, down) if R < 0 else (None, None)
+    tail_end, tail_name = model.tt_tail
 
     def end(mu):
-        what = (" ".join(_TT_TAIL[model.variant]) if mu == tail
-                else f"TT gap closes at the known eigenvalue {mu}")
+        what = tail_end if mu == tail else f"TT gap closes at the known eigenvalue {mu}"
         return _contact_tau(model, mu), what
     if lo_mu is not None and end(lo_mu)[0] > lo:
         lo, lo_prov = end(lo_mu)
@@ -390,13 +378,14 @@ def stability_interval(model: ModelSpace) -> TauInterval:
         (hi, hi_prov), hi_open = end(hi_mu), True
     elif hi is None and R < 0:
         hi_prov = "unbounded: forbidden TT interval stays below the lower bound for all larger tau"
-    notes = ("TT spectrum known only through the lower bound -n",) if tt.is_bound else ()
+    notes = ((f"TT spectrum known only through the lower bound {tail_name}",)
+             if model.tt_bound_only else ())
     if model.spectra_are_subsets:
         notes += ("constant-curvature quotient: conformal kernel directions are not "
                   "essential and are skipped",)
     if hi_mu == tail and tail not in known:
         notes += (f"optimality: unknown (the upper endpoint comes from the tail bound "
-                  f"{_TT_TAIL[model.variant][1]}, not from a known eigenvalue)",)
+                  f"{tail_name}, not from a known eigenvalue)",)
     return TauInterval(lo, hi, True, hi_open, lo_prov, hi_prov, notes, inside)
 
 
@@ -444,12 +433,12 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
             "(parallel TT tensors), no exceptional sequence")
     mus: list[Fraction] = [e.mu for e in (tt.known if tt else ())]
     notes: list[str] = []
-    if tt is not None and tt.is_bound and not mus and not mu_list:
+    if tt is not None and model.tt_bound_only and not mus and not mu_list:
         raise InsufficientSpectralData(
             f"{model.key}: TT spectrum known only as a bound; supply "
             "eigenvalues via mu_list")
     if mu_list:
-        if tt is not None and tt.is_bound and min(mu_list) < tt.tail_bound:
+        if tt is not None and model.tt_bound_only and min(mu_list) < tt.tail_bound:
             raise ValueError(f"{model.key}: mu = {format_ratio(min(mu_list))} lies below "
                              f"the TT spectral lower bound {format_ratio(tt.tail_bound)}")
         mus.extend(Fraction(m) for m in mu_list)
@@ -471,7 +460,7 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
                      "and the second-factor root are checked against the "
                      "function spectrum per branch; catalog models have no "
                      "essential conformal kernel inside the stability range")
-    if model.variant == "hyperbolic" and n >= 5:
+    if R < 0 and n >= 5:  # the _LADDER row whose lambda_1 branch needs data
         notes.append(f"conformal branch decided only for tau in "
                      f"({tau2(n)}, -1/{n}); rigidity queries outside it are "
                      "Indeterminate")
@@ -491,11 +480,11 @@ class BachVerdict(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _interval_empty(tt, lo: int, hi: int, den: int) -> bool | None:
+def _interval_empty(model: ModelSpace, lo: int, hi: int, den: int) -> bool | None:
     """Is spec_TT disjoint from [lo/den, hi/den]? True/False when certain, else None."""
-    eig, below_tail = _tt_meets(tt, lo, hi, den)
+    eig, below_tail = _tt_meets(model.tt, lo, hi, den)
     if eig is not None:
-        return None if tt.is_subset else False
+        return None if model.spectra_are_subsets else False
     return True if below_tail else None
 
 
@@ -517,10 +506,10 @@ def bach_verdict(model: ModelSpace) -> BachVerdict:
     # spectrum exactly when [value, value] is not empty
     a, b, den = 2 * R.numerator, 3 * R.numerator, 6 * R.denominator
     lo, hi = (a, b) if a <= b else (b, a)
-    e1 = _interval_empty(model.tt, a, a, den)
-    e2 = _interval_empty(model.tt, b, b, den)
+    e1 = _interval_empty(model, a, a, den)
+    e2 = _interval_empty(model, b, b, den)
     rigid = False if e1 is False or e2 is False else e1 and e2  # True, or None if unsure
-    empty = _interval_empty(model.tt, lo, hi, den)
+    empty = _interval_empty(model, lo, hi, den)
     notes = [f"checked values R/3 = {t1} and R/2 = {t2_} against the TT data"]
     if rigid is None or empty is None:
         notes.append("spectral data insufficient to decide (bound or subset "
@@ -620,8 +609,8 @@ def combined_verdict(model: ModelSpace, tau,
     if cf_v[0] == "FailsConformal":
         return StabilityVerdict(*cf_v)
     notes, provenance = tt_v[2] + cf_v[2], tt_v[3] + cf_v[3]
-    for variant, witness, _, _ in (tt_v, cf_v):
-        if variant == "Indeterminate":
+    for kind, witness, _, _ in (tt_v, cf_v):
+        if kind == "Indeterminate":
             return StabilityVerdict("Indeterminate", witness, notes, provenance)
     variant = "StableBoundOnly" if "StableBoundOnly" in (tt_v[0], cf_v[0]) else "StrictlyStable"
     return StabilityVerdict(variant, None, notes, provenance)

@@ -57,7 +57,8 @@ class QcfRunner:
 
 def catalog_json(models) -> dict:
     """Catalog models as a catalog file holds them (QCF_CATALOG,
-    catalog.schema.json): the inverse of qcf.catalog.model_from_json."""
+    catalog.schema.json): the inverse of qcf.catalog.model_from_json. The
+    optional is_bound and is_subset keys are left out: the family fixes them."""
 
     def ratio(x):
         return None if x is None else format_ratio(x)
@@ -73,8 +74,7 @@ def catalog_json(models) -> dict:
             "tt": tt and {
                 "known": [{"mu": ratio(e.mu), **({"witness": e.witness} if e.witness else {})}
                           for e in tt.known],
-                "tail_bound": ratio(tt.tail_bound),
-                "is_bound": tt.is_bound, "is_subset": tt.is_subset},
+                "tail_bound": ratio(tt.tail_bound)},
             "lambda1": ratio(ms.lambda1),
         }
 

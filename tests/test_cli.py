@@ -620,6 +620,85 @@ def test_intervals_follow_an_extension_catalog(runner, schema, tmp_path, monkeyp
     assert res.output.startswith("S^3 x S^3 at tau = -1/10: FailsTT")
 
 
+def _extension_file(tmp_path, monkeypatch, model, **tt_keys):
+    """QCF_CATALOG set to a one-model file, with extra keys in its tt object."""
+    doc = catalog_json([model])
+    doc["models"][0]["tt"].update(tt_keys)
+    path = tmp_path / "extension.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("QCF_CATALOG", str(path))
+
+
+def test_an_extension_quotient_has_subset_spectra_without_the_flag(runner, tmp_path,
+                                                                   monkeypatch):
+    """A QCF_CATALOG S^4/Z_3 whose file gives no is_subset still sees only a
+    subset of the covering spectrum: at tau = 1/2 the eigenvalue 16 is a
+    witness that may not descend, not a definite FailsTT."""
+    from qcf.catalog import make_quotient
+
+    _extension_file(tmp_path, monkeypatch, make_quotient(4, 3))
+    res = invoke(runner, ["intervals", "--model", "quotient:4:3", "--tau", "1/2"])
+    assert res.output.splitlines()[:3] == [
+        "S^4/Z_3 at tau = 1/2: Indeterminate (witness 16)",
+        "  note: eigenvalue 16 in the forbidden interval [6, 24]; witness: first "
+        "Lichnerowicz eigentensors",
+        "  note: spectrum is a quotient subset: the witness may not descend"]
+
+
+@pytest.mark.parametrize("key,flag,value,code", [
+    ("sphere:5", "is_bound", True, 2),
+    ("sphere:5", "is_subset", True, 2),
+    ("quotient:4:2", "is_subset", False, 2),
+    ("hyperbolic:5", "is_bound", False, 2),
+    ("quotient:4:2", "is_subset", True, 0),
+    ("hyperbolic:5", "is_bound", True, 0),
+])
+def test_an_extension_flag_must_agree_with_the_family(runner, tmp_path, monkeypatch,
+                                                      key, flag, value, code):
+    """is_subset and is_bound are the family's: a catalog file may state them,
+    and one that contradicts the family is refused with one error line naming
+    the model and the flag."""
+    from qcf.catalog import builtin_catalog
+
+    _extension_file(tmp_path, monkeypatch, builtin_catalog()[key], **{flag: value})
+    res = runner.invoke(main, ["intervals", "--model", key, "--tau", "-1/5"])
+    assert res.exit_code == code
+    if code:
+        assert (res.stdout, res.stderr) == ("", f"error: {key}: tt.{flag} "
+                                                f"{json.dumps(value)} contradicts the "
+                                                f"{key.partition(':')[0]} family\n")
+
+
+def test_an_extension_tail_bound_is_named_by_its_value(runner, tmp_path, monkeypatch):
+    """A QCF_CATALOG S^5 whose TT tail bound is 18, not 4n = 20, closes its
+    interval at tau(18) = 1/20 and names the bound 18 in both texts."""
+    from qcf.catalog import make_sphere
+
+    model = make_sphere(5)
+    _extension_file(tmp_path, monkeypatch, model._replace(tt=model.tt._replace(tail_bound=18)))
+    res = invoke(runner, ["intervals", "--model", "sphere:5"])
+    assert res.output.splitlines() == [
+        "S^5: tau in (-11/40, 1/20) -> StrictlyStable",
+        "  lower endpoint: conformal threshold (4-3n)/(2n(n-1))",
+        "  upper endpoint: TT forbidden interval reaches the tail bound 18",
+        "  note: optimality: unknown (the upper endpoint comes from the tail bound 18, "
+        "not from a known eigenvalue)"]
+
+
+def test_an_extension_torus_needs_its_parallel_tt_kernel(runner, tmp_path, monkeypatch):
+    """Every flat torus has parallel trace-free tensors, a TT eigenvalue 0: a
+    QCF_CATALOG torus:4 without it is refused at load time (exit 2), before
+    its interval could claim StrictlyStable."""
+    from qcf.catalog import TTData, make_torus
+
+    model = make_torus(4)._replace(tt=TTData(known=(), tail_bound=Fraction(1)))
+    _extension_file(tmp_path, monkeypatch, model)
+    res = runner.invoke(main, ["intervals", "--model", "torus:4"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == ("error: torus:4: first TT eigenvalue None violates the flat "
+                          "identity mu1 = 0 (parallel trace-free tensors)\n")
+
+
 @pytest.mark.parametrize("args", [
     ["grad", "--diag", "1e300,1,1", "--tau", "0"],
     ["grad", "--diag", "1e-300,1,1", "--tau", "0"],

@@ -780,7 +780,7 @@ def _oracle_tt_gap_check(model, tau):
         note = f"eigenvalue {eig.mu} in the forbidden interval [{lo}, {hi}]"
         if eig.witness:
             note += f"; witness: {eig.witness}"
-        if tt.is_subset:
+        if model.spectra_are_subsets:
             return StabilityVerdict(
                 "Indeterminate", witness=eig.mu,
                 notes=(note, "spectrum is a quotient subset: the witness "
@@ -790,7 +790,7 @@ def _oracle_tt_gap_check(model, tau):
                                 provenance=("tt-gap",))
     if hi < tt.tail_bound:
         prov = "tt-gap"
-        if tt.is_bound:
+        if model.tt_bound_only:
             return StabilityVerdict(
                 "StableBoundOnly",
                 notes=(f"forbidden interval [{lo}, {hi}] lies below the "
@@ -968,7 +968,7 @@ def _oracle_conformal_gap_check(model, tau, lambda1_override=None):
 def _oracle_bach_verdict(model):
     def interval_empty(tt, lo, hi):
         if _oracle_known_in(tt, lo, hi) is not None:
-            return None if tt.is_subset else False
+            return None if model.spectra_are_subsets else False
         return True if hi < tt.tail_bound else None
 
     R = model.scal
