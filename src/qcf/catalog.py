@@ -10,11 +10,14 @@ bound is available, as on hyperbolic manifolds).
 
 What every model of a variant shares sits in one table, _FAMILIES, a row
 per family: the display name, the CLI options, the Einstein constant, the
-first-TT-eigenvalue identity, the TT tail bound's closed form, whether
-spectra are quotient subsets or known only as a bound, the function
-spectrum, the curvature tensor, and the text of an interval end at the
-tail bound. The models themselves (the make_* builders, catalog files)
-are data that validate_model checks against the table's rules.
+first-TT-eigenvalue identity and its witness, the TT tail bound's closed
+form, whether spectra are quotient subsets or known only as a bound, the
+function spectrum, the curvature tensor, the text of an interval end at
+the tail bound, and notes on the TT kernel at named eigenvalues. A model
+reads its row as ModelSpace.family. model_from_key builds a model from the
+row, given only what no closed form fixes (volume, Euler characteristic,
+further known TT eigenvalues); catalog files are data that validate_model
+checks against the row's rules.
 
 Catalog entries are read from JSON (schema shipped under qcf/schemas/);
 an extension catalog can be merged in through the QCF_CATALOG
@@ -65,7 +68,7 @@ class TTData(NamedTuple):
     ``known`` lists eigenvalues certain to occur (with witnesses where
     the literature names them); every other spectral value is >=
     ``tail_bound``. Whether the list is a quotient subset or only a
-    bound is the family's (ModelSpace.spectra_are_subsets, tt_bound_only).
+    bound is the family's (ModelSpace.family.is_subset, is_bound).
     """
 
     known: tuple[TTEigenvalue, ...]
@@ -78,7 +81,6 @@ class ModelSpace(NamedTuple):
     n: int
     m: int | None = None
     quotient_order: int | None = None
-    einstein_constant: Fraction = Fraction(0)
     scal: Fraction = Fraction(0)
     volume: ExactVolume | None = None
     euler_char: int | None = None
@@ -86,30 +88,19 @@ class ModelSpace(NamedTuple):
     lambda1: Fraction | None = None
 
     @property
+    def family(self) -> _Family:
+        """The closed forms of the model's variant: its row of _FAMILIES."""
+        return _FAMILIES[self.variant]
+
+    @property
     def display_name(self) -> str:
-        return _FAMILIES[self.variant].name.format(**self._asdict())
-
-    @property
-    def spectra_are_subsets(self) -> bool:
-        """Whether the spectra are subsets of the covering lists (quotients): emptiness
-        conclusions stay sound, occupancy ones do not."""
-        return _FAMILIES[self.variant].is_subset
-
-    @property
-    def tt_bound_only(self) -> bool:
-        """Whether even the least TT eigenvalue is only bounded (hyperbolic)."""
-        return _FAMILIES[self.variant].is_bound
-
-    @property
-    def has_function_spectrum(self) -> bool:
-        """Whether function_spectrum has a closed form here (every variant but hyperbolic)."""
-        return _FAMILIES[self.variant].spectrum is not None
+        return self.family.name.format(**self._asdict())
 
     @property
     def tt_tail(self) -> tuple[str, str]:
         """A TT interval end at the tail bound: its provenance and the bound's name,
         the family's closed form (4n, ...) where the bound is that, else its value."""
-        tail, bound = _FAMILIES[self.variant].tail, self.tt.tail_bound
+        tail, bound = self.family.tail, self.tt.tail_bound
         if tail is not None and bound == tail[0](self.n, self.m):
             return f"{tail[3]} {tail[1]}", tail[1]
         return f"TT forbidden interval reaches the tail bound {bound}", str(bound)
@@ -124,7 +115,7 @@ class ModelSpace(NamedTuple):
         from qcf.tensor_core import CurvatureData, exact_tensor
 
         g = exact_tensor(np.eye(self.n, dtype=int))
-        cd = CurvatureData(self.n, g, _FAMILIES[self.variant].curvature(g, self.m))
+        cd = CurvatureData(self.n, g, self.family.curvature(g, self.m))
         return cd if exact else CurvatureData(self.n, cd.g.fractions().astype(float),
                                               cd.rm.fractions().astype(float))
 
@@ -205,19 +196,23 @@ class _Family(NamedTuple):
     options: dict[str, str]  # each CLI option -> the field it names, the required one first
     kappa: Callable  # the Einstein constant from (n, m)
     curvature: Callable  # the exact curvature tensor from the orthonormal frame g and m
-    # the first TT eigenvalue from (n, m, R), and its identity's text ({} takes the value)
+    # the first TT eigenvalue from (n, m, R), its identity's text ({} takes the value), its witness
     mu1: tuple | None = None
     # the TT tail bound from (n, m), its name, whether validation fixes it, an end's provenance
     tail: tuple | None = None
     spectrum: Callable | None = None  # the first `count` function eigenvalues from (n, m, count)
-    # the catalog file's optional tt flags: ModelSpace.spectra_are_subsets and tt_bound_only
+    # whether the spectra are subsets of the covering lists (quotients): emptiness conclusions
+    # stay sound, occupancy ones do not; whether even the least TT eigenvalue is only bounded
+    # (hyperbolic). A catalog file's optional tt flags may restate them.
     is_subset: bool = False
     is_bound: bool = False
+    kernel_notes: dict = {}  # TT eigenvalue mu -> a rigidity report's note on its kernel
 
 
 _ROUND = dict(
     kappa=lambda n, m: n - 1, curvature=lambda g, m: _space_form_rm(g, 1),
-    mu1=(lambda n, m, R: 4 * R / (n - 1), "sphere identity mu1 = 4R/(n-1) = {}"),
+    mu1=(lambda n, m, R: 4 * R / (n - 1), "sphere identity mu1 = 4R/(n-1) = {}",
+         "first Lichnerowicz eigentensors"),
     tail=(lambda n, m: 4 * n, "4n", False, "TT gap closes at the first Lichnerowicz eigenvalue"),
     spectrum=lambda n, m, count: [Fraction(l * (l + n - 1)) for l in range(count)])
 _FAMILIES = {
@@ -235,24 +230,31 @@ _FAMILIES = {
     "cp": _Family(
         "CP^{m}", {"m": "m"}, lambda n, m: 2 * (m + 1), _fubini_study_rm,
         mu1=(lambda n, m, R: 2 * (m + 2) * R / (m * (m + 1)),
-             "complex-projective identity mu1 = 2(m+2)R/(m(m+1)) = {}"),
+             "complex-projective identity mu1 = 2(m+2)R/(m(m+1)) = {}",
+             "primitive (1,1) eigentensors"),
         tail=(lambda n, m: 8 * (m + 2), "8(m+2)", False, "TT gap closes at the first eigenvalue"),
         spectrum=lambda n, m, count: [Fraction(4 * l * (l + m)) for l in range(count)]),
     "product": _Family(
         "S^{m} x S^{m}", {"m": "m"}, lambda n, m: m - 1, _product_spheres_rm,
-        mu1=(lambda n, m, R: 0, "product identity mu1 = 0 (g1 - g2)"),
+        mu1=(lambda n, m, R: 0, "product identity mu1 = 0 (g1 - g2)",
+             "g1 - g2 (integrable: vary the factor radii)"),
         tail=(lambda n, m: 2 * m, "2m", True,
               "TT forbidden interval reaches the spectral tail bound"),
-        spectrum=lambda n, m, count: _pair_sums(m, count)),
+        spectrum=lambda n, m, count: _pair_sums(m, count),
+        kernel_notes={0: "g1 - g2 (integrable: the Kaehler path of product metrics)",
+                      4: "nine-dimensional kernel spanned by products alpha1 . alpha2 of "
+                         "Killing one-forms"}),
     # side length 2 pi, so the function spectrum is the integer quadric values
     "torus": _Family(
         "T^{n}", {"dim": "n"}, lambda n, m: 0, lambda g, m: _space_form_rm(g, 0),
-        mu1=(lambda n, m, R: 0, "flat identity mu1 = 0 (parallel trace-free tensors)"),
+        mu1=(lambda n, m, R: 0, "flat identity mu1 = 0 (parallel trace-free tensors)",
+             "parallel trace-free tensors"),
         spectrum=lambda n, m, count: [Fraction(k) for k in _sums_of_squares(n, count)]),
 }
 
 
 _SPHERE_VOLUME = {
+    2: ExactVolume(Fraction(4), 1),  # the factor of S^2 x S^2
     3: ExactVolume(Fraction(2), 2),
     4: ExactVolume(Fraction(8, 3), 2),
     5: ExactVolume(Fraction(1), 3),
@@ -262,86 +264,51 @@ _SPHERE_VOLUME = {
 }
 
 
-def make_sphere(n: int) -> ModelSpace:
-    mu1 = Fraction(4 * n)
-    return ModelSpace(
-        key=f"sphere:{n}", variant="sphere", n=n,
-        einstein_constant=Fraction(n - 1), scal=Fraction(n * (n - 1)),
-        volume=_SPHERE_VOLUME[n],
-        euler_char=2 if n == 4 else None,
-        tt=TTData(known=(TTEigenvalue(mu1, "first Lichnerowicz eigentensors"),),
-                  tail_bound=mu1),
-        lambda1=Fraction(n),
-    )
+def model_from_key(key: str, volume: ExactVolume | None = None, euler_char: int | None = None,
+                   extra: tuple[TTEigenvalue, ...] = ()) -> ModelSpace:
+    """The model a key names (``quotient:4:2``), built from its family's row.
 
-
-def make_quotient(n: int, order: int) -> ModelSpace:
-    base = make_sphere(n)
-    # lambda1 depends on which representations survive the quotient
-    return base._replace(
-        key=f"quotient:{n}:{order}", variant="quotient", quotient_order=order,
-        volume=ExactVolume(base.volume.coeff / order, base.volume.pi_pow),
-        euler_char=2 // order if n == 4 and 2 % order == 0 else None, lambda1=None)
-
-
-def make_hyperbolic(n: int) -> ModelSpace:
-    # compact hyperbolic quotients: the volume depends on the lattice
-    return ModelSpace(
-        key=f"hyperbolic:{n}", variant="hyperbolic", n=n,
-        einstein_constant=Fraction(-(n - 1)), scal=Fraction(-n * (n - 1)),
-        tt=TTData(known=(), tail_bound=Fraction(-n)),
-    )
-
-
-def make_cp(m: int) -> ModelSpace:
-    n = 2 * m
-    mu1 = Fraction(8 * (m + 2))
-    return ModelSpace(
-        key=f"cp:{m}", variant="cp", n=n, m=m,
-        einstein_constant=Fraction(2 * (m + 1)), scal=Fraction(4 * m * (m + 1)),
-        volume=ExactVolume(Fraction(1, math.factorial(m)), m),
-        euler_char=3 if m == 2 else None,
-        tt=TTData(known=(TTEigenvalue(mu1, "primitive (1,1) eigentensors"),),
-                  tail_bound=mu1),
-        lambda1=Fraction(4 * (m + 1)),
-    )
-
-
-def make_product(m: int) -> ModelSpace:
-    n = 2 * m
-    sv = _SPHERE_VOLUME[m] if m >= 3 else ExactVolume(Fraction(4), 1)
-    vol = ExactVolume(sv.coeff**2, 2 * sv.pi_pow)
-    known = [TTEigenvalue(Fraction(0), "g1 - g2 (integrable: vary the factor radii)")]
-    if m == 2:
-        known.append(TTEigenvalue(Fraction(4), "alpha1 . alpha2, Killing one-forms of the factors"))
-    return ModelSpace(
-        key=f"product:{m}", variant="product", n=n, m=m,
-        einstein_constant=Fraction(m - 1), scal=Fraction(2 * m * (m - 1)),
-        volume=vol,
-        euler_char=4 if m == 2 else None,
-        tt=TTData(known=tuple(known), tail_bound=Fraction(2 * m)),
-        lambda1=Fraction(m),
-    )
-
-
-def make_torus(n: int) -> ModelSpace:
-    # side length 2 pi, so the volume is (2 pi)^n
-    return ModelSpace(
-        key=f"torus:{n}", variant="torus", n=n,
-        einstein_constant=Fraction(0), scal=Fraction(0),
-        volume=ExactVolume(Fraction(2**n), n),
-        euler_char=0 if n == 4 else None,
-        tt=TTData(known=(TTEigenvalue(Fraction(0), "parallel trace-free tensors"),),
-                  tail_bound=Fraction(0)),
-        lambda1=Fraction(1),
-    )
+    The row gives R = n kappa, the first TT eigenvalue with its witness, the
+    tail bound (the first eigenvalue where the row has no tail form, as on
+    the torus) and lambda1, the function spectrum's first nonzero value,
+    which a quotient does not inherit. The rest is passed in: the volume,
+    the Euler characteristic and known TT eigenvalues after the first.
+    """
+    variant, *values = key.split(":")
+    family = _FAMILIES[variant]
+    fields = dict(zip(family.options.values(), map(int, values)))
+    if "m" in fields:
+        fields["n"] = 2 * fields["m"]
+    n, m = fields["n"], fields.get("m")
+    scal = Fraction(n * family.kappa(n, m))
+    known = ()
+    if family.mu1 is not None:
+        form, _, witness = family.mu1
+        known = (TTEigenvalue(Fraction(form(n, m, scal)), witness),)
+    tail = known[0].mu if family.tail is None else Fraction(family.tail[0](n, m))
+    lambda1 = None
+    if family.spectrum is not None and not family.is_subset:
+        lambda1 = family.spectrum(n, m, 2)[1]
+    return ModelSpace(key, variant, **fields, scal=scal, volume=volume, euler_char=euler_char,
+                      tt=TTData(known + extra, tail), lambda1=lambda1)
 
 
 def builtin_catalog() -> dict[str, ModelSpace]:
-    models = [make(n) for n in range(3, 9) for make in (make_sphere, make_hyperbolic, make_torus)]
-    models.append(make_quotient(4, 2))
-    models += [make(m) for m in (2, 3, 4) for make in (make_cp, make_product)]
-    return {model.key: model for model in models}
+    """The 25 built-in models, each given what its family's row leaves open."""
+    sv, volumes = _SPHERE_VOLUME, {}
+    for n in range(3, 9):  # a hyperbolic volume depends on the lattice; torus sides are 2 pi
+        volumes |= {f"sphere:{n}": sv[n], f"hyperbolic:{n}": None,
+                    f"torus:{n}": ExactVolume(Fraction(2**n), n)}
+    volumes["quotient:4:2"] = ExactVolume(sv[4].coeff / 2, 2)
+    for m in (2, 3, 4):
+        volumes |= {f"cp:{m}": ExactVolume(Fraction(1, math.factorial(m)), m),
+                    f"product:{m}": ExactVolume(sv[m].coeff**2, 2 * sv[m].pi_pow)}
+    # Euler characteristics are given in dimension four
+    euler = {"sphere:4": 2, "torus:4": 0, "quotient:4:2": 1, "cp:2": 3, "product:2": 4}
+    extra = {"product:2": (TTEigenvalue(Fraction(4), "alpha1 . alpha2, Killing one-forms "
+                                                     "of the factors"),)}
+    return {key: model_from_key(key, volume, euler.get(key), extra.get(key, ()))
+            for key, volume in volumes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +320,11 @@ def function_spectrum(model: ModelSpace, count: int) -> list[Fraction]:
 
     The family's closed form: sphere l(l+n-1), CP^m 4l(l+m), S^m x S^m the
     pairwise sums of two sphere lists, flat torus |k|^2, and for a quotient
-    the covering list (see ``spectra_are_subsets``); hyperbolic has none.
+    the covering list (see ``_Family.is_subset``); hyperbolic has none.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    spectrum = _FAMILIES[model.variant].spectrum
+    spectrum = model.family.spectrum
     if spectrum is None:
         raise CatalogError(f"no closed-form function spectrum for {model.display_name}")
     return spectrum(model.n, model.m, count)
@@ -407,11 +374,14 @@ def model_from_json(obj: dict) -> ModelSpace:
     v = obj.get("volume")
     vol = ExactVolume(parse_ratio(str(v["coeff"])), int(v["pi_pow"])) if v else None
     lam = parse_ratio(str(obj["lambda1"])) if obj.get("lambda1") is not None else None
+    # a file states the Einstein constant as well; the model keeps R alone, and kappa = R/n
+    n, kappa = int(obj["dim"]), parse_ratio(str(obj["einstein_constant"]))
+    scal = parse_ratio(str(obj["scal"]))
+    if scal != n * kappa:
+        raise CatalogError(f"{obj['key']}: scal {scal} != n * einstein_constant {n * kappa}")
     return ModelSpace(
-        key=str(obj["key"]), variant=str(obj["variant"]), n=int(obj["dim"]),
-        m=obj.get("m"), quotient_order=obj.get("quotient_order"),
-        einstein_constant=parse_ratio(str(obj["einstein_constant"])),
-        scal=parse_ratio(str(obj["scal"])),
+        key=str(obj["key"]), variant=str(obj["variant"]), n=n,
+        m=obj.get("m"), quotient_order=obj.get("quotient_order"), scal=scal,
         volume=vol, euler_char=obj.get("euler_char"), tt=tt, lambda1=lam,
     )
 
@@ -419,23 +389,28 @@ def model_from_json(obj: dict) -> ModelSpace:
 def validate_model(model: ModelSpace) -> None:
     """Cross-identities between stored spectra and curvature data.
 
-    The family's rules fix the Einstein constant, the first TT eigenvalue
-    where it has a closed form, and the TT tail bound where validation
-    fixes it. A given lambda1 and volume must also be positive: a verdict
-    drawn from an impossible spectrum or volume would be meaningless.
+    The family's rules fix the Einstein constant R/n, the first TT
+    eigenvalue where it has a closed form, and the TT tail bound where
+    validation fixes it; the option fields it names (m, quotient_order)
+    must be given, and no other. A given lambda1 and volume must also be
+    positive: a verdict drawn from an impossible spectrum or volume would be
+    meaningless.
     """
-    n, m, kappa, scal = model.n, model.m, model.einstein_constant, model.scal
+    n, m, scal = model.n, model.m, model.scal
     family = _FAMILIES.get(model.variant)
     if family is None:
         raise CatalogError(f"{model.key}: unknown variant {model.variant!r}")
     if not (3 <= n <= 8):
         raise CatalogError(f"{model.key}: dimension {n} outside supported range 3..8")
-    if scal != n * kappa:
-        raise CatalogError(f"{model.key}: scal {scal} != n * einstein_constant {n * kappa}")
-    if "m" in family.options and (m is None or 2 * m != n):
+    for field in ("m", "quotient_order"):
+        value = getattr(model, field)
+        if (value is None) == (field in family.options.values()):
+            raise CatalogError(f"{model.key}: the {model.variant} family " + (
+                f"needs {field}" if value is None else f"takes no {field} (given {value})"))
+    if "m" in family.options and 2 * m != n:
         raise CatalogError(f"{model.key}: m/dim mismatch")
-    if kappa != family.kappa(n, m):
-        raise CatalogError(f"{model.key}: einstein constant {kappa} != {family.kappa(n, m)}")
+    if scal != n * family.kappa(n, m):
+        raise CatalogError(f"{model.key}: einstein constant {scal / n} != {family.kappa(n, m)}")
     if model.lambda1 is not None and not model.lambda1 > 0:
         raise CatalogError(f"{model.key}: lambda1 {model.lambda1} is not positive")
     if model.volume is not None and not model.volume.coeff > 0:
@@ -445,7 +420,7 @@ def validate_model(model: ModelSpace) -> None:
     if tt is None:
         return
     if family.mu1 is not None:
-        form, identity = family.mu1
+        form, identity, _ = family.mu1
         want, got = form(n, m, scal), tt.known[0].mu if tt.known else None
         if got != want:
             raise CatalogError(f"{model.key}: first TT eigenvalue {got} violates the "

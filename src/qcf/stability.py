@@ -159,13 +159,13 @@ def _tt_gap(model: ModelSpace, t: Fraction) -> tuple:
         note = f"eigenvalue {eig.mu} in the forbidden interval {span}"
         if eig.witness:
             note += f"; witness: {eig.witness}"
-        if model.spectra_are_subsets:
+        if model.family.is_subset:
             return ("Indeterminate", eig.mu,
                     (note, "spectrum is a quotient subset: the witness may not descend"),
                     ("tt-gap",))
         return "FailsTT", eig.mu, (note,), ("tt-gap",)
     if below_tail:
-        if model.tt_bound_only:
+        if model.family.is_bound:
             return ("StableBoundOnly", None,
                     (f"forbidden interval {span} lies below the "
                      f"spectral lower bound {tt.tail_bound}",),
@@ -187,7 +187,7 @@ def _conformal_witness(model: ModelSpace, t: Fraction) -> Fraction | None:
     exactly when its two linear factors are nonzero with opposite signs,
     and the first factor vanishes at the gauge eigenvalue R/(n-1).
     """
-    if not model.has_function_spectrum:
+    if model.family.spectrum is None:
         return None
     spec = function_spectrum(model, 60)
     n, r, s = model.n, model.scal.numerator, model.scal.denominator
@@ -217,7 +217,7 @@ def _fails(model: ModelSpace, t: Fraction, note: str, witness=None) -> tuple:
     notes = (note,)
     if w is None:
         notes += ("no concrete eigenvalue witness available from the catalog",)
-    elif model.spectra_are_subsets:
+    elif model.family.is_subset:
         notes += ("witness eigenvalue from the covering spectrum; the "
                   "eigenfunction may not descend to the quotient",)
     return "FailsConformal", w, notes, ("conformal-branch",)
@@ -379,8 +379,8 @@ def stability_interval(model: ModelSpace) -> TauInterval:
     elif hi is None and R < 0:
         hi_prov = "unbounded: forbidden TT interval stays below the lower bound for all larger tau"
     notes = ((f"TT spectrum known only through the lower bound {tail_name}",)
-             if model.tt_bound_only else ())
-    if model.spectra_are_subsets:
+             if model.family.is_bound else ())
+    if model.family.is_subset:
         notes += ("constant-curvature quotient: conformal kernel directions are not "
                   "essential and are skipped",)
     if hi_mu == tail and tail not in known:
@@ -405,14 +405,6 @@ class RigidityReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-_KERNEL_NOTES = {
-    ("product", Fraction(0)): "g1 - g2 (integrable: the Kaehler path of "
-                              "product metrics)",
-    ("product", Fraction(4)): "nine-dimensional kernel spanned by products "
-                              "alpha1 . alpha2 of Killing one-forms",
-}
-
-
 def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
                               mu_list=None) -> RigidityReport:
     """Tau values where the gauged linearization develops TT kernel.
@@ -433,12 +425,12 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
             "(parallel TT tensors), no exceptional sequence")
     mus: list[Fraction] = [e.mu for e in (tt.known if tt else ())]
     notes: list[str] = []
-    if tt is not None and model.tt_bound_only and not mus and not mu_list:
+    if tt is not None and model.family.is_bound and not mus and not mu_list:
         raise InsufficientSpectralData(
             f"{model.key}: TT spectrum known only as a bound; supply "
             "eigenvalues via mu_list")
     if mu_list:
-        if tt is not None and model.tt_bound_only and min(mu_list) < tt.tail_bound:
+        if tt is not None and model.family.is_bound and min(mu_list) < tt.tail_bound:
             raise ValueError(f"{model.key}: mu = {format_ratio(min(mu_list))} lies below "
                              f"the TT spectral lower bound {format_ratio(tt.tail_bound)}")
         mus.extend(Fraction(m) for m in mu_list)
@@ -448,14 +440,14 @@ def rigidity_exceptional_taus(model: ModelSpace, count: int = 8,
     # tau(mu) has slope 1/(2R) != 0, so distinct mu give distinct tau
     for mu in sorted(set(mus)):
         t = _contact_tau(model, mu)
-        note = _KERNEL_NOTES.get((model.variant, mu), "")
+        note = model.family.kernel_notes.get(mu, "")
         if mu == first_factor_root:
             note = (note + "; " if note else "") + (
                 "eigenvalue 2R/n: kernel direction at every tau")
         out.append(ExceptionalTau(t, mu, note))
         if len(out) >= count:
             break
-    if model.has_function_spectrum:
+    if model.family.spectrum is not None:
         notes.append("conformal kernel: the polynomial roots lambda = R/(n-1) "
                      "and the second-factor root are checked against the "
                      "function spectrum per branch; catalog models have no "
@@ -484,7 +476,7 @@ def _interval_empty(model: ModelSpace, lo: int, hi: int, den: int) -> bool | Non
     """Is spec_TT disjoint from [lo/den, hi/den]? True/False when certain, else None."""
     eig, below_tail = _tt_meets(model.tt, lo, hi, den)
     if eig is not None:
-        return None if model.spectra_are_subsets else False
+        return None if model.family.is_subset else False
     return True if below_tail else None
 
 

@@ -58,7 +58,8 @@ class QcfRunner:
 def catalog_json(models) -> dict:
     """Catalog models as a catalog file holds them (QCF_CATALOG,
     catalog.schema.json): the inverse of qcf.catalog.model_from_json. The
-    optional is_bound and is_subset keys are left out: the family fixes them."""
+    Einstein constant is written as scal/n; the optional is_bound and
+    is_subset keys are left out: the family fixes them."""
 
     def ratio(x):
         return None if x is None else format_ratio(x)
@@ -68,7 +69,7 @@ def catalog_json(models) -> dict:
         return {
             "key": ms.key, "variant": ms.variant, "dim": ms.n, "m": ms.m,
             "quotient_order": ms.quotient_order,
-            "einstein_constant": ratio(ms.einstein_constant), "scal": ratio(ms.scal),
+            "einstein_constant": ratio(ms.scal / ms.n), "scal": ratio(ms.scal),
             "volume": vol and {"coeff": ratio(vol.coeff), "pi_pow": vol.pi_pow},
             "euler_char": ms.euler_char,
             "tt": tt and {

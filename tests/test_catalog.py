@@ -9,6 +9,7 @@ import pytest
 from conftest import catalog_json
 
 from qcf.catalog import (
+    _FAMILIES,
     CatalogError,
     ExactVolume,
     _sums_of_squares,
@@ -16,7 +17,6 @@ from qcf.catalog import (
     catalog_schema,
     function_spectrum,
     load_catalog,
-    make_sphere,
     model_from_json,
     resolve_model,
     validate_model,
@@ -45,6 +45,70 @@ def test_builtin_catalog_validates(cat):
         validate_model(model)
 
 
+# Every built-in model as the make_* builders wrote it out by hand: key, n, m,
+# quotient order, R, volume (coefficient of pi^power), Euler characteristic,
+# known TT eigenvalues (mu, witness), TT tail bound, lambda1
+_WITNESS = {"L": "first Lichnerowicz eigentensors", "P": "primitive (1,1) eigentensors",
+            "G": "g1 - g2 (integrable: vary the factor radii)",
+            "K": "alpha1 . alpha2, Killing one-forms of the factors",
+            "T": "parallel trace-free tensors"}
+_BUILTINS = [
+    ("sphere:3", 3, None, None, "6", ("2", 2), None, (("12", "L"),), "12", "3"),
+    ("hyperbolic:3", 3, None, None, "-6", None, None, (), "-3", None),
+    ("torus:3", 3, None, None, "0", ("8", 3), None, (("0", "T"),), "0", "1"),
+    ("sphere:4", 4, None, None, "12", ("8/3", 2), 2, (("16", "L"),), "16", "4"),
+    ("hyperbolic:4", 4, None, None, "-12", None, None, (), "-4", None),
+    ("torus:4", 4, None, None, "0", ("16", 4), 0, (("0", "T"),), "0", "1"),
+    ("sphere:5", 5, None, None, "20", ("1", 3), None, (("20", "L"),), "20", "5"),
+    ("hyperbolic:5", 5, None, None, "-20", None, None, (), "-5", None),
+    ("torus:5", 5, None, None, "0", ("32", 5), None, (("0", "T"),), "0", "1"),
+    ("sphere:6", 6, None, None, "30", ("16/15", 3), None, (("24", "L"),), "24", "6"),
+    ("hyperbolic:6", 6, None, None, "-30", None, None, (), "-6", None),
+    ("torus:6", 6, None, None, "0", ("64", 6), None, (("0", "T"),), "0", "1"),
+    ("sphere:7", 7, None, None, "42", ("1/3", 4), None, (("28", "L"),), "28", "7"),
+    ("hyperbolic:7", 7, None, None, "-42", None, None, (), "-7", None),
+    ("torus:7", 7, None, None, "0", ("128", 7), None, (("0", "T"),), "0", "1"),
+    ("sphere:8", 8, None, None, "56", ("32/105", 4), None, (("32", "L"),), "32", "8"),
+    ("hyperbolic:8", 8, None, None, "-56", None, None, (), "-8", None),
+    ("torus:8", 8, None, None, "0", ("256", 8), None, (("0", "T"),), "0", "1"),
+    ("quotient:4:2", 4, None, 2, "12", ("4/3", 2), 1, (("16", "L"),), "16", None),
+    ("cp:2", 4, 2, None, "24", ("1/2", 2), 3, (("32", "P"),), "32", "12"),
+    ("product:2", 4, 2, None, "4", ("16", 2), 4, (("0", "G"), ("4", "K")), "4", "2"),
+    ("cp:3", 6, 3, None, "48", ("1/6", 3), None, (("40", "P"),), "40", "16"),
+    ("product:3", 6, 3, None, "12", ("4", 4), None, (("0", "G"),), "6", "3"),
+    ("cp:4", 8, 4, None, "80", ("1/24", 4), None, (("48", "P"),), "48", "20"),
+    ("product:4", 8, 4, None, "24", ("64/9", 4), None, (("0", "G"),), "8", "4"),
+]
+
+
+def test_builtin_models_match_the_literal_table(cat):
+    """model_from_key builds each built-in from its family's row, given only
+    the volume, the Euler characteristic and product:2's second eigenvalue;
+    every field equals the hand-written value, exact ones as Fractions."""
+    assert list(cat) == [row[0] for row in _BUILTINS]
+    for key, n, m, order, scal, volume, euler, known, tail, lambda1 in _BUILTINS:
+        model = cat[key]
+        assert model.variant == key.partition(":")[0], key
+        fields = (model.n, model.m, model.quotient_order, model.euler_char)
+        assert fields == (n, m, order, euler), key
+        assert model.scal == Fraction(scal), key
+        assert model.volume == (volume and ExactVolume(Fraction(volume[0]), volume[1])), key
+        assert [(e.mu, e.witness) for e in model.tt.known] == [
+            (Fraction(mu), _WITNESS[w]) for mu, w in known], key
+        assert model.tt.tail_bound == Fraction(tail), key
+        assert model.lambda1 == (lambda1 and Fraction(lambda1)), key
+        exact = [model.scal, model.tt.tail_bound, *(e.mu for e in model.tt.known)]
+        exact += [x for x in (model.lambda1, model.volume and model.volume.coeff) if x is not None]
+        assert all(type(x) is Fraction for x in exact), key
+
+
+def test_the_schema_variants_are_the_family_table():
+    """A family added to _FAMILIES and not to catalog.schema.json, or the
+    other way round, fails here."""
+    enum = catalog_schema()["definitions"]["model"]["properties"]["variant"]["enum"]
+    assert enum == list(_FAMILIES)
+
+
 def test_round_trip(cat):
     doc = catalog_json(cat[k] for k in sorted(cat))
     jsonschema.validate(doc, catalog_schema())
@@ -60,15 +124,14 @@ def test_round_trip_through_json_text(cat):
     assert rebuilt == cat
 
 
-def test_validate_model_rejects_bad_scal():
-    model = make_sphere(4)
-    broken = model._replace(scal=Fraction(13))
-    with pytest.raises(CatalogError, match="scal"):
+def test_validate_model_rejects_bad_scal(cat):
+    broken = cat["sphere:4"]._replace(scal=Fraction(13))
+    with pytest.raises(CatalogError, match="^sphere:4: einstein constant 13/4 != 3$"):
         validate_model(broken)
 
 
-def test_validate_model_names_sphere_identity():
-    model = make_sphere(3)
+def test_validate_model_names_sphere_identity(cat):
+    model = cat["sphere:3"]
     tt = model.tt
     bad_tt = tt.__class__(known=(tt.known[0].__class__(Fraction(11)),),
                           tail_bound=tt.tail_bound)
@@ -81,9 +144,8 @@ def test_validate_model_names_sphere_identity():
     ("lambda1", Fraction(0), "lambda1 0 is not positive"),
     ("volume", ExactVolume(Fraction(-8, 3), 2), "volume coefficient -8/3 is not positive"),
 ])
-def test_validate_model_rejects_impossible_lambda1_and_volume(field, value, named):
-    model = make_sphere(4)
-    broken = model._replace(**{field: value})
+def test_validate_model_rejects_impossible_lambda1_and_volume(cat, field, value, named):
+    broken = cat["sphere:4"]._replace(**{field: value})
     with pytest.raises(CatalogError, match=f"^sphere:4: {named}$"):
         validate_model(broken)
 

@@ -634,9 +634,9 @@ def test_an_extension_quotient_has_subset_spectra_without_the_flag(runner, tmp_p
     """A QCF_CATALOG S^4/Z_3 whose file gives no is_subset still sees only a
     subset of the covering spectrum: at tau = 1/2 the eigenvalue 16 is a
     witness that may not descend, not a definite FailsTT."""
-    from qcf.catalog import make_quotient
+    from qcf.catalog import model_from_key
 
-    _extension_file(tmp_path, monkeypatch, make_quotient(4, 3))
+    _extension_file(tmp_path, monkeypatch, model_from_key("quotient:4:3"))
     res = invoke(runner, ["intervals", "--model", "quotient:4:3", "--tau", "1/2"])
     assert res.output.splitlines()[:3] == [
         "S^4/Z_3 at tau = 1/2: Indeterminate (witness 16)",
@@ -672,9 +672,9 @@ def test_an_extension_flag_must_agree_with_the_family(runner, tmp_path, monkeypa
 def test_an_extension_tail_bound_is_named_by_its_value(runner, tmp_path, monkeypatch):
     """A QCF_CATALOG S^5 whose TT tail bound is 18, not 4n = 20, closes its
     interval at tau(18) = 1/20 and names the bound 18 in both texts."""
-    from qcf.catalog import make_sphere
+    from qcf.catalog import builtin_catalog
 
-    model = make_sphere(5)
+    model = builtin_catalog()["sphere:5"]
     _extension_file(tmp_path, monkeypatch, model._replace(tt=model.tt._replace(tail_bound=18)))
     res = invoke(runner, ["intervals", "--model", "sphere:5"])
     assert res.output.splitlines() == [
@@ -689,14 +689,34 @@ def test_an_extension_torus_needs_its_parallel_tt_kernel(runner, tmp_path, monke
     """Every flat torus has parallel trace-free tensors, a TT eigenvalue 0: a
     QCF_CATALOG torus:4 without it is refused at load time (exit 2), before
     its interval could claim StrictlyStable."""
-    from qcf.catalog import TTData, make_torus
+    from qcf.catalog import TTData, builtin_catalog
 
-    model = make_torus(4)._replace(tt=TTData(known=(), tail_bound=Fraction(1)))
+    model = builtin_catalog()["torus:4"]._replace(tt=TTData(known=(), tail_bound=Fraction(1)))
     _extension_file(tmp_path, monkeypatch, model)
     res = runner.invoke(main, ["intervals", "--model", "torus:4"])
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.stderr == ("error: torus:4: first TT eigenvalue None violates the flat "
                           "identity mu1 = 0 (parallel trace-free tensors)\n")
+
+
+@pytest.mark.parametrize("key,fields,named", [
+    ("quotient:4:2", {"quotient_order": None}, "needs quotient_order"),
+    ("sphere:4", {"m": 7, "quotient_order": 3}, "takes no m (given 7)"),
+    ("sphere:4", {"quotient_order": 3}, "takes no quotient_order (given 3)"),
+    ("cp:2", {"m": None}, "needs m"),
+])
+def test_an_extension_gives_exactly_the_fields_its_family_names(runner, tmp_path, monkeypatch,
+                                                                key, fields, named):
+    """A catalog file's m and quotient_order are the family's options: one
+    that it names must be given (a quotient without its order is refused, not
+    reported as S^4/Z_None), and one that it does not name is refused, not
+    silently ignored. The error line names the model and the field."""
+    from qcf.catalog import builtin_catalog
+
+    _extension_file(tmp_path, monkeypatch, builtin_catalog()[key]._replace(**fields))
+    res = runner.invoke(main, ["intervals", "--model", key])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: {key}: the {key.partition(':')[0]} family {named}\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -57,8 +57,10 @@ checking records' constructors) takes its fields by name, with no
 `*args` or `**kwargs`: forwarding them through `super().__new__` binds
 them in the NamedTuple's generated constructor, one more Python call per
 record, which made a record cost several times a positional one on the
-verdict path. Test modules are scanned for imports only: pytest finds
-their fixtures by name.
+verdict path. `stability` reads no `.variant` attribute: a model's family
+decides through its row (`model.family`), so the decision code never
+branches on a variant name. Test modules are scanned for imports only:
+pytest finds their fixtures by name.
 """
 
 import ast
@@ -195,6 +197,10 @@ def findings(source: str, src: bool = True, module: str = "") -> list[str]:
         where = ".".join(name for name in owner if name) or "module scope"
         out += [f"freezes the heap in {where}" for node in ast.walk(top)
                 if _names_gc_freeze(node) and (module, owner) != _FREEZER]
+    for top, owner in _owners(tree) if src and module == "stability" else ():
+        where = ".".join(name for name in owner if name) or "module scope"
+        out += [f"reads .variant in {where}" for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "variant"]
     for node, (cls, name) in _owners(tree) if src else ():
         if name == "__new__" and (node.args.vararg or node.args.kwarg):
             out.append(f"{cls}.__new__ takes *args or **kwargs")
@@ -605,3 +611,25 @@ main = _Main()
     assert text.count(call) == 1
     mutant = text.replace(call, call + "                gc.freeze()\n")
     assert findings(mutant, module="cli") == ["freezes the heap in _Main.main"]
+
+
+def test_scan_keeps_stability_off_the_model_variant():
+    source = """
+_NOTES = {("product", 0): "note"}
+
+def kernel_note(model, mu):
+    return _NOTES.get((model.variant, mu), "")
+
+class Verdict:
+    def name(self):
+        return self.variant
+"""
+    assert findings(source, module="stability") == ["reads .variant in kernel_note",
+                                                    "reads .variant in Verdict.name"]
+    assert findings(source, module="cli") == []
+    # the kernel notes keyed by variant, as they were, fail the rule
+    text = (SRC / "stability.py").read_text(encoding="utf-8")
+    read = 'model.family.kernel_notes.get(mu, "")'
+    assert text.count(read) == 1
+    mutant = text.replace(read, '{("product", 0): "g1 - g2"}.get((model.variant, mu), "")')
+    assert findings(mutant, module="stability") == ["reads .variant in rigidity_exceptional_taus"]

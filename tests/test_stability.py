@@ -179,7 +179,7 @@ def test_torus_verdict_decided_in_every_dimension(cat, n):
 
 
 def _full_spectrum_models(cat):
-    return [m for m in cat.values() if m.has_function_spectrum]
+    return [m for m in cat.values() if m.family.spectrum is not None]
 
 
 def _conformal_thresholds(n):
@@ -238,7 +238,7 @@ def test_bound_only_models_fail_conformally_without_a_scan(cat, monkeypatch):
             "Hessian is negative on all sufficiently large eigenvalues"),
     }
     for n, note in branch_note.items():
-        assert not cat[f"hyperbolic:{n}"].has_function_spectrum
+        assert cat[f"hyperbolic:{n}"].family.spectrum is None
         for t in (Fraction(-1, 2), Fraction(-1)):
             v = combined_verdict(cat[f"hyperbolic:{n}"], t)
             assert v == StabilityVerdict("FailsConformal", None, (note, no_witness),
@@ -780,7 +780,7 @@ def _oracle_tt_gap_check(model, tau):
         note = f"eigenvalue {eig.mu} in the forbidden interval [{lo}, {hi}]"
         if eig.witness:
             note += f"; witness: {eig.witness}"
-        if model.spectra_are_subsets:
+        if model.family.is_subset:
             return StabilityVerdict(
                 "Indeterminate", witness=eig.mu,
                 notes=(note, "spectrum is a quotient subset: the witness "
@@ -790,7 +790,7 @@ def _oracle_tt_gap_check(model, tau):
                                 provenance=("tt-gap",))
     if hi < tt.tail_bound:
         prov = "tt-gap"
-        if model.tt_bound_only:
+        if model.family.is_bound:
             return StabilityVerdict(
                 "StableBoundOnly",
                 notes=(f"forbidden interval [{lo}, {hi}] lies below the "
@@ -809,7 +809,7 @@ def _oracle_tt_gap_check(model, tau):
 
 
 def _oracle_conformal_witness(model, t):
-    if not model.has_function_spectrum:
+    if model.family.spectrum is None:
         return None
     spec = stability.function_spectrum(model, 60)
     lich = model.scal / (model.n - 1)
@@ -837,7 +837,7 @@ def _oracle_conformal_gap_check(model, tau, lambda1_override=None):
         notes = [note]
         if w is None and allow_scan:
             notes.append("no concrete eigenvalue witness available from the catalog")
-        elif w is not None and model.spectra_are_subsets:
+        elif w is not None and model.family.is_subset:
             notes.append("witness eigenvalue from the covering spectrum; the "
                          "eigenfunction may not descend to the quotient")
         return StabilityVerdict("FailsConformal", witness=w, notes=tuple(notes),
@@ -968,7 +968,7 @@ def _oracle_conformal_gap_check(model, tau, lambda1_override=None):
 def _oracle_bach_verdict(model):
     def interval_empty(tt, lo, hi):
         if _oracle_known_in(tt, lo, hi) is not None:
-            return None if model.spectra_are_subsets else False
+            return None if model.family.is_subset else False
         return True if hi < tt.tail_bound else None
 
     R = model.scal
@@ -990,7 +990,6 @@ def _scaled(model, c):
         known=tuple(e._replace(mu=c * e.mu) for e in model.tt.known),
         tail_bound=c * model.tt.tail_bound)
     return model._replace(key=f"{model.key}*{c}", scal=c * model.scal, tt=tt,
-                          einstein_constant=c * model.einstein_constant,
                           lambda1=None if model.lambda1 is None else c * model.lambda1)
 
 

@@ -66,7 +66,7 @@ def _breakpoints(model) -> list[Fraction]:
             _root_in_tau(conf, R / (n - 1))]
     mus = [e.mu for e in tt.known] + [tt.tail_bound, 2 * R / n]
     cuts += [_root_in_tau(tt_poly, mu) for mu in mus]
-    lams = function_spectrum(model, 60) if model.has_function_spectrum else []
+    lams = function_spectrum(model, 60) if model.family.spectrum is not None else []
     cuts += [_root_in_tau(conf, lam) for lam in lams + [model.lambda1] if lam is not None]
     return sorted({c for c in cuts if c is not None})
 
